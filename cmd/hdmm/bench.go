@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -110,6 +111,7 @@ func randSlice(rng *rand.Rand, n int) []float64 {
 // bound the caller has already set).
 func benchCases(workers int) ([]benchCase, error) {
 	rng := benchRand(101)
+	ctx := context.Background()
 	var cases []benchCase
 
 	// --- Kronecker kernels: 3 factors of 68×64, domain 64³ = 262144. ---
@@ -172,43 +174,12 @@ func benchCases(workers int) ([]benchCase, error) {
 	}
 	urows, ucols := us.Operator().Dims()
 	uy := randSlice(rng, urows)
-	uws := kron.NewWorkspace()
-	if _, err := us.ReconstructWS(uy, uws); err != nil {
+	uopts := core.ReconstructOptions{Workspace: kron.NewWorkspace()}
+	if _, err := us.ReconstructOpt(uy, uopts); err != nil {
 		return nil, err
 	}
 	cases = append(cases, benchCase{"reconstruct/union", int64(8 * (urows + ucols)), func() {
-		if _, err := us.ReconstructWS(uy, uws); err != nil {
-			panic(err)
-		}
-	}})
-
-	// Batched union reconstruction: 16 measurement vectors through one
-	// multi-RHS LSMR solve (wide GEMMs instead of 16 sequential matvec
-	// chains).
-	const uk = 16
-	uys := make([][]float64, uk)
-	for i := range uys {
-		uys[i] = randSlice(rng, urows)
-	}
-	if _, err := us.ReconstructBatch(uys); err != nil {
-		return nil, err
-	}
-	cases = append(cases, benchCase{fmt.Sprintf("reconstruct/union-batch%d", uk), int64(8 * uk * (urows + ucols)), func() {
-		if _, err := us.ReconstructBatch(uys); err != nil {
-			panic(err)
-		}
-	}})
-
-	// Warm-started union reconstruction: the serving regime, where
-	// successive measurements are close and each solve seeds from the last
-	// solution. The reconstructor is warmed once untimed; every measured
-	// solve then runs warm.
-	urec := us.NewReconstructor()
-	if _, err := urec.Reconstruct(uy); err != nil {
-		return nil, err
-	}
-	cases = append(cases, benchCase{"reconstruct/union-warm", int64(8 * (urows + ucols)), func() {
-		if _, err := urec.Reconstruct(uy); err != nil {
+		if _, err := us.ReconstructOpt(uy, uopts); err != nil {
 			panic(err)
 		}
 	}})
@@ -223,7 +194,7 @@ func benchCases(workers int) ([]benchCase, error) {
 	for i := range data {
 		data[i] = float64((i * 7) % 23)
 	}
-	eng, err := serve.NewEngine(we, data, 1.0, serve.Options{
+	eng, err := serve.NewEngineCtx(ctx, we, data, 1.0, serve.Options{
 		Selection: hdmm.SelectOptions{Restarts: 1, Seed: 11},
 		Seed:      17,
 		Workers:   workers,
@@ -240,7 +211,7 @@ func benchCases(workers int) ([]benchCase, error) {
 	if err != nil {
 		return nil, err
 	}
-	answered, err := eng.AnswerShared(products) // warm matrices + validate
+	answered, err := eng.AnswerSharedCtx(ctx, products) // warm matrices + validate
 	if err != nil {
 		return nil, err
 	}
@@ -249,7 +220,7 @@ func benchCases(workers int) ([]benchCase, error) {
 		ansVals += int64(len(a))
 	}
 	cases = append(cases, benchCase{"serve/answer512", 8 * (int64(len(data)) + ansVals), func() {
-		if _, err := eng.AnswerShared(products); err != nil {
+		if _, err := eng.AnswerSharedCtx(ctx, products); err != nil {
 			panic(err)
 		}
 	}})

@@ -33,7 +33,6 @@ func TestCmdBench(t *testing.T) {
 	want := map[string]bool{
 		"kron/matvec": false, "kron/mattvec": false, "kron/matmul16": false,
 		"reconstruct/kron": false, "reconstruct/union": false,
-		"reconstruct/union-batch16": false, "reconstruct/union-warm": false,
 		"serve/answer512": false, "snapshot/roundtrip": false,
 	}
 	workerRows := map[int]int{}

@@ -333,7 +333,7 @@ func cmdServe(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		parts, err := eng.Answer(products)
+		parts, err := eng.AnswerCtx(context.Background(), products)
 		if err != nil {
 			return err
 		}

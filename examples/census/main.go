@@ -46,7 +46,7 @@ func main() {
 	x := data.Vector()
 	rng := rand.New(rand.NewPCG(2, 3))
 	start = time.Now()
-	y := mech.Measure(sel.Strategy.Operator(), x, 1.0, rng)
+	y := mech.Measure(sel.Strategy.Operator(), x, 1.0, 0, rng)
 	xhat, err := sel.Strategy.Reconstruct(y)
 	if err != nil {
 		panic(err)

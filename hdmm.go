@@ -29,6 +29,7 @@
 package hdmm
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand/v2"
@@ -214,18 +215,20 @@ type Result struct {
 // measurement with budget eps, least-squares reconstruction, and workload
 // answering. The output satisfies ε-differential privacy.
 func Run(w *Workload, x []float64, eps float64, opts Options) (*Result, error) {
-	// NaN compares false with everything and +Inf means zero noise, so a
-	// plain `eps <= 0` check would accept both and release garbage (NaN)
-	// or the exact data (Inf) under a nominally private run.
-	if math.IsNaN(eps) || math.IsInf(eps, 0) || eps <= 0 {
-		return nil, fmt.Errorf("hdmm: epsilon must be positive and finite, got %v", eps)
-	}
 	rng := opts.Rand
 	if rng == nil {
 		rng = mech.NoiseRNG(opts.Seed) // deterministic if Seed non-zero, crypto/rand otherwise
 	}
+	return run(w, x, eps, 0, rng, opts)
+}
+
+// run is the pipeline behind Run and RunGaussian: mech.Run validates the
+// budget and the data vector before anything is spent, then selects,
+// measures once, reconstructs and answers.
+func run(w *Workload, x []float64, eps, delta float64, rng *rand.Rand, opts Options) (*Result, error) {
 	res, err := mech.Run(w, x, eps, rng, mech.Options{
 		Selection:      opts.Selection,
+		Delta:          delta,
 		ComputeAnswers: !opts.SkipAnswers,
 	})
 	if err != nil {
@@ -274,7 +277,7 @@ type EngineOptions struct {
 // NewEngine builds a serving engine for the workload at privacy budget eps:
 // optimize (or load) once, measure once, answer many.
 func NewEngine(w *Workload, x []float64, eps float64, opts EngineOptions) (*Engine, error) {
-	return serve.NewEngine(w, x, eps, serve.Options{
+	return serve.NewEngineCtx(context.Background(), w, x, eps, serve.Options{
 		Selection: opts.Selection,
 		Delta:     opts.Delta,
 		Seed:      opts.Seed,
@@ -364,38 +367,14 @@ func WeightForRelativeError(w *Workload) *Workload {
 // The classic calibration is only valid for ε ≤ 1, so larger budgets are
 // rejected (use Run's Laplace mechanism for high-ε deployments).
 func RunGaussian(w *Workload, x []float64, eps, delta float64, opts Options) (*Result, error) {
-	if math.IsNaN(eps) || math.IsNaN(delta) || eps <= 0 || delta <= 0 || delta >= 1 {
-		return nil, fmt.Errorf("hdmm: invalid (ε,δ) = (%v, %v)", eps, delta)
-	}
-	if eps > 1 {
-		return nil, fmt.Errorf("hdmm: Gaussian mechanism calibration requires ε ≤ 1, got %v (the σ = Δ₂·sqrt(2·ln(1.25/δ))/ε bound is unsound above 1; use the Laplace mechanism instead)", eps)
+	if !(delta > 0) {
+		return nil, fmt.Errorf("hdmm: RunGaussian needs δ in (0, 1), got %v (use Run for the Laplace mechanism)", delta)
 	}
 	rng := opts.Rand
 	if rng == nil {
 		rng = mech.NoiseRNG(opts.Seed)
 	}
-	sel, err := core.Select(w, opts.Selection)
-	if err != nil {
-		return nil, err
-	}
-	op := sel.Strategy.Operator()
-	y := mech.MeasureGaussian(op, x, eps, delta, rng)
-	xhat, err := sel.Strategy.Reconstruct(y)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Xhat: xhat, Strategy: sel.Strategy, Operator: sel.Operator}
-	sigma := mech.GaussianSigma(mech.L2Sensitivity(op), eps, delta)
-	// Per-query variance scales with σ² where the Laplace analysis uses
-	// 2·(Δ₁/ε)²; translate the closed-form expected error accordingly.
-	res.ExpectedRMSE = sigma * math.Sqrt(sel.Err/float64(w.NumQueries()))
-	if !opts.SkipAnswers {
-		res.Answers, err = mech.AnswerWorkload(w, xhat)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
+	return run(w, x, eps, delta, rng, opts)
 }
 
 // ExpectedError returns the expected total squared error of answering w

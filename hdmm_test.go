@@ -1,6 +1,7 @@
 package hdmm_test
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -92,6 +93,42 @@ func TestRunRejectsBadEps(t *testing.T) {
 	w, _ := hdmm.NewWorkload(dom, hdmm.NewProduct(hdmm.Identity(4)))
 	if _, err := hdmm.Run(w, make([]float64, 4), 0, hdmm.Options{}); err == nil {
 		t.Fatal("expected error for eps=0")
+	}
+}
+
+// TestRunRejectsWrongDataLength: a data vector that does not match the
+// domain is an error from both one-shot entry points, never a panic inside
+// the measurement.
+func TestRunRejectsWrongDataLength(t *testing.T) {
+	dom := hdmm.NewDomain(hdmm.Attribute{Name: "v", Size: 8})
+	w, err := hdmm.NewWorkload(dom, hdmm.NewProduct(hdmm.Prefix(8)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := []struct {
+		name string
+		run  func(x []float64) (*hdmm.Result, error)
+	}{
+		{"Run", func(x []float64) (*hdmm.Result, error) {
+			return hdmm.Run(w, x, 1.0, hdmm.Options{Seed: 4})
+		}},
+		{"RunGaussian", func(x []float64) (*hdmm.Result, error) {
+			return hdmm.RunGaussian(w, x, 1.0, 1e-6, hdmm.Options{Seed: 4})
+		}},
+	}
+	for _, r := range runs {
+		for _, n := range []int{7, 9} {
+			t.Run(fmt.Sprintf("%s/len=%d", r.name, n), func(t *testing.T) {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Fatalf("panicked: %v", p)
+					}
+				}()
+				if _, err := r.run(make([]float64, n)); err == nil {
+					t.Fatalf("data vector of length %d over an 8-cell domain: no error", n)
+				}
+			})
+		}
 	}
 }
 

@@ -33,7 +33,7 @@ func TestSF1EndToEnd(t *testing.T) {
 	data := dataset.CPHLike(100000, false, 3)
 	x := data.Vector()
 	rng := rand.New(rand.NewPCG(5, 6))
-	y := mech.Measure(sel.Strategy.Operator(), x, 1.0, rng)
+	y := mech.Measure(sel.Strategy.Operator(), x, 1.0, 0, rng)
 	xhat, err := sel.Strategy.Reconstruct(y)
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +78,7 @@ func TestEpsilonScalingEmpirical(t *testing.T) {
 		total := 0.0
 		const trials = 300
 		for tr := 0; tr < trials; tr++ {
-			y := mech.Measure(sel.Strategy.Operator(), x, eps, rng)
+			y := mech.Measure(sel.Strategy.Operator(), x, eps, 0, rng)
 			xhat, err := sel.Strategy.Reconstruct(y)
 			if err != nil {
 				t.Fatal(err)

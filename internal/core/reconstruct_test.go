@@ -32,10 +32,10 @@ func testUnionStrategy(t testing.TB) *UnionStrategy {
 	return s
 }
 
-// TestReconstructBatchMatchesSequential pins the multi-RHS reconstruction
-// to the single-vector path byte-for-byte at several worker counts: row i
-// of ReconstructBatch(ys) must equal Reconstruct(ys[i]) exactly.
-func TestReconstructBatchMatchesSequential(t *testing.T) {
+// TestKronReconstructDeterministicAcrossWorkers pins the pseudo-inverse
+// reconstruction byte-for-byte across worker counts: every measurement
+// reconstructs to the same bits at Workers 1, 4 and 8.
+func TestKronReconstructDeterministicAcrossWorkers(t *testing.T) {
 	s := testKronStrategy(t)
 	rows, _ := s.Operator().Dims()
 	rng := rand.New(rand.NewPCG(9, 1))
@@ -46,26 +46,38 @@ func TestReconstructBatchMatchesSequential(t *testing.T) {
 			ys[i][j] = rng.NormFloat64()
 		}
 	}
+	checkReconstructAcrossWorkers(t, s.Reconstruct, ys)
+}
 
+// checkReconstructAcrossWorkers reconstructs every measurement at Workers
+// 1, 4 and 8 (one subtest each) and requires the results of each worker
+// count to match the first bit for bit.
+func checkReconstructAcrossWorkers(t *testing.T, reconstruct func([]float64) ([]float64, error), ys [][]float64) {
+	t.Helper()
+	var first [][]float64
 	for _, workers := range []int{1, 4, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			prev := kron.SetWorkers(workers)
 			defer kron.SetWorkers(prev)
-			batch, err := s.ReconstructBatch(ys)
-			if err != nil {
-				t.Fatal(err)
-			}
+			got := make([][]float64, len(ys))
 			for i, y := range ys {
-				want, err := s.Reconstruct(y)
+				x, err := reconstruct(y)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(batch[i]) != len(want) {
-					t.Fatalf("row %d: length %d, want %d", i, len(batch[i]), len(want))
+				got[i] = x
+			}
+			if first == nil {
+				first = got
+				return
+			}
+			for i := range got {
+				if len(got[i]) != len(first[i]) {
+					t.Fatalf("measurement %d: length %d, want %d", i, len(got[i]), len(first[i]))
 				}
-				for j := range want {
-					if math.Float64bits(batch[i][j]) != math.Float64bits(want[j]) {
-						t.Fatalf("row %d element %d: batch %v, sequential %v", i, j, batch[i][j], want[j])
+				for j := range got[i] {
+					if math.Float64bits(got[i][j]) != math.Float64bits(first[i][j]) {
+						t.Fatalf("measurement %d element %d: %v, workers=1 gave %v", i, j, got[i][j], first[i][j])
 					}
 				}
 			}
@@ -91,7 +103,7 @@ func TestUnionReconstructWSMatchesDefault(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := s.ReconstructWS(y, ws)
+		got, err := s.ReconstructOpt(y, ReconstructOptions{Workspace: ws})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,27 +142,6 @@ func BenchmarkReconstruct(b *testing.B) {
 			}
 		}
 	})
-	b.Run("kron-batch16", func(b *testing.B) {
-		s := testKronStrategy(b)
-		rows, _ := s.Operator().Dims()
-		ys := make([][]float64, 16)
-		for i := range ys {
-			ys[i] = make([]float64, rows)
-			for j := range ys[i] {
-				ys[i][j] = rng.NormFloat64()
-			}
-		}
-		if _, err := s.ReconstructBatch(ys); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := s.ReconstructBatch(ys); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("union", func(b *testing.B) {
 		s := testUnionStrategy(b)
 		rows, _ := s.Operator().Dims()
@@ -159,13 +150,14 @@ func BenchmarkReconstruct(b *testing.B) {
 			y[j] = rng.NormFloat64()
 		}
 		ws := kron.NewWorkspace()
-		if _, err := s.ReconstructWS(y, ws); err != nil {
+		opts := ReconstructOptions{Workspace: ws}
+		if _, err := s.ReconstructOpt(y, opts); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := s.ReconstructWS(y, ws); err != nil {
+			if _, err := s.ReconstructOpt(y, opts); err != nil {
 				b.Fatal(err)
 			}
 		}

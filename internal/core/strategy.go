@@ -29,7 +29,6 @@ type SolveInfo struct {
 	Resid          float64 // final ‖y − A·x̂‖ estimate (of the solved system)
 	Stopped        string  // lsmr stopping reason
 	Preconditioned bool    // the per-factor eigendecomposition preconditioner was applied
-	Warm           bool    // the solve started from a cached previous solution
 }
 
 // Strategy is a measurement strategy selected by one of the HDMM operators.
@@ -169,36 +168,6 @@ func (s *KronStrategy) Reconstruct(y []float64) ([]float64, error) {
 	return out, nil
 }
 
-// ReconstructBatch reconstructs k measurement vectors in one multi-RHS
-// pass: the batch rides through the pseudo-inverse product as block GEMMs
-// (kron.Product.MatMulTo), so k Monte-Carlo trials or k parallel
-// measurements cost d batched GEMMs instead of k·d thin ones. Row i of the
-// result is bit-identical to Reconstruct(ys[i]).
-func (s *KronStrategy) ReconstructBatch(ys [][]float64) ([][]float64, error) {
-	if len(ys) == 0 {
-		return nil, nil
-	}
-	op, err := s.PinvOperator()
-	if err != nil {
-		return nil, err
-	}
-	r, c := op.Dims()
-	xs := make([]float64, len(ys)*c)
-	for i, y := range ys {
-		if len(y) != c {
-			return nil, fmt.Errorf("core: measurement %d has length %d, strategy has %d rows", i, len(y), c)
-		}
-		copy(xs[i*c:(i+1)*c], y)
-	}
-	flat := make([]float64, len(ys)*r)
-	op.MatMulTo(flat, xs, len(ys), nil)
-	out := make([][]float64, len(ys))
-	for i := range out {
-		out[i] = flat[i*r : (i+1)*r : (i+1)*r]
-	}
-	return out, nil
-}
-
 // ---------------------------------------------------------------------------
 // UnionStrategy: union of Kronecker products (OPT⁺)
 // ---------------------------------------------------------------------------
@@ -217,16 +186,8 @@ type UnionStrategy struct {
 	op     *kron.Stack // cached scaled stack, guarded by opOnce
 
 	pcOnce  sync.Once
-	pcStack kron.Linear // preconditioned operator A·M, guarded by pcOnce
-	pcM     pcApplier   // right preconditioner M (x = M·z); nil when unavailable
-}
-
-// pcApplier is what a preconditioner must support: workspace-drawing
-// single-vector application (un-preconditioning one solution) and the
-// multi-RHS batch path (un-preconditioning a whole SolveBatch at once).
-type pcApplier interface {
-	kron.WorkspaceApplier
-	kron.MultiApplier
+	pcStack kron.Linear           // preconditioned operator A·M, guarded by pcOnce
+	pcM     kron.WorkspaceApplier // right preconditioner M (x = M·z); nil when unavailable
 }
 
 // Name implements Strategy.
@@ -277,27 +238,13 @@ func (s *UnionStrategy) Reconstruct(y []float64) ([]float64, error) {
 	return s.ReconstructOpt(y, ReconstructOptions{})
 }
 
-// ReconstructWS is Reconstruct with an explicit workspace: callers that
-// reconstruct repeatedly (serving engines, Monte-Carlo trials) pass one
-// kron.Workspace and every LSMR iteration reuses its buffers, keeping the
-// whole solve O(1) in allocations regardless of iteration count. nil
-// borrows a pooled workspace.
-func (s *UnionStrategy) ReconstructWS(y []float64, ws *kron.Workspace) ([]float64, error) {
-	return s.ReconstructOpt(y, ReconstructOptions{Workspace: ws})
-}
-
 // ReconstructOptions tunes a union reconstruction. The zero value is the
-// default solve: preconditioned, cold-started, solver-default iteration
-// budget.
+// default solve: preconditioned, solver-default iteration budget.
 type ReconstructOptions struct {
 	// Workspace is reused across the solve's operator applications; nil
-	// borrows a pooled one.
+	// borrows a pooled one. Callers that reconstruct repeatedly pass one
+	// workspace so every solve stays O(1) in allocations.
 	Workspace *kron.Workspace
-	// Warm seeds the solve with a previous solution (length = domain size):
-	// the solver runs on the residual y − A·warm and only the delta costs
-	// iterations. Serving engines that reconstruct the same strategy
-	// repeatedly pass their previous x̂ (see UnionReconstructor).
-	Warm []float64
 	// MaxIter caps the LSMR iterations (0 = solver default, 4·cols).
 	MaxIter int
 	// NoPrecond disables the eigendecomposition preconditioner — the
@@ -310,40 +257,6 @@ type ReconstructOptions struct {
 	// first reconstruction of a strategy, so later spans are ~0) and
 	// StageSolve covering the LSMR solve. Nil-safe and allocation-free.
 	Trace *obs.Trace
-	// scratch, when non-nil, supplies the residual, solver and output
-	// buffers, making a steady-state reconstruction allocation-free. Owned
-	// by UnionReconstructor — external callers get fresh slices.
-	scratch *reconstructScratch
-}
-
-// reconstructScratch is a UnionReconstructor's buffer set: the solver's
-// scratch, the warm-residual RHS, and two output buffers. Two, not one,
-// because the reconstructor retains its latest result as the next
-// solve's warm start — the next result must land in a different buffer
-// than the warm vector it is solved against (the un-precondition write
-// and the warm add-back would otherwise clobber the warm values they
-// read).
-type reconstructScratch struct {
-	solver lsmr.Scratch
-	rhs    []float64
-	out    [2][]float64
-}
-
-// nextOut returns an output buffer of length n that does not share a
-// backing array with avoid (the warm vector). Choosing by identity
-// rather than by turn keeps the pair correct even when a failed solve
-// leaves the reconstructor's warm state unadvanced.
-func (sc *reconstructScratch) nextOut(n int, avoid []float64) []float64 {
-	buf := &sc.out[0]
-	if len(*buf) > 0 && len(avoid) > 0 && &(*buf)[0] == &avoid[0] {
-		buf = &sc.out[1]
-	}
-	if cap(*buf) < n {
-		*buf = make([]float64, n)
-	} else {
-		*buf = (*buf)[:n]
-	}
-	return *buf
 }
 
 // precond builds (once) the right-preconditioned operator pair: the
@@ -369,7 +282,7 @@ func (sc *reconstructScratch) nextOut(n int, avoid []float64) []float64 {
 //
 // Returns (nil, nil) — plain solve — when the parts are heterogeneous or a
 // Gram is numerically rank-deficient.
-func (s *UnionStrategy) precond() (kron.Linear, pcApplier) {
+func (s *UnionStrategy) precond() (kron.Linear, kron.WorkspaceApplier) {
 	s.pcOnce.Do(func() {
 		d := len(s.Parts[0].Subs)
 		for _, p := range s.Parts {
@@ -424,7 +337,7 @@ func (s *UnionStrategy) precond() (kron.Linear, pcApplier) {
 // block 1's Gram and eigendecomposes block 2's Gram in the whitened basis
 // (the symmetric form of the generalized eigenproblem G₂·v = λ·G₁·v), then
 // scales out the remaining diagonal β₁² + β₂²·⊗Λᵢ over the full domain.
-func (s *UnionStrategy) pencilPrecond(d int) (kron.Linear, pcApplier, bool) {
+func (s *UnionStrategy) pencilPrecond(d int) (kron.Linear, kron.WorkspaceApplier, bool) {
 	b1 := s.Shares[0] * s.Shares[0]
 	b2 := s.Shares[1] * s.Shares[1]
 	if !(b1 > 0) || !(b2 > 0) {
@@ -522,12 +435,12 @@ func (s *UnionStrategy) notConvergedErr(res lsmr.Result) error {
 }
 
 // ReconstructOpt is the full-control union reconstruction: preconditioning
-// (default on), warm-starting, iteration caps, and solve diagnostics. On a
-// converged solve it returns (x̂, nil); when the iteration budget binds it
-// returns the best iterate together with an error wrapping ErrNotConverged,
-// so callers can choose between failing hard (the serving path) and
-// explicitly accepting a degraded estimate. For a fixed configuration the
-// result is bit-identical at any worker count.
+// (default on), iteration caps, and solve diagnostics. On a converged solve
+// it returns (x̂, nil); when the iteration budget binds it returns the best
+// iterate together with an error wrapping ErrNotConverged, so callers can
+// choose between failing hard (the serving path) and explicitly accepting a
+// degraded estimate. For a fixed configuration the result is bit-identical
+// at any worker count.
 func (s *UnionStrategy) ReconstructOpt(y []float64, opts ReconstructOptions) ([]float64, error) {
 	s.Operator()
 	op := s.op
@@ -542,7 +455,7 @@ func (s *UnionStrategy) ReconstructOpt(y []float64, opts ReconstructOptions) ([]
 	}
 
 	solveOp := kron.Linear(op)
-	var pcM pcApplier
+	var pcM kron.WorkspaceApplier
 	if !opts.NoPrecond {
 		opts.Trace.Begin(obs.StagePrecondition)
 		pcStack, m := s.precond()
@@ -552,57 +465,13 @@ func (s *UnionStrategy) ReconstructOpt(y []float64, opts ReconstructOptions) ([]
 		}
 	}
 
-	rhs := y
-	if opts.Warm != nil {
-		if len(opts.Warm) != cols {
-			return nil, fmt.Errorf("core: warm start has length %d, domain size is %d", len(opts.Warm), cols)
-		}
-		// The residual is preconditioner-independent: compute it on the
-		// original operator, solve the (possibly preconditioned) delta
-		// system, add the warm point back after un-preconditioning.
-		var r0 []float64
-		if sc := opts.scratch; sc != nil {
-			if cap(sc.rhs) < rows {
-				sc.rhs = make([]float64, rows)
-			}
-			r0 = sc.rhs[:rows]
-		} else {
-			r0 = make([]float64, rows)
-		}
-		op.MatVecTo(r0, opts.Warm, ws)
-		for i, v := range y {
-			r0[i] = v - r0[i]
-		}
-		rhs = r0
-	}
-
-	var solverScratch *lsmr.Scratch
-	if opts.scratch != nil {
-		solverScratch = &opts.scratch.solver
-	}
-	res := lsmr.Solve(solveOp, rhs, lsmr.Options{
-		MaxIter: opts.MaxIter, Workspace: ws, Scratch: solverScratch, Trace: opts.Trace,
+	res := lsmr.Solve(solveOp, y, lsmr.Options{
+		MaxIter: opts.MaxIter, Workspace: ws, Trace: opts.Trace,
 	})
 	x := res.X
 	if pcM != nil {
-		z := x
-		if sc := opts.scratch; sc != nil {
-			x = sc.nextOut(cols, opts.Warm)
-		} else {
-			x = make([]float64, cols)
-		}
-		pcM.MatVecTo(x, z, ws)
-	} else if sc := opts.scratch; sc != nil {
-		// Unpreconditioned with scratch: res.X aliases the solver scratch,
-		// which the NEXT solve overwrites while reading this result as its
-		// warm start — move it into an output buffer.
-		x = sc.nextOut(cols, opts.Warm)
-		copy(x, res.X)
-	}
-	if opts.Warm != nil {
-		for i, v := range opts.Warm {
-			x[i] += v
-		}
+		x = make([]float64, cols)
+		pcM.MatVecTo(x, res.X, ws)
 	}
 	if opts.Info != nil {
 		*opts.Info = SolveInfo{
@@ -610,7 +479,6 @@ func (s *UnionStrategy) ReconstructOpt(y []float64, opts ReconstructOptions) ([]
 			Resid:          res.Resid,
 			Stopped:        res.Stopped,
 			Preconditioned: pcM != nil,
-			Warm:           opts.Warm != nil,
 		}
 	}
 	if res.Stopped == lsmr.StoppedMaxIter {
@@ -618,112 +486,6 @@ func (s *UnionStrategy) ReconstructOpt(y []float64, opts ReconstructOptions) ([]
 	}
 	return x, nil
 }
-
-// ReconstructBatch reconstructs k measurement vectors of the union strategy
-// in one multi-RHS LSMR solve: the k bidiagonalization sweeps ride through
-// the stack as batched GEMMs (kron.MultiApplier), so k Monte-Carlo trials
-// cost one wide solve instead of k thin ones. Result j is bit-identical to
-// Reconstruct(ys[j]). When any system fails to converge the full result
-// set is returned together with the first failure's error (wrapping
-// ErrNotConverged).
-func (s *UnionStrategy) ReconstructBatch(ys [][]float64) ([][]float64, error) {
-	if len(ys) == 0 {
-		return nil, nil
-	}
-	s.Operator()
-	op := s.op
-	rows, cols := op.Dims()
-	for j, y := range ys {
-		if len(y) != rows {
-			return nil, fmt.Errorf("core: measurement %d has length %d, union strategy has %d rows", j, len(y), rows)
-		}
-	}
-	solveOp := kron.Linear(op)
-	var pcM pcApplier
-	if pcStack, m := s.precond(); pcStack != nil {
-		solveOp, pcM = pcStack, m
-	}
-	ws := kron.GetWorkspace()
-	defer kron.PutWorkspace(ws)
-
-	results := lsmr.SolveBatch(solveOp, ys, lsmr.Options{Workspace: ws})
-	out := make([][]float64, len(ys))
-	if pcM != nil {
-		// Un-precondition the whole batch in one multi-RHS pass; row j is
-		// bit-identical to MatVecTo on solution j alone.
-		k := len(ys)
-		zs := make([]float64, k*cols)
-		for j, r := range results {
-			copy(zs[j*cols:(j+1)*cols], r.X)
-		}
-		xs := make([]float64, k*cols)
-		pcM.MatMulTo(xs, zs, k, ws)
-		for j := range out {
-			out[j] = xs[j*cols : (j+1)*cols : (j+1)*cols]
-		}
-	} else {
-		for j, r := range results {
-			out[j] = r.X
-		}
-	}
-	var firstErr error
-	for _, r := range results {
-		if r.Stopped == lsmr.StoppedMaxIter {
-			firstErr = s.notConvergedErr(r)
-			break
-		}
-	}
-	return out, firstErr
-}
-
-// UnionReconstructor performs repeated reconstructions of one union
-// strategy with a private workspace and warm-starting: each solve seeds
-// from the previous solution, so a serving engine re-reconstructing under
-// a refreshed measurement pays only for the delta. The reconstructor — not
-// the shared strategy — owns the warm-start state, so strategies cached in
-// the registry and shared across tenants never leak one tenant's estimate
-// into another's solve. Not safe for concurrent use.
-type UnionReconstructor struct {
-	s       *UnionStrategy
-	ws      *kron.Workspace
-	scratch reconstructScratch
-	prev    []float64
-	info    SolveInfo
-	maxIter int
-}
-
-// NewReconstructor returns a warm-starting reconstructor for the strategy.
-func (s *UnionStrategy) NewReconstructor() *UnionReconstructor {
-	return &UnionReconstructor{s: s, ws: kron.NewWorkspace()}
-}
-
-// SetMaxIter caps each solve's LSMR iterations (0 = solver default).
-func (r *UnionReconstructor) SetMaxIter(n int) { r.maxIter = n }
-
-// Reconstruct solves for y, warm-started from the previous successful
-// solution. A non-converged solve returns its error and does not poison
-// the warm-start state.
-//
-// The returned slice is drawn from the reconstructor's buffer pair (a
-// steady-state reconstruction allocates nothing): it stays valid while
-// it serves as the next solve's warm start, and is overwritten two
-// successful calls later. Copy it if it must outlive that.
-func (r *UnionReconstructor) Reconstruct(y []float64) ([]float64, error) {
-	x, err := r.s.ReconstructOpt(y, ReconstructOptions{
-		Workspace: r.ws,
-		Warm:      r.prev,
-		MaxIter:   r.maxIter,
-		Info:      &r.info,
-		scratch:   &r.scratch,
-	})
-	if err == nil {
-		r.prev = x
-	}
-	return x, err
-}
-
-// Info reports the diagnostics of the most recent solve.
-func (r *UnionReconstructor) Info() SolveInfo { return r.info }
 
 // OptimalShares returns budget shares βg ∝ Err_g^{1/3}, which minimize
 // Σ Err_g/βg² subject to Σβg = 1 (Lagrange conditions).

@@ -2,12 +2,10 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
 
-	"repro/internal/kron"
 	"repro/internal/lsmr"
 	"repro/internal/workload"
 )
@@ -58,7 +56,7 @@ func referenceSolve(t *testing.T, s *UnionStrategy, y []float64) []float64 {
 // TestUnionReconstructNonConvergence is the headline bugfix contract: a
 // solve whose iteration budget binds must surface ErrNotConverged — with
 // the best iterate still returned — instead of silently handing back a
-// garbage estimate, on both the single and the batched path.
+// garbage estimate, with and without the preconditioner.
 func TestUnionReconstructNonConvergence(t *testing.T) {
 	rng := rand.New(rand.NewPCG(41, 42))
 
@@ -90,24 +88,6 @@ func TestUnionReconstructNonConvergence(t *testing.T) {
 		}
 		if !info.Preconditioned {
 			t.Fatal("three-part union solve was not preconditioned")
-		}
-	})
-
-	t.Run("batch", func(t *testing.T) {
-		s := testUnionStrategy3(t)
-		// Budget that binds: the three-part majorizer solve needs more than
-		// one iteration, and SolveBatch must report it per batch too. A
-		// direct batched entry with a cap is not exposed, so go through the
-		// solver against the preconditioned operator like ReconstructBatch.
-		pcStack, _ := s.precond()
-		if pcStack == nil {
-			t.Fatal("no preconditioner built")
-		}
-		ys := [][]float64{randMeasurement(rng, s), randMeasurement(rng, s)}
-		for j, res := range lsmr.SolveBatch(pcStack, ys, lsmr.Options{MaxIter: 1}) {
-			if res.Stopped != lsmr.StoppedMaxIter {
-				t.Fatalf("system %d stopped with %q, want %q", j, res.Stopped, lsmr.StoppedMaxIter)
-			}
 		}
 	})
 }
@@ -177,134 +157,14 @@ func TestUnionPrecondSavesIterations(t *testing.T) {
 	}
 }
 
-// TestUnionWarmStartDeterministic pins the serving determinism contract on
-// the warm-started reconstructor: an identical solve sequence is
-// byte-identical at any worker count, each warm solve lands on the cold
-// solution to tolerance, and warm-start state advances only on success.
-func TestUnionWarmStartDeterministic(t *testing.T) {
-	s := testUnionStrategy(t)
-	rng := rand.New(rand.NewPCG(47, 48))
-	rows, _ := s.Operator().Dims()
-	ys := make([][]float64, 3)
-	ys[0] = randMeasurement(rng, s)
-	for j := 1; j < len(ys); j++ {
-		// Successive measurements are small perturbations — the regime warm
-		// starting exists for.
-		ys[j] = make([]float64, rows)
-		for i := range ys[j] {
-			ys[j][i] = ys[j-1][i] + 0.01*rng.NormFloat64()
-		}
-	}
-
-	var first [][]float64
-	for _, workers := range []int{1, 4, 8} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			prev := kron.SetWorkers(workers)
-			defer kron.SetWorkers(prev)
-			rec := s.NewReconstructor()
-			got := make([][]float64, len(ys))
-			for j, y := range ys {
-				x, err := rec.Reconstruct(y)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if wantWarm := j > 0; rec.Info().Warm != wantWarm {
-					t.Fatalf("solve %d: Warm = %v, want %v", j, rec.Info().Warm, wantWarm)
-				}
-				got[j] = x
-
-				cold, err := s.Reconstruct(y)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := range cold {
-					if math.Abs(x[i]-cold[i]) > 1e-6*(1+math.Abs(cold[i])) {
-						t.Fatalf("solve %d: warm x[%d] = %v, cold = %v", j, i, x[i], cold[i])
-					}
-				}
-			}
-			if first == nil {
-				first = got
-				return
-			}
-			for j := range got {
-				for i := range got[j] {
-					if math.Float64bits(got[j][i]) != math.Float64bits(first[j][i]) {
-						t.Fatalf("solve %d element %d differs across worker counts: %v vs %v", j, i, got[j][i], first[j][i])
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestUnionWarmStartFailureDoesNotPoison: a non-converged solve must leave
-// the reconstructor's warm state untouched, so the next successful solve
-// still warms from the last good solution.
-func TestUnionWarmStartFailureDoesNotPoison(t *testing.T) {
-	// The three-part strategy's majorizer preconditioner needs several
-	// iterations per solve, so a budget of 1 reliably binds (the exact
-	// two-part pencil path would converge even under the cap).
-	s := testUnionStrategy3(t)
-	rng := rand.New(rand.NewPCG(49, 50))
-	y := randMeasurement(rng, s)
-
-	rec := s.NewReconstructor()
-	x1, err := rec.Reconstruct(y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec.SetMaxIter(1)
-	y2 := make([]float64, len(y))
-	for i := range y2 {
-		y2[i] = y[i] + rng.NormFloat64()
-	}
-	if _, err := rec.Reconstruct(y2); !errors.Is(err, ErrNotConverged) {
-		t.Fatalf("capped warm solve returned %v, want ErrNotConverged", err)
-	}
-	rec.SetMaxIter(0)
-	x3, err := rec.Reconstruct(y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Both solves converged on the same system; they agree to solver
-	// tolerance (the majorizer path's solution error is ~κ_pc·atol·‖x‖).
-	for i := range x1 {
-		if math.Abs(x3[i]-x1[i]) > 1e-3*(1+math.Abs(x1[i])) {
-			t.Fatalf("x[%d] = %v after failed solve, first solve gave %v", i, x3[i], x1[i])
-		}
-	}
-}
-
-// TestUnionReconstructBatchBitIdentical pins the batched union
-// reconstruction to the single-measurement production path bit for bit at
-// several worker counts, and checks batch-level non-convergence reporting.
-func TestUnionReconstructBatchBitIdentical(t *testing.T) {
+// TestUnionReconstructDeterministicAcrossWorkers pins the preconditioned
+// union LSMR reconstruction byte-for-byte at Workers 1, 4 and 8.
+func TestUnionReconstructDeterministicAcrossWorkers(t *testing.T) {
 	s := testUnionStrategy(t)
 	rng := rand.New(rand.NewPCG(51, 52))
 	ys := make([][]float64, 4)
 	for j := range ys {
 		ys[j] = randMeasurement(rng, s)
 	}
-	for _, workers := range []int{1, 4, 8} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			prev := kron.SetWorkers(workers)
-			defer kron.SetWorkers(prev)
-			batch, err := s.ReconstructBatch(ys)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for j, y := range ys {
-				want, err := s.Reconstruct(y)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := range want {
-					if math.Float64bits(batch[j][i]) != math.Float64bits(want[i]) {
-						t.Fatalf("measurement %d element %d: batch %v, single %v", j, i, batch[j][i], want[i])
-					}
-				}
-			}
-		})
-	}
+	checkReconstructAcrossWorkers(t, s.Reconstruct, ys)
 }

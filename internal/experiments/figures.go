@@ -181,7 +181,7 @@ func Fig1d(s Scale) string {
 			panic(err)
 		}
 		dKron := timed(func() {
-			y := mech.Measure(ks.Operator(), x, 1, rng)
+			y := mech.Measure(ks.Operator(), x, 1, 0, rng)
 			if _, err := ks.Reconstruct(y); err != nil {
 				panic(err)
 			}
@@ -197,7 +197,7 @@ func Fig1d(s Scale) string {
 			panic(err)
 		}
 		dPlus := timed(func() {
-			y := mech.Measure(us.Operator(), x, 1, rng)
+			y := mech.Measure(us.Operator(), x, 1, 0, rng)
 			op := us.Operator()
 			res := lsmr.Solve(op, y, lsmr.Options{MaxIter: 50})
 			_ = res
@@ -210,7 +210,7 @@ func Fig1d(s Scale) string {
 			panic(err)
 		}
 		dMarg := timed(func() {
-			y := mech.Measure(msStrat.Operator(), x, 1, rng)
+			y := mech.Measure(msStrat.Operator(), x, 1, 0, rng)
 			if _, err := msStrat.Reconstruct(y); err != nil {
 				panic(err)
 			}

@@ -58,41 +58,24 @@ type WorkspaceApplier interface {
 	MatTVecTo(dst, y []float64, ws *Workspace)
 }
 
-// MultiApplier is implemented by operators that can apply themselves — and
-// their transpose — to a batch of k vectors in one pass, riding the batch
-// axis through the underlying GEMMs instead of looping k thin
-// applications. Both methods take row-major batches (vector v occupies
-// rows/cols consecutive elements starting at v·rows or v·cols) and
-// guarantee that row v of the result is bit-identical to the single-vector
-// method on vector v alone; the multi-RHS LSMR solver relies on that
-// contract to keep batched solves equal to the per-RHS reference bit for
-// bit.
-type MultiApplier interface {
-	Linear
-	// MatMulTo writes A·x_v into dst row v: xs is k×cols, dst is k×rows.
-	MatMulTo(dst, xs []float64, k int, ws *Workspace)
-	// MatTMulTo writes Aᵀ·y_v into dst row v: ys is k×rows, dst is k×cols.
-	MatTMulTo(dst, ys []float64, k int, ws *Workspace)
-}
-
 // ---------------------------------------------------------------------------
 // Workspace
 // ---------------------------------------------------------------------------
 
 // Workspace holds the reusable scratch of the Kronecker application kernels:
 // two ping-pong buffers for the mode-contraction intermediates, reusable
-// matrix headers for the per-step GEMM views, and per-block sub-workspaces
-// plus reduction buffers for stacked operators. A Workspace may serve one
-// application at a time; concurrent block applications inside a Stack each
-// get their own child. The zero value is NOT ready for use — call
-// NewWorkspace (or pass nil to the *To entry points, which borrow one from
-// an internal pool).
+// matrix headers for the per-step GEMM views, per-block sub-workspaces plus
+// reduction buffers for stacked operators, and a ColScaled staging buffer.
+// A Workspace may serve one application at a time; concurrent block
+// applications inside a Stack each get their own child. The zero value is
+// NOT ready for use — call NewWorkspace (or pass nil to the *To entry
+// points, which borrow one from an internal pool).
 type Workspace struct {
 	bufs  [2][]float64 // ping-pong mode-contraction intermediates
 	z, o  *mat.Dense   // reusable GEMM view headers (input, output)
 	kids  []*Workspace // per-block workspaces for Stack fan-out
 	reds  [][]float64  // per-block reduction buffers for Stack.MatTVecTo
-	sbufs [3][]float64 // batch gather/scatter scratch: 0–1 Stack, 2 ColScaled
+	scale []float64    // ColScaled's scaled-input staging
 }
 
 // NewWorkspace returns an empty workspace; buffers grow on first use and
@@ -108,20 +91,6 @@ func (w *Workspace) buf(i, n int) []float64 {
 		w.bufs[i] = make([]float64, n)
 	}
 	return w.bufs[i][:n]
-}
-
-// sbuf returns batch buffer i with length n, growing it if needed. These
-// are distinct from the ping-pong bufs: a Stack's batch methods (slots 0–1)
-// and a ColScaled's scaled-input staging (slot 2) hold them across nested
-// operator applications, which draw their own mode-contraction scratch from
-// child workspaces or the ping-pong bufs — sharing bufs would let a nested
-// operator clobber the gathered batch mid-application. The slot assignment
-// keeps a ColScaled wrapping a Stack conflict-free.
-func (w *Workspace) sbuf(i, n int) []float64 {
-	if cap(w.sbufs[i]) < n {
-		w.sbufs[i] = make([]float64, n)
-	}
-	return w.sbufs[i][:n]
 }
 
 // children returns n child workspaces, creating any missing ones. It must
@@ -309,27 +278,6 @@ func (p *Product) MatMulTo(dst, xs []float64, k int, ws *Workspace) {
 	}
 	applyFactors(dst, p.Factors, xs, k, ws)
 }
-
-// MatTMulTo applies the transposed product to k vectors at once: ys holds
-// the vectors row-major (k×rows), dst receives the k results row-major
-// (k×cols). Like the forward batch it runs on the cached factor transposes,
-// so the whole batch costs d GEMMs; answer v is bit-identical to MatTVecTo
-// on vector v alone. dst may not alias ys.
-func (p *Product) MatTMulTo(dst, ys []float64, k int, ws *Workspace) {
-	if k <= 0 {
-		panic(fmt.Sprintf("kron: MatTMulTo with %d vectors", k))
-	}
-	if ws == nil {
-		ws = GetWorkspace()
-		defer PutWorkspace(ws)
-	}
-	applyFactors(dst, p.transposedFactors(), ys, k, ws)
-}
-
-var (
-	_ MultiApplier = (*Product)(nil)
-	_ MultiApplier = (*Stack)(nil)
-)
 
 // applyFactors runs Algorithm 1 (Appendix A.5) as a sweep of GEMMs over a
 // batch of k vectors stored row-major in x (k×n). At each step the current
@@ -579,104 +527,6 @@ func (s *Stack) MatTVecTo(dst, y []float64, ws *Workspace) {
 	}
 }
 
-// MatMulTo applies the stack to k vectors at once: xs is k×cols row-major,
-// dst is k×rows row-major. Each block applies once to the whole batch (via
-// its own multi-RHS path when it has one), so a k-RHS LSMR iteration over a
-// union strategy costs one batched GEMM sweep per block instead of k. The
-// blocks run serially — the GEMMs underneath already shard across cores —
-// and row v of dst is bit-identical to MatVecTo on vector v alone. dst may
-// not alias xs.
-func (s *Stack) MatMulTo(dst, xs []float64, k int, ws *Workspace) {
-	if k <= 0 {
-		panic(fmt.Sprintf("kron: MatMulTo with %d vectors", k))
-	}
-	if ws == nil {
-		ws = GetWorkspace()
-		defer PutWorkspace(ws)
-	}
-	offs := s.offsets()
-	rows, c := s.Dims()
-	if len(xs) != k*c {
-		panic(fmt.Sprintf("kron: input length %d want %d", len(xs), k*c))
-	}
-	if len(dst) != k*rows {
-		panic(fmt.Sprintf("kron: output length %d want %d", len(dst), k*rows))
-	}
-	kid := ws.children(1)[0]
-	for i, b := range s.Blocks {
-		lo, hi := offs[i], offs[i+1]
-		ri := hi - lo
-		out := ws.sbuf(0, k*ri)
-		if mb, ok := b.(MultiApplier); ok {
-			mb.MatMulTo(out, xs, k, kid)
-		} else {
-			for v := 0; v < k; v++ {
-				matVecWS(b, out[v*ri:(v+1)*ri], xs[v*c:(v+1)*c], kid)
-			}
-		}
-		w := s.weight(i)
-		for v := 0; v < k; v++ {
-			row := out[v*ri : (v+1)*ri]
-			drow := dst[v*rows+lo : v*rows+hi]
-			if w == 1 {
-				copy(drow, row)
-			} else {
-				for j, val := range row {
-					drow[j] = w * val
-				}
-			}
-		}
-	}
-}
-
-// MatTMulTo applies the transposed stack to k vectors at once: ys is k×rows
-// row-major, dst is k×cols row-major. The per-block slices of the batch are
-// gathered contiguously, pushed through the block's transpose in one
-// multi-RHS application, and reduced into dst in block order — the same
-// serial in-order weighted summation as MatTVecTo, so row v of dst is
-// bit-identical to MatTVecTo on vector v alone. dst may not alias ys.
-func (s *Stack) MatTMulTo(dst, ys []float64, k int, ws *Workspace) {
-	if k <= 0 {
-		panic(fmt.Sprintf("kron: MatTMulTo with %d vectors", k))
-	}
-	if ws == nil {
-		ws = GetWorkspace()
-		defer PutWorkspace(ws)
-	}
-	offs := s.offsets()
-	rows, c := s.Dims()
-	if len(ys) != k*rows {
-		panic(fmt.Sprintf("kron: input length %d want %d", len(ys), k*rows))
-	}
-	if len(dst) != k*c {
-		panic(fmt.Sprintf("kron: output length %d want %d", len(dst), k*c))
-	}
-	for i := range dst {
-		dst[i] = 0
-	}
-	kid := ws.children(1)[0]
-	for i, b := range s.Blocks {
-		lo, hi := offs[i], offs[i+1]
-		ri := hi - lo
-		g := ws.sbuf(0, k*ri)
-		for v := 0; v < k; v++ {
-			copy(g[v*ri:(v+1)*ri], ys[v*rows+lo:v*rows+hi])
-		}
-		o := ws.sbuf(1, k*c)
-		if mb, ok := b.(MultiApplier); ok {
-			mb.MatTMulTo(o, g, k, kid)
-		} else {
-			for v := 0; v < k; v++ {
-				matTVecWS(b, o[v*c:(v+1)*c], g[v*ri:(v+1)*ri], kid)
-			}
-		}
-		bw := s.weight(i)
-		for idx, val := range o {
-			dst[idx] += bw * val
-		}
-	}
-}
-
 // Sensitivity of a stack: column sums add across blocks, so ‖A‖₁ is bounded
 // by Σ wi·‖Ai‖₁; for the non-negative operators used here (all strategies
 // and workloads in this codebase have non-negative entries) the bound is
@@ -703,9 +553,8 @@ func (s *Stack) Sensitivity() float64 {
 // part P folds into the inner operator's factors while the non-Kronecker
 // diagonal D^{-1/2} rides here as an O(cols) elementwise pass per
 // application, preserving the inner operator's GEMM structure and its
-// bit-identity contracts (the scaling is elementwise, so row v of a batch
-// sees exactly the arithmetic of the single-vector path). Scale must have
-// length cols and must not be mutated after first use.
+// bit-identity contracts. Scale must have length cols and must not be
+// mutated after first use.
 type ColScaled struct {
 	Inner Linear
 	Scale []float64
@@ -730,15 +579,17 @@ func (cs *ColScaled) MatVec(dst, x []float64) { cs.MatVecTo(dst, x, nil) }
 func (cs *ColScaled) MatTVec(dst, y []float64) { cs.MatTVecTo(dst, y, nil) }
 
 // MatVecTo applies Inner·diag(Scale), staging the scaled input in the
-// workspace's dedicated ColScaled slot so the inner application (which uses
-// the ping-pong bufs, child workspaces, and Stack batch slots) cannot
-// clobber it.
+// workspace's dedicated ColScaled buffer so the inner application (which
+// uses the ping-pong bufs and child workspaces) cannot clobber it.
 func (cs *ColScaled) MatVecTo(dst, x []float64, ws *Workspace) {
 	if ws == nil {
 		ws = GetWorkspace()
 		defer PutWorkspace(ws)
 	}
-	t := ws.sbuf(2, len(x))
+	if cap(ws.scale) < len(x) {
+		ws.scale = make([]float64, len(x))
+	}
+	t := ws.scale[:len(x)]
 	for i, v := range x {
 		t[i] = cs.Scale[i] * v
 	}
@@ -758,67 +609,6 @@ func (cs *ColScaled) MatTVecTo(dst, y []float64, ws *Workspace) {
 	}
 }
 
-// MatMulTo is the batch forward path; row v is bit-identical to MatVecTo on
-// vector v alone.
-func (cs *ColScaled) MatMulTo(dst, xs []float64, k int, ws *Workspace) {
-	if k <= 0 {
-		panic(fmt.Sprintf("kron: MatMulTo with %d vectors", k))
-	}
-	if ws == nil {
-		ws = GetWorkspace()
-		defer PutWorkspace(ws)
-	}
-	_, c := cs.Dims()
-	if len(xs) != k*c {
-		panic(fmt.Sprintf("kron: input length %d want %d", len(xs), k*c))
-	}
-	t := ws.sbuf(2, k*c)
-	for v := 0; v < k; v++ {
-		row := xs[v*c : (v+1)*c]
-		out := t[v*c : (v+1)*c]
-		for i, val := range row {
-			out[i] = cs.Scale[i] * val
-		}
-	}
-	if mb, ok := cs.Inner.(MultiApplier); ok {
-		mb.MatMulTo(dst, t, k, ws)
-		return
-	}
-	r, _ := cs.Dims()
-	for v := 0; v < k; v++ {
-		matVecWS(cs.Inner, dst[v*r:(v+1)*r], t[v*c:(v+1)*c], ws)
-	}
-}
-
-// MatTMulTo is the batch transpose path; row v is bit-identical to
-// MatTVecTo on vector v alone.
-func (cs *ColScaled) MatTMulTo(dst, ys []float64, k int, ws *Workspace) {
-	if k <= 0 {
-		panic(fmt.Sprintf("kron: MatTMulTo with %d vectors", k))
-	}
-	if ws == nil {
-		ws = GetWorkspace()
-		defer PutWorkspace(ws)
-	}
-	r, c := cs.Dims()
-	if len(ys) != k*r {
-		panic(fmt.Sprintf("kron: input length %d want %d", len(ys), k*r))
-	}
-	if mb, ok := cs.Inner.(MultiApplier); ok {
-		mb.MatTMulTo(dst, ys, k, ws)
-	} else {
-		for v := 0; v < k; v++ {
-			matTVecWS(cs.Inner, dst[v*c:(v+1)*c], ys[v*r:(v+1)*r], ws)
-		}
-	}
-	for v := 0; v < k; v++ {
-		row := dst[v*c : (v+1)*c]
-		for i := range row {
-			row[i] *= cs.Scale[i]
-		}
-	}
-}
-
 // Sensitivity bounds ‖Inner·diag(Scale)‖₁ by max|Scale|·‖Inner‖₁.
 func (cs *ColScaled) Sensitivity() float64 {
 	m := 0.0
@@ -830,7 +620,4 @@ func (cs *ColScaled) Sensitivity() float64 {
 	return m * cs.Inner.Sensitivity()
 }
 
-var (
-	_ MultiApplier     = (*ColScaled)(nil)
-	_ WorkspaceApplier = (*ColScaled)(nil)
-)
+var _ WorkspaceApplier = (*ColScaled)(nil)

@@ -55,9 +55,8 @@ var Allowlist = map[Site]string{
 	// door every example and experiment is supposed to use.
 	{"repro", "Run"}: "public one-shot HDMM pipeline; builds the run's single noise source",
 
-	// Same front door for the (ε, δ) Gaussian variant; it also calls
-	// MeasureGaussian directly because the Gaussian path answers
-	// through the same reconstruction but a different mechanism.
+	// Same front door for the (ε, δ) Gaussian variant: one noise
+	// source, fed to the same mech.Run pipeline with δ > 0.
 	{"repro", "RunGaussian"}: "public one-shot (eps,delta) pipeline; one noise source, one Gaussian measurement",
 
 	// The serving engine's constructor is the measure-once site the

@@ -3,14 +3,6 @@
 // noisy measurements of union-of-product strategies (Section 7.2): it needs
 // only matrix–vector products with A and Aᵀ, which the implicit operators of
 // package kron provide.
-//
-// Two entry points share one scalar recurrence: Solve runs a single
-// right-hand side (the reference path, unchanged numerics), and SolveBatch
-// carries k right-hand sides through the bidiagonalization together, batching
-// the operator applications of all still-active systems into multi-RHS
-// sweeps (kron.MultiApplier) while keeping every per-system scalar exactly
-// where Solve would put it — result j of a batch is bit-identical to solving
-// system j alone.
 package lsmr
 
 import (
@@ -47,14 +39,6 @@ type Options struct {
 	// keeps the historical behavior.
 	AtolSet bool
 	BtolSet bool
-	// X0 warm-starts the solve from a previous solution: the solver runs on
-	// the residual system A·d ≈ b − A·x0 and returns x = x0 + d. For a
-	// full-column-rank A (every union strategy stack in this codebase) the
-	// least-squares solution is unique, so the warm result agrees with the
-	// cold one to solver tolerance while spending iterations only on the
-	// delta. Result.Resid and the Btol test are relative to the residual
-	// system's RHS ‖b − A·x0‖. X0 is read-only and must have length cols.
-	X0 []float64
 	// Workers bounds the cores used for the solver's O(n) vector updates
 	// (the matvecs parallelize inside package kron). <= 0 selects the
 	// process-wide kernel bound (parallel.SetKernelWorkers, default
@@ -66,19 +50,10 @@ type Options struct {
 	// allocations regardless of iteration count. nil borrows a pooled
 	// workspace for the duration of the solve.
 	Workspace *kron.Workspace
-	// Scratch, when non-nil, supplies the solver's seven per-solve
-	// vectors (u, v, x, h, h̄ and the two operator temporaries), making a
-	// steady-state solve allocation-free: the workspace covers the
-	// operator applications, the scratch covers the recurrence. The
-	// returned Result.X aliases the scratch's x vector and is valid until
-	// the next solve with the same scratch; X0 must not alias any scratch
-	// vector. nil keeps the historical behavior (fresh vectors per solve,
-	// Result.X owned by the caller).
-	Scratch *Scratch
 	// Trace, when non-nil, receives one StageSolve observation covering the
-	// whole solve (the batch, for SolveBatch). The hook is outside the
-	// iteration loop and allocation-free, so a traced solve performs exactly
-	// the allocations of an untraced one.
+	// whole solve. The hook is outside the iteration loop and
+	// allocation-free, so a traced solve performs exactly the allocations of
+	// an untraced one.
 	Trace *obs.Trace
 }
 
@@ -100,33 +75,6 @@ func (o Options) withDefaults(cols int) Options {
 // are chunked across cores.
 const lsmrParallelLen = 1 << 16
 
-// Scratch owns the solver's per-solve vectors so repeated solves of
-// same-shaped systems (a serving engine's warm re-reconstructions) reuse
-// them instead of allocating. The zero value is ready; buffers grow to
-// the largest problem seen and are retained. Not safe for concurrent use
-// — one scratch belongs to one solve at a time.
-type Scratch struct {
-	u, v, x, h, hbar, tmpRows, tmpCols []float64
-}
-
-// grow returns *buf resized to n, reusing capacity when it suffices. The
-// contents are unspecified — callers that need zeros use growZero.
-func grow(buf *[]float64, n int) []float64 {
-	if cap(*buf) < n {
-		*buf = make([]float64, n)
-	} else {
-		*buf = (*buf)[:n]
-	}
-	return *buf
-}
-
-// growZero is grow with the returned vector cleared.
-func growZero(buf *[]float64, n int) []float64 {
-	s := grow(buf, n)
-	clear(s)
-	return s
-}
-
 // Result reports the solution and convergence information.
 type Result struct {
 	X       []float64
@@ -136,10 +84,7 @@ type Result struct {
 }
 
 // recurrence is the scalar state of one LSMR system: the Givens-rotation
-// chain driving the h̄/x/h updates and the §5 residual-norm estimates. It is
-// shared verbatim by Solve and SolveBatch — the floating-point operations
-// and their order are identical by construction, which is what makes a
-// batched solve bit-identical to the single-RHS reference.
+// chain driving the h̄/x/h updates and the §5 residual-norm estimates.
 type recurrence struct {
 	// Rotation chain (LSMR paper notation).
 	zetabar, alphabar, rho, rhobar, cbar, sbar float64
@@ -253,9 +198,6 @@ func solve(a kron.Linear, b []float64, opts Options) Result {
 	if len(b) != rows {
 		panic("lsmr: rhs length mismatch")
 	}
-	if opts.X0 != nil && len(opts.X0) != cols {
-		panic("lsmr: warm-start x0 length mismatch")
-	}
 	opts = opts.withDefaults(cols)
 
 	// One workspace serves every operator application of the solve: the
@@ -282,31 +224,12 @@ func solve(a kron.Linear, b []float64, opts Options) Result {
 		a.MatTVec(dst, y)
 	}
 
-	// All per-solve vectors come from the scratch. A nil opts.Scratch gets
-	// a throwaway one, which makes this exactly the historical seven
-	// allocations (fresh make is already zero, so the growZero clears are
-	// free); a caller-held scratch makes the whole solve allocation-free
-	// in steady state.
-	sc := opts.Scratch
-	if sc == nil {
-		sc = new(Scratch)
-	}
-	u := grow(&sc.u, rows)
-	if opts.X0 != nil {
-		// Warm start: run on the residual system b − A·x0 and add x0 back
-		// before returning.
-		matVec(u, opts.X0)
-		for i, bv := range b {
-			u[i] = bv - u[i]
-		}
-	} else {
-		copy(u, b)
-	}
+	u := append([]float64(nil), b...)
 	beta := norm2(u)
 	if beta > 0 {
 		scale(1/beta, u)
 	}
-	v := growZero(&sc.v, cols)
+	v := make([]float64, cols)
 	alpha := 0.0
 	if beta > 0 {
 		matTVec(v, u)
@@ -316,20 +239,18 @@ func solve(a kron.Linear, b []float64, opts Options) Result {
 		}
 	}
 
-	x := growZero(&sc.x, cols)
+	x := make([]float64, cols)
 	if alpha*beta == 0 {
-		addVec(x, opts.X0)
 		return Result{X: x, Stopped: StoppedZeroRHS}
 	}
 
 	rec := newRecurrence(alpha, beta)
 
-	h := grow(&sc.h, cols)
-	copy(h, v)
-	hbar := growZero(&sc.hbar, cols)
+	h := append([]float64(nil), v...)
+	hbar := make([]float64, cols)
 
-	tmpRows := grow(&sc.tmpRows, rows)
-	tmpCols := grow(&sc.tmpCols, cols)
+	tmpRows := make([]float64, rows)
+	tmpCols := make([]float64, cols)
 
 	workers := opts.Workers
 	if workers <= 0 {
@@ -369,201 +290,8 @@ func solve(a kron.Linear, b []float64, opts Options) Result {
 	if res.Stopped == "" {
 		res.Stopped = StoppedMaxIter
 	}
-	addVec(x, opts.X0)
 	res.X = x
 	return res
-}
-
-// SolveBatch finds the least-squares solutions of the k independent systems
-// A·x_j ≈ bs[j] sharing one operator. Each system runs the exact scalar
-// recurrence of Solve — result j is bit-identical to Solve(a, bs[j], opts) —
-// but the per-iteration operator applications of all still-active systems
-// ride together as one multi-RHS application when the operator implements
-// kron.MultiApplier (converged systems are compacted out of the batch, which
-// cannot change the survivors' bits: row v of a batched application is
-// independent of the rest of the batch). Operators without a multi-RHS path,
-// and batches of one, fall back to looped Solve calls. Options.X0 is not
-// supported here (warm-start each system through Solve instead) and panics.
-// A non-nil Options.Trace records one StageSolve span for the whole batch.
-func SolveBatch(a kron.Linear, bs [][]float64, opts Options) []Result {
-	if opts.Trace == nil {
-		return solveBatch(a, bs, opts)
-	}
-	start := time.Now()
-	out := solveBatch(a, bs, opts)
-	opts.Trace.Observe(obs.StageSolve, time.Since(start))
-	return out
-}
-
-func solveBatch(a kron.Linear, bs [][]float64, opts Options) []Result {
-	if opts.X0 != nil {
-		panic("lsmr: SolveBatch does not support X0; warm-start per system via Solve")
-	}
-	k := len(bs)
-	if k == 0 {
-		return nil
-	}
-	ma, isMulti := a.(kron.MultiApplier)
-	if !isMulti || k == 1 {
-		out := make([]Result, k)
-		for j, b := range bs {
-			// The unwrapped body: the batch's single StageSolve observation
-			// already covers the loop, so per-system observes would double
-			// count.
-			out[j] = solve(a, b, opts)
-		}
-		return out
-	}
-	rows, cols := a.Dims()
-	for _, b := range bs {
-		if len(b) != rows {
-			panic("lsmr: rhs length mismatch")
-		}
-	}
-	opts = opts.withDefaults(cols)
-	ws := opts.Workspace
-	if ws == nil {
-		ws = kron.GetWorkspace()
-		defer kron.PutWorkspace(ws)
-	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = parallel.KernelWorkers()
-	}
-
-	// Per-system state: the same vectors Solve holds, plus the scalar
-	// recurrence. All buffers are allocated here, once — the iteration loop
-	// below performs no allocations.
-	type system struct {
-		u, v, x, h, hbar []float64
-		alpha, beta      float64
-		rec              recurrence
-		res              Result
-		done             bool
-	}
-	systems := make([]system, k)
-	for j := range systems {
-		sy := &systems[j]
-		sy.u = append([]float64(nil), bs[j]...)
-		sy.beta = norm2(sy.u)
-		if sy.beta > 0 {
-			scale(1/sy.beta, sy.u)
-		}
-		sy.v = make([]float64, cols)
-		sy.x = make([]float64, cols)
-	}
-
-	// Batch staging buffers, reused every iteration. idx maps batch row →
-	// system index for the forward sweep, tidx for the transpose sweep.
-	ub := make([]float64, k*rows)
-	vb := make([]float64, k*cols)
-	ab := make([]float64, k*rows)
-	atb := make([]float64, k*cols)
-	idx := make([]int, 0, k)
-	tidx := make([]int, k)
-
-	// Initial v_j = normalize(Aᵀ·u_j), batched over the systems with β > 0.
-	for j := range systems {
-		if systems[j].beta > 0 {
-			copy(ub[len(idx)*rows:(len(idx)+1)*rows], systems[j].u)
-			idx = append(idx, j)
-		}
-	}
-	if n := len(idx); n > 0 {
-		ma.MatTMulTo(atb[:n*cols], ub[:n*rows], n, ws)
-		for bi, j := range idx {
-			sy := &systems[j]
-			copy(sy.v, atb[bi*cols:(bi+1)*cols])
-			sy.alpha = norm2(sy.v)
-			if sy.alpha > 0 {
-				scale(1/sy.alpha, sy.v)
-			}
-		}
-	}
-	for j := range systems {
-		sy := &systems[j]
-		if sy.alpha*sy.beta == 0 {
-			sy.done = true
-			sy.res.Stopped = StoppedZeroRHS
-			continue
-		}
-		sy.rec = newRecurrence(sy.alpha, sy.beta)
-		sy.h = append([]float64(nil), sy.v...)
-		sy.hbar = make([]float64, cols)
-	}
-
-	for iter := 1; iter <= opts.MaxIter; iter++ {
-		// Forward sweep A·v over the still-active systems.
-		idx = idx[:0]
-		for j := range systems {
-			if !systems[j].done {
-				copy(vb[len(idx)*cols:(len(idx)+1)*cols], systems[j].v)
-				idx = append(idx, j)
-			}
-		}
-		if len(idx) == 0 {
-			break
-		}
-		ka := len(idx)
-		ma.MatMulTo(ab[:ka*rows], vb[:ka*cols], ka, ws)
-		for bi, j := range idx {
-			sy := &systems[j]
-			subScale(workers, sy.u, ab[bi*rows:(bi+1)*rows], sy.alpha)
-			sy.beta = norm2(sy.u)
-			if sy.beta > 0 {
-				scale(1/sy.beta, sy.u)
-			}
-		}
-
-		// Transpose sweep Aᵀ·u over the systems whose β stayed positive
-		// (β = 0 leaves v and α untouched, exactly as in Solve).
-		kt := 0
-		for _, j := range idx {
-			if systems[j].beta > 0 {
-				copy(ub[kt*rows:(kt+1)*rows], systems[j].u)
-				tidx[kt] = j
-				kt++
-			}
-		}
-		if kt > 0 {
-			ma.MatTMulTo(atb[:kt*cols], ub[:kt*rows], kt, ws)
-			for bi := 0; bi < kt; bi++ {
-				sy := &systems[tidx[bi]]
-				subScale(workers, sy.v, atb[bi*cols:(bi+1)*cols], sy.beta)
-				sy.alpha = norm2(sy.v)
-				if sy.alpha > 0 {
-					scale(1/sy.alpha, sy.v)
-				}
-			}
-		}
-
-		// Scalar phase: rotations, fused update, estimates — per system,
-		// the same operations in the same order as Solve.
-		for _, j := range idx {
-			sy := &systems[j]
-			c1, c2, c3 := sy.rec.rotate(sy.alpha, sy.beta)
-			fusedUpdate(workers, sy.hbar, sy.x, sy.h, sy.v, c1, c2, c3)
-			normx := norm2(sy.x)
-			normr, stopped := sy.rec.estimate(sy.alpha, sy.beta, normx, iter, opts.Atol, opts.Btol)
-			sy.res.Iters = iter
-			sy.res.Resid = normr
-			if stopped != "" {
-				sy.res.Stopped = stopped
-				sy.done = true
-			}
-		}
-	}
-
-	out := make([]Result, k)
-	for j := range systems {
-		sy := &systems[j]
-		if sy.res.Stopped == "" {
-			sy.res.Stopped = StoppedMaxIter
-		}
-		sy.res.X = sy.x
-		out[j] = sy.res
-	}
-	return out
 }
 
 // subScale performs dst[i] = src[i] − a·dst[i], chunked across cores when
@@ -652,13 +380,5 @@ func norm2(x []float64) float64 {
 func scale(a float64, x []float64) {
 	for i := range x {
 		x[i] *= a
-	}
-}
-
-// addVec adds src into dst element-wise; a nil src is a no-op (the cold-
-// start path).
-func addVec(dst, src []float64) {
-	for i, v := range src {
-		dst[i] += v
 	}
 }

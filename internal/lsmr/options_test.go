@@ -121,49 +121,3 @@ func TestToleranceSentinels(t *testing.T) {
 		t.Fatalf("exact-tolerance solve (%d iters) did not outrun the default stop (%d iters)", exact.Iters, implicit.Iters)
 	}
 }
-
-// TestSolveWarmStart: warm-starting from the exact solution returns it
-// untouched, and warm-starting from a perturbed solution lands on the cold
-// solution to solver tolerance while spending fewer iterations.
-func TestSolveWarmStart(t *testing.T) {
-	rng := rand.New(rand.NewPCG(35, 36))
-	am := randMat(rng, 20, 6)
-	a := kron.Wrap(am)
-
-	// Consistent system: X0 = exact solution ⇒ zero residual RHS, returned
-	// verbatim without an iteration.
-	xTrue := make([]float64, 6)
-	for i := range xTrue {
-		xTrue[i] = rng.NormFloat64()
-	}
-	bc := mat.MatVec(nil, am, xTrue)
-	res := Solve(a, bc, Options{X0: xTrue})
-	if res.Stopped != StoppedZeroRHS || res.Iters != 0 {
-		t.Fatalf("warm start at the solution ran %d iterations (%q)", res.Iters, res.Stopped)
-	}
-	for i := range xTrue {
-		if res.X[i] != xTrue[i] {
-			t.Fatalf("warm start at the solution moved X[%d]", i)
-		}
-	}
-
-	// Inconsistent system: cold solve, then warm from a perturbation of it.
-	b := make([]float64, 20)
-	for i := range b {
-		b[i] = rng.NormFloat64()
-	}
-	cold := Solve(a, b, Options{})
-	x0 := make([]float64, 6)
-	for i := range x0 {
-		x0[i] = cold.X[i] + 1e-6*rng.NormFloat64()
-	}
-	warm := Solve(a, b, Options{X0: x0})
-	for i := range cold.X {
-		if math.Abs(warm.X[i]-cold.X[i]) > 1e-7 {
-			t.Fatalf("warm X[%d] = %v, cold = %v", i, warm.X[i], cold.X[i])
-		}
-	}
-	if warm.Iters >= cold.Iters {
-		t.Fatalf("warm solve took %d iterations, cold took %d — warm start bought nothing", warm.Iters, cold.Iters)
-	}
-}

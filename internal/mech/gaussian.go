@@ -1,23 +1,19 @@
 package mech
 
 import (
-	"context"
 	"fmt"
 	"math"
-	"math/rand/v2"
-	"time"
 
 	"repro/internal/kron"
 	"repro/internal/mat"
-	"repro/internal/obs"
 )
 
 // The paper's techniques extend to (ε,δ)-differential privacy via the
 // Gaussian mechanism with noise calibrated to the L2 sensitivity ‖A‖₂ (the
 // approximate-DP Matrix Mechanism of Li et al. that Section 3.5 points to).
-// This file provides that variant: strategy optimization is unchanged
-// (squared-error objectives are the same up to the noise constant), only
-// measurement differs.
+// This file provides that variant's calibration: strategy optimization is
+// unchanged (squared-error objectives are the same up to the noise
+// constant), only the noise Measure draws differs.
 
 // L2Sensitivity returns the maximum column L2 norm of an operator — the L2
 // sensitivity of its query set. Exact for dense matrices and Kronecker
@@ -96,35 +92,4 @@ func GaussianSigma(l2Sens, eps, delta float64) float64 {
 		panic(fmt.Sprintf("mech: invalid (ε,δ) = (%v,%v): Gaussian calibration requires 0 < ε ≤ 1 and 0 < δ < 1", eps, delta))
 	}
 	return l2Sens * math.Sqrt(2*math.Log(1.25/delta)) / eps
-}
-
-// MeasureGaussian runs the Gaussian mechanism in vector form:
-// y = A·x + N(0, σ²)^m with σ calibrated to ‖A‖₂. The result is
-// (ε,δ)-differentially private. Requires ε ≤ 1 (see GaussianSigma); the
-// error-returning entry points (hdmm.RunGaussian, serve.NewEngine) reject
-// ε > 1 before reaching this panic.
-func MeasureGaussian(a kron.Linear, x []float64, eps, delta float64, rng *rand.Rand) []float64 {
-	rows, cols := a.Dims()
-	if len(x) != cols {
-		panic("mech: data vector length mismatch")
-	}
-	sigma := GaussianSigma(L2Sensitivity(a), eps, delta)
-	measurementCounter.Add(1)
-	y := make([]float64, rows)
-	a.MatVec(y, x)
-	for i := range y {
-		y[i] += rng.NormFloat64() * sigma
-	}
-	return y
-}
-
-// MeasureGaussianCtx is MeasureGaussian with a trace hook: any obs.Trace
-// carried by ctx receives one StageMeasure observation. As with MeasureCtx,
-// the measurement never aborts mid-way — callers cancel before it.
-func MeasureGaussianCtx(ctx context.Context, a kron.Linear, x []float64, eps, delta float64, rng *rand.Rand) []float64 {
-	tr := obs.TraceFrom(ctx)
-	start := time.Now()
-	y := MeasureGaussian(a, x, eps, delta, rng)
-	tr.Observe(obs.StageMeasure, time.Since(start))
-	return y
 }

@@ -76,7 +76,7 @@ func TestMeasureGaussianCalibration(t *testing.T) {
 	const trials = 40000
 	var sumsq float64
 	for tr := 0; tr < trials; tr++ {
-		y := MeasureGaussian(a, x, eps, delta, rng)
+		y := Measure(a, x, eps, delta, rng)
 		for i := range y {
 			d := y[i] - 2*x[i]
 			sumsq += d * d

@@ -80,9 +80,32 @@ func LaplaceVec(rng *rand.Rand, b float64, m int) []float64 {
 	return out
 }
 
-// Measure runs the Laplace mechanism in vector form (Definition 6):
-// y = A·x + Lap(‖A‖₁/ε)^m. The result is ε-differentially private.
-func Measure(a kron.Linear, x []float64, eps float64, rng *rand.Rand) []float64 {
+// CheckBudget validates a privacy budget before anything is spent: ε must
+// be positive and finite (NaN compares false with everything, and +Inf
+// means zero noise — the exact data under a nominally private release), δ
+// must lie in [0, 1), and the Gaussian mechanism (δ > 0) requires ε ≤ 1
+// because its classic calibration is unsound above (see GaussianSigma).
+func CheckBudget(eps, delta float64) error {
+	if math.IsNaN(eps) || math.IsInf(eps, 0) || eps <= 0 {
+		return fmt.Errorf("epsilon must be positive and finite, got %v", eps)
+	}
+	if math.IsNaN(delta) || delta < 0 || delta >= 1 {
+		return fmt.Errorf("delta must be in [0, 1), got %v", delta)
+	}
+	if delta > 0 && eps > 1 {
+		return fmt.Errorf("the Gaussian mechanism's calibration requires ε ≤ 1, got %v (the σ = Δ₂·sqrt(2·ln(1.25/δ))/ε bound is unsound above 1; use δ = 0 for the Laplace mechanism instead)", eps)
+	}
+	return nil
+}
+
+// Measure is the MEASURE phase, y = A·x + noise, run exactly once per
+// release. δ = 0 selects the vector-form Laplace mechanism (Definition 6):
+// Lap(‖A‖₁/ε)^m noise, ε-differentially private. δ > 0 selects the
+// Gaussian mechanism: N(0, σ²)^m noise with σ calibrated to ‖A‖₂ by
+// GaussianSigma, (ε,δ)-differentially private and valid only for ε ≤ 1.
+// Callers validate the budget with CheckBudget first: an invalid one is a
+// programming error here, not an input error.
+func Measure(a kron.Linear, x []float64, eps, delta float64, rng *rand.Rand) []float64 {
 	rows, cols := a.Dims()
 	if len(x) != cols {
 		panic(fmt.Sprintf("mech: data vector length %d, strategy has %d columns", len(x), cols))
@@ -90,26 +113,35 @@ func Measure(a kron.Linear, x []float64, eps float64, rng *rand.Rand) []float64 
 	if eps <= 0 {
 		panic("mech: epsilon must be positive")
 	}
+	var sigma, b float64
+	if delta > 0 {
+		sigma = GaussianSigma(L2Sensitivity(a), eps, delta)
+	} else {
+		b = a.Sensitivity() / eps
+	}
 	measurementCounter.Add(1)
 	y := make([]float64, rows)
 	a.MatVec(y, x)
-	b := a.Sensitivity() / eps
 	for i := range y {
-		y[i] += Laplace(rng, b)
+		if delta > 0 {
+			y[i] += rng.NormFloat64() * sigma
+		} else {
+			y[i] += Laplace(rng, b)
+		}
 	}
 	return y
 }
 
-// MeasureCtx is Measure with a trace hook: any obs.Trace carried by ctx
-// receives one StageMeasure observation. The measurement itself is never
-// interrupted mid-way — once noise is being drawn the privacy budget is
-// committed, so callers cancel BEFORE this call, not during it.
-func MeasureCtx(ctx context.Context, a kron.Linear, x []float64, eps float64, rng *rand.Rand) []float64 {
-	tr := obs.TraceFrom(ctx)
-	start := time.Now()
-	y := Measure(a, x, eps, rng)
-	tr.Observe(obs.StageMeasure, time.Since(start))
-	return y
+// ExpectedRMSE is the predicted per-query root-mean-squared error of a
+// workload of the given size answered from strategy a, whose expected total
+// squared error at sensitivity 1 is errF = ‖W·A⁺‖²_F, under Measure with
+// budget (eps, delta). Laplace noise of scale 1/ε has variance 2/ε²; the
+// Gaussian mechanism's per-query variance is σ².
+func ExpectedRMSE(a kron.Linear, errF float64, queries int, eps, delta float64) float64 {
+	if delta > 0 {
+		return GaussianSigma(L2Sensitivity(a), eps, delta) * math.Sqrt(errF/float64(queries))
+	}
+	return math.Sqrt(2*errF/float64(queries)) / eps
 }
 
 // Result is the output of one end-to-end HDMM run.
@@ -123,15 +155,23 @@ type Result struct {
 
 // Options configures Run.
 type Options struct {
-	Selection      core.HDMMOptions
+	Selection core.HDMMOptions
+	// Delta selects the measurement mechanism: 0 is ε-DP Laplace, a value
+	// in (0, 1) is (ε,δ)-DP Gaussian (see Measure).
+	Delta          float64
 	ComputeAnswers bool // also evaluate the workload on x̂ (requires
 	// materializable per-attribute predicate matrices)
 }
 
 // Run executes the complete HDMM pipeline of Table 1(b) on a data vector:
 // strategy selection (data-independent), private measurement with budget
-// eps, least-squares reconstruction, and optionally workload answering.
+// (eps, opts.Delta), least-squares reconstruction, and optionally workload
+// answering. An invalid budget or data vector is an error, returned before
+// anything is spent.
 func Run(w *workload.Workload, x []float64, eps float64, rng *rand.Rand, opts Options) (*Result, error) {
+	if err := CheckBudget(eps, opts.Delta); err != nil {
+		return nil, fmt.Errorf("mech: %w", err)
+	}
 	if len(x) != w.Domain.Size() {
 		return nil, fmt.Errorf("mech: data vector has length %d, domain size is %d", len(x), w.Domain.Size())
 	}
@@ -139,7 +179,8 @@ func Run(w *workload.Workload, x []float64, eps float64, rng *rand.Rand, opts Op
 	if err != nil {
 		return nil, err
 	}
-	y := Measure(sel.Strategy.Operator(), x, eps, rng)
+	op := sel.Strategy.Operator()
+	y := Measure(op, x, eps, opts.Delta, rng)
 	xhat, err := sel.Strategy.Reconstruct(y)
 	if err != nil {
 		return nil, err
@@ -148,7 +189,7 @@ func Run(w *workload.Workload, x []float64, eps float64, rng *rand.Rand, opts Op
 		Xhat:     xhat,
 		Strategy: sel.Strategy,
 		Operator: sel.Operator,
-		RootMSE:  math.Sqrt(2*sel.Err/float64(w.NumQueries())) / eps,
+		RootMSE:  ExpectedRMSE(op, sel.Err, w.NumQueries(), eps, opts.Delta),
 	}
 	if opts.ComputeAnswers {
 		res.Answers, err = AnswerWorkload(w, xhat)
@@ -157,36 +198,6 @@ func Run(w *workload.Workload, x []float64, eps float64, rng *rand.Rand, opts Op
 		}
 	}
 	return res, nil
-}
-
-// batchReconstructor is implemented by strategies with a native multi-RHS
-// reconstruction (KronStrategy's batched pseudo-inverse GEMMs,
-// UnionStrategy's multi-RHS LSMR solve).
-type batchReconstructor interface {
-	ReconstructBatch(ys [][]float64) ([][]float64, error)
-}
-
-// ReconstructBatch runs the RECONSTRUCT phase for k measurement vectors of
-// one strategy. Strategies exposing a native multi-RHS path answer the
-// whole batch in one pass (k Monte-Carlo trials cost one wide solve
-// instead of k thin ones); other strategies fall back to sequential
-// Reconstruct calls. Row j is bit-identical to Reconstruct(ys[j]) either
-// way. A union strategy that fails to converge returns the full result set
-// together with the first failure's error (wrapping core.ErrNotConverged),
-// mirroring UnionStrategy.ReconstructBatch.
-func ReconstructBatch(s core.Strategy, ys [][]float64) ([][]float64, error) {
-	if br, ok := s.(batchReconstructor); ok {
-		return br.ReconstructBatch(ys)
-	}
-	out := make([][]float64, len(ys))
-	for j, y := range ys {
-		x, err := s.Reconstruct(y)
-		if err != nil {
-			return nil, err
-		}
-		out[j] = x
-	}
-	return out, nil
 }
 
 // AnswerProduct evaluates one query product on a (possibly private)
@@ -243,40 +254,27 @@ func AnswerBatch(products []workload.Product, x []float64, workers int) ([][]flo
 	return answerBatch(context.Background(), products, x, workers, false)
 }
 
-// AnswerBatchCtx is AnswerBatch with cancellation and tracing: each
-// contraction group checks ctx before evaluating, so a cancelled context —
-// a disconnected HTTP client, a deadline — stops the batch after the group
-// in flight instead of burning CPU through hundreds of remaining GEMM
-// sweeps. On cancellation the error satisfies errors.Is(err, ctx.Err()).
-// Any obs.Trace carried by ctx receives one StageAnswer observation. For an
-// uncancellable background context the per-group check is a nil-channel
-// select — the path is byte- and allocation-identical to AnswerBatch.
-func AnswerBatchCtx(ctx context.Context, products []workload.Product, x []float64, workers int) ([][]float64, error) {
+// AnswerBatchCtx is AnswerBatch with cancellation, tracing and a choice of
+// copy or alias semantics. Each contraction group checks ctx before
+// evaluating, so a cancelled context — a disconnected HTTP client, a
+// deadline — stops the batch after the group in flight instead of burning
+// CPU through hundreds of remaining GEMM sweeps. On cancellation the error
+// satisfies errors.Is(err, ctx.Err()). Any obs.Trace carried by ctx receives
+// one StageAnswer observation. For an uncancellable background context the
+// per-group check is a nil-channel select.
+//
+// shared = false gives every slot its own slice. shared = true is for
+// read-only consumers: slots of products that are exact duplicates (same
+// predicate-set instances AND the same weight) alias one answer slice
+// instead of copying it, and callers must not mutate the returned slices.
+// The serialization path of the HTTP daemon uses it — a batch of hundreds
+// of repeated specs costs one contraction and zero copies.
+func AnswerBatchCtx(ctx context.Context, products []workload.Product, x []float64, workers int, shared bool) ([][]float64, error) {
 	tr := obs.TraceFrom(ctx)
 	start := time.Now()
-	out, err := answerBatch(ctx, products, x, workers, false)
+	out, err := answerBatch(ctx, products, x, workers, shared)
 	tr.Observe(obs.StageAnswer, time.Since(start))
 	return out, err
-}
-
-// AnswerBatchSharedCtx is AnswerBatchShared with the cancellation and
-// tracing semantics of AnswerBatchCtx.
-func AnswerBatchSharedCtx(ctx context.Context, products []workload.Product, x []float64, workers int) ([][]float64, error) {
-	tr := obs.TraceFrom(ctx)
-	start := time.Now()
-	out, err := answerBatch(ctx, products, x, workers, true)
-	tr.Observe(obs.StageAnswer, time.Since(start))
-	return out, err
-}
-
-// AnswerBatchShared is AnswerBatch for read-only consumers: slots of
-// products that are exact duplicates (same predicate-set instances AND the
-// same weight) alias one answer slice instead of copying it. Callers must
-// not mutate the returned slices. The serialization path of the HTTP
-// daemon uses this — a batch of hundreds of repeated specs costs one
-// contraction and zero copies.
-func AnswerBatchShared(products []workload.Product, x []float64, workers int) ([][]float64, error) {
-	return answerBatch(context.Background(), products, x, workers, true)
 }
 
 func answerBatch(ctx context.Context, products []workload.Product, x []float64, workers int, shared bool) ([][]float64, error) {

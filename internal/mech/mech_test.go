@@ -43,7 +43,7 @@ func TestMeasureNoiseScale(t *testing.T) {
 	const trials = 50000
 	var sumsq float64
 	for tr := 0; tr < trials; tr++ {
-		y := Measure(a, x, eps, rng)
+		y := Measure(a, x, eps, 0, rng)
 		for i := range y {
 			d := y[i] - 3*x[i]
 			sumsq += d * d
@@ -106,7 +106,7 @@ func TestRunEndToEndUnbiasedAndCalibrated(t *testing.T) {
 	var totalErr float64
 	bias := make([]float64, len(truth))
 	for tr := 0; tr < trials; tr++ {
-		y := Measure(sel.Strategy.Operator(), x, eps, rng)
+		y := Measure(sel.Strategy.Operator(), x, eps, 0, rng)
 		xhat, err := sel.Strategy.Reconstruct(y)
 		if err != nil {
 			t.Fatal(err)
@@ -180,7 +180,7 @@ func TestUnionStrategyMeasureReconstruct(t *testing.T) {
 	rng := rand.New(rand.NewPCG(6, 6))
 	// With huge ε the noise vanishes and reconstruction must recover the
 	// workload answers exactly (the strategy supports the workload).
-	y := Measure(s.Operator(), x, 1e9, rng)
+	y := Measure(s.Operator(), x, 1e9, 0, rng)
 	xhat, err := s.Reconstruct(y)
 	if err != nil {
 		t.Fatal(err)

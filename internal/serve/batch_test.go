@@ -29,7 +29,7 @@ func batchEngine(t testing.TB) *serve.Engine {
 	for i := range x {
 		x[i] = float64((i * 13) % 29)
 	}
-	eng, err := serve.NewEngine(w, x, 1.0, serve.Options{
+	eng, err := serve.NewEngineCtx(t.Context(), w, x, 1.0, serve.Options{
 		Selection: hdmm.SelectOptions{Restarts: 1, Seed: 7},
 		Seed:      42,
 	})
@@ -83,9 +83,9 @@ func TestAnswerBatchMatchesPerProduct(t *testing.T) {
 				var got [][]float64
 				var err error
 				if shared {
-					got, err = eng.AnswerShared(ps)
+					got, err = eng.AnswerSharedCtx(t.Context(), ps)
 				} else {
-					got, err = eng.Answer(ps)
+					got, err = eng.AnswerCtx(t.Context(), ps)
 				}
 				if err != nil {
 					t.Fatal(err)
@@ -105,9 +105,9 @@ func TestAnswerBatchMatchesPerProduct(t *testing.T) {
 	}
 }
 
-// TestAnswerSharedAliasing verifies the aliasing contract: AnswerShared
+// TestAnswerSharedAliasing verifies the aliasing contract: AnswerSharedCtx
 // returns one slice for exact duplicates (same instances, same weight) but
-// must still copy when weights differ; Answer never aliases.
+// must still copy when weights differ; AnswerCtx never aliases.
 func TestAnswerSharedAliasing(t *testing.T) {
 	eng := batchEngine(t)
 	i2, r16 := hdmm.Identity(2), hdmm.AllRange(16)
@@ -117,23 +117,23 @@ func TestAnswerSharedAliasing(t *testing.T) {
 		{Weight: 3, Terms: []workload.PredicateSet{i2, r16}},
 	}
 
-	shared, err := eng.AnswerShared(ps)
+	shared, err := eng.AnswerSharedCtx(t.Context(), ps)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if &shared[0][0] != &shared[1][0] {
-		t.Error("AnswerShared: exact duplicates should alias one slice")
+		t.Error("AnswerSharedCtx: exact duplicates should alias one slice")
 	}
 	if &shared[0][0] == &shared[2][0] {
-		t.Error("AnswerShared: different weights must not alias")
+		t.Error("AnswerSharedCtx: different weights must not alias")
 	}
 
-	copied, err := eng.Answer(ps)
+	copied, err := eng.AnswerCtx(t.Context(), ps)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if &copied[0][0] == &copied[1][0] {
-		t.Error("Answer: slots must not share backing arrays")
+		t.Error("AnswerCtx: slots must not share backing arrays")
 	}
 }
 
@@ -152,27 +152,27 @@ func TestAnswerAllocsScaleWithDistinctFactorSets(t *testing.T) {
 	for i := range ps {
 		ps[i] = workload.NewProduct(i2, r16)
 	}
-	if _, err := eng.AnswerShared(ps); err != nil { // warm Matrix() caches
+	if _, err := eng.AnswerSharedCtx(t.Context(), ps); err != nil { // warm Matrix() caches
 		t.Fatal(err)
 	}
 
 	sharedAllocs := testing.AllocsPerRun(10, func() {
-		if _, err := eng.AnswerShared(ps); err != nil {
+		if _, err := eng.AnswerSharedCtx(t.Context(), ps); err != nil {
 			t.Fatal(err)
 		}
 	})
 	// One contraction plus per-batch bookkeeping — far below one alloc per
 	// product, let alone the ~8 per product of unbatched evaluation.
 	if sharedAllocs > 64 {
-		t.Errorf("AnswerShared of %d duplicate products: %v allocs, want O(distinct specs) ≪ %d", dup, sharedAllocs, dup)
+		t.Errorf("AnswerSharedCtx of %d duplicate products: %v allocs, want O(distinct specs) ≪ %d", dup, sharedAllocs, dup)
 	}
 
 	copyAllocs := testing.AllocsPerRun(10, func() {
-		if _, err := eng.Answer(ps); err != nil {
+		if _, err := eng.AnswerCtx(t.Context(), ps); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if copyAllocs > dup+64 {
-		t.Errorf("Answer of %d duplicate products: %v allocs, want ≤ one copy per product plus bookkeeping", dup, copyAllocs)
+		t.Errorf("AnswerCtx of %d duplicate products: %v allocs, want ≤ one copy per product plus bookkeeping", dup, copyAllocs)
 	}
 }

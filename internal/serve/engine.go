@@ -12,7 +12,6 @@ package serve
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand/v2"
 	"time"
 
@@ -50,7 +49,7 @@ type Options struct {
 	Registry *registry.Registry
 	// SolveMaxIter caps the LSMR iterations of a union-strategy
 	// reconstruction (0 = solver default). When the budget binds before
-	// convergence, NewEngine fails with an error wrapping
+	// convergence, NewEngineCtx fails with an error wrapping
 	// core.ErrNotConverged instead of serving from the unconverged iterate.
 	SolveMaxIter int
 }
@@ -78,20 +77,16 @@ type Engine struct {
 	solve     *core.SolveInfo // union-reconstruction diagnostics (nil otherwise)
 }
 
-// NewEngine builds a serving engine: it resolves the strategy through the
-// registry (reusing any strategy optimized earlier for the same workload
+// NewEngineCtx builds a serving engine: it resolves the strategy through
+// the registry (reusing any strategy optimized earlier for the same workload
 // and selection options, in this process or any other sharing the cache
 // directory), measures the data vector once with budget eps (plus
 // opts.Delta for Gaussian), and reconstructs x̂. The result satisfies ε-DP
 // (δ=0) or (ε,δ)-DP.
-func NewEngine(w *workload.Workload, x []float64, eps float64, opts Options) (*Engine, error) {
-	return NewEngineCtx(context.Background(), w, x, eps, opts)
-}
-
-// NewEngineCtx is NewEngine with cancellation and tracing. Any obs.Trace
-// carried by ctx receives stage spans: StageOptimize covering strategy
-// resolution (registry hit or full optimization), StageMeasure for the
-// private measurement, StagePrecondition and StageSolve for the
+//
+// Any obs.Trace carried by ctx receives stage spans: StageOptimize covering
+// strategy resolution (registry hit or full optimization), StageMeasure for
+// the private measurement, StagePrecondition and StageSolve for the
 // reconstruction. Cancellation is checked before the two expensive
 // commitments — strategy optimization and the measurement — because a
 // client that is already gone should not cost an optimization, and above
@@ -101,18 +96,8 @@ func NewEngine(w *workload.Workload, x []float64, eps float64, opts Options) (*E
 // measurement would throw away paid-for state and invite a retry that
 // spends the budget again.
 func NewEngineCtx(ctx context.Context, w *workload.Workload, x []float64, eps float64, opts Options) (*Engine, error) {
-	// The comparisons must also catch NaN (every comparison with NaN is
-	// false, so `eps <= 0` alone would wave NaN through and poison every
-	// answer) and ±Inf (an infinite budget means zero noise — releasing
-	// the exact data under a nominally private engine).
-	if math.IsNaN(eps) || math.IsInf(eps, 0) || eps <= 0 {
-		return nil, fmt.Errorf("serve: epsilon must be positive and finite, got %v", eps)
-	}
-	if math.IsNaN(opts.Delta) || opts.Delta < 0 || opts.Delta >= 1 {
-		return nil, fmt.Errorf("serve: delta must be in [0, 1), got %v", opts.Delta)
-	}
-	if opts.Delta > 0 && eps > 1 {
-		return nil, fmt.Errorf("serve: Gaussian mechanism calibration requires ε ≤ 1, got %v (the σ = Δ₂·sqrt(2·ln(1.25/δ))/ε bound is unsound above 1; use δ = 0 for the Laplace mechanism instead)", eps)
+	if err := mech.CheckBudget(eps, opts.Delta); err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
 	}
 	if len(x) != w.Domain.Size() {
 		return nil, fmt.Errorf("serve: data vector has length %d, domain size is %d", len(x), w.Domain.Size())
@@ -163,16 +148,9 @@ func NewEngineCtx(ctx context.Context, w *workload.Workload, x []float64, eps fl
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	var y []float64
-	var rootMSE float64
-	if opts.Delta > 0 {
-		y = mech.MeasureGaussianCtx(ctx, op, x, eps, opts.Delta, rng)
-		sigma := mech.GaussianSigma(mech.L2Sensitivity(op), eps, opts.Delta)
-		rootMSE = sigma * math.Sqrt(rec.Err/float64(w.NumQueries()))
-	} else {
-		y = mech.MeasureCtx(ctx, op, x, eps, rng)
-		rootMSE = math.Sqrt(2*rec.Err/float64(w.NumQueries())) / eps
-	}
+	tr.Begin(obs.StageMeasure)
+	y := mech.Measure(op, x, eps, opts.Delta, rng)
+	tr.End(obs.StageMeasure)
 	// Union strategies run the iterative LSMR reconstruction; route them
 	// through the option-bearing entry point so the engine records solver
 	// diagnostics (surfaced via SolveInfo and the daemon's /metrics) and
@@ -205,7 +183,7 @@ func NewEngineCtx(ctx context.Context, w *workload.Workload, x []float64, eps fl
 		workers:   opts.Workers,
 		fromCache: fromCache,
 		key:       key,
-		rootMSE:   rootMSE,
+		rootMSE:   mech.ExpectedRMSE(op, rec.Err, w.NumQueries(), eps, opts.Delta),
 		eps:       eps,
 		delta:     opts.Delta,
 		y:         y,
@@ -321,59 +299,42 @@ func (e *Engine) Seed() uint64 { return e.seed }
 // (restore does not re-run the solve).
 func (e *Engine) SolveInfo() *core.SolveInfo { return e.solve }
 
-// Answer evaluates a batch of query products against the private estimate,
-// returning one answer vector per product (the product's queries in
-// row-major order, scaled by its weight). The batch is grouped by distinct
-// (attr, spec) factor sets — products sharing predicate-set instances on
-// every attribute share one GEMM-backed contraction of x̂ — and distinct
-// factor sets run concurrently on up to Workers goroutines. Slot i of the
-// result depends only on products[i], so the output is bit-identical at
-// any worker count and to answering the products one by one. Each product
-// must span the engine's domain and have materializable per-attribute
-// predicate sets.
-func (e *Engine) Answer(products []workload.Product) ([][]float64, error) {
-	return e.answerCtx(context.Background(), products, false)
-}
-
-// AnswerCtx is Answer with cancellation and tracing: a cancelled ctx stops
-// the batch between contraction groups (the error satisfies errors.Is(err,
-// ctx.Err())), and any obs.Trace carried by ctx receives a StageAnswer
-// span. Answering is privacy-free post-processing, so aborting it mid-way
-// is always safe.
+// AnswerCtx evaluates a batch of query products against the private
+// estimate, returning one answer vector per product (the product's queries
+// in row-major order, scaled by its weight). The batch is grouped by
+// distinct (attr, spec) factor sets — products sharing predicate-set
+// instances on every attribute share one GEMM-backed contraction of x̂ —
+// and distinct factor sets run concurrently on up to Workers goroutines.
+// Slot i of the result depends only on products[i], so the output is
+// bit-identical at any worker count and to answering the products one by
+// one. Each product must span the engine's domain and have materializable
+// per-attribute predicate sets.
+//
+// A cancelled ctx stops the batch between contraction groups (the error
+// satisfies errors.Is(err, ctx.Err())), and any obs.Trace carried by ctx
+// receives a StageAnswer span. Answering is privacy-free post-processing,
+// so aborting it mid-way is always safe.
 func (e *Engine) AnswerCtx(ctx context.Context, products []workload.Product) ([][]float64, error) {
-	return e.answerCtx(ctx, products, false)
+	return e.answer(ctx, products, false)
 }
 
-// AnswerShared is Answer for read-only consumers: slots of exact-duplicate
-// products (same predicate-set instances and weight) alias one slice
-// instead of copying it, so a batch of hundreds of repeated specs performs
-// one contraction and zero copies. Callers must not mutate the returned
-// slices; the HTTP daemon, which serializes the response immediately,
-// answers through this path.
-func (e *Engine) AnswerShared(products []workload.Product) ([][]float64, error) {
-	return e.answerCtx(context.Background(), products, true)
-}
-
-// AnswerSharedCtx is AnswerShared with the cancellation and tracing
-// semantics of AnswerCtx. The HTTP daemon answers through this path so a
-// disconnected client stops burning CPU mid-batch.
+// AnswerSharedCtx is AnswerCtx for read-only consumers: slots of
+// exact-duplicate products (same predicate-set instances and weight) alias
+// one slice instead of copying it, so a batch of hundreds of repeated specs
+// performs one contraction and zero copies. Callers must not mutate the
+// returned slices; the HTTP daemon, which serializes the response
+// immediately, answers through this path.
 func (e *Engine) AnswerSharedCtx(ctx context.Context, products []workload.Product) ([][]float64, error) {
-	return e.answerCtx(ctx, products, true)
+	return e.answer(ctx, products, true)
 }
 
-func (e *Engine) answerCtx(ctx context.Context, products []workload.Product, shared bool) ([][]float64, error) {
+func (e *Engine) answer(ctx context.Context, products []workload.Product, shared bool) ([][]float64, error) {
 	for i, p := range products {
 		if err := e.validateProduct(p); err != nil {
 			return nil, fmt.Errorf("serve: product %d: %w", i, err)
 		}
 	}
-	var out [][]float64
-	var err error
-	if shared {
-		out, err = mech.AnswerBatchSharedCtx(ctx, products, e.xhat, e.workers)
-	} else {
-		out, err = mech.AnswerBatchCtx(ctx, products, e.xhat, e.workers)
-	}
+	out, err := mech.AnswerBatchCtx(ctx, products, e.xhat, e.workers, shared)
 	if err != nil {
 		if ctxErr := ctx.Err(); ctxErr != nil && err == ctxErr {
 			return nil, ctxErr // cancellation, undecorated (see AnswerCtx)
@@ -390,7 +351,7 @@ func (e *Engine) AnswerWorkload(w *workload.Workload) ([]float64, error) {
 	if w.Domain.Size() != e.w.Domain.Size() {
 		return nil, fmt.Errorf("serve: workload domain size %d, engine domain size %d", w.Domain.Size(), e.w.Domain.Size())
 	}
-	parts, err := e.Answer(w.Products)
+	parts, err := e.AnswerCtx(context.Background(), w.Products)
 	if err != nil {
 		return nil, err
 	}

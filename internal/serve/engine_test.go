@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/marginals"
 	"repro/internal/mat"
+	"repro/internal/mech"
 	"repro/internal/registry"
 	"repro/internal/serve"
 	"repro/internal/workload"
@@ -49,15 +50,32 @@ func sameFloats(a, b []float64) bool {
 	return true
 }
 
+// spendsOnce runs f and fails the test unless it took exactly one private
+// measurement (ε is spent once per run or engine). The counter is
+// process-wide, so callers must not run in parallel with other tests.
+func spendsOnce(t *testing.T, what string, f func()) {
+	t.Helper()
+	before := mech.MeasurementsTaken()
+	f()
+	if d := mech.MeasurementsTaken() - before; d != 1 {
+		t.Fatalf("%s took %d measurements, want exactly 1", what, d)
+	}
+}
+
 // TestEngineMatchesRun: the engine's served answers must be byte-identical
 // to a direct hdmm.Run with the same seed and selection options — the
-// registry round-trip is observationally invisible.
+// registry round-trip is observationally invisible — and each of them
+// spends ε exactly once.
 func TestEngineMatchesRun(t *testing.T) {
 	w, x := testWorkload(t)
 	sel := hdmm.SelectOptions{Restarts: 2, Seed: 3}
 	const eps, seed = 1.0, 99
 
-	direct, err := hdmm.Run(w, x, eps, hdmm.Options{Seed: seed, Selection: sel})
+	var direct *hdmm.Result
+	var err error
+	spendsOnce(t, "hdmm.Run", func() {
+		direct, err = hdmm.Run(w, x, eps, hdmm.Options{Seed: seed, Selection: sel})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +88,10 @@ func TestEngineMatchesRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng, err := serve.NewEngine(w, x, eps, serve.Options{Selection: selCached, Seed: seed, Registry: reg})
+		var eng *serve.Engine
+		spendsOnce(t, "serve.NewEngineCtx", func() {
+			eng, err = serve.NewEngineCtx(t.Context(), w, x, eps, serve.Options{Selection: selCached, Seed: seed, Registry: reg})
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,17 +114,24 @@ func TestEngineMatchesRun(t *testing.T) {
 	}
 }
 
-// TestEngineMatchesRunGaussian: same invariant for the (ε,δ) Gaussian path.
+// TestEngineMatchesRunGaussian: same invariants for the (ε,δ) Gaussian path.
 func TestEngineMatchesRunGaussian(t *testing.T) {
 	w, x := testWorkload(t)
 	sel := hdmm.SelectOptions{Restarts: 2, Seed: 3}
 	const eps, delta, seed = 0.5, 1e-6, 42
 
-	direct, err := hdmm.RunGaussian(w, x, eps, delta, hdmm.Options{Seed: seed, Selection: sel})
+	var direct *hdmm.Result
+	var err error
+	spendsOnce(t, "hdmm.RunGaussian", func() {
+		direct, err = hdmm.RunGaussian(w, x, eps, delta, hdmm.Options{Seed: seed, Selection: sel})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := serve.NewEngine(w, x, eps, serve.Options{Selection: sel, Delta: delta, Seed: seed})
+	var eng *serve.Engine
+	spendsOnce(t, "serve.NewEngineCtx", func() {
+		eng, err = serve.NewEngineCtx(t.Context(), w, x, eps, serve.Options{Selection: sel, Delta: delta, Seed: seed})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +155,7 @@ func TestEngineCacheSkipsOptimization(t *testing.T) {
 	dir := t.TempDir()
 	sel := hdmm.SelectOptions{Restarts: 2, Seed: 3, CacheDir: dir}
 
-	eng1, err := serve.NewEngine(w, x, 1.0, serve.Options{Selection: sel, Seed: 1})
+	eng1, err := serve.NewEngineCtx(t.Context(), w, x, 1.0, serve.Options{Selection: sel, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +164,7 @@ func TestEngineCacheSkipsOptimization(t *testing.T) {
 	}
 
 	before := core.RestartsPerformed()
-	eng2, err := serve.NewEngine(w, x, 1.0, serve.Options{Selection: sel, Seed: 2})
+	eng2, err := serve.NewEngineCtx(t.Context(), w, x, 1.0, serve.Options{Selection: sel, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +193,7 @@ func TestAnswerDeterministicAcrossWorkers(t *testing.T) {
 	}
 	var want [][]float64
 	for _, workers := range []int{1, 4, 8} {
-		eng, err := serve.NewEngine(w, x, 1.0, serve.Options{
+		eng, err := serve.NewEngineCtx(t.Context(), w, x, 1.0, serve.Options{
 			Selection: hdmm.SelectOptions{Restarts: 2, Seed: 3, Workers: workers},
 			Seed:      7,
 			Workers:   workers,
@@ -173,7 +201,7 @@ func TestAnswerDeterministicAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := eng.Answer(batch)
+		got, err := eng.AnswerCtx(t.Context(), batch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,7 +236,7 @@ func TestEngineRejectsMismatchedCacheEntry(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := serve.NewEngine(w, x, 1.0, serve.Options{Selection: sel, Registry: reg}); err == nil {
+	if _, err := serve.NewEngineCtx(t.Context(), w, x, 1.0, serve.Options{Selection: sel, Registry: reg}); err == nil {
 		t.Fatal("engine accepted a cached strategy for a different domain")
 	}
 }
@@ -241,7 +269,7 @@ func TestEngineRejectsWrongFactorization(t *testing.T) {
 	if err := reg.Put(registry.Key(w, sel), selSwapped); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := serve.NewEngine(w, x, 1.0, serve.Options{Selection: sel, Registry: reg}); err == nil {
+	if _, err := serve.NewEngineCtx(t.Context(), w, x, 1.0, serve.Options{Selection: sel, Registry: reg}); err == nil {
 		t.Fatal("engine accepted a strategy factorized as [16,2] for a [2,16] domain")
 	}
 }
@@ -293,7 +321,7 @@ func TestEngineRejectsForeignStrategyShapes(t *testing.T) {
 		if err := reg.Put(registry.Key(w, sel), &registry.Record{Strategy: strat, Err: 1, Operator: "?"}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := serve.NewEngine(w, x, 1.0, serve.Options{Selection: sel, Registry: reg}); err == nil {
+		if _, err := serve.NewEngineCtx(t.Context(), w, x, 1.0, serve.Options{Selection: sel, Registry: reg}); err == nil {
 			t.Errorf("engine accepted %s", name)
 		}
 	}
@@ -303,41 +331,41 @@ func TestEngineRejectsForeignStrategyShapes(t *testing.T) {
 // rejected with errors.
 func TestEngineValidation(t *testing.T) {
 	w, x := testWorkload(t)
-	if _, err := serve.NewEngine(w, x, 0, serve.Options{}); err == nil {
+	if _, err := serve.NewEngineCtx(t.Context(), w, x, 0, serve.Options{}); err == nil {
 		t.Error("eps=0 accepted")
 	}
-	if _, err := serve.NewEngine(w, x, 1, serve.Options{Delta: 1}); err == nil {
+	if _, err := serve.NewEngineCtx(t.Context(), w, x, 1, serve.Options{Delta: 1}); err == nil {
 		t.Error("delta=1 accepted")
 	}
-	if _, err := serve.NewEngine(w, x, 1.5, serve.Options{Delta: 1e-6}); err == nil {
+	if _, err := serve.NewEngineCtx(t.Context(), w, x, 1.5, serve.Options{Delta: 1e-6}); err == nil {
 		t.Error("eps>1 Gaussian accepted (classic calibration is unsound above 1)")
 	}
 	// NaN compares false with everything; Inf means zero noise. Both must
 	// be rejected, not silently measured with.
-	if _, err := serve.NewEngine(w, x, math.NaN(), serve.Options{}); err == nil {
+	if _, err := serve.NewEngineCtx(t.Context(), w, x, math.NaN(), serve.Options{}); err == nil {
 		t.Error("eps=NaN accepted")
 	}
-	if _, err := serve.NewEngine(w, x, math.Inf(1), serve.Options{}); err == nil {
+	if _, err := serve.NewEngineCtx(t.Context(), w, x, math.Inf(1), serve.Options{}); err == nil {
 		t.Error("eps=+Inf accepted")
 	}
-	if _, err := serve.NewEngine(w, x, 1, serve.Options{Delta: math.NaN()}); err == nil {
+	if _, err := serve.NewEngineCtx(t.Context(), w, x, 1, serve.Options{Delta: math.NaN()}); err == nil {
 		t.Error("delta=NaN accepted")
 	}
-	if _, err := serve.NewEngine(w, x, 1.5, serve.Options{Selection: hdmm.SelectOptions{Restarts: 1}, Seed: 3}); err != nil {
+	if _, err := serve.NewEngineCtx(t.Context(), w, x, 1.5, serve.Options{Selection: hdmm.SelectOptions{Restarts: 1}, Seed: 3}); err != nil {
 		t.Errorf("eps>1 Laplace rejected: %v", err)
 	}
-	if _, err := serve.NewEngine(w, x[:3], 1, serve.Options{}); err == nil {
+	if _, err := serve.NewEngineCtx(t.Context(), w, x[:3], 1, serve.Options{}); err == nil {
 		t.Error("short data vector accepted")
 	}
 
-	eng, err := serve.NewEngine(w, x, 1.0, serve.Options{Selection: hdmm.SelectOptions{Restarts: 1}})
+	eng, err := serve.NewEngineCtx(t.Context(), w, x, 1.0, serve.Options{Selection: hdmm.SelectOptions{Restarts: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Answer([]workload.Product{hdmm.NewProduct(hdmm.Identity(2))}); err == nil {
+	if _, err := eng.AnswerCtx(t.Context(), []workload.Product{hdmm.NewProduct(hdmm.Identity(2))}); err == nil {
 		t.Error("wrong-arity product accepted")
 	}
-	if _, err := eng.Answer([]workload.Product{hdmm.NewProduct(hdmm.Identity(3), hdmm.Identity(16))}); err == nil {
+	if _, err := eng.AnswerCtx(t.Context(), []workload.Product{hdmm.NewProduct(hdmm.Identity(3), hdmm.Identity(16))}); err == nil {
 		t.Error("wrong-size product accepted")
 	}
 }

@@ -25,7 +25,7 @@ func TestPoolSingleflight(t *testing.T) {
 	var builds atomic.Int64
 	build := func() (*serve.Engine, error) {
 		builds.Add(1)
-		return serve.NewEngine(w, x, 1.0, serve.Options{
+		return serve.NewEngineCtx(t.Context(), w, x, 1.0, serve.Options{
 			Selection: hdmm.SelectOptions{Restarts: 1, Seed: 5},
 			Seed:      7,
 			Registry:  reg,
@@ -85,7 +85,7 @@ func TestPoolLimit(t *testing.T) {
 	w, x := testWorkload(t)
 	pool := serve.NewPool(1)
 	build := func() (*serve.Engine, error) {
-		return serve.NewEngine(w, x, 1.0, serve.Options{Selection: hdmm.SelectOptions{Restarts: 1, Seed: 5}, Seed: 7})
+		return serve.NewEngineCtx(t.Context(), w, x, 1.0, serve.Options{Selection: hdmm.SelectOptions{Restarts: 1, Seed: 5}, Seed: 7})
 	}
 	first, _, err := pool.GetOrCreate("a", build)
 	if err != nil {
@@ -128,7 +128,7 @@ func TestPoolPanickingBuild(t *testing.T) {
 	}
 	w, x := testWorkload(t)
 	eng, found, err := pool.GetOrCreate("k", func() (*serve.Engine, error) {
-		return serve.NewEngine(w, x, 1.0, serve.Options{Selection: hdmm.SelectOptions{Restarts: 1, Seed: 5}, Seed: 7})
+		return serve.NewEngineCtx(t.Context(), w, x, 1.0, serve.Options{Selection: hdmm.SelectOptions{Restarts: 1, Seed: 5}, Seed: 7})
 	})
 	if err != nil || found || eng == nil {
 		t.Fatalf("key wedged after panicking build: eng %v, found %v, err %v", eng != nil, found, err)
@@ -148,7 +148,7 @@ func TestPoolFailedBuildNotCached(t *testing.T) {
 	}
 	w, x := testWorkload(t)
 	eng, found, err := pool.GetOrCreate("k", func() (*serve.Engine, error) {
-		return serve.NewEngine(w, x, 1.0, serve.Options{Selection: hdmm.SelectOptions{Restarts: 1, Seed: 5}, Seed: 7})
+		return serve.NewEngineCtx(t.Context(), w, x, 1.0, serve.Options{Selection: hdmm.SelectOptions{Restarts: 1, Seed: 5}, Seed: 7})
 	})
 	if err != nil || found || eng == nil {
 		t.Fatalf("retry after failure: eng %v, found %v, err %v", eng != nil, found, err)

@@ -10,7 +10,7 @@ import (
 	"repro/internal/workload"
 )
 
-// TestConcurrentAnswerBatches hammers one engine with concurrent Answer
+// TestConcurrentAnswerBatches hammers one engine with concurrent AnswerCtx
 // batches at several worker counts and checks every result against a serial
 // reference. Run under -race (the CI does), this pins down the serving
 // path's concurrency contract: x̂ is read-only after construction, each
@@ -25,7 +25,7 @@ func TestConcurrentAnswerBatches(t *testing.T) {
 		hdmm.NewProduct(hdmm.Total(2), hdmm.WidthRange(16, 3)),
 	}
 
-	eng, err := serve.NewEngine(w, x, 1.0, serve.Options{
+	eng, err := serve.NewEngineCtx(t.Context(), w, x, 1.0, serve.Options{
 		Selection: hdmm.SelectOptions{Restarts: 2, Seed: 3},
 		Seed:      7,
 		Workers:   1,
@@ -33,13 +33,13 @@ func TestConcurrentAnswerBatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := eng.Answer(batch) // serial reference (Workers: 1)
+	want, err := eng.AnswerCtx(t.Context(), batch) // serial reference (Workers: 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	for _, workers := range []int{1, 4, 8} {
-		eng, err := serve.NewEngine(w, x, 1.0, serve.Options{
+		eng, err := serve.NewEngineCtx(t.Context(), w, x, 1.0, serve.Options{
 			Selection: hdmm.SelectOptions{Restarts: 2, Seed: 3},
 			Seed:      7,
 			Workers:   workers,
@@ -53,7 +53,7 @@ func TestConcurrentAnswerBatches(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				got, err := eng.Answer(batch)
+				got, err := eng.AnswerCtx(t.Context(), batch)
 				if err != nil {
 					t.Error(err)
 					return
@@ -88,7 +88,7 @@ func TestConcurrentEngineConstruction(t *testing.T) {
 		wg.Add(1)
 		go func(b int) {
 			defer wg.Done()
-			eng, err := serve.NewEngine(w, x, 1.0, serve.Options{Selection: sel, Seed: uint64(b), Registry: reg})
+			eng, err := serve.NewEngineCtx(t.Context(), w, x, 1.0, serve.Options{Selection: sel, Seed: uint64(b), Registry: reg})
 			if err != nil {
 				t.Error(err)
 				return

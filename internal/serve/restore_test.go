@@ -21,7 +21,7 @@ func testEngine(t *testing.T) (*serve.Engine, []string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := serve.NewEngine(w, x, 1.0, serve.Options{
+	eng, err := serve.NewEngineCtx(t.Context(), w, x, 1.0, serve.Options{
 		Selection: hdmm.SelectOptions{Restarts: 2, Seed: 3},
 		Seed:      99,
 		Registry:  reg,
@@ -69,11 +69,11 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := eng.Answer(products)
+	want, err := eng.AnswerCtx(t.Context(), products)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := restored.Answer(products)
+	got, err := restored.AnswerCtx(t.Context(), products)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ import (
 )
 
 // unionTenant builds a three-part union workload and a registry pre-seeded
-// with its OPT⁺ strategy under the exact key NewEngine will look up, so
+// with its OPT⁺ strategy under the exact key NewEngineCtx will look up, so
 // engine construction takes the iterative union-reconstruction path. Three
 // parts deliberately: the exact two-block pencil preconditioner converges
 // even under a one-iteration cap, while the majorizer fallback needs
@@ -63,7 +63,7 @@ func unionTenant(t *testing.T) (*workload.Workload, []float64, hdmm.SelectOption
 // exposes none.
 func TestEngineUnionSolveInfo(t *testing.T) {
 	w, x, sel, reg := unionTenant(t)
-	eng, err := serve.NewEngine(w, x, 1.0, serve.Options{Selection: sel, Seed: 7, Registry: reg})
+	eng, err := serve.NewEngineCtx(t.Context(), w, x, 1.0, serve.Options{Selection: sel, Seed: 7, Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestEngineUnionSolveInfo(t *testing.T) {
 	}
 
 	wk, xk := testWorkload(t)
-	closed, err := serve.NewEngine(wk, xk, 1.0, serve.Options{Selection: hdmm.SelectOptions{Restarts: 1, Seed: 3}, Seed: 7})
+	closed, err := serve.NewEngineCtx(t.Context(), wk, xk, 1.0, serve.Options{Selection: hdmm.SelectOptions{Restarts: 1, Seed: 3}, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestEngineUnionSolveInfo(t *testing.T) {
 // tenant an engine serving answers from an unconverged estimate.
 func TestEngineUnionNonConvergence(t *testing.T) {
 	w, x, sel, reg := unionTenant(t)
-	_, err := serve.NewEngine(w, x, 1.0, serve.Options{
+	_, err := serve.NewEngineCtx(t.Context(), w, x, 1.0, serve.Options{
 		Selection:    sel,
 		Seed:         7,
 		Registry:     reg,

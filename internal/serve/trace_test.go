@@ -18,7 +18,7 @@ func TestEngineCtxTracesStages(t *testing.T) {
 	w, x := testWorkload(t)
 	opts := serve.Options{Selection: hdmm.SelectOptions{Restarts: 1, Seed: 3}, Seed: 7}
 
-	plain, err := serve.NewEngine(w, x, 1.0, opts)
+	plain, err := serve.NewEngineCtx(t.Context(), w, x, 1.0, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestEngineCtxCancelledBeforeMeasure(t *testing.T) {
 		t.Fatalf("cancelled construction returned %v, want context.Canceled", err)
 	}
 
-	eng, err := serve.NewEngine(w, x, 1.0, opts)
+	eng, err := serve.NewEngineCtx(t.Context(), w, x, 1.0, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -403,7 +403,7 @@ type AnswerRequest struct {
 // AnswerResponse returns one answer vector per requested product, in
 // request order (the product's queries in row-major order, scaled by its
 // weight). Fixed-seed responses are byte-identical to in-process
-// Engine.Answer at any worker count.
+// Engine.AnswerSharedCtx at any worker count.
 type AnswerResponse struct {
 	Answers [][]float64 `json:"answers"`
 }
@@ -745,7 +745,7 @@ func (s *Server) answer(ctx context.Context, key string, req *AnswerRequest, sha
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			return nil, err // the client is gone; writeError maps this to 499
 		}
-		// Beyond cancellation, Engine.Answer fails only on product/domain
+		// Beyond cancellation, Engine.AnswerSharedCtx fails only on product/domain
 		// mismatches — caller input, not server state.
 		return nil, badRequest("%v", err)
 	}

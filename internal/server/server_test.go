@@ -134,7 +134,7 @@ func register(t *testing.T, ts *httptest.Server, body any) server.RegisterRespon
 }
 
 // TestAnswerMatchesInProcessEngine is the end-to-end byte-identity check:
-// a fixed-seed /answer response must equal in-process Engine.Answer on the
+// a fixed-seed /answer response must equal in-process Engine.AnswerCtx on the
 // same registry, bit for bit — HTTP transport, JSON encoding, and the
 // engine pool are observationally invisible.
 func TestAnswerMatchesInProcessEngine(t *testing.T) {
@@ -168,7 +168,7 @@ func TestAnswerMatchesInProcessEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := body["data"].([]float64)
-	eng, err := serve.NewEngine(w, x, 1.0, serve.Options{
+	eng, err := serve.NewEngineCtx(t.Context(), w, x, 1.0, serve.Options{
 		Selection: hdmm.SelectOptions{Restarts: 2, Seed: 9},
 		Seed:      123,
 		Registry:  reg,
@@ -182,7 +182,7 @@ func TestAnswerMatchesInProcessEngine(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want, err := eng.Answer(products)
+	want, err := eng.AnswerCtx(t.Context(), products)
 	if err != nil {
 		t.Fatal(err)
 	}
