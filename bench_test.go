@@ -1,7 +1,7 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation,
 // at reduced (ScaleSmall) settings so `go test -bench=.` completes on a
 // laptop. Run `go run ./cmd/experiments -scale default <name>` for the
-// full-size outputs recorded in EXPERIMENTS.md.
+// full-size outputs.
 package hdmm_test
 
 import (

@@ -1,7 +1,7 @@
 // Command experiments regenerates the tables and figures of the HDMM paper
 // (McKenna et al., PVLDB 2018). Each subcommand prints the corresponding
 // table/series; -scale small|default|paper trades runtime for fidelity to
-// the paper's configuration (see EXPERIMENTS.md).
+// the paper's configuration (only -scale paper runs it unreduced).
 //
 // Usage:
 //

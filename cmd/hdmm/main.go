@@ -180,8 +180,8 @@ func cmdOptimize(args []string, stdout, stderr io.Writer) error {
 	if err := wf.applyKernels(); err != nil {
 		return err
 	}
-	opts := hdmm.SelectOptions{Restarts: *restarts, Seed: *optseed, Workers: *workers, CacheDir: *cache}
-	key, sel, fromCache, err := hdmm.Optimize(w, opts)
+	opts := hdmm.SelectOptions{Restarts: *restarts, Seed: *optseed, Workers: *workers}
+	key, sel, fromCache, err := hdmm.Optimize(w, *cache, opts)
 	if err != nil {
 		return err
 	}
@@ -312,7 +312,8 @@ func cmdServe(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	eng, err := hdmm.NewEngine(w, x, *eps, hdmm.EngineOptions{
-		Selection: hdmm.SelectOptions{Restarts: *restarts, Seed: *optseed, Workers: *workers, CacheDir: *cache},
+		Selection: hdmm.SelectOptions{Restarts: *restarts, Seed: *optseed, Workers: *workers},
+		CacheDir:  *cache,
 		Delta:     *delta,
 		Seed:      *seed,
 		Workers:   *workers,
@@ -327,24 +328,19 @@ func cmdServe(args []string, stdout, stderr io.Writer) error {
 	fmt.Fprintf(stderr, "strategy: %s (%s), predicted per-query RMSE at ε=%g: %.3f\n",
 		eng.Operator(), source, *eps, eng.ExpectedRMSE())
 
-	var answers []float64
+	products := w.Products
 	if *queryFile != "" {
-		products, err := readQueryFile(*queryFile, sizes)
-		if err != nil {
+		if products, err = readQueryFile(*queryFile, sizes); err != nil {
 			return err
 		}
-		parts, err := eng.AnswerCtx(context.Background(), products)
-		if err != nil {
-			return err
-		}
-		for _, p := range parts {
-			answers = append(answers, p...)
-		}
-	} else {
-		answers, err = eng.AnswerWorkload(w)
-		if err != nil {
-			return err
-		}
+	}
+	parts, err := eng.AnswerCtx(context.Background(), products)
+	if err != nil {
+		return err
+	}
+	var answers []float64
+	for _, p := range parts {
+		answers = append(answers, p...)
 	}
 	return writeAnswers(stdout, answers)
 }
@@ -454,7 +450,9 @@ func serveDaemon(ctx context.Context, addr string, cfg daemonConfig, stdout, std
 		// Registration can optimize for minutes on a cold cache, and
 		// NotifyContext has suppressed default signal termination — so the
 		// wait must watch ctx or Ctrl-C would be dead until startup
-		// finishes. Exiting abandons the goroutine; process teardown
+		// finishes. The registration sees ctx too, so a signal stops it at
+		// its privacy-safe points (before optimization, before the
+		// measurement). Exiting abandons the goroutine; process teardown
 		// reclaims its CPU.
 		type preResult struct {
 			resp *server.RegisterResponse
@@ -462,7 +460,7 @@ func serveDaemon(ctx context.Context, addr string, cfg daemonConfig, stdout, std
 		}
 		done := make(chan preResult, 1)
 		go func() {
-			resp, err := srv.Register(&server.RegisterRequest{
+			resp, err := srv.RegisterCtx(ctx, &server.RegisterRequest{
 				Domain:   sizes,
 				Queries:  cfg.queries,
 				Records:  records,

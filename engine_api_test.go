@@ -1,9 +1,11 @@
 package hdmm_test
 
 import (
+	"math"
 	"testing"
 
 	hdmm "repro"
+	"repro/internal/core"
 )
 
 // TestOptimizeInProcessReuse: two Optimize calls with the same workload and
@@ -19,11 +21,11 @@ func TestOptimizeInProcessReuse(t *testing.T) {
 	}
 	opts := hdmm.SelectOptions{Restarts: 1, Seed: 77}
 
-	key1, sel1, _, err := hdmm.Optimize(w, opts)
+	key1, sel1, _, err := hdmm.Optimize(w, "", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	key2, sel2, fromCache, err := hdmm.Optimize(w, opts)
+	key2, sel2, fromCache, err := hdmm.Optimize(w, "", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +49,7 @@ func TestEngineReusesOptimize(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := hdmm.SelectOptions{Restarts: 1, Seed: 78}
-	key, _, _, err := hdmm.Optimize(w, opts)
+	key, _, _, err := hdmm.Optimize(w, "", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,6 +63,59 @@ func TestEngineReusesOptimize(t *testing.T) {
 	}
 	if eng.Key() != key {
 		t.Errorf("engine key %s, Optimize key %s", eng.Key(), key)
+	}
+}
+
+// TestRunReusesOptimizedStrategy: Run resolves its strategy through the
+// same process-wide registry as Optimize and NewEngine, so a Run after
+// Optimize with equal options performs no optimizer restarts, and its
+// answers are byte-identical to an engine's answers for the same seed.
+func TestRunReusesOptimizedStrategy(t *testing.T) {
+	w, err := hdmm.NewWorkload(
+		hdmm.NewDomain(hdmm.Attribute{Name: "a", Size: 3}, hdmm.Attribute{Name: "b", Size: 10}),
+		hdmm.NewProduct(hdmm.Identity(3), hdmm.AllRange(10)),
+		hdmm.NewProduct(hdmm.Total(3), hdmm.Prefix(10)),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := hdmm.SelectOptions{Restarts: 1, Seed: 79}
+	if _, _, _, err := hdmm.Optimize(w, "", opts); err != nil {
+		t.Fatal(err)
+	}
+	x := make([]float64, w.Domain.Size())
+	for i := range x {
+		x[i] = float64(i % 5)
+	}
+
+	before := core.RestartsPerformed()
+	res, err := hdmm.Run(w, x, 1.0, hdmm.Options{Selection: opts, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := core.RestartsPerformed() - before; d != 0 {
+		t.Fatalf("Run after Optimize performed %d optimizer restarts, want 0", d)
+	}
+
+	eng, err := hdmm.NewEngine(w, x, 1.0, hdmm.EngineOptions{Selection: opts, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts, err := eng.AnswerCtx(t.Context(), w.Products)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []float64
+	for _, p := range parts {
+		want = append(want, p...)
+	}
+	if len(res.Answers) != len(want) {
+		t.Fatalf("Run returned %d answers, engine %d", len(res.Answers), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(res.Answers[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("answer %d: Run %v, engine %v", i, res.Answers[i], want[i])
+		}
 	}
 }
 

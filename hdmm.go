@@ -32,7 +32,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand/v2"
 
 	"repro/internal/core"
 	"repro/internal/kron"
@@ -188,11 +187,6 @@ type Options struct {
 	// the noise source is seeded from crypto/rand, so separate runs release
 	// independent noise.
 	Seed uint64
-	// Rand overrides the noise source (optional).
-	Rand *rand.Rand
-	// SkipAnswers leaves Result.Answers nil (useful when the workload is
-	// too large to enumerate explicitly and only Xhat is wanted).
-	SkipAnswers bool
 }
 
 // Result is the outcome of an end-to-end private run.
@@ -200,7 +194,7 @@ type Result struct {
 	// Xhat is the differentially private estimate of the data vector;
 	// any further query evaluated on it is privacy-free post-processing.
 	Xhat []float64
-	// Answers holds the private workload answers W·x̂ (nil if skipped).
+	// Answers holds the private workload answers W·x̂.
 	Answers []float64
 	// Strategy and Operator identify the selected measurement strategy.
 	Strategy Strategy
@@ -214,50 +208,55 @@ type Result struct {
 // workload is already implicit), OPT_HDMM strategy selection, Laplace
 // measurement with budget eps, least-squares reconstruction, and workload
 // answering. The output satisfies ε-differential privacy.
+//
+// Run is NewEngine followed by answering the workload on the engine's
+// estimate, so it resolves the strategy through the same process-wide
+// in-memory registry: a Run after Optimize or NewEngine with equal
+// selection options reuses that strategy instead of re-selecting. The
+// registry key covers every option that can change the selected strategy,
+// so the released bytes are the same either way. Callers that only want
+// x̂ (a workload too large to enumerate) use NewEngine directly.
 func Run(w *Workload, x []float64, eps float64, opts Options) (*Result, error) {
-	rng := opts.Rand
-	if rng == nil {
-		rng = mech.NoiseRNG(opts.Seed) // deterministic if Seed non-zero, crypto/rand otherwise
-	}
-	return run(w, x, eps, 0, rng, opts)
+	return run(w, x, eps, 0, opts)
 }
 
-// run is the pipeline behind Run and RunGaussian: mech.Run validates the
-// budget and the data vector before anything is spent, then selects,
-// measures once, reconstructs and answers.
-func run(w *Workload, x []float64, eps, delta float64, rng *rand.Rand, opts Options) (*Result, error) {
-	res, err := mech.Run(w, x, eps, rng, mech.Options{
-		Selection:      opts.Selection,
-		Delta:          delta,
-		ComputeAnswers: !opts.SkipAnswers,
-	})
+// run is the pipeline behind Run and RunGaussian: the serving engine
+// validates the budget and the data vector before anything is spent, then
+// selects (or reuses), measures once and reconstructs; the workload is
+// answered on its estimate.
+func run(w *Workload, x []float64, eps, delta float64, opts Options) (*Result, error) {
+	eng, err := NewEngine(w, x, eps, EngineOptions{Selection: opts.Selection, Delta: delta, Seed: opts.Seed})
+	if err != nil {
+		return nil, err
+	}
+	answers, err := mech.AnswerWorkload(w, eng.Xhat())
 	if err != nil {
 		return nil, err
 	}
 	return &Result{
-		Xhat:         res.Xhat,
-		Answers:      res.Answers,
-		Strategy:     res.Strategy,
-		Operator:     res.Operator,
-		ExpectedRMSE: res.RootMSE,
+		Xhat:         eng.Xhat(),
+		Answers:      answers,
+		Strategy:     eng.Strategy(),
+		Operator:     eng.Operator(),
+		ExpectedRMSE: eng.ExpectedRMSE(),
 	}, nil
 }
 
 // Engine is the answer-serving runtime: it resolves a measurement strategy
 // through the strategy registry (reusing one optimized earlier for the same
 // workload and selection options — in this process via the in-memory LRU,
-// or in any process via the on-disk store at SelectOptions.CacheDir),
+// or in any process via the on-disk store at EngineOptions.CacheDir),
 // measures the data once, and then answers unlimited batched query
 // requests concurrently as privacy-free post-processing.
 type Engine = serve.Engine
 
-// EngineOptions configures NewEngine. Cache placement comes from the
-// Selection field: SelectOptions.CacheDir persists optimized strategies on
-// disk and SelectOptions.CacheEntries bounds the in-memory LRU.
+// EngineOptions configures NewEngine.
 type EngineOptions struct {
-	// Selection controls strategy search on a cache miss, and its
-	// CacheDir/CacheEntries fields place the strategy registry.
+	// Selection controls strategy search on a cache miss.
 	Selection SelectOptions
+	// CacheDir is the on-disk strategy registry shared with Optimize and
+	// other processes ("" = the process-wide in-memory registry only).
+	CacheDir string
 	// Delta selects the mechanism: 0 = ε-DP Laplace, (0,1) = (ε,δ)-DP
 	// Gaussian (requires ε ≤ 1).
 	Delta float64
@@ -267,8 +266,6 @@ type EngineOptions struct {
 	// draws fresh entropy from crypto/rand, so no two engines or runs
 	// share noise.
 	Seed uint64
-	// Rand overrides the noise source (optional).
-	Rand *rand.Rand
 	// Workers bounds the goroutines answering one batch (<= 0: all cores);
 	// answers are bit-identical for any value.
 	Workers int
@@ -277,12 +274,16 @@ type EngineOptions struct {
 // NewEngine builds a serving engine for the workload at privacy budget eps:
 // optimize (or load) once, measure once, answer many.
 func NewEngine(w *Workload, x []float64, eps float64, opts EngineOptions) (*Engine, error) {
+	reg, err := registry.Shared(opts.CacheDir)
+	if err != nil {
+		return nil, err
+	}
 	return serve.NewEngineCtx(context.Background(), w, x, eps, serve.Options{
 		Selection: opts.Selection,
 		Delta:     opts.Delta,
 		Seed:      opts.Seed,
-		Rand:      opts.Rand,
 		Workers:   opts.Workers,
+		Registry:  reg,
 	})
 }
 
@@ -293,7 +294,7 @@ func NewEngine(w *Workload, x []float64, eps float64, opts EngineOptions) (*Engi
 type Server = server.Server
 
 // ServerConfig configures the HTTP answer-serving daemon: strategy-cache
-// placement (CacheDir/CacheEntries), the durable engine-snapshot store
+// placement (CacheDir), the durable engine-snapshot store
 // (SnapshotDir — crash recovery without re-measuring; see the server
 // package docs), the per-engine answering fan-out (Workers), the
 // request-body cap (MaxBodyBytes), and the engine-pool cap (MaxEngines).
@@ -304,7 +305,7 @@ type ServerConfig = server.Config
 func NewServer(cfg ServerConfig) (*Server, error) { return server.New(cfg) }
 
 // Wire and programmatic types of the answer-serving daemon, re-exported so
-// embedders can call Server.Register/Answer/Info directly (the CLI's
+// embedders can call Server.RegisterCtx/AnswerCtx/Info directly (the CLI's
 // pre-registration path does) instead of synthesizing HTTP requests.
 type (
 	// RegisterRequest registers one tenant: workload, data, budget.
@@ -322,14 +323,15 @@ type (
 )
 
 // Optimize runs strategy selection for (w, opts) and persists the winner in
-// the strategy registry at opts.CacheDir (opts.CacheEntries bounds the
-// in-memory LRU), so later Engine constructions — in this process or any
-// other sharing the cache directory — load it instead of re-optimizing. It
-// returns the registry cache key, the selection, and whether the strategy
-// came from the cache (true) or was optimized by this call (false).
-// Selection never looks at data and consumes no privacy budget.
-func Optimize(w *Workload, opts SelectOptions) (key string, sel *Selected, fromCache bool, err error) {
-	reg, err := registry.Shared(opts.CacheDir, opts.CacheEntries)
+// the strategy registry at cacheDir ("" = the process-wide in-memory
+// registry only), so later Engine constructions and Runs — in this process,
+// or in any other sharing the cache directory — load it instead of
+// re-optimizing. It returns the registry cache key, the selection, and
+// whether the strategy came from the cache (true) or was optimized by this
+// call (false). Selection never looks at data and consumes no privacy
+// budget.
+func Optimize(w *Workload, cacheDir string, opts SelectOptions) (key string, sel *Selected, fromCache bool, err error) {
+	reg, err := registry.Shared(cacheDir)
 	if err != nil {
 		return "", nil, false, err
 	}
@@ -351,7 +353,7 @@ func Fingerprint(w *Workload) string { return registry.FingerprintHex(w) }
 
 // StrategyKey returns the content address under which the strategy selected
 // for (w, opts) is cached by the registry. Options that cannot change the
-// selection (Workers, cache placement) do not affect the key.
+// selection (Workers) do not affect the key.
 func StrategyKey(w *Workload, opts SelectOptions) string { return registry.Key(w, opts) }
 
 // WeightForRelativeError reweights a workload inversely with average query
@@ -370,11 +372,7 @@ func RunGaussian(w *Workload, x []float64, eps, delta float64, opts Options) (*R
 	if !(delta > 0) {
 		return nil, fmt.Errorf("hdmm: RunGaussian needs δ in (0, 1), got %v (use Run for the Laplace mechanism)", delta)
 	}
-	rng := opts.Rand
-	if rng == nil {
-		rng = mech.NoiseRNG(opts.Seed)
-	}
-	return run(w, x, eps, delta, rng, opts)
+	return run(w, x, eps, delta, opts)
 }
 
 // ExpectedError returns the expected total squared error of answering w

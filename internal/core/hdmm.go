@@ -35,22 +35,12 @@ type HDMMOptions struct {
 	// GOMAXPROCS(0), so the machine is never oversubscribed regardless of
 	// either setting. The selected strategy is bit-identical for any value.
 	Workers int
-
-	// CacheDir and CacheEntries configure the strategy registry consumed by
-	// the serving layer (internal/registry, internal/serve): CacheDir is the
-	// on-disk store for optimized strategies ("" disables persistence) and
-	// CacheEntries bounds the in-memory LRU (<= 0 selects the default).
-	// Selection itself ignores both, and neither participates in the cache
-	// key — the same workload/options pair hits the same cached strategy
-	// regardless of where the cache lives.
-	CacheDir     string
-	CacheEntries int
 }
 
 // Normalized returns the options with defaults applied — including the
 // sub-optimizer scalar defaults, so a zero-value Kron/Marg config and an
 // explicitly spelled-out default config agree — and all fields that cannot
-// affect the selected strategy (Workers, cache placement) zeroed. Two
+// affect the selected strategy (Workers) zeroed. Two
 // option values with equal Normalized() forms select bit-identical
 // strategies, which is what the registry's cache key relies on. Kron.P is
 // deliberately left as given: a nil P is resolved against each (sub-)
@@ -63,8 +53,6 @@ func (o HDMMOptions) Normalized() HDMMOptions {
 	o.Workers = 0
 	o.Kron.Workers = 0
 	o.Marg.Workers = 0
-	o.CacheDir = ""
-	o.CacheEntries = 0
 	return o
 }
 

@@ -2,8 +2,8 @@
 // figure of the paper's evaluation (Section 8 and Appendices B–C). Each
 // runner returns a formatted text block matching the paper's table layout;
 // cmd/experiments exposes them as subcommands and bench_test.go wraps them
-// as benchmarks. Scales default to single-core-laptop settings; the Scale
-// knob raises them toward the paper's (see EXPERIMENTS.md for deviations).
+// as benchmarks. Scales default to single-core-laptop settings, which
+// deviate from the paper's; the Scale knob raises them toward the paper's.
 package experiments
 
 import (

@@ -12,7 +12,7 @@ import (
 
 // Table4aDomains returns the 1-D domain sizes for the scale. The paper uses
 // {128, 1024, 8192}; OPT0 at 8192 is hours on one core, so the default
-// stops at 2048 (recorded in EXPERIMENTS.md).
+// stops at 2048.
 func Table4aDomains(s Scale) []int {
 	switch s {
 	case ScaleSmall:
@@ -43,7 +43,7 @@ func Table4a(s Scale) string {
 		for _, n := range Table4aDomains(s) {
 			y := wl.gen(n).Gram()
 			// OPT0 iterations are O(p·n²); on one core, restarts are
-			// tapered at large n (recorded in EXPERIMENTS.md).
+			// tapered at large n below ScalePaper.
 			r := restarts
 			if n >= 2048 && s != ScalePaper {
 				r = 1

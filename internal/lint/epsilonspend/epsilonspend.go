@@ -50,20 +50,13 @@ type Site struct {
 // re-verify without archaeology. Remove entries whose call sites go
 // away — the analyzer does not flag stale entries, the auditor does.
 var Allowlist = map[Site]string{
-	// The public one-shot pipeline: one NoiseRNG per Run, feeding the
-	// single mech.Run measurement of Table 1(b). This is the front
-	// door every example and experiment is supposed to use.
-	{"repro", "Run"}: "public one-shot HDMM pipeline; builds the run's single noise source",
-
-	// Same front door for the (ε, δ) Gaussian variant: one noise
-	// source, fed to the same mech.Run pipeline with δ > 0.
-	{"repro", "RunGaussian"}: "public one-shot (eps,delta) pipeline; one noise source, one Gaussian measurement",
-
 	// The serving engine's constructor is the measure-once site the
 	// whole registry/snapshot design exists to protect: it measures
 	// exactly once per engine key, persists y, and every later answer
 	// reuses it. Singleflight in serve.Pool and the snapshot recovery
-	// path guarantee no duplicate construction.
+	// path guarantee no duplicate construction. The public one-shot
+	// pipeline (hdmm.Run, RunGaussian) builds an engine too, so this is
+	// its measurement site as well.
 	{"repro/internal/serve", "NewEngineCtx"}: "engine construction: the measure-once site guarded by pool singleflight and snapshot recovery",
 
 	// DAWA baseline (Li et al.): its two-stage budget split takes

@@ -29,22 +29,8 @@ const (
 // Options controls the solver. Zero values select defaults.
 type Options struct {
 	MaxIter int     // default 4·cols
-	Atol    float64 // default 1e-8 unless AtolSet
-	Btol    float64 // default 1e-8 unless BtolSet
-	// AtolSet / BtolSet make the solver take Atol / Btol exactly as given
-	// instead of treating a non-positive value as "use the default". With
-	// the sentinel set, zero (or a negative value) disables that stopping
-	// rule entirely, so a caller can run the recurrence to an exact-
-	// tolerance or iteration-budget-bound solve. The zero value of Options
-	// keeps the historical behavior.
-	AtolSet bool
-	BtolSet bool
-	// Workers bounds the cores used for the solver's O(n) vector updates
-	// (the matvecs parallelize inside package kron). <= 0 selects the
-	// process-wide kernel bound (parallel.SetKernelWorkers, default
-	// GOMAXPROCS(0)). Results are bit-identical at any value: the chunked
-	// updates are element-wise and the norm reductions stay serial.
-	Workers int
+	Atol    float64 // default 1e-8
+	Btol    float64 // default 1e-8
 	// Workspace is reused for every operator application when the operator
 	// supports it (kron.WorkspaceApplier), making the whole solve O(1) in
 	// allocations regardless of iteration count. nil borrows a pooled
@@ -62,10 +48,10 @@ func (o Options) withDefaults(cols int) Options {
 	if o.MaxIter <= 0 {
 		o.MaxIter = 4 * cols
 	}
-	if o.Atol <= 0 && !o.AtolSet {
+	if o.Atol <= 0 {
 		o.Atol = 1e-8
 	}
-	if o.Btol <= 0 && !o.BtolSet {
+	if o.Btol <= 0 {
 		o.Btol = 1e-8
 	}
 	return o
@@ -252,10 +238,11 @@ func solve(a kron.Linear, b []float64, opts Options) Result {
 	tmpRows := make([]float64, rows)
 	tmpCols := make([]float64, cols)
 
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = parallel.KernelWorkers()
-	}
+	// The O(n) vector updates use the process-wide kernel bound (the
+	// matvecs parallelize inside package kron). Results are bit-identical
+	// at any value: the chunked updates are element-wise and the norm
+	// reductions stay serial.
+	workers := parallel.KernelWorkers()
 
 	res := Result{}
 	for iter := 1; iter <= opts.MaxIter; iter++ {

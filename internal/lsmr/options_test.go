@@ -91,9 +91,7 @@ func TestNorm2Edges(t *testing.T) {
 }
 
 // TestToleranceSentinels: the zero-value Options keep the historical
-// defaults bit for bit, while AtolSet/BtolSet let a caller take Atol/Btol
-// exactly as given — including zero, which disables the rule and lets the
-// iteration budget bind.
+// defaults bit for bit.
 func TestToleranceSentinels(t *testing.T) {
 	rng := rand.New(rand.NewPCG(33, 34))
 	a := kron.Wrap(randMat(rng, 20, 6))
@@ -111,13 +109,5 @@ func TestToleranceSentinels(t *testing.T) {
 		if implicit.X[i] != explicit.X[i] {
 			t.Fatalf("zero-value defaults diverged at X[%d]", i)
 		}
-	}
-
-	exact := Solve(a, b, Options{MaxIter: 15, AtolSet: true, BtolSet: true})
-	if exact.Stopped != StoppedMaxIter || exact.Iters != 15 {
-		t.Fatalf("sentinel-zero tolerances stopped with %q after %d iterations, want the full 15 (%q)", exact.Stopped, exact.Iters, StoppedMaxIter)
-	}
-	if exact.Iters <= implicit.Iters {
-		t.Fatalf("exact-tolerance solve (%d iters) did not outrun the default stop (%d iters)", exact.Iters, implicit.Iters)
 	}
 }

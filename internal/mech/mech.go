@@ -1,8 +1,9 @@
-// Package mech implements the differentially private measurement pipeline of
-// Table 1(b): the vector-form Laplace mechanism (Definition 6), the MEASURE
-// and RECONSTRUCT phases over implicit strategies, and the end-to-end HDMM
-// mechanism combining workload encoding, strategy selection, measurement,
-// inference and workload answering.
+// Package mech implements the measurement and answering stages of Table
+// 1(b): the vector-form Laplace mechanism (Definition 6) and its Gaussian
+// counterpart (the MEASURE phase), the predicted error of a release, and
+// workload answering on a reconstructed estimate. The end-to-end pipeline
+// that strings selection, measurement and reconstruction together is the
+// serving engine (internal/serve).
 package mech
 
 import (
@@ -15,7 +16,6 @@ import (
 	"reflect"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/kron"
 	"repro/internal/mat"
 	"repro/internal/obs"
@@ -142,62 +142,6 @@ func ExpectedRMSE(a kron.Linear, errF float64, queries int, eps, delta float64) 
 		return GaussianSigma(L2Sensitivity(a), eps, delta) * math.Sqrt(errF/float64(queries))
 	}
 	return math.Sqrt(2*errF/float64(queries)) / eps
-}
-
-// Result is the output of one end-to-end HDMM run.
-type Result struct {
-	Xhat     []float64 // differentially private estimate of the data vector
-	Answers  []float64 // private workload answers W·x̂ (nil if not requested)
-	Strategy core.Strategy
-	Operator string  // which optimization operator produced the strategy
-	RootMSE  float64 // predicted per-query RMSE at the given ε
-}
-
-// Options configures Run.
-type Options struct {
-	Selection core.HDMMOptions
-	// Delta selects the measurement mechanism: 0 is ε-DP Laplace, a value
-	// in (0, 1) is (ε,δ)-DP Gaussian (see Measure).
-	Delta          float64
-	ComputeAnswers bool // also evaluate the workload on x̂ (requires
-	// materializable per-attribute predicate matrices)
-}
-
-// Run executes the complete HDMM pipeline of Table 1(b) on a data vector:
-// strategy selection (data-independent), private measurement with budget
-// (eps, opts.Delta), least-squares reconstruction, and optionally workload
-// answering. An invalid budget or data vector is an error, returned before
-// anything is spent.
-func Run(w *workload.Workload, x []float64, eps float64, rng *rand.Rand, opts Options) (*Result, error) {
-	if err := CheckBudget(eps, opts.Delta); err != nil {
-		return nil, fmt.Errorf("mech: %w", err)
-	}
-	if len(x) != w.Domain.Size() {
-		return nil, fmt.Errorf("mech: data vector has length %d, domain size is %d", len(x), w.Domain.Size())
-	}
-	sel, err := core.Select(w, opts.Selection)
-	if err != nil {
-		return nil, err
-	}
-	op := sel.Strategy.Operator()
-	y := Measure(op, x, eps, opts.Delta, rng)
-	xhat, err := sel.Strategy.Reconstruct(y)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{
-		Xhat:     xhat,
-		Strategy: sel.Strategy,
-		Operator: sel.Operator,
-		RootMSE:  ExpectedRMSE(op, sel.Err, w.NumQueries(), eps, opts.Delta),
-	}
-	if opts.ComputeAnswers {
-		res.Answers, err = AnswerWorkload(w, xhat)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
 }
 
 // AnswerProduct evaluates one query product on a (possibly private)

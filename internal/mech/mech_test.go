@@ -132,32 +132,6 @@ func TestRunEndToEndUnbiasedAndCalibrated(t *testing.T) {
 	}
 }
 
-func TestRunPipeline(t *testing.T) {
-	dom := schema.Sizes(8, 4)
-	w := workload.MustNew(dom,
-		workload.NewProduct(workload.AllRange(8), workload.Identity(4)),
-	)
-	records := [][]int{{0, 0}, {1, 2}, {7, 3}, {4, 1}, {4, 1}}
-	x := dom.DataVector(records)
-	rng := rand.New(rand.NewPCG(5, 5))
-	res, err := Run(w, x, 1.0, rng, Options{
-		Selection:      core.HDMMOptions{Restarts: 1, Seed: 3},
-		ComputeAnswers: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Xhat) != 32 {
-		t.Fatalf("xhat length %d", len(res.Xhat))
-	}
-	if len(res.Answers) != w.NumQueries() {
-		t.Fatalf("answers %d want %d", len(res.Answers), w.NumQueries())
-	}
-	if res.RootMSE <= 0 {
-		t.Fatal("RootMSE should be positive")
-	}
-}
-
 func TestUnionStrategyMeasureReconstruct(t *testing.T) {
 	// OPT+ strategies reconstruct via LSMR; verify the full loop is unbiased.
 	dom := schema.Sizes(8, 8)

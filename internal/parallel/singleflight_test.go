@@ -10,9 +10,22 @@ import (
 )
 
 // TestGroupCollapsesConcurrentCallers: one compute per key, every caller
-// gets the one value, exactly one caller reports leader.
+// gets the one value, exactly one caller reports leader. The callers use
+// the hooks the production callers use — lookup reads a cache, publish
+// fills it — because a caller with no cache that arrives after the flight
+// retired starts a new flight by design. With the hooks, a caller whose
+// goroutine starts late is served by the cache or by the double-checked
+// lookup instead, however the scheduler orders the callers.
 func TestGroupCollapsesConcurrentCallers(t *testing.T) {
 	var g parallel.Group[int]
+	var cache atomic.Pointer[int]
+	lookup := func() (int, bool) {
+		if p := cache.Load(); p != nil {
+			return *p, true
+		}
+		return 0, false
+	}
+	publish := func(v int) { cache.Store(&v) }
 	var computes, leaders atomic.Int64
 	gate := make(chan struct{})
 	const callers = 16
@@ -21,11 +34,11 @@ func TestGroupCollapsesConcurrentCallers(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, leader, err := g.Do("k", nil, nil, func() (int, error) {
+			v, leader, err := g.Do("k", lookup, nil, func() (int, error) {
 				computes.Add(1)
 				<-gate
 				return 42, nil
-			}, nil)
+			}, publish)
 			if leader {
 				leaders.Add(1)
 			}
@@ -34,8 +47,8 @@ func TestGroupCollapsesConcurrentCallers(t *testing.T) {
 			}
 		}()
 	}
-	// Let the flight form, then release it. The gate ensures followers
-	// actually join an in-progress flight rather than racing sequentially.
+	// Let the flight form, then release it, so the callers that have
+	// started by then join an in-progress flight.
 	for g.Len() == 0 {
 	}
 	close(gate)

@@ -72,9 +72,8 @@ func FingerprintHex(w *workload.Workload) string {
 // Key returns the content address of the strategy selected for (w, opts):
 // a hex digest over the workload fingerprint and every selection option
 // that can influence the result. Options that cannot change the selected
-// strategy — Workers (results are bit-identical at any worker count) and
-// the cache placement fields — are excluded, so runs on different machines
-// or cache directories share cache entries.
+// strategy — Workers (results are bit-identical at any worker count) —
+// are excluded, so runs on different machines share cache entries.
 //
 // The kernel backend CAN change the selected strategy (lane-split
 // accumulation perturbs the optimizer's floats at ULP, and gradient

@@ -194,8 +194,8 @@ func TestFingerprintHex(t *testing.T) {
 	}
 }
 
-// TestKeyIgnoresNonResultOptions: Workers and cache placement cannot change
-// the selected strategy, so they must not change the cache key; options
+// TestKeyIgnoresNonResultOptions: Workers cannot change the selected
+// strategy, so they must not change the cache key; options
 // that do change the result must.
 func TestKeyIgnoresNonResultOptions(t *testing.T) {
 	w := workload.Single(workload.AllRange(8))
@@ -203,7 +203,6 @@ func TestKeyIgnoresNonResultOptions(t *testing.T) {
 
 	same := []core.HDMMOptions{
 		{Restarts: 3, Seed: 5, Workers: 8},
-		{Restarts: 3, Seed: 5, CacheDir: "/somewhere/else", CacheEntries: 7},
 	}
 	for i, o := range same {
 		if Key(w, o) != base {

@@ -86,12 +86,10 @@ var (
 )
 
 // Shared returns the process-wide registry for dir, creating it on first
-// use. The instance is keyed by the cleaned directory path alone —
-// splitting it by spelling ("cache" vs "./cache") or by LRU capacity would
-// fragment the cache and the singleflight domain — so the first caller's
-// memEntries (<= 0 selects DefaultMemEntries) fixes the capacity and later
-// values are ignored.
-func Shared(dir string, memEntries int) (*Registry, error) {
+// use with the default LRU capacity. The instance is keyed by the cleaned
+// directory path, so spellings of one directory ("cache" vs "./cache")
+// share one cache and one singleflight domain.
+func Shared(dir string) (*Registry, error) {
 	if dir != "" {
 		dir = filepath.Clean(dir)
 	}
@@ -100,7 +98,7 @@ func Shared(dir string, memEntries int) (*Registry, error) {
 	if r, ok := sharedRegs[dir]; ok {
 		return r, nil
 	}
-	r, err := Open(dir, memEntries)
+	r, err := Open(dir, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -261,23 +261,22 @@ func TestPutUnwritableDir(t *testing.T) {
 	}
 }
 
-// TestSharedByDir: Shared returns one instance per directory regardless of
-// the requested LRU capacity, so all callers against a store share one
-// cache and one singleflight domain.
+// TestSharedByDir: Shared returns one instance per directory, so all
+// callers against a store share one cache and one singleflight domain.
 func TestSharedByDir(t *testing.T) {
 	dir := t.TempDir()
-	a, err := Shared(dir, 16)
+	a, err := Shared(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Shared(dir, 128)
+	b, err := Shared(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
 		t.Error("Shared returned distinct registries for one directory")
 	}
-	c, err := Shared(t.TempDir(), 16)
+	c, err := Shared(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +284,7 @@ func TestSharedByDir(t *testing.T) {
 		t.Error("Shared returned one registry for two directories")
 	}
 	// Path spellings of one directory share an instance.
-	d, err := Shared(dir+string(filepath.Separator)+".", 16)
+	d, err := Shared(dir + string(filepath.Separator) + ".")
 	if err != nil {
 		t.Fatal(err)
 	}

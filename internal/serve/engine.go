@@ -12,7 +12,6 @@ package serve
 import (
 	"context"
 	"fmt"
-	"math/rand/v2"
 	"time"
 
 	"repro/internal/core"
@@ -24,8 +23,7 @@ import (
 
 // Options configures an Engine.
 type Options struct {
-	// Selection controls strategy search on a cache miss; its CacheDir and
-	// CacheEntries fields place the strategy registry (see Registry below).
+	// Selection controls strategy search on a cache miss.
 	Selection core.HDMMOptions
 	// Delta selects the measurement mechanism: 0 runs the ε-DP Laplace
 	// mechanism, a value in (0,1) runs the (ε,δ)-DP Gaussian mechanism
@@ -37,15 +35,13 @@ type Options struct {
 	// path: the noise source is seeded from crypto/rand, so engines built
 	// at different times release independent noise.
 	Seed uint64
-	// Rand overrides the noise source (optional).
-	Rand *rand.Rand
 	// Workers bounds the goroutines answering one batch (<= 0: all cores).
 	// Answers are bit-identical for any value.
 	Workers int
-	// Registry overrides the strategy cache. When nil, the Engine uses the
-	// process-wide shared registry for Selection.CacheDir/CacheEntries
-	// (memory-only if CacheDir is ""), so engines built at different times
-	// in one process reuse each other's strategies.
+	// Registry is the strategy cache. When nil, the Engine uses the
+	// process-wide in-memory registry (registry.Shared("")), so engines
+	// built at different times in one process reuse each other's
+	// strategies.
 	Registry *registry.Registry
 	// SolveMaxIter caps the LSMR iterations of a union-strategy
 	// reconstruction (0 = solver default). When the budget binds before
@@ -105,11 +101,8 @@ func NewEngineCtx(ctx context.Context, w *workload.Workload, x []float64, eps fl
 
 	reg := opts.Registry
 	if reg == nil {
-		// The shared per-directory instance, so engines built at different
-		// times in one process reuse the same in-memory LRU even when
-		// CacheDir is unset.
 		var err error
-		reg, err = registry.Shared(opts.Selection.CacheDir, opts.Selection.CacheEntries)
+		reg, err = registry.Shared("")
 		if err != nil {
 			return nil, err
 		}
@@ -130,10 +123,7 @@ func NewEngineCtx(ctx context.Context, w *workload.Workload, x []float64, eps fl
 		return nil, err
 	}
 
-	rng := opts.Rand
-	if rng == nil {
-		rng = mech.NoiseRNG(opts.Seed) // deterministic if Seed non-zero, crypto/rand otherwise
-	}
+	rng := mech.NoiseRNG(opts.Seed) // deterministic if Seed non-zero, crypto/rand otherwise
 	// Keys bind strategies to workloads by content address, but nothing
 	// stops an operator from renaming .strat files between cache dirs; a
 	// mismatched strategy must fail here with an error, not panic inside
@@ -340,24 +330,6 @@ func (e *Engine) answer(ctx context.Context, products []workload.Product, shared
 			return nil, ctxErr // cancellation, undecorated (see AnswerCtx)
 		}
 		return nil, fmt.Errorf("serve: %w", err)
-	}
-	return out, nil
-}
-
-// AnswerWorkload answers every query of a workload over the same domain,
-// flattened in workload order — the serving counterpart of
-// mech.AnswerWorkload, evaluated concurrently on the private estimate.
-func (e *Engine) AnswerWorkload(w *workload.Workload) ([]float64, error) {
-	if w.Domain.Size() != e.w.Domain.Size() {
-		return nil, fmt.Errorf("serve: workload domain size %d, engine domain size %d", w.Domain.Size(), e.w.Domain.Size())
-	}
-	parts, err := e.AnswerCtx(context.Background(), w.Products)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, 0, w.NumQueries())
-	for _, p := range parts {
-		out = append(out, p...)
 	}
 	return out, nil
 }

@@ -50,6 +50,17 @@ func sameFloats(a, b []float64) bool {
 	return true
 }
 
+// answerWorkload answers every product of w on the engine through one
+// AnswerCtx batch, flattened in workload order.
+func answerWorkload(t *testing.T, eng *serve.Engine, w *workload.Workload) ([]float64, error) {
+	parts, err := eng.AnswerCtx(t.Context(), w.Products)
+	var out []float64
+	for _, p := range parts {
+		out = append(out, p...)
+	}
+	return out, err
+}
+
 // spendsOnce runs f and fails the test unless it took exactly one private
 // measurement (ε is spent once per run or engine). The counter is
 // process-wide, so callers must not run in parallel with other tests.
@@ -81,8 +92,6 @@ func TestEngineMatchesRun(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	selCached := sel
-	selCached.CacheDir = dir
 	for round := 0; round < 2; round++ { // round 0 computes+stores, round 1 loads from disk
 		reg, err := registry.Open(dir, 0)
 		if err != nil {
@@ -90,7 +99,7 @@ func TestEngineMatchesRun(t *testing.T) {
 		}
 		var eng *serve.Engine
 		spendsOnce(t, "serve.NewEngineCtx", func() {
-			eng, err = serve.NewEngineCtx(t.Context(), w, x, eps, serve.Options{Selection: selCached, Seed: seed, Registry: reg})
+			eng, err = serve.NewEngineCtx(t.Context(), w, x, eps, serve.Options{Selection: sel, Seed: seed, Registry: reg})
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -101,7 +110,7 @@ func TestEngineMatchesRun(t *testing.T) {
 		if !sameFloats(eng.Xhat(), direct.Xhat) {
 			t.Fatalf("round %d: engine x̂ differs from direct run", round)
 		}
-		got, err := eng.AnswerWorkload(w)
+		got, err := answerWorkload(t, eng, w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +144,7 @@ func TestEngineMatchesRunGaussian(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := eng.AnswerWorkload(w)
+	got, err := answerWorkload(t, eng, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,10 +161,13 @@ func TestEngineMatchesRunGaussian(t *testing.T) {
 // registry.
 func TestEngineCacheSkipsOptimization(t *testing.T) {
 	w, x := testWorkload(t)
-	dir := t.TempDir()
-	sel := hdmm.SelectOptions{Restarts: 2, Seed: 3, CacheDir: dir}
+	reg, err := registry.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel := hdmm.SelectOptions{Restarts: 2, Seed: 3}
 
-	eng1, err := serve.NewEngineCtx(t.Context(), w, x, 1.0, serve.Options{Selection: sel, Seed: 1})
+	eng1, err := serve.NewEngineCtx(t.Context(), w, x, 1.0, serve.Options{Selection: sel, Seed: 1, Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +176,7 @@ func TestEngineCacheSkipsOptimization(t *testing.T) {
 	}
 
 	before := core.RestartsPerformed()
-	eng2, err := serve.NewEngineCtx(t.Context(), w, x, 1.0, serve.Options{Selection: sel, Seed: 2})
+	eng2, err := serve.NewEngineCtx(t.Context(), w, x, 1.0, serve.Options{Selection: sel, Seed: 2, Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -148,7 +148,7 @@ func TestProgrammaticRegisterStageBreakdown(t *testing.T) {
 	for i := range data {
 		data[i] = float64((i * 7) % 13)
 	}
-	resp, err := srv.Register(&server.RegisterRequest{
+	resp, err := srv.RegisterCtx(t.Context(), &server.RegisterRequest{
 		Domain:   []int{2, 16},
 		Queries:  []string{"I,R", "T,P"},
 		Data:     data,

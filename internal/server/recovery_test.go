@@ -77,14 +77,14 @@ func TestRecoveryByteIdentity(t *testing.T) {
 			queries := &server.AnswerRequest{Queries: []string{"I,T", "T,R"}}
 
 			srv1 := newSnapshotServer(t, snapDir, workers)
-			r1, err := srv1.Register(body)
+			r1, err := srv1.RegisterCtx(t.Context(), body)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if r1.Reused {
 				t.Fatal("fresh registration reported reused")
 			}
-			a1, err := srv1.Answer(r1.Key, queries)
+			a1, err := srv1.AnswerCtx(t.Context(), r1.Key, queries)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -108,7 +108,7 @@ func TestRecoveryByteIdentity(t *testing.T) {
 				t.Fatalf("snapshot stats after recovery = %+v", srv2.Metrics().Snapshots)
 			}
 
-			a2, err := srv2.Answer(r1.Key, queries)
+			a2, err := srv2.AnswerCtx(t.Context(), r1.Key, queries)
 			if err != nil {
 				t.Fatalf("recovered engine did not answer under the original key: %v", err)
 			}
@@ -117,7 +117,7 @@ func TestRecoveryByteIdentity(t *testing.T) {
 			// Idempotent re-registration: the persisted key-derivation
 			// secret must make the restarted daemon derive the SAME key and
 			// reuse the recovered engine instead of measuring again.
-			r2, err := srv2.Register(body)
+			r2, err := srv2.RegisterCtx(t.Context(), body)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -146,14 +146,14 @@ func testData(n int) []float64 {
 func TestRecoveryQuarantinesCorruptSnapshot(t *testing.T) {
 	snapDir := filepath.Join(t.TempDir(), "snaps")
 	srv1 := newSnapshotServer(t, snapDir, 2)
-	good, err := srv1.Register(&server.RegisterRequest{
+	good, err := srv1.RegisterCtx(t.Context(), &server.RegisterRequest{
 		Domain: []int{2, 16}, Queries: []string{"I,R"}, Data: testData(32),
 		Eps: 1.0, Seed: 3, Restarts: 2, OptSeed: 9,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad, err := srv1.Register(&server.RegisterRequest{
+	bad, err := srv1.RegisterCtx(t.Context(), &server.RegisterRequest{
 		Domain: []int{6}, Queries: []string{"T"}, Data: testData(6),
 		Eps: 1.0, Seed: 4, Restarts: 2, OptSeed: 9,
 	})
@@ -180,10 +180,10 @@ func TestRecoveryQuarantinesCorruptSnapshot(t *testing.T) {
 	if !m.Degraded || m.Snapshots == nil || m.Snapshots.Recovered != 1 || m.Snapshots.Quarantined != 1 {
 		t.Fatalf("metrics after corrupt recovery = degraded=%v snapshots=%+v", m.Degraded, m.Snapshots)
 	}
-	if _, err := srv2.Answer(good.Key, &server.AnswerRequest{Queries: []string{"I,T"}}); err != nil {
+	if _, err := srv2.AnswerCtx(t.Context(), good.Key, &server.AnswerRequest{Queries: []string{"I,T"}}); err != nil {
 		t.Fatalf("healthy engine lost alongside the corrupt one: %v", err)
 	}
-	if _, err := srv2.Answer(bad.Key, &server.AnswerRequest{Queries: []string{"T"}}); err == nil {
+	if _, err := srv2.AnswerCtx(t.Context(), bad.Key, &server.AnswerRequest{Queries: []string{"T"}}); err == nil {
 		t.Fatal("corrupt snapshot was served")
 	}
 	// Quarantined, not deleted: the bytes are preserved for forensics.
@@ -226,14 +226,14 @@ func TestSnapshotDirUnavailable(t *testing.T) {
 	if m.Snapshots != nil {
 		t.Fatalf("snapshot stats without a store = %+v", m.Snapshots)
 	}
-	r, err := srv.Register(&server.RegisterRequest{
+	r, err := srv.RegisterCtx(t.Context(), &server.RegisterRequest{
 		Domain: []int{6}, Queries: []string{"T"}, Data: testData(6),
 		Eps: 1.0, Seed: 3, Restarts: 2, OptSeed: 9,
 	})
 	if err != nil {
 		t.Fatalf("degraded daemon refused a registration: %v", err)
 	}
-	if _, err := srv.Answer(r.Key, &server.AnswerRequest{Queries: []string{"T"}}); err != nil {
+	if _, err := srv.AnswerCtx(t.Context(), r.Key, &server.AnswerRequest{Queries: []string{"T"}}); err != nil {
 		t.Fatalf("degraded daemon refused to answer: %v", err)
 	}
 }
@@ -244,7 +244,7 @@ func TestSnapshotDirUnavailable(t *testing.T) {
 func TestMetricsPrometheusExposition(t *testing.T) {
 	snapDir := filepath.Join(t.TempDir(), "snaps")
 	srv := newSnapshotServer(t, snapDir, 2)
-	if _, err := srv.Register(&server.RegisterRequest{
+	if _, err := srv.RegisterCtx(t.Context(), &server.RegisterRequest{
 		Domain: []int{6}, Queries: []string{"T"}, Data: testData(6),
 		Eps: 1.0, Seed: 3, Restarts: 2, OptSeed: 9,
 	}); err != nil {

@@ -121,8 +121,6 @@ type Config struct {
 	// server hosts ("" = in-memory only). Strategies optimized by `hdmm
 	// optimize` into the same directory are loaded, never recomputed.
 	CacheDir string
-	// CacheEntries bounds the registry's in-memory LRU (<= 0 = default).
-	CacheEntries int
 	// SnapshotDir is the durable engine-snapshot store ("" = no
 	// durability). Every registration that takes a measurement persists
 	// its engine state there crash-safely, and a restarted daemon
@@ -216,9 +214,9 @@ type StageTiming struct {
 }
 
 // New builds a Server for cfg, backed by the process-wide shared registry
-// for cfg.CacheDir/CacheEntries.
+// for cfg.CacheDir.
 func New(cfg Config) (*Server, error) {
-	reg, err := registry.Shared(cfg.CacheDir, cfg.CacheEntries)
+	reg, err := registry.Shared(cfg.CacheDir)
 	if err != nil {
 		return nil, err
 	}
@@ -498,19 +496,14 @@ func badRequest(format string, args ...any) error {
 	return &httpError{code: http.StatusBadRequest, msg: fmt.Sprintf(format, args...)}
 }
 
-// Register validates req, builds (or reuses) the engine, and returns its
-// key and strategy provenance. It is the programmatic form of
+// RegisterCtx validates req, builds (or reuses) the engine, and returns
+// its key and strategy provenance. It is the programmatic form of
 // POST /v1/engines, used by the CLI's pre-registration path and tests.
-func (s *Server) Register(req *RegisterRequest) (*RegisterResponse, error) {
-	return s.RegisterCtx(context.Background(), req)
-}
-
-// RegisterCtx is Register under a context: the context's trace (if any)
-// receives the registration's stage spans — parse, optimize, measure, and
-// for union strategies precondition and solve — and cancellation aborts
-// the build at its privacy-safe points (before optimization and before the
-// measurement; never after, since by then the budget is spent and the
-// engine must be finished and kept).
+// The context's trace (if any) receives the registration's stage spans —
+// parse, optimize, measure, and for union strategies precondition and
+// solve — and cancellation aborts the build at its privacy-safe points
+// (before optimization and before the measurement; never after, since by
+// then the budget is spent and the engine must be finished and kept).
 func (s *Server) RegisterCtx(ctx context.Context, req *RegisterRequest) (*RegisterResponse, error) {
 	start := time.Now()
 	// Programmatic callers (startup pre-registration, embedders) arrive
@@ -570,11 +563,9 @@ func (s *Server) RegisterCtx(ctx context.Context, req *RegisterRequest) (*Regist
 		return nil, err
 	}
 	sel := core.HDMMOptions{
-		Restarts:     restarts,
-		Seed:         req.OptSeed,
-		Workers:      s.cfg.Workers,
-		CacheDir:     s.cfg.CacheDir,
-		CacheEntries: s.cfg.CacheEntries,
+		Restarts: restarts,
+		Seed:     req.OptSeed,
+		Workers:  s.cfg.Workers,
 	}
 	strategyKey := registry.Key(w, sel)
 	key := s.engineKey(strategyKey, req.Eps, req.Delta, req.Seed, x)
@@ -642,18 +633,14 @@ func (s *Server) answerBudgetExceeded() error {
 	return badRequest("batch demands more than %d values (evaluation intermediates plus materialized query matrices); split the batch or raise the server's MaxAnswerValues", s.cfg.MaxAnswerValues)
 }
 
-// Answer evaluates a batch of product specs on the engine registered under
-// key — the programmatic form of POST /v1/engines/{key}/answer. Every slot
-// of the response owns its slice; the HTTP handler, whose response is
-// serialized immediately, runs the alias-duplicates fast path instead.
-func (s *Server) Answer(key string, req *AnswerRequest) (*AnswerResponse, error) {
-	return s.answer(context.Background(), key, req, false)
-}
-
-// AnswerCtx is Answer under a context: the context's trace receives the
-// answer-stage span, and cancellation (a disconnected client) stops the
-// batch evaluation mid-way — answering is privacy-free post-processing, so
-// abandoning it is always safe and the CPU goes back to live requests.
+// AnswerCtx evaluates a batch of product specs on the engine registered
+// under key — the programmatic form of POST /v1/engines/{key}/answer. Every
+// slot of the response owns its slice; the HTTP handler, whose response is
+// serialized immediately, runs the alias-duplicates fast path instead. The
+// context's trace receives the answer-stage span, and cancellation (a
+// disconnected client) stops the batch evaluation mid-way — answering is
+// privacy-free post-processing, so abandoning it is always safe and the
+// CPU goes back to live requests.
 func (s *Server) AnswerCtx(ctx context.Context, key string, req *AnswerRequest) (*AnswerResponse, error) {
 	return s.answer(ctx, key, req, false)
 }
@@ -1114,7 +1101,7 @@ func (s *Server) engineKey(strategyKey string, eps, delta float64, seed uint64, 
 		// v+0 collapses -0.0 onto +0.0 (IEEE 754): a client whose float
 		// serializer emits a zero count as -0 must hit the same engine,
 		// not fork the key into a second measurement of the same
-		// histogram — mirroring the delta normalization in Register.
+		// histogram — mirroring the delta normalization in RegisterCtx.
 		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v+0))
 		h.Write(buf[:])
 	}

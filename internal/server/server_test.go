@@ -601,12 +601,12 @@ func TestRestartsCapAppliesToDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.Register(&server.RegisterRequest{
+	if _, err := srv.RegisterCtx(t.Context(), &server.RegisterRequest{
 		Domain: []int{4}, Queries: []string{"I"}, Data: []float64{1, 2, 3, 4}, Eps: 1,
 	}); err == nil {
 		t.Fatal("omitted restarts (default 5) accepted under MaxRestarts=2")
 	}
-	if _, err := srv.Register(&server.RegisterRequest{
+	if _, err := srv.RegisterCtx(t.Context(), &server.RegisterRequest{
 		Domain: []int{4}, Queries: []string{"I"}, Data: []float64{1, 2, 3, 4}, Eps: 1, Restarts: 2,
 	}); err != nil {
 		t.Fatalf("explicit in-cap restarts rejected: %v", err)
@@ -619,7 +619,7 @@ func TestRestartsCapAppliesToDefault(t *testing.T) {
 func TestNonFiniteDataRejected(t *testing.T) {
 	srv, _ := newTestServer(t, t.TempDir())
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		_, err := srv.Register(&server.RegisterRequest{
+		_, err := srv.RegisterCtx(t.Context(), &server.RegisterRequest{
 			Domain: []int{2}, Queries: []string{"I"}, Data: []float64{1, bad}, Eps: 1,
 		})
 		if err == nil {
