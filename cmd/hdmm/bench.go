@@ -105,10 +105,11 @@ func randSlice(rng *rand.Rand, n int) []float64 {
 }
 
 // benchCases builds the harness: the Kronecker kernels on a 3-factor
-// 68×64 product (the shape of the existing kernel microbenchmarks), the
-// two reconstruction paths, and the batched serving path. workers bounds
-// the serving engine's batch fan-out (the kernels read the process-wide
-// bound the caller has already set).
+// 68×64 product (the shape of the existing kernel microbenchmarks) and on
+// a CPH strategy block's factor shapes, the two reconstruction paths, and
+// the batched serving path. workers bounds the serving engine's batch
+// fan-out (the kernels read the process-wide bound the caller has already
+// set).
 func benchCases(workers int) ([]benchCase, error) {
 	rng := benchRand(101)
 	ctx := context.Background()
@@ -126,11 +127,31 @@ func benchCases(workers int) ([]benchCase, error) {
 	dst := make([]float64, rows)
 	dstT := make([]float64, cols)
 	ws := kron.NewWorkspace()
-	p.MatVecTo(dst, x, ws) // warm workspace + transpose caches
+	p.MatVecTo(dst, x, ws) // grow the workspace buffers
 	p.MatTVecTo(dstT, y, ws)
 	cases = append(cases,
 		benchCase{"kron/matvec", int64(8 * (cols + rows)), func() { p.MatVecTo(dst, x, ws) }},
 		benchCase{"kron/mattvec", int64(8 * (rows + cols)), func() { p.MatTVecTo(dstT, y, ws) }},
+	)
+
+	// --- The same kernels on the factor shapes of one strategy block of
+	// the CPH schema (2·2·64·17·115 = 500480 cells): unequal factors, so
+	// the forward and transposed sweeps contract them in opposite order.
+	// Its own generator keeps the other rows' inputs unchanged.
+	crng := benchRand(211)
+	cph := kron.NewProduct(randDense(crng, 3, 2), randDense(crng, 3, 2),
+		randDense(crng, 65, 64), randDense(crng, 18, 17), randDense(crng, 122, 115))
+	crows, ccols := cph.Dims()
+	cx := randSlice(crng, ccols)
+	cy := randSlice(crng, crows)
+	cdst := make([]float64, crows)
+	cdstT := make([]float64, ccols)
+	cws := kron.NewWorkspace()
+	cph.MatVecTo(cdst, cx, cws)
+	cph.MatTVecTo(cdstT, cy, cws)
+	cases = append(cases,
+		benchCase{"kron/matvec-cph", int64(8 * (ccols + crows)), func() { cph.MatVecTo(cdst, cx, cws) }},
+		benchCase{"kron/mattvec-cph", int64(8 * (crows + ccols)), func() { cph.MatTVecTo(cdstT, cy, cws) }},
 	)
 
 	const k = 16

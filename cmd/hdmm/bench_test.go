@@ -32,6 +32,7 @@ func TestCmdBench(t *testing.T) {
 	}
 	want := map[string]bool{
 		"kron/matvec": false, "kron/mattvec": false, "kron/matmul16": false,
+		"kron/matvec-cph": false, "kron/mattvec-cph": false,
 		"reconstruct/kron": false, "reconstruct/union": false,
 		"serve/answer512": false, "snapshot/roundtrip": false,
 	}

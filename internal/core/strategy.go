@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"time"
 
 	"repro/internal/kron"
 	"repro/internal/lsmr"
@@ -176,7 +177,7 @@ func (s *KronStrategy) Reconstruct(y []float64) ([]float64, error) {
 // g scaled by budget share βg (Σβ = 1, so total sensitivity stays 1). Each
 // group of workload products is reconstructed from its own block. Parts
 // and Shares must not be mutated after the first Operator call: the built
-// stack (and with it the per-operator offset/transpose caches) is memoized.
+// stack (and with it the stack's cached block offsets) is memoized.
 type UnionStrategy struct {
 	Parts  []*KronStrategy
 	Shares []float64
@@ -255,7 +256,8 @@ type ReconstructOptions struct {
 	// Trace, when non-nil, receives stage spans for the reconstruction:
 	// StagePrecondition covering the preconditioner build (cached after the
 	// first reconstruction of a strategy, so later spans are ~0) and
-	// StageSolve covering the LSMR solve. Nil-safe and allocation-free.
+	// StageSolve covering the LSMR solve and, when preconditioned, the
+	// map back x = M·z. Nil-safe and allocation-free.
 	Trace *obs.Trace
 }
 
@@ -470,8 +472,13 @@ func (s *UnionStrategy) ReconstructOpt(y []float64, opts ReconstructOptions) ([]
 	})
 	x := res.X
 	if pcM != nil {
+		// The map back is a full Kronecker application over the domain
+		// and part of the reconstruction, so its time belongs to the
+		// solve stage; left out, it is registration time no stage explains.
+		start := time.Now()
 		x = make([]float64, cols)
 		pcM.MatVecTo(x, res.X, ws)
+		opts.Trace.Observe(obs.StageSolve, time.Since(start))
 	}
 	if opts.Info != nil {
 		*opts.Info = SolveInfo{

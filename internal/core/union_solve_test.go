@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/lsmr"
+	"repro/internal/obs"
 	"repro/internal/workload"
 )
 
@@ -167,4 +168,36 @@ func TestUnionReconstructDeterministicAcrossWorkers(t *testing.T) {
 		ys[j] = randMeasurement(rng, s)
 	}
 	checkReconstructAcrossWorkers(t, s.Reconstruct, ys)
+}
+
+// TestUnionReconstructTracesMapBack: a traced preconditioned
+// reconstruction charges the map back x = M·z to the solve stage, next to
+// the LSMR solve itself, so a registration's stage spans cover it; the
+// unpreconditioned solve has no map back and records the solve alone.
+func TestUnionReconstructTracesMapBack(t *testing.T) {
+	rng := rand.New(rand.NewPCG(47, 48))
+	s := testUnionStrategy(t)
+	y := randMeasurement(rng, s)
+	for _, tc := range []struct {
+		noPrecond bool
+		want      int
+	}{{false, 2}, {true, 1}} {
+		tr := obs.NewTrace("reconstruct")
+		var info SolveInfo
+		if _, err := s.ReconstructOpt(y, ReconstructOptions{NoPrecond: tc.noPrecond, Info: &info, Trace: tr}); err != nil {
+			t.Fatal(err)
+		}
+		if info.Preconditioned == tc.noPrecond {
+			t.Fatalf("NoPrecond=%v ran preconditioned=%v", tc.noPrecond, info.Preconditioned)
+		}
+		count := 0
+		for _, sp := range tr.Spans() {
+			if sp.Stage == obs.StageSolve {
+				count = sp.Count
+			}
+		}
+		if count != tc.want {
+			t.Errorf("NoPrecond=%v: %d solve-stage observations, want %d", tc.noPrecond, count, tc.want)
+		}
+	}
 }

@@ -7,7 +7,7 @@ import (
 
 // TestApplicationsAreAllocationFree asserts the zero-allocation contract of
 // the GEMM-backed application layer: once a workspace's buffers (and the
-// product's cached transposes) have grown to size, MatVecTo, MatTVecTo,
+// stack's cached offsets) have grown to size, MatVecTo, MatTVecTo,
 // MatMulTo, and the stacked forms perform no allocations at all. Run at
 // Workers=1 — the serial paths are the contract; parallel fan-out spawns
 // goroutines, whose bookkeeping is constant per application and covered by
@@ -40,7 +40,7 @@ func TestApplicationsAreAllocationFree(t *testing.T) {
 	sdstT := make([]float64, scols)
 	sws := NewWorkspace()
 
-	// Warm caches: workspace buffers, transposed factors, stack offsets.
+	// Warm caches: workspace buffers, stack offsets.
 	p.MatVecTo(dst, x, ws)
 	p.MatTVecTo(dstT, y, ws)
 	p.MatMulTo(batch, xs, k, ws)

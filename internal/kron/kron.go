@@ -6,14 +6,14 @@
 //
 // The application layer is GEMM-backed and allocation-free: every mode
 // contraction of Algorithm 1 is one mat.ContractNT call (out = F·Zᵀ) over
-// a reusable two-buffer Workspace, the transpose path runs on per-factor
-// cached transposes so its inner loops stream contiguous rows instead of
-// striding down columns, and a multi-RHS entry point (Product.MatMulTo)
-// applies one product to a block of k vectors with the batch axis folded
-// into the GEMMs. Results are bit-identical to the scalar reference
-// algorithm at any worker count: each output element is a single serial
-// dot product accumulated in ascending index order no matter how the
-// output range is sharded.
+// a reusable two-buffer Workspace, the transpose path runs the exact
+// adjoint of that sweep (mode 0 first, one mat.ContractTN call per mode,
+// out = Zᵀ·F on the factor as stored) so Aᵀy costs the flops Ax costs,
+// and a multi-RHS entry point (Product.MatMulTo) applies one product to a
+// block of k vectors with the batch axis folded into the GEMMs. Results
+// are bit-identical to the scalar reference algorithm at any worker
+// count: each output element is a single serial dot product accumulated
+// in ascending index order no matter how the output range is sharded.
 package kron
 
 import (
@@ -183,14 +183,9 @@ func (d Dense) Sensitivity() float64     { return mat.L1Norm(d.M) }
 // Kronecker product
 // ---------------------------------------------------------------------------
 
-// Product is the Kronecker product A1 ⊗ ··· ⊗ Ad of dense factors. Factors
-// must not be mutated after the first application: the transpose path
-// caches per-factor transposes on first use.
+// Product is the Kronecker product A1 ⊗ ··· ⊗ Ad of dense factors.
 type Product struct {
 	Factors []*mat.Dense
-
-	tOnce    sync.Once
-	tFactors []*mat.Dense // cached factor transposes for the MatTVec path
 }
 
 // NewProduct builds a Kronecker product operator.
@@ -221,21 +216,6 @@ func (p *Product) Sensitivity() float64 {
 	return s
 }
 
-// transposedFactors returns cached per-factor transposes. Materializing
-// Aᵢᵀ once (each only nᵢ×mᵢ) turns the transpose contraction into the same
-// row-streaming GEMM as the forward one — the scalar reference walked
-// columns of Aᵢ element-by-element on every application.
-func (p *Product) transposedFactors() []*mat.Dense {
-	p.tOnce.Do(func() {
-		tf := make([]*mat.Dense, len(p.Factors))
-		for i, f := range p.Factors {
-			tf[i] = f.T()
-		}
-		p.tFactors = tf
-	})
-	return p.tFactors
-}
-
 // MatVec applies the product via Algorithm 1; see MatVecTo.
 func (p *Product) MatVec(dst, x []float64) { p.MatVecTo(dst, x, nil) }
 
@@ -254,13 +234,15 @@ func (p *Product) MatVecTo(dst, x []float64, ws *Workspace) {
 }
 
 // MatTVecTo writes Aᵀ·y into dst (len cols), drawing all scratch from ws
-// (nil borrows a pooled workspace). dst may not alias y.
+// (nil borrows a pooled workspace). dst may not alias y. It runs the
+// adjoint of MatVecTo's sweep, so it costs the multiply-adds MatVecTo
+// costs; see applyAdjoint.
 func (p *Product) MatTVecTo(dst, y []float64, ws *Workspace) {
 	if ws == nil {
 		ws = GetWorkspace()
 		defer PutWorkspace(ws)
 	}
-	applyFactors(dst, p.transposedFactors(), y, 1, ws)
+	applyAdjoint(dst, p.Factors, y, ws)
 }
 
 // MatMulTo applies the product to k vectors at once: xs holds the vectors
@@ -279,18 +261,21 @@ func (p *Product) MatMulTo(dst, xs []float64, k int, ws *Workspace) {
 	applyFactors(dst, p.Factors, xs, k, ws)
 }
 
-// applyFactors runs Algorithm 1 (Appendix A.5) as a sweep of GEMMs over a
-// batch of k vectors stored row-major in x (k×n). At each step the current
-// batch is viewed as a rows×fc matrix Z whose leading axis carries the
-// batch and all not-yet-contracted tensor axes, and the factor application
-// "multiply by F and transpose" is exactly out = F·Zᵀ — one mat.ContractNT
-// (the factor-resident, intermediate-streaming GEMM order) into the next
-// ping-pong buffer (or straight into dst on the final step when k == 1;
-// for k > 1 the batch axis ends up trailing after d contractions, so one
-// transpose pass delivers the row-major k×m result). Each output element
-// is a single dot product accumulated in ascending index order both
-// serially and under mat's row sharding, so results are bit-identical to
-// the scalar reference at any worker count.
+// applyFactors runs Algorithm 1 (Appendix A.5) forward, A·x, as a sweep of
+// GEMMs over a batch of k vectors stored row-major in x (k×n). It
+// contracts modes d-1 → 0: at each step the current batch is viewed as a
+// rows×fc matrix Z whose trailing axis is the mode being contracted and
+// whose leading axis carries the batch and all not-yet-contracted tensor
+// axes, and the factor application "multiply by F and transpose" is
+// exactly out = F·Zᵀ — one mat.ContractNT (the factor-resident,
+// intermediate-streaming GEMM order) into the next ping-pong buffer, the
+// result axis rotated to the front (or straight into dst on the final
+// step when k == 1; for k > 1 the batch axis ends up trailing after d
+// contractions, so one transpose pass delivers the row-major k×m result).
+// applyAdjoint is its mirror for Aᵀ·y. Each output element is a single
+// dot product accumulated in ascending index order both serially and
+// under mat's row sharding, so results are bit-identical to the scalar
+// reference at any worker count.
 func applyFactors(dst []float64, factors []*mat.Dense, x []float64, k int, ws *Workspace) {
 	d := len(factors)
 	m, n := 1, 1
@@ -334,6 +319,53 @@ func applyFactors(dst []float64, factors []*mat.Dense, x []float64, k int, ws *W
 				dst[v*m+j] = val
 			}
 		}
+	}
+}
+
+// applyAdjoint writes Aᵀ·y into dst by running applyFactors' sweep for one
+// vector backwards: the forward sweep contracts mode d-1 first and rotates
+// each result axis to the front, so its adjoint contracts mode 0 first and
+// rotates each result axis to the back. At step i the current vector is a
+// mᵢ×rest matrix Z whose leading axis is mode i, and the step is
+// out = Zᵀ·Aᵢ — one mat.ContractTN on the factor as stored, landing as a
+// rest×nᵢ matrix in the next ping-pong buffer (straight into dst on the
+// last step). After d steps the axes are back in order (n1,…,nd). Both
+// sweeps contract mode i while the other axes are n_j for j < i and m_j
+// for j > i, so each step costs mᵢ·nᵢ·rest multiply-adds in either
+// direction and cost(Aᵀ) = cost(A) for any factor shapes.
+// Like the forward sweep, each output element is one serial sum over k
+// ascending, so the result is the same at any worker count.
+func applyAdjoint(dst []float64, factors []*mat.Dense, y []float64, ws *Workspace) {
+	m, n := 1, 1
+	for _, f := range factors {
+		fr, fc := f.Dims()
+		m *= fr
+		n *= fc
+	}
+	if len(y) != m {
+		panic(fmt.Sprintf("kron: input length %d want %d", len(y), m))
+	}
+	if len(dst) != n {
+		panic(fmt.Sprintf("kron: output length %d want %d", len(dst), n))
+	}
+	cur := y
+	size := m // length of cur
+	buf := 0
+	for i, f := range factors {
+		fr, fc := f.Dims()
+		rest := size / fr
+		var out []float64
+		if i == len(factors)-1 {
+			out = dst
+		} else {
+			out = ws.buf(buf, rest*fc)
+			buf ^= 1
+		}
+		z := ws.z.Reshape(fr, rest, cur)
+		o := ws.o.Reshape(rest, fc, out)
+		mat.ContractTN(o, z, f)
+		cur = out
+		size = rest * fc
 	}
 }
 

@@ -8,11 +8,14 @@ import (
 	"repro/internal/mat"
 )
 
-// refKmatvec is the pre-GEMM scalar implementation of Algorithm 1, kept
-// verbatim (serial path) as the differential-testing reference for the
-// rewritten kernels: the GEMM-backed engine must reproduce it
-// byte-for-byte — same serial accumulation order within every output
-// element — at every worker count.
+// refKmatvec is the scalar implementation of Algorithm 1, kept as the
+// differential-testing reference for the GEMM-backed kernels: they must
+// reproduce it byte-for-byte — same serial accumulation order within
+// every output element — at every worker count. The forward branch is the
+// pre-GEMM kernel verbatim (modes d-1 → 0, each result axis rotated to
+// the front). The transpose branch is its exact adjoint: modes 0 → d-1,
+// each step contracting the leading axis and rotating the result axis to
+// the back, so every step costs what the forward step it mirrors costs.
 func refKmatvec(factors []*mat.Dense, x []float64, transpose bool) []float64 {
 	n := 1
 	for _, f := range factors {
@@ -27,27 +30,37 @@ func refKmatvec(factors []*mat.Dense, x []float64, transpose bool) []float64 {
 	}
 	cur := x
 	size := n
+	if transpose {
+		for _, f := range factors {
+			fr, fc := f.Dims()
+			rest := size / fr
+			out := make([]float64, rest*fc)
+			for r := 0; r < rest; r++ {
+				for q := 0; q < fc; q++ {
+					s := 0.0
+					for k := 0; k < fr; k++ {
+						s += f.At(k, q) * cur[k*rest+r]
+					}
+					out[r*fc+q] = s
+				}
+			}
+			cur = out
+			size = rest * fc
+		}
+		return cur
+	}
 	for i := len(factors) - 1; i >= 0; i-- {
 		f := factors[i]
 		fr, fc := f.Dims()
-		if transpose {
-			fr, fc = fc, fr
-		}
 		rows := size / fc
 		out := make([]float64, rows*fr)
 		for r := 0; r < rows; r++ {
 			zrow := cur[r*fc : r*fc+fc]
 			for q := 0; q < fr; q++ {
+				arow := f.Row(q)
 				s := 0.0
-				if transpose {
-					for k := 0; k < fc; k++ {
-						s += f.At(k, q) * zrow[k]
-					}
-				} else {
-					arow := f.Row(q)
-					for k, v := range arow {
-						s += v * zrow[k]
-					}
+				for k, v := range arow {
+					s += v * zrow[k]
 				}
 				out[q*rows+r] = s
 			}
@@ -231,5 +244,114 @@ func TestStackMatchesScalarReference(t *testing.T) {
 			s.MatTVec(gotT, y)
 			bitsEqual(t, "Stack.MatTVec", gotT, refStackMatTVec(s, y))
 		}
+	}
+}
+
+// heterogeneousShapes are factor (rows, cols) lists for the adjoint sweep:
+// expanding (rows > cols) and shrinking factors, mixed within one product,
+// d up to 5, size-1 factors at either end and in the middle, and a scaled
+// CPH strategy block whose widest step crosses the kernels' sharding
+// threshold, so Workers > 1 runs the sharded path.
+var heterogeneousShapes = [][][2]int{
+	{{1, 1}},
+	{{1, 6}},
+	{{6, 1}},
+	{{2, 3}, {4, 7}, {1, 5}, {6, 9}},
+	{{9, 2}, {1, 1}, {3, 8}},
+	{{1, 1}, {5, 3}, {2, 6}, {1, 4}, {7, 7}},
+	{{8, 3}, {2, 9}, {5, 5}, {3, 1}, {1, 4}},
+	{{3, 2}, {3, 2}, {9, 8}, {5, 4}, {13, 11}},
+	{{3, 2}, {3, 2}, {17, 16}, {9, 8}, {31, 29}},
+}
+
+// TestAdjointSweepHeterogeneousShapes extends the scalar-reference gate
+// to heterogeneous factor shapes (the random trials above draw every
+// factor from the same small range), forward and transposed, Products
+// and Stacks, at Workers 1/4/8.
+func TestAdjointSweepHeterogeneousShapes(t *testing.T) {
+	pinReferenceBackend(t)
+	for _, workers := range []int{1, 4, 8} {
+		prev := SetWorkers(workers)
+		t.Cleanup(func() { SetWorkers(prev) })
+
+		rng := rand.New(rand.NewPCG(47, uint64(workers)))
+		ws := NewWorkspace()
+		products := make([]*Product, 0, len(heterogeneousShapes)+20)
+		for _, shape := range heterogeneousShapes {
+			fs := make([]*mat.Dense, len(shape))
+			for i, rc := range shape {
+				fs[i] = randMat(rng, rc[0], rc[1])
+			}
+			products = append(products, NewProduct(fs...))
+		}
+		for trial := 0; trial < 20; trial++ {
+			products = append(products, NewProduct(randFactors(rng, 1+rng.IntN(5))...))
+		}
+		for pi, p := range products {
+			rows, cols := p.Dims()
+			x := randVec(rng, cols)
+			got := make([]float64, rows)
+			p.MatVecTo(got, x, ws)
+			bitsEqual(t, "MatVecTo", got, refKmatvec(p.Factors, x, false))
+
+			y := randVec(rng, rows)
+			gotT := make([]float64, cols)
+			p.MatTVecTo(gotT, y, ws)
+			bitsEqual(t, "MatTVecTo", gotT, refKmatvec(p.Factors, y, true))
+
+			// Two blocks sharing the column space: the product and a
+			// reshuffled one with the same column dims.
+			other := make([]*mat.Dense, len(p.Factors))
+			for i, f := range p.Factors {
+				other[i] = randMat(rng, 1+rng.IntN(4), f.Cols())
+			}
+			s := NewStack([]Linear{p, NewProduct(other...)}, []float64{0.5 + float64(pi), 1.25})
+			srows, _ := s.Dims()
+			sy := randVec(rng, srows)
+			sgot := make([]float64, cols)
+			s.MatTVecTo(sgot, sy, ws)
+			bitsEqual(t, "Stack.MatTVecTo", sgot, refStackMatTVec(s, sy))
+		}
+	}
+}
+
+// TestAdjointSweepDeterministicAcrossWorkers runs under whichever kernel
+// backend is active (CI runs the suite once per backend): the transposed
+// sweep must give the same bits at Workers 1/4/8. Its per-element
+// arithmetic is elementwise in both backends, so those bits are also the
+// scalar reference's.
+func TestAdjointSweepDeterministicAcrossWorkers(t *testing.T) {
+	rng := rand.New(rand.NewPCG(53, 59))
+	shape := heterogeneousShapes[len(heterogeneousShapes)-1]
+	fs := make([]*mat.Dense, len(shape))
+	for i, rc := range shape {
+		fs[i] = randMat(rng, rc[0], rc[1])
+	}
+	p := NewProduct(fs...)
+	other := make([]*mat.Dense, len(fs))
+	for i, f := range fs {
+		other[i] = randMat(rng, 1+rng.IntN(4), f.Cols())
+	}
+	// Above stackParallelCols columns, so Workers > 1 also fans the
+	// stack's blocks out.
+	s := NewStack([]Linear{p, NewProduct(other...)}, []float64{0.75, 1.5})
+	rows, cols := p.Dims()
+	y := randVec(rng, rows)
+	want := refKmatvec(p.Factors, y, true)
+	srows, _ := s.Dims()
+	sy := randVec(rng, srows)
+	var sWant []float64
+	for _, workers := range []int{1, 4, 8} {
+		prev := SetWorkers(workers)
+		got := make([]float64, cols)
+		p.MatTVecTo(got, y, nil)
+		bitsEqual(t, "MatTVecTo", got, want)
+		sGot := make([]float64, cols)
+		s.MatTVecTo(sGot, sy, nil)
+		if sWant == nil {
+			sWant = sGot
+		}
+		bitsEqual(t, "Stack.MatTVecTo", sGot, sWant)
+		SetWorkers(prev)
 	}
 }

@@ -12,7 +12,9 @@ import (
 // chain per output element, in the exact order the pre-backend kernels
 // used. It is the bit-identity oracle — strategies, measurements and
 // snapshots produced under it are byte-identical to every release since
-// the kernels were written, on every architecture.
+// the kernels were written, on every architecture. A kernel whose SIMD
+// lanes are separate output elements keeps that chain, so it runs under
+// both backends (ContractTN's AVX2 tile).
 //
 // BackendFast computes the same contractions with eight independent
 // accumulator lanes and a fixed reduction tree (see dotFast). Splitting

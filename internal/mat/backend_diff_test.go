@@ -137,6 +137,7 @@ func TestFastMatchesReferenceDifferential(t *testing.T) {
 					func(i, j int) float64 { return dotReorderBound(amk.Row(i), bnk.Row(j)) }},
 				{"ContractNT", false, func() *Dense { return ContractNT(nil, amk, bnk) },
 					func(i, j int) float64 { return dotReorderBound(amk.Row(i), bnk.Row(j)) }},
+				{"ContractTN", true, func() *Dense { return ContractTN(nil, akm, bkn) }, nil},
 				{"MatVec", false, func() *Dense { return FromData(m, 1, MatVec(nil, amk, x)) },
 					func(i, _ int) float64 { return dotReorderBound(amk.Row(i), x) }},
 				{"MatTVec", true, func() *Dense { return FromData(1, k, MatTVec(nil, amk, y)) }, nil},
@@ -302,6 +303,7 @@ func TestFastDeterministicAcrossWorkers(t *testing.T) {
 		{"MulTN", func() []float64 { return MulTN(nil, a, b).Data() }},
 		{"MulNT", func() []float64 { return MulNT(nil, a, b).Data() }},
 		{"ContractNT", func() []float64 { return ContractNT(nil, a, b).Data() }},
+		{"ContractTN", func() []float64 { return ContractTN(nil, a, b).Data() }},
 		{"Gram", func() []float64 { return Gram(nil, a).Data() }},
 		{"MatVec", func() []float64 { return MatVec(nil, a, x) }},
 		{"MatTVec", func() []float64 { return MatTVec(nil, a, x) }},

@@ -2,12 +2,14 @@
 
 package mat
 
-// The AVX2 kernels are an implementation detail of the fast backend,
-// not a third arithmetic regime: dotAVX2 executes the exact lane
-// assignment and reduction tree dotFastGeneric defines (vmulpd+vaddpd,
-// no FMA), and axpyAVX2 is elementwise, so enabling or disabling the
-// assembly never changes a single bit of output — only throughput.
-// Build with -tags hdmm_noasm to force the pure-Go lanes.
+// The AVX2 kernels are implementation details, not a third arithmetic
+// regime: dotAVX2 executes the exact lane assignment and reduction tree
+// dotFastGeneric defines (vmulpd+vaddpd, no FMA), axpyAVX2 is
+// elementwise, and contractTNTileAVX2 gives each lane its own output
+// element, so enabling or disabling the assembly never changes a single
+// bit of output — only throughput. dotAVX2 and axpyAVX2 serve the fast
+// backend; contractTNTileAVX2 serves ContractTN under both backends,
+// whose bits it shares. Build with -tags hdmm_noasm to force pure Go.
 
 // dotAVX2 computes dotFastGeneric(a, b) with two ymm accumulators.
 // len(b) must be at least len(a).
@@ -20,6 +22,14 @@ func dotAVX2(a, b []float64) float64
 //
 //go:noescape
 func axpyAVX2(alpha float64, dst, src []float64)
+
+// contractTNTileAVX2 computes one 8×4 tile of ContractTN:
+// dst[t*dstride+c] = Σ_{q<k} a[q*astride+t]·b[q*bstride+c] for t < 8 and
+// c < 4, each element one serial chain over q ascending. The slices start
+// at the tile's origin and must cover every element the tile touches.
+//
+//go:noescape
+func contractTNTileAVX2(dst []float64, dstride int, a []float64, astride int, b []float64, bstride int, k int)
 
 // cpuidAsm executes CPUID with the given leaf and subleaf.
 func cpuidAsm(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)

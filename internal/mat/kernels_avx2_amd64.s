@@ -104,6 +104,103 @@ adone:
 	VZEROUPPER
 	RET
 
+// func contractTNTileAVX2(dst []float64, dstride int, a []float64, astride int, b []float64, bstride int, k int)
+//
+// One 8×4 tile of the ContractTN kernel:
+//   dst[t*dstride + c] = Σ_{q<k} a[q*astride + t] · b[q*bstride + c]
+// for t < 8, c < 4, with q ascending. Accumulators Y0..Y7 hold column c
+// for rows 0-3 (Y{2c}) and rows 4-7 (Y{2c+1}); each lane is its own
+// serial chain (VMULPD then VADDPD, never FMA), so every element is the
+// scalar loop's exact sum. The tile is transposed in registers (unpack +
+// 128-bit permute) so each output row is written with one store.
+TEXT ·contractTNTileAVX2(SB), NOSPLIT, $0-104
+	MOVQ dst_base+0(FP), DI
+	MOVQ dstride+24(FP), DX
+	MOVQ a_base+32(FP), SI
+	MOVQ astride+56(FP), R8
+	MOVQ b_base+64(FP), BX
+	MOVQ bstride+88(FP), R9
+	MOVQ k+96(FP), CX
+	SHLQ $3, DX
+	SHLQ $3, R8
+	SHLQ $3, R9
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	TESTQ CX, CX
+	JE    tstore
+
+tloop:
+	VMOVUPD      (SI), Y8
+	VMOVUPD      32(SI), Y9
+	VBROADCASTSD (BX), Y10
+	VMULPD       Y8, Y10, Y11
+	VADDPD       Y11, Y0, Y0
+	VMULPD       Y9, Y10, Y12
+	VADDPD       Y12, Y1, Y1
+	VBROADCASTSD 8(BX), Y10
+	VMULPD       Y8, Y10, Y11
+	VADDPD       Y11, Y2, Y2
+	VMULPD       Y9, Y10, Y12
+	VADDPD       Y12, Y3, Y3
+	VBROADCASTSD 16(BX), Y10
+	VMULPD       Y8, Y10, Y11
+	VADDPD       Y11, Y4, Y4
+	VMULPD       Y9, Y10, Y12
+	VADDPD       Y12, Y5, Y5
+	VBROADCASTSD 24(BX), Y10
+	VMULPD       Y8, Y10, Y11
+	VADDPD       Y11, Y6, Y6
+	VMULPD       Y9, Y10, Y12
+	VADDPD       Y12, Y7, Y7
+	ADDQ         R8, SI
+	ADDQ         R9, BX
+	DECQ         CX
+	JNZ          tloop
+
+tstore:
+	// Rows 0-3 from Y0, Y2, Y4, Y6.
+	VUNPCKLPD  Y2, Y0, Y8         // c0t0 c1t0 c0t2 c1t2
+	VUNPCKHPD  Y2, Y0, Y9         // c0t1 c1t1 c0t3 c1t3
+	VUNPCKLPD  Y6, Y4, Y10        // c2t0 c3t0 c2t2 c3t2
+	VUNPCKHPD  Y6, Y4, Y11        // c2t1 c3t1 c2t3 c3t3
+	VPERM2F128 $0x20, Y10, Y8, Y12
+	VMOVUPD    Y12, (DI)
+	ADDQ       DX, DI
+	VPERM2F128 $0x20, Y11, Y9, Y12
+	VMOVUPD    Y12, (DI)
+	ADDQ       DX, DI
+	VPERM2F128 $0x31, Y10, Y8, Y12
+	VMOVUPD    Y12, (DI)
+	ADDQ       DX, DI
+	VPERM2F128 $0x31, Y11, Y9, Y12
+	VMOVUPD    Y12, (DI)
+	ADDQ       DX, DI
+
+	// Rows 4-7 from Y1, Y3, Y5, Y7.
+	VUNPCKLPD  Y3, Y1, Y8
+	VUNPCKHPD  Y3, Y1, Y9
+	VUNPCKLPD  Y7, Y5, Y10
+	VUNPCKHPD  Y7, Y5, Y11
+	VPERM2F128 $0x20, Y10, Y8, Y12
+	VMOVUPD    Y12, (DI)
+	ADDQ       DX, DI
+	VPERM2F128 $0x20, Y11, Y9, Y12
+	VMOVUPD    Y12, (DI)
+	ADDQ       DX, DI
+	VPERM2F128 $0x31, Y10, Y8, Y12
+	VMOVUPD    Y12, (DI)
+	ADDQ       DX, DI
+	VPERM2F128 $0x31, Y11, Y9, Y12
+	VMOVUPD    Y12, (DI)
+	VZEROUPPER
+	RET
+
 // func cpuidAsm(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuidAsm(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX

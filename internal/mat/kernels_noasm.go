@@ -3,7 +3,8 @@
 package mat
 
 // Non-amd64 builds (and -tags hdmm_noasm) run the fast backend on the
-// pure-Go lane kernels. Same bits, portable throughput.
+// pure-Go lane kernels and ContractTN on its Go tiles. Same bits,
+// portable throughput.
 
 const haveAVX2 = false
 
@@ -13,4 +14,8 @@ func dotAVX2(a, b []float64) float64 {
 
 func axpyAVX2(alpha float64, dst, src []float64) {
 	panic("mat: axpyAVX2 called without AVX2 support")
+}
+
+func contractTNTileAVX2(dst []float64, dstride int, a []float64, astride int, b []float64, bstride int, k int) {
+	panic("mat: contractTNTileAVX2 called without AVX2 support")
 }

@@ -146,13 +146,55 @@ func ContractNT(dst, a, b *Dense) *Dense {
 // contractNTShard computes dst[q, r] for r in [lo, hi): B-row outer, A-row
 // inner, one serial dot product per element (ascending k), written
 // column-strided into dst's row-major layout — the transposed write of the
-// mode contraction. The loop works on hoisted raw slices so the header
-// fields stay in registers and the equal-length row slices let the
-// compiler drop the inner bounds checks.
+// mode contraction. It works in 4×2 register tiles (four rows of A against
+// two rows of B) whose eight chains are independent, so the loop is
+// throughput-bound rather than bound by the add latency of one chain, and
+// each row of B is read once per four rows of A instead of once per row.
+// Leftover A rows run in 1×2 tiles and an odd last B row in single chains;
+// the arithmetic per element is the same either way. The rows are hoisted
+// raw slices resliced to one length, so the compiler drops the inner
+// bounds checks.
 func contractNTShard(dst, a, b *Dense, lo, hi int) {
 	n, ar, kk := b.r, a.r, a.c
 	ad, bd, dd := a.data, b.data, dst.data
-	for r := lo; r < hi; r++ {
+	r := lo
+	for ; r+2 <= hi; r += 2 {
+		b0 := bd[r*kk : r*kk+kk]
+		b1 := bd[(r+1)*kk : (r+1)*kk+kk][:len(b0)]
+		q := 0
+		for ; q+4 <= ar; q += 4 {
+			a0 := ad[q*kk : q*kk+kk][:len(b0)]
+			a1 := ad[(q+1)*kk : (q+1)*kk+kk][:len(b0)]
+			a2 := ad[(q+2)*kk : (q+2)*kk+kk][:len(b0)]
+			a3 := ad[(q+3)*kk : (q+3)*kk+kk][:len(b0)]
+			var s00, s01, s10, s11, s20, s21, s30, s31 float64
+			for k, x0 := range b0 {
+				x1 := b1[k]
+				s00 += a0[k] * x0
+				s01 += a0[k] * x1
+				s10 += a1[k] * x0
+				s11 += a1[k] * x1
+				s20 += a2[k] * x0
+				s21 += a2[k] * x1
+				s30 += a3[k] * x0
+				s31 += a3[k] * x1
+			}
+			dd[q*n+r], dd[q*n+r+1] = s00, s01
+			dd[(q+1)*n+r], dd[(q+1)*n+r+1] = s10, s11
+			dd[(q+2)*n+r], dd[(q+2)*n+r+1] = s20, s21
+			dd[(q+3)*n+r], dd[(q+3)*n+r+1] = s30, s31
+		}
+		for ; q < ar; q++ {
+			arow := ad[q*kk : q*kk+kk][:len(b0)]
+			var s0, s1 float64
+			for k, av := range arow {
+				s0 += av * b0[k]
+				s1 += av * b1[k]
+			}
+			dd[q*n+r], dd[q*n+r+1] = s0, s1
+		}
+	}
+	for ; r < hi; r++ {
 		brow := bd[r*kk : r*kk+kk]
 		for q := 0; q < ar; q++ {
 			arow := ad[q*kk : q*kk+kk]
@@ -161,6 +203,123 @@ func contractNTShard(dst, a, b *Dense, lo, hi int) {
 				s += av * brow[k]
 			}
 			dd[q*n+r] = s
+		}
+	}
+}
+
+// ContractTN computes C = Aᵀ·B, the mirror of ContractNT for the adjoint
+// Kronecker sweep: A (k×r) is the large, streamed operand and B (k×n) the
+// small, cache-resident one, so C is r×n. Read as a tensor step, it
+// contracts A's leading axis against B and rotates the result axis to the
+// back. Each output element is one serial sum over k in ascending order,
+// starting from zero, with no zero skips — the same bits as the scalar
+// dot Σ_k A[k,i]·B[k,j] and, on finite operands, as MulTN. The kernel works
+// in register tiles of output elements: a band of a few output rows reads
+// a narrow column panel of A, which stays in L1 while the band's tiles
+// sweep every column of B, so A as a whole streams through once and every
+// output element is written exactly once. Above the size threshold the r
+// output rows are sharded across cores; the per-element arithmetic is
+// independent of the split. It is also independent of the kernel backend,
+// so ContractTN has one implementation for both: its SIMD lanes, where the
+// hardware has them, are separate output elements, never a split of one
+// element's sum.
+func ContractTN(dst, a, b *Dense) *Dense {
+	if a.r != b.r {
+		panic("mat: ContractTN dimension mismatch")
+	}
+	dst = prepDstNoZero(dst, a.c, b.c)
+	if w := MulWorkers(); w > 1 && a.r*a.c*b.c >= parallelFlops {
+		shardRows(w, a.c, a.r*b.c, func(lo, hi int) { contractTNShard(dst, a, b, lo, hi) })
+		return dst
+	}
+	contractTNShard(dst, a, b, 0, a.c)
+	return dst
+}
+
+// contractTNShard computes rows [lo, hi) of dst = Aᵀ·B: 8×4 AVX2 tiles
+// where the hardware has them, the portable 4×2 tiles for the edge strips
+// and everywhere without AVX2. Each element is one serial chain over k in
+// either tiling (vmulpd then vaddpd, never FMA), so the two give the same
+// bits.
+func contractTNShard(dst, a, b *Dense, lo, hi int) {
+	kk, ra, n := a.r, a.c, b.c
+	if !haveAVX2 || kk == 0 {
+		contractTNRect(dst, a, b, lo, hi, 0, n)
+		return
+	}
+	n4 := n &^ 3
+	i := lo
+	for ; i+8 <= hi; i += 8 {
+		for j := 0; j < n4; j += 4 {
+			contractTNTileAVX2(dst.data[i*n+j:], n, a.data[i:], ra, b.data[j:], n, kk)
+		}
+	}
+	contractTNRect(dst, a, b, lo, i, n4, n)
+	contractTNRect(dst, a, b, i, hi, 0, n)
+}
+
+// contractTNRect computes dst[i, j] = Σ_k A[k,i]·B[k,j] for i in [ilo, ihi)
+// and j in [jlo, jhi) in 4×2 register tiles: per k the tile loads four
+// adjacent elements of A's row k and two of B's, and keeps its eight
+// accumulation chains independent, so the loop is throughput-bound rather
+// than bound by the add latency of one chain. An odd last column runs in
+// 4×1 tiles and leftover rows in single chains; the arithmetic per element
+// is the same either way.
+func contractTNRect(dst, a, b *Dense, ilo, ihi, jlo, jhi int) {
+	kk, ra, n := a.r, a.c, b.c
+	ad, bd, dd := a.data, b.data, dst.data
+	i := ilo
+	for ; i+4 <= ihi; i += 4 {
+		j := jlo
+		for ; j+2 <= jhi; j += 2 {
+			var s00, s01, s10, s11, s20, s21, s30, s31 float64
+			ai, bi := i, j
+			for k := 0; k < kk; k++ {
+				z := ad[ai : ai+4 : ai+4]
+				f := bd[bi : bi+2 : bi+2]
+				s00 += z[0] * f[0]
+				s01 += z[0] * f[1]
+				s10 += z[1] * f[0]
+				s11 += z[1] * f[1]
+				s20 += z[2] * f[0]
+				s21 += z[2] * f[1]
+				s30 += z[3] * f[0]
+				s31 += z[3] * f[1]
+				ai += ra
+				bi += n
+			}
+			o := dd[i*n+j : (i+3)*n+j+2]
+			o[0], o[1] = s00, s01
+			o[n], o[n+1] = s10, s11
+			o[2*n], o[2*n+1] = s20, s21
+			o[3*n], o[3*n+1] = s30, s31
+		}
+		if j < jhi {
+			var s0, s1, s2, s3 float64
+			ai, bi := i, j
+			for k := 0; k < kk; k++ {
+				z := ad[ai : ai+4 : ai+4]
+				f := bd[bi]
+				s0 += z[0] * f
+				s1 += z[1] * f
+				s2 += z[2] * f
+				s3 += z[3] * f
+				ai += ra
+				bi += n
+			}
+			dd[i*n+j], dd[(i+1)*n+j], dd[(i+2)*n+j], dd[(i+3)*n+j] = s0, s1, s2, s3
+		}
+	}
+	for ; i < ihi; i++ {
+		for j := jlo; j < jhi; j++ {
+			s := 0.0
+			ai, bi := i, j
+			for k := 0; k < kk; k++ {
+				s += ad[ai] * bd[bi]
+				ai += ra
+				bi += n
+			}
+			dd[i*n+j] = s
 		}
 	}
 }

@@ -39,7 +39,9 @@ const (
 	// StagePrecondition covers building the union solve's eigendecomposition
 	// preconditioner (cached per strategy; near-zero after the first solve).
 	StagePrecondition
-	// StageSolve covers the LSMR least-squares reconstruction.
+	// StageSolve covers the LSMR least-squares reconstruction and, on a
+	// preconditioned union solve, the map back x = M·z from the
+	// preconditioned variable to the data domain.
 	StageSolve
 	// StageAnswer covers batched query evaluation on the private estimate.
 	StageAnswer

@@ -84,6 +84,30 @@ func TestRequestIDPropagation(t *testing.T) {
 	}
 }
 
+// TestRegisterBodyDecodeIsParsed: an HTTP registration's body decode is
+// request decoding, so it is a parse span of its own (next to the
+// workload build's) and inside register_wall_ms.
+func TestRegisterBodyDecodeIsParsed(t *testing.T) {
+	srv, _, _ := newObsServer(t, server.Config{}, false)
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	reg := register(t, ts, testRegisterBody(3, 1.0))
+	info := engineInfo(t, ts, reg.Key)
+	for _, st := range info.Stages {
+		if st.Stage == "parse" {
+			if st.Count != 2 {
+				t.Fatalf("parse count %d, want 2 (body decode and workload build)", st.Count)
+			}
+			if st.Ms > info.RegisterWallMs {
+				t.Fatalf("parse %.3fms outside register_wall_ms %.3fms", st.Ms, info.RegisterWallMs)
+			}
+			return
+		}
+	}
+	t.Fatalf("no parse stage in %+v", info.Stages)
+}
+
 // TestRegistrationStageBreakdown: a fresh registration's engine document
 // reports where the build spent its time, the parse/optimize/measure
 // stages are all present and positive, and — because span attribution is

@@ -425,8 +425,11 @@ type EngineInfo struct {
 	SolverResid          float64 `json:"solver_resid,omitempty"`
 	SolverPreconditioned bool    `json:"solver_preconditioned,omitempty"`
 	// Stages is the registration's stage-by-stage exclusive wall time and
-	// RegisterWallMs its total; omitted for engines rehydrated from
-	// snapshots, which ran no pipeline in this process.
+	// RegisterWallMs its total, timed from the start of the request's
+	// trace (for HTTP registrations, before the body is decoded) to the
+	// engine's completion, so the snapshot save and the response are
+	// outside it; omitted for engines rehydrated from snapshots, which
+	// ran no pipeline in this process.
 	Stages         []StageTiming `json:"stages,omitempty"`
 	RegisterWallMs float64       `json:"register_wall_ms,omitempty"`
 }
@@ -505,7 +508,6 @@ func badRequest(format string, args ...any) error {
 // (before optimization and before the measurement; never after, since by
 // then the budget is spent and the engine must be finished and kept).
 func (s *Server) RegisterCtx(ctx context.Context, req *RegisterRequest) (*RegisterResponse, error) {
-	start := time.Now()
 	// Programmatic callers (startup pre-registration, embedders) arrive
 	// without the HTTP middleware's trace; give them one so their engines
 	// report a stage breakdown on GET /v1/engines/{key} too.
@@ -601,7 +603,7 @@ func (s *Server) RegisterCtx(ctx context.Context, req *RegisterRequest) (*Regist
 		// Retain the fresh build's span breakdown for GET /v1/engines/{key}.
 		// Reused registrations ran no pipeline, so they overwrite nothing.
 		if spans := tr.Spans(); len(spans) > 0 {
-			rt := registrationTrace{stages: make([]StageTiming, len(spans)), wallMs: msec(time.Since(start))}
+			rt := registrationTrace{stages: make([]StageTiming, len(spans)), wallMs: msec(tr.Elapsed())}
 			for i, sp := range spans {
 				rt.stages[i] = StageTiming{Stage: sp.Stage.String(), Ms: msec(sp.Total), Count: sp.Count}
 			}
@@ -810,7 +812,13 @@ func (s *Server) Metrics() *MetricsResponse {
 
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req RegisterRequest
-	if err := s.decode(w, r, &req); err != nil {
+	// Decoding the body (its data vector can be MBs of JSON) is request
+	// decoding, which the parse stage covers.
+	tr := obs.TraceFrom(r.Context())
+	tr.Begin(obs.StageParse)
+	err := s.decode(w, r, &req)
+	tr.End(obs.StageParse)
+	if err != nil {
 		s.writeError(w, r, err)
 		return
 	}

@@ -113,7 +113,14 @@ func Encode(sn *Snapshot) ([]byte, error) {
 		return nil, fmt.Errorf("snapshot: encoding strategy: %w", err)
 	}
 
-	e := &encoder{}
+	// Size the buffer exactly up front: the vectors make a snapshot tens of
+	// MB, and growing it by append copies it several times over.
+	size := len(codecMagic) + 2 + 4 + len(sn.Key) + 4 + len(sn.StrategyKey) + 4*8 +
+		4 + 8*len(sn.Domain) + 4 + 4 + len(blob) + 4 + 8*len(sn.Y) + 4 + 8*len(sn.Xhat) + 4
+	for _, q := range sn.Queries {
+		size += 4 + len(q)
+	}
+	e := &encoder{buf: make([]byte, 0, size)}
 	e.bytes([]byte(codecMagic))
 	e.u16(codecVersion)
 	e.str(sn.Key)

@@ -159,6 +159,22 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEncodeSizesBufferExactly: Encode computes the blob's length before
+// writing it, so the buffer is never regrown; a format change that misses
+// the size computation fails here.
+func TestEncodeSizesBufferExactly(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 0x54a9))
+	for _, sn := range sampleSnapshots(rng) {
+		blob, err := Encode(sn)
+		if err != nil {
+			t.Fatalf("%s: encode: %v", sn.Key, err)
+		}
+		if cap(blob) != len(blob) {
+			t.Fatalf("%s: blob length %d, buffer sized %d", sn.Key, len(blob), cap(blob))
+		}
+	}
+}
+
 // TestCodecRejectsTruncation: every proper prefix of a valid blob must be
 // rejected with an error — never a panic, never a silent success. A
 // truncated snapshot that loaded would serve wrong answers under a valid
