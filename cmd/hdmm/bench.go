@@ -14,6 +14,7 @@ import (
 	"time"
 
 	hdmm "repro"
+	"repro/internal/census"
 	"repro/internal/core"
 	"repro/internal/fsx"
 	"repro/internal/kron"
@@ -24,15 +25,19 @@ import (
 	"repro/internal/workload"
 )
 
-// benchResult is one row of the perf-trajectory artifact (BENCH_10.json):
-// one operation at one worker count under one kernel backend. Kernels and
-// GOARCH identify what actually ran — MB/s from a fast-backend row on one
-// architecture is not comparable to a reference row, and older artifacts
-// (BENCH_5/BENCH_7) predate the fields, so they unmarshal as "".
+// benchResult is one row of the perf-trajectory artifact (BENCH_11.json):
+// one operation at one worker count under one kernel backend. Kernels,
+// GOARCH, CPUs, GOMAXPROCS and GoVersion identify what actually ran and
+// where — MB/s from a fast-backend row on one architecture is not
+// comparable to a reference row, nor a 2-CPU row to a 16-CPU one — and
+// older artifacts predate the fields, so they unmarshal as zero values.
 type benchResult struct {
 	Op          string  `json:"op"`
 	Kernels     string  `json:"kernels,omitempty"`
 	GOARCH      string  `json:"goarch,omitempty"`
+	CPUs        int     `json:"cpus,omitempty"`
+	GOMAXPROCS  int     `json:"gomaxprocs,omitempty"`
+	GoVersion   string  `json:"go_version,omitempty"`
 	Workers     int     `json:"workers"`
 	Iters       int     `json:"iters"`
 	NsPerOp     float64 `json:"ns_per_op"`
@@ -106,10 +111,10 @@ func randSlice(rng *rand.Rand, n int) []float64 {
 
 // benchCases builds the harness: the Kronecker kernels on a 3-factor
 // 68×64 product (the shape of the existing kernel microbenchmarks) and on
-// a CPH strategy block's factor shapes, the two reconstruction paths, and
-// the batched serving path. workers bounds the serving engine's batch
-// fan-out (the kernels read the process-wide bound the caller has already
-// set).
+// a CPH strategy block's factor shapes, strategy selection on the CPH
+// workload, the two reconstruction paths, and the batched serving path.
+// workers bounds the selection's and the serving engine's fan-out (the
+// kernels read the process-wide bound the caller has already set).
 func benchCases(workers int) ([]benchCase, error) {
 	rng := benchRand(101)
 	ctx := context.Background()
@@ -160,6 +165,40 @@ func benchCases(workers int) ([]benchCase, error) {
 	p.MatMulTo(batch, xs, k, ws)
 	cases = append(cases,
 		benchCase{fmt.Sprintf("kron/matmul%d", k), int64(8 * k * (cols + rows)), func() { p.MatMulTo(batch, xs, k, ws) }},
+	)
+
+	// --- Selection on the CPH workload the end-to-end benchmark's tenants
+	// register. opt0-cph is one objective-only evaluation plus one with the
+	// gradient of the Theorem 4 objective at p=7 on the age attribute's
+	// Gram (115×115, the shape most of a CPH selection's evaluations run
+	// at), at an OPT₀ iterate whose Θ, like the line search's, is mostly
+	// exact zeros; its data volume is the Gram, read once per evaluation.
+	// cph is the whole of Algorithm 2 at 2 restarts.
+	cw, err := census.CPHMarginalWorkload()
+	if err != nil {
+		return nil, err
+	}
+	age := cw.Domain.NumAttrs() - 1
+	na := cw.Domain.Attr(age).Size
+	ageGram := mat.NewDense(na, na)
+	for _, p := range cw.Products {
+		ageGram.Add(p.Terms[age].Gram())
+	}
+	const p0 = 7
+	theta, _ := core.OPT0(ageGram, core.OPT0Options{P: p0, Restarts: 1, Seed: 21, MaxIter: 50})
+	eval := core.NewOpt0ObjectiveForTrace(ageGram, p0)
+	tx := theta.Theta.Data()
+	tgrad := make([]float64, len(tx))
+	cases = append(cases,
+		benchCase{"select/opt0-cph", int64(2 * 8 * na * na), func() {
+			eval(tx, nil)
+			eval(tx, tgrad)
+		}},
+		benchCase{"select/cph", 0, func() {
+			if _, err := core.Select(cw, core.HDMMOptions{Restarts: 2, Seed: 21, Workers: workers}); err != nil {
+				panic(err)
+			}
+		}},
 	)
 
 	// --- Reconstruction: OPT⊗ pseudo-inverse path and OPT⁺ LSMR path. ---
@@ -330,7 +369,7 @@ func parseKernelSet(spec string) ([]string, error) {
 func cmdBench(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	out := fs.String("out", "BENCH_10.json", "output path for the JSON results")
+	out := fs.String("out", "BENCH_11.json", "output path for the JSON results")
 	targetMS := fs.Int("benchtime", 250, "minimum milliseconds of measurement per op")
 	workersSpec := fs.String("workers", "", "comma-separated worker counts to sweep (default 1,2,4 and GOMAXPROCS, deduplicated)")
 	kernelsSpec := fs.String("kernels", "", "comma-separated kernel backends to sweep, e.g. reference,fast (default: the active backend only)")
@@ -381,6 +420,9 @@ func cmdBench(args []string, stdout, stderr io.Writer) error {
 				r.Workers = workers
 				r.Kernels = backend
 				r.GOARCH = runtime.GOARCH
+				r.CPUs = runtime.NumCPU()
+				r.GOMAXPROCS = runtime.GOMAXPROCS(0)
+				r.GoVersion = runtime.Version()
 				results = append(results, r)
 				// Progress goes to stderr so `-out -` leaves stdout pure JSON.
 				fmt.Fprintf(stderr, "%-22s kernels=%-9s workers=%-2d %12.0f ns/op %10.1f allocs/op %10.1f MB/s\n",

@@ -33,6 +33,7 @@ func TestCmdBench(t *testing.T) {
 	want := map[string]bool{
 		"kron/matvec": false, "kron/mattvec": false, "kron/matmul16": false,
 		"kron/matvec-cph": false, "kron/mattvec-cph": false,
+		"select/opt0-cph": false, "select/cph": false,
 		"reconstruct/kron": false, "reconstruct/union": false,
 		"serve/answer512": false, "snapshot/roundtrip": false,
 	}
@@ -52,6 +53,10 @@ func TestCmdBench(t *testing.T) {
 		}
 		if r.GOARCH != runtime.GOARCH {
 			t.Errorf("%s: GOARCH = %q, want %q", r.Op, r.GOARCH, runtime.GOARCH)
+		}
+		if r.CPUs != runtime.NumCPU() || r.GOMAXPROCS != runtime.GOMAXPROCS(0) || r.GoVersion != runtime.Version() {
+			t.Errorf("%s: machine fields cpus=%d gomaxprocs=%d go_version=%q, want %d, %d, %q",
+				r.Op, r.CPUs, r.GOMAXPROCS, r.GoVersion, runtime.NumCPU(), runtime.GOMAXPROCS(0), runtime.Version())
 		}
 	}
 	for op, seen := range want {

@@ -8,13 +8,16 @@ import (
 
 // Backend selects the arithmetic regime of the numeric kernels.
 //
-// BackendReference is the original scalar code: one serial accumulation
-// chain per output element, in the exact order the pre-backend kernels
-// used. It is the bit-identity oracle — strategies, measurements and
-// snapshots produced under it are byte-identical to every release since
-// the kernels were written, on every architecture. A kernel whose SIMD
-// lanes are separate output elements keeps that chain, so it runs under
-// both backends (ContractTN's AVX2 tile).
+// BackendReference defines every output element as one serial
+// accumulation chain, in the exact order the original scalar kernels
+// used (zero skips included). It is the bit-identity oracle —
+// strategies, measurements and snapshots produced under it are
+// byte-identical to every release since the kernels were written, on
+// every architecture. Its kernels are register-tiled, and where SIMD
+// lanes are used each lane is a separate output element, so the chain
+// and its bits survive. A kernel built that way is as fast as the fast
+// backend's would be, so it runs under both backends: Mul, MulTN
+// (axpyRows) and ContractTN have one implementation each.
 //
 // BackendFast computes the same contractions with eight independent
 // accumulator lanes and a fixed reduction tree (see dotFast). Splitting

@@ -5,11 +5,14 @@ package mat
 // The AVX2 kernels are implementation details, not a third arithmetic
 // regime: dotAVX2 executes the exact lane assignment and reduction tree
 // dotFastGeneric defines (vmulpd+vaddpd, no FMA), axpyAVX2 is
-// elementwise, and contractTNTileAVX2 gives each lane its own output
-// element, so enabling or disabling the assembly never changes a single
-// bit of output — only throughput. dotAVX2 and axpyAVX2 serve the fast
-// backend; contractTNTileAVX2 serves ContractTN under both backends,
-// whose bits it shares. Build with -tags hdmm_noasm to force pure Go.
+// elementwise, and axpyRowAVX2, dotBandAVX2 and contractTNTileAVX2 give
+// each lane its own output element, so enabling or disabling the
+// assembly never changes a single bit of output — only throughput.
+// dotAVX2 and axpyAVX2 serve the fast backend (its dot-shaped kernels,
+// Gram, MatTVec and Axpy); dotBandAVX2 serves the reference backend's
+// MulNT; axpyRowAVX2 serves Mul and MulTN, and contractTNTileAVX2
+// ContractTN, under both backends, whose bits they share. Build with
+// -tags hdmm_noasm to force pure Go.
 
 // dotAVX2 computes dotFastGeneric(a, b) with two ymm accumulators.
 // len(b) must be at least len(a).
@@ -22,6 +25,24 @@ func dotAVX2(a, b []float64) float64
 //
 //go:noescape
 func axpyAVX2(alpha float64, dst, src []float64)
+
+// axpyRowAVX2 computes one output row of the Mul/MulTN kernel over
+// strips × 16 columns: c[j] += Σ_t a[t]·b[off[t]+j] for j < 16*strips,
+// each element one serial chain over t ascending. len(off) must be at
+// least len(a), and every element the row touches must lie inside the
+// slices.
+//
+//go:noescape
+func axpyRowAVX2(c []float64, a []float64, off []int, b []float64, strips int)
+
+// dotBandAVX2 computes one four-row band of the reference MulNT kernel
+// over strips × 8 columns: out[r*ld+j] = Σ_{q<k} a[ar+q]·bt[q*ld+j] for
+// r < 4 and j < 8*strips (ar is a0..a3), where bt holds B transposed;
+// each element is one serial chain over q ascending from zero. Rows may
+// repeat. Every element the band touches must lie inside the slices.
+//
+//go:noescape
+func dotBandAVX2(out []float64, a []float64, a0, a1, a2, a3 int, bt []float64, ld, k, strips int)
 
 // contractTNTileAVX2 computes one 8×4 tile of ContractTN:
 // dst[t*dstride+c] = Σ_{q<k} a[q*astride+t]·b[q*bstride+c] for t < 8 and

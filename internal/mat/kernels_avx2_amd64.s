@@ -201,6 +201,156 @@ tstore:
 	VZEROUPPER
 	RET
 
+// func axpyRowAVX2(c []float64, a []float64, off []int, b []float64, strips int)
+//
+// One output row of the Mul/MulTN kernel over strips × 16 columns:
+//   c[j] += Σ_{t<len(a)} a[t] · b[off[t] + j]
+// for j < 16*strips, t ascending. The caller gathers the row's nonzero
+// multipliers into a and their B row offsets into off, so the zero skip is
+// the gather itself. Per strip the 16 accumulators sit in Y0..Y3 across
+// the whole t loop; products are VMULPD then VADDPD, never FMA, and every
+// lane is its own serial chain.
+TEXT ·axpyRowAVX2(SB), NOSPLIT, $0-104
+	MOVQ  c_base+0(FP), DI
+	MOVQ  a_base+24(FP), SI
+	MOVQ  a_len+32(FP), CX
+	MOVQ  off_base+48(FP), R8
+	MOVQ  b_base+72(FP), BX
+	MOVQ  strips+96(FP), DX
+	TESTQ DX, DX
+	JE    rdone
+
+rstrip:
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD 64(DI), Y2
+	VMOVUPD 96(DI), Y3
+	XORQ    AX, AX
+	TESTQ   CX, CX
+	JE      rstore
+
+rloop:
+	VBROADCASTSD (SI)(AX*8), Y4
+	MOVQ         (R8)(AX*8), R9
+	LEAQ         (BX)(R9*8), R9
+	VMULPD       (R9), Y4, Y5
+	VADDPD       Y5, Y0, Y0
+	VMULPD       32(R9), Y4, Y6
+	VADDPD       Y6, Y1, Y1
+	VMULPD       64(R9), Y4, Y7
+	VADDPD       Y7, Y2, Y2
+	VMULPD       96(R9), Y4, Y8
+	VADDPD       Y8, Y3, Y3
+	INCQ         AX
+	CMPQ         AX, CX
+	JL           rloop
+
+rstore:
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	ADDQ    $128, DI
+	ADDQ    $128, BX
+	DECQ    DX
+	JNZ     rstrip
+
+rdone:
+	VZEROUPPER
+	RET
+
+// func dotBandAVX2(out []float64, a []float64, a0, a1, a2, a3 int, bt []float64, ld, k, strips int)
+//
+// One four-row band of the reference MulNT kernel over strips × 8 columns:
+//   out[r*ld + j] = Σ_{q<k} a[ar + q] · bt[q*ld + j]
+// for r < 4 and j < 8*strips, q ascending from zero, where bt is B
+// transposed. Per strip the 4×8 tile sits in Y0..Y7 (row r in Y{2r},
+// Y{2r+1}) across the whole k loop. Each lane is one output element's
+// serial dot product: VMULPD (a first, as the scalar loop multiplies)
+// then VADDPD, never FMA, and no zero skips.
+TEXT ·dotBandAVX2(SB), NOSPLIT, $0-128
+	MOVQ  strips+120(FP), SI
+	TESTQ SI, SI
+	JE    ddone
+	MOVQ  a_base+24(FP), DI
+	MOVQ  a0+48(FP), R8
+	LEAQ  (DI)(R8*8), R8
+	MOVQ  a1+56(FP), R9
+	LEAQ  (DI)(R9*8), R9
+	MOVQ  a2+64(FP), R10
+	LEAQ  (DI)(R10*8), R10
+	MOVQ  a3+72(FP), R11
+	LEAQ  (DI)(R11*8), R11
+	MOVQ  ld+104(FP), R12
+	SHLQ  $3, R12
+	MOVQ  out_base+0(FP), DI
+	XORQ  DX, DX // byte offset of the strip's first column
+
+dstrip:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	MOVQ   bt_base+80(FP), BX
+	ADDQ   DX, BX
+	MOVQ   k+112(FP), CX
+	XORQ   AX, AX // byte offset of q within each row of a
+	TESTQ  CX, CX
+	JE     dstore
+
+dloop:
+	VMOVUPD      (BX), Y8
+	VMOVUPD      32(BX), Y9
+	VBROADCASTSD (R8)(AX*1), Y10
+	VMULPD       Y8, Y10, Y11
+	VADDPD       Y11, Y0, Y0
+	VMULPD       Y9, Y10, Y12
+	VADDPD       Y12, Y1, Y1
+	VBROADCASTSD (R9)(AX*1), Y10
+	VMULPD       Y8, Y10, Y11
+	VADDPD       Y11, Y2, Y2
+	VMULPD       Y9, Y10, Y12
+	VADDPD       Y12, Y3, Y3
+	VBROADCASTSD (R10)(AX*1), Y10
+	VMULPD       Y8, Y10, Y11
+	VADDPD       Y11, Y4, Y4
+	VMULPD       Y9, Y10, Y12
+	VADDPD       Y12, Y5, Y5
+	VBROADCASTSD (R11)(AX*1), Y10
+	VMULPD       Y8, Y10, Y11
+	VADDPD       Y11, Y6, Y6
+	VMULPD       Y9, Y10, Y12
+	VADDPD       Y12, Y7, Y7
+	ADDQ         $8, AX
+	ADDQ         R12, BX
+	DECQ         CX
+	JNZ          dloop
+
+dstore:
+	LEAQ    (DI)(DX*1), R13
+	VMOVUPD Y0, (R13)
+	VMOVUPD Y1, 32(R13)
+	ADDQ    R12, R13
+	VMOVUPD Y2, (R13)
+	VMOVUPD Y3, 32(R13)
+	ADDQ    R12, R13
+	VMOVUPD Y4, (R13)
+	VMOVUPD Y5, 32(R13)
+	ADDQ    R12, R13
+	VMOVUPD Y6, (R13)
+	VMOVUPD Y7, 32(R13)
+	ADDQ    $64, DX
+	DECQ    SI
+	JNZ     dstrip
+
+ddone:
+	VZEROUPPER
+	RET
+
 // func cpuidAsm(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuidAsm(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX

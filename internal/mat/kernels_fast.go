@@ -13,14 +13,18 @@ package mat
 //     across the assembly and pure-Go implementations.
 //
 //   - axpyFast: dst[j] += alpha*src[j]. Elementwise — no reordering is
-//     possible, so axpy-shaped fast kernels (Mul, MulTN, Gram,
-//     MatTVec) are bit-identical to the reference backend; only the
-//     dot-shaped ones (MulNT, ContractNT, MatVec) differ, at ULP.
+//     possible, so the axpy-shaped fast kernels (Gram, MatTVec, Axpy)
+//     are bit-identical to the reference backend; only the dot-shaped
+//     ones (MulNT, ContractNT, MatVec, Dot) differ, at ULP.
 //
-// Both keep the reference kernels' av == 0 skips: skipping a zero
-// multiplier is observable when the skipped row carries non-finite
-// values (0*Inf = NaN), so the fast backend must skip exactly where
-// the oracle skips.
+// Mul, MulTN and ContractTN have no fast variant: their one kernel
+// already vectorizes across output elements and so computes the
+// reference bits at full speed under both backends.
+//
+// The axpy kernels keep the reference kernels' zero skips: skipping a
+// zero multiplier is observable when the skipped row carries
+// non-finite values (0*Inf = NaN), so the fast backend must skip
+// exactly where the oracle skips.
 
 // dotLanes is the fast backend's accumulator lane count. Eight lanes
 // fill two AVX2 ymm registers and are enough to hide FMA-add latency
@@ -81,54 +85,6 @@ func axpyFast(alpha float64, dst, src []float64) {
 	src = src[:len(dst)]
 	for j, v := range src {
 		dst[j] += alpha * v
-	}
-}
-
-// mulShardFast computes rows [lo, hi) of dst = A·B for the fast
-// backend: the same k-panel-blocked i-k-j traversal as mulShard with
-// the inner axpy vectorized. Bit-identical to the reference backend
-// (elementwise accumulation in the same k order).
-func mulShardFast(dst, a, b *Dense, lo, hi int) {
-	n := b.c
-	for kk := 0; kk < a.c; kk += kBlock {
-		kmax := kk + kBlock
-		if kmax > a.c {
-			kmax = a.c
-		}
-		for i := lo; i < hi; i++ {
-			arow := a.Row(i)
-			crow := dst.Row(i)
-			for k := kk; k < kmax; k++ {
-				av := arow[k]
-				if av == 0 {
-					continue
-				}
-				axpyFast(av, crow, b.data[k*n:k*n+n])
-			}
-		}
-	}
-}
-
-// mulTNShardFast computes rows [lo, hi) of dst = Aᵀ·B for the fast
-// backend. Bit-identical to the reference backend.
-func mulTNShardFast(dst, a, b *Dense, lo, hi int) {
-	n := b.c
-	for kk := 0; kk < a.r; kk += kBlock {
-		kmax := kk + kBlock
-		if kmax > a.r {
-			kmax = a.r
-		}
-		for k := kk; k < kmax; k++ {
-			arow := a.Row(k)
-			brow := b.data[k*n : k*n+n]
-			for i := lo; i < hi; i++ {
-				av := arow[i]
-				if av == 0 {
-					continue
-				}
-				axpyFast(av, dst.data[i*n:i*n+n], brow)
-			}
-		}
 	}
 }
 

@@ -1,119 +1,222 @@
 package mat
 
+import "sync"
+
 // Mul computes C = A·B. If dst is non-nil it must have the right shape and is
-// reused; otherwise a new matrix is allocated. The inner loops run in i-k-j
-// order so the innermost traversal is contiguous in both B and C. Above the
-// size threshold the product is sharded row-wise across MulWorkers() cores
-// with a cache-blocked kernel; the result is bit-identical either way.
+// reused; otherwise a new matrix is allocated. Each output element is one
+// serial chain over k ascending from zero that skips every zero A[i,k], so a
+// zero in A contributes nothing even where B holds Inf or NaN. The kernel
+// (axpyRows) vectorizes across output columns only, so it computes those
+// bits under either kernel backend, on any hardware and at any worker
+// count. Above the size threshold the rows are sharded across cores.
 func Mul(dst, a, b *Dense) *Dense {
 	if a.c != b.r {
 		panic("mat: Mul dimension mismatch")
 	}
 	dst = prepDst(dst, a.r, b.c)
-	fast := KernelBackend() == BackendFast
 	if w := MulWorkers(); w > 1 && a.r*a.c*b.c >= parallelFlops {
-		shard := mulShard
-		if fast {
-			shard = mulShardFast
-		}
-		shardRows(w, a.r, a.c*b.c, func(lo, hi int) { shard(dst, a, b, lo, hi) })
+		shardRows(w, a.r, a.c*b.c, func(lo, hi int) { mulShard(dst, a, b, lo, hi) })
 		return dst
 	}
-	if fast {
-		mulShardFast(dst, a, b, 0, a.r)
-		return dst
-	}
-	n := b.c
-	for i := 0; i < a.r; i++ {
-		arow := a.Row(i)
-		crow := dst.Row(i)
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.data[k*n : k*n+n]
-			for j, bv := range brow {
-				crow[j] += av * bv
-			}
-		}
-	}
+	mulShard(dst, a, b, 0, a.r)
 	return dst
 }
 
-// MulTN computes C = Aᵀ·B, sharding output rows across cores above the size
-// threshold.
+// MulTN computes C = Aᵀ·B with the same per-element arithmetic as Mul
+// (one serial chain over k per element, zero A[k,i] skipped), sharding
+// output rows across cores above the size threshold.
 func MulTN(dst, a, b *Dense) *Dense {
 	if a.r != b.r {
 		panic("mat: MulTN dimension mismatch")
 	}
 	dst = prepDst(dst, a.c, b.c)
-	fast := KernelBackend() == BackendFast
 	if w := MulWorkers(); w > 1 && a.r*a.c*b.c >= parallelFlops {
-		shard := mulTNShard
-		if fast {
-			shard = mulTNShardFast
-		}
-		shardRows(w, a.c, a.r*b.c, func(lo, hi int) { shard(dst, a, b, lo, hi) })
+		shardRows(w, a.c, a.r*b.c, func(lo, hi int) { mulTNShard(dst, a, b, lo, hi) })
 		return dst
 	}
-	if fast {
-		mulTNShardFast(dst, a, b, 0, a.c)
-		return dst
-	}
-	n := b.c
-	for k := 0; k < a.r; k++ {
-		arow := a.Row(k)
-		brow := b.data[k*n : k*n+n]
-		for i, av := range arow {
-			if av == 0 {
-				continue
-			}
-			crow := dst.data[i*n : i*n+n]
-			for j, bv := range brow {
-				crow[j] += av * bv
-			}
-		}
-	}
+	mulTNShard(dst, a, b, 0, a.c)
 	return dst
 }
 
 // MulNT computes C = A·Bᵀ, sharding output rows across cores above the size
-// threshold.
+// threshold. Under the reference backend each output element is one serial
+// dot product over k ascending from zero (mulNTShard); the fast backend
+// splits each dot across lanes (dotFast).
 func MulNT(dst, a, b *Dense) *Dense {
 	if a.c != b.c {
 		panic("mat: MulNT dimension mismatch")
 	}
-	// Every output element is assigned (crow[j] = s), never accumulated, so
-	// the destination is not zeroed first — MulNT is the kernel behind the
-	// Kronecker mode contraction, where the extra write pass would be pure
-	// memory traffic on the hottest path in the system.
+	// Every output element is assigned, never accumulated, so the
+	// destination is not zeroed first.
 	dst = prepDstNoZero(dst, a.r, b.r)
-	fast := KernelBackend() == BackendFast
+	shard := mulNTShard
+	if KernelBackend() == BackendFast {
+		shard = mulNTShardFast
+	}
 	if w := MulWorkers(); w > 1 && a.r*a.c*b.r >= parallelFlops {
-		shard := mulNTShard
-		if fast {
-			shard = mulNTShardFast
-		}
 		shardRows(w, a.r, a.c*b.r, func(lo, hi int) { shard(dst, a, b, lo, hi) })
 		return dst
 	}
-	if fast {
-		mulNTShardFast(dst, a, b, 0, a.r)
-		return dst
+	shard(dst, a, b, 0, a.r)
+	return dst
+}
+
+// mulShard computes rows [lo, hi) of dst += A·B.
+func mulShard(dst, a, b *Dense, lo, hi int) {
+	axpyRows(dst, a.data, a.c, 1, b, lo, hi, simdCols(b.c))
+}
+
+// mulTNShard computes rows [lo, hi) of dst += Aᵀ·B.
+func mulTNShard(dst, a, b *Dense, lo, hi int) {
+	axpyRows(dst, a.data, 1, a.c, b, lo, hi, simdCols(b.c))
+}
+
+// simdCols is how many of n output columns axpyRowAVX2 takes: every whole
+// strip of sixteen where the hardware has AVX2, none elsewhere.
+func simdCols(n int) int {
+	if haveAVX2 {
+		return n &^ 15
 	}
-	for i := 0; i < a.r; i++ {
-		arow := a.Row(i)
-		crow := dst.Row(i)
-		for j := 0; j < b.r; j++ {
-			brow := b.Row(j)
-			s := 0.0
-			for k, av := range arow {
-				s += av * brow[k]
+	return 0
+}
+
+// axpyRows computes rows [lo, hi) of dst += Â·B, where Â(i, k) =
+// ad[i*ars+k*aks] (Mul reads A row-major, MulTN column-major) and every
+// output element is one chain over k ascending that skips zero Â(i, k).
+// Per k-panel and row it gathers the row's nonzero multipliers and their B
+// row offsets, so the skip costs one pass over the row, never a branch in
+// the inner loop — and skips real work: OPT₀'s Θ sits on its box's lower
+// bound, at exactly zero, in most entries. The assembly then sweeps the
+// first n16 output columns (a multiple of sixteen; see simdCols), each
+// strip's accumulators held in registers across the row's multipliers,
+// and Go tiles take the remaining columns. Both give each element the
+// same chain, so they give the same bits. The k-panels of kBlock keep a
+// panel of B in L2 while the shard's rows stream over it; the
+// accumulators go through dst between panels, which is exact.
+func axpyRows(dst *Dense, ad []float64, ars, aks int, b *Dense, lo, hi, n16 int) {
+	kk, n := b.r, b.c
+	var vals [kBlock]float64
+	var offs [kBlock]int
+	for k0 := 0; k0 < kk; k0 += kBlock {
+		k1 := min(k0+kBlock, kk)
+		for i := lo; i < hi; i++ {
+			cnt := gatherNonzero(&vals, &offs, ad[i*ars+k0*aks:], aks, k1-k0, k0*n, n)
+			if cnt == 0 {
+				continue
 			}
-			crow[j] = s
+			crow := dst.data[i*n : i*n+n]
+			if n16 > 0 {
+				axpyRowAVX2(crow, vals[:cnt], offs[:cnt], b.data, n16/16)
+			}
+			axpyRowGo(crow, vals[:cnt], offs[:cnt], b.data, n16, n)
 		}
 	}
-	return dst
+}
+
+// gatherNonzero stores the nonzero values among col[q*stride] for q < k in
+// vals, and the B offset off + q*ldb of each in offs, and returns how many
+// it stored. The store is unconditional and the count advances by
+// comparison, so the loop has no data-dependent branch.
+func gatherNonzero(vals *[kBlock]float64, offs *[kBlock]int, col []float64, stride, k, off, ldb int) int {
+	cnt := 0
+	for q := 0; q < k; q++ {
+		v := col[q*stride]
+		vals[cnt], offs[cnt] = v, off
+		x := 0
+		if v != 0 {
+			x = 1
+		}
+		cnt += x
+		off += ldb
+	}
+	return cnt
+}
+
+// axpyRowGo computes crow[j] += Σ_t vals[t]·bd[offs[t]+j] for j in
+// [jlo, jhi) in tiles of four columns, one serial chain per column.
+func axpyRowGo(crow, vals []float64, offs []int, bd []float64, jlo, jhi int) {
+	offs = offs[:len(vals)]
+	j := jlo
+	for ; j+4 <= jhi; j += 4 {
+		s0, s1, s2, s3 := crow[j], crow[j+1], crow[j+2], crow[j+3]
+		for t, v := range vals {
+			f := bd[offs[t]+j : offs[t]+j+4 : offs[t]+j+4]
+			s0 += v * f[0]
+			s1 += v * f[1]
+			s2 += v * f[2]
+			s3 += v * f[3]
+		}
+		crow[j], crow[j+1], crow[j+2], crow[j+3] = s0, s1, s2, s3
+	}
+	for ; j < jhi; j++ {
+		s := crow[j]
+		for t, v := range vals {
+			s += v * bd[offs[t]+j]
+		}
+		crow[j] = s
+	}
+}
+
+// mulNTShard computes rows [lo, hi) of dst = A·Bᵀ for the reference
+// backend, each element one serial dot product over k ascending from
+// zero. Where the hardware has AVX2 and the shard has a band's worth of
+// rows, it transposes B into scratch, so that a run of output columns is
+// a run of memory, and dotBandAVX2 sweeps four-row bands with one output
+// element per lane; a short last band repeats its last row, and B's
+// columns are zero-padded to a multiple of eight (the padding lanes are
+// computed and dropped). Elsewhere ContractNT's Go tiles take the shard,
+// run on views of its rows of A and dst.
+func mulNTShard(dst, a, b *Dense, lo, hi int) {
+	kk, n := a.c, b.r
+	if !haveAVX2 || hi-lo < 4 || kk == 0 || n == 0 {
+		av := Dense{r: hi - lo, c: kk, data: a.data[lo*kk : hi*kk]}
+		dv := Dense{r: hi - lo, c: n, data: dst.data[lo*n : hi*n]}
+		contractNTShard(&dv, &av, b, 0, n)
+		return
+	}
+	n8 := (n + 7) &^ 7
+	buf := getScratch((kk + 4) * n8)
+	defer scratchPool.Put(buf)
+	bt, out := (*buf)[:kk*n8], (*buf)[kk*n8:]
+	transposePadded(bt, n8, b)
+	for i := lo; i < hi; i += 4 {
+		r1, r2, r3 := min(i+1, hi-1), min(i+2, hi-1), min(i+3, hi-1)
+		dotBandAVX2(out, a.data, i*kk, r1*kk, r2*kk, r3*kk, bt, n8, kk, n8/8)
+		for r, row := range [4]int{i, r1, r2, r3} {
+			copy(dst.data[row*n:row*n+n], out[r*n8:r*n8+n])
+		}
+	}
+}
+
+// transposePadded writes Bᵀ into bt with row stride ld ≥ b.r, zeroing the
+// ld − b.r padding columns of each row.
+func transposePadded(bt []float64, ld int, b *Dense) {
+	kk, n, bd := b.c, b.r, b.data
+	for q := 0; q < kk; q++ {
+		row := bt[q*ld : q*ld+ld]
+		for j, src := 0, q; j < n; j, src = j+1, src+kk {
+			row[j] = bd[src]
+		}
+		for j := n; j < ld; j++ {
+			row[j] = 0
+		}
+	}
+}
+
+// scratchPool recycles mulNTShard's scratch buffers (*[]float64), so a
+// MulNT called tens of thousands of times per selection does not feed the
+// collector.
+var scratchPool sync.Pool
+
+// getScratch returns a buffer of length n with unspecified contents; hand
+// it back with scratchPool.Put.
+func getScratch(n int) *[]float64 {
+	if b, ok := scratchPool.Get().(*[]float64); ok && cap(*b) >= n {
+		*b = (*b)[:n]
+		return b
+	}
+	b := make([]float64, n)
+	return &b
 }
 
 // ContractNT computes C = A·Bᵀ — the same contraction as MulNT with the
@@ -123,7 +226,8 @@ func MulNT(dst, a, b *Dense) *Dense {
 // cache-resident and B is not: in the Kronecker mode contraction A is a
 // small per-attribute factor (tens of KB) while B is the reshaped
 // data-vector intermediate (MBs), so B must be read exactly once while A
-// stays hot, not re-streamed once per factor row as MulNT's layout would.
+// stays hot, not re-streamed once per factor row as an A-row-outer layout
+// would.
 // Above the size threshold B's rows are sharded across cores; every output
 // element is written by exactly one shard.
 func ContractNT(dst, a, b *Dense) *Dense {

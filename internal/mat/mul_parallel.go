@@ -18,9 +18,9 @@ const (
 	// parallelFlops is the multiply-add count above which the kernels shard
 	// across cores; below it goroutine fan-out costs more than it saves.
 	parallelFlops = 1 << 18
-	// kBlock is the k-panel size of the cache-blocked shard kernels: a panel
-	// of B (kBlock × n floats) stays resident in L2 while a shard's rows
-	// stream over it.
+	// kBlock is the k-panel size of the Mul/MulTN kernel: a panel of B
+	// (kBlock × n floats) stays resident in L2 while a shard's rows stream
+	// over it.
 	kBlock = 256
 )
 
@@ -38,75 +38,4 @@ func shardRows(workers, r, flopsPerRow int, kernel func(lo, hi int)) {
 		}
 	}
 	parallel.ForChunked(workers, r, minRows, kernel)
-}
-
-// mulShard computes rows [lo, hi) of dst = A·B with the k-panel-blocked
-// i-k-j kernel. Accumulation order over k matches Mul's serial loop.
-func mulShard(dst, a, b *Dense, lo, hi int) {
-	n := b.c
-	for kk := 0; kk < a.c; kk += kBlock {
-		kmax := kk + kBlock
-		if kmax > a.c {
-			kmax = a.c
-		}
-		for i := lo; i < hi; i++ {
-			arow := a.Row(i)
-			crow := dst.Row(i)
-			for k := kk; k < kmax; k++ {
-				av := arow[k]
-				if av == 0 {
-					continue
-				}
-				brow := b.data[k*n : k*n+n]
-				for j, bv := range brow {
-					crow[j] += av * bv
-				}
-			}
-		}
-	}
-}
-
-// mulTNShard computes rows [lo, hi) of dst = Aᵀ·B. The serial MulTN loop is
-// k-outer/i-inner; restricting i to the shard and blocking k preserves the
-// per-element accumulation order exactly.
-func mulTNShard(dst, a, b *Dense, lo, hi int) {
-	n := b.c
-	for kk := 0; kk < a.r; kk += kBlock {
-		kmax := kk + kBlock
-		if kmax > a.r {
-			kmax = a.r
-		}
-		for k := kk; k < kmax; k++ {
-			arow := a.Row(k)
-			brow := b.data[k*n : k*n+n]
-			for i := lo; i < hi; i++ {
-				av := arow[i]
-				if av == 0 {
-					continue
-				}
-				crow := dst.data[i*n : i*n+n]
-				for j, bv := range brow {
-					crow[j] += av * bv
-				}
-			}
-		}
-	}
-}
-
-// mulNTShard computes rows [lo, hi) of dst = A·Bᵀ; each output element is an
-// independent dot product, identical to the serial kernel restricted to the
-// shard.
-func mulNTShard(dst, a, b *Dense, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		arow := a.Row(i)
-		crow := dst.Row(i)
-		for j := 0; j < b.r; j++ {
-			brow := b.Row(j)
-			s := 0.0
-			for k, av := range arow {
-				s += av * brow[k]
-			}
-			crow[j] = s
-		}
-	}
 }

@@ -1,0 +1,210 @@
+package mat
+
+import (
+	"fmt"
+	"math"
+	"math/rand/v2"
+	"testing"
+)
+
+// The scalar loops below are the multiply kernels as they were before the
+// register tiles: the definition of Mul, MulTN and the reference MulNT,
+// bit for bit.
+
+func scalarMul(a, b *Dense) *Dense {
+	dst := NewDense(a.r, b.c)
+	n := b.c
+	for i := 0; i < a.r; i++ {
+		arow := a.Row(i)
+		crow := dst.Row(i)
+		for k, av := range arow {
+			if av == 0 {
+				continue
+			}
+			brow := b.data[k*n : k*n+n]
+			for j, bv := range brow {
+				crow[j] += av * bv
+			}
+		}
+	}
+	return dst
+}
+
+func scalarMulTN(a, b *Dense) *Dense {
+	dst := NewDense(a.c, b.c)
+	n := b.c
+	for k := 0; k < a.r; k++ {
+		arow := a.Row(k)
+		brow := b.data[k*n : k*n+n]
+		for i, av := range arow {
+			if av == 0 {
+				continue
+			}
+			crow := dst.data[i*n : i*n+n]
+			for j, bv := range brow {
+				crow[j] += av * bv
+			}
+		}
+	}
+	return dst
+}
+
+func scalarMulNT(a, b *Dense) *Dense {
+	dst := NewDense(a.r, b.r)
+	for i := 0; i < a.r; i++ {
+		arow := a.Row(i)
+		crow := dst.Row(i)
+		for j := 0; j < b.r; j++ {
+			brow := b.Row(j)
+			s := 0.0
+			for k, av := range arow {
+				s += av * brow[k]
+			}
+			crow[j] = s
+		}
+	}
+	return dst
+}
+
+// mulShapes are (m, k, n) for an m×k times k×n product. n straddles the
+// sixteen-column assembly strip and the four-column Go tile; k straddles
+// the kBlock panel; m covers the four-row and two-row tiles of MulNT. The
+// last four cross parallelFlops, so workers > 1 shards them.
+var mulShapes = [][3]int{
+	{0, 5, 3}, {3, 0, 2}, {3, 5, 0},
+	{1, 1, 1}, {2, 3, 4}, {3, 7, 5}, {4, 9, 15}, {5, 16, 16},
+	{7, 115, 17}, {7, 115, 115}, {9, 3, 31}, {3, 2, 32}, {6, 8, 33},
+	{2, 257, 47}, {1, 300, 20}, {8, 1, 64}, {11, 13, 7},
+	{130, 70, 131}, {33, 256, 40}, {17, 513, 33}, {1024, 2, 129},
+}
+
+// nonFinite fills d with Gaussians and, every few entries, ±Inf or NaN:
+// the B operand of the skip tests, where a zero multiplier that is not
+// skipped turns an Inf into NaN.
+func nonFinite(rng *rand.Rand, d []float64, _ int) {
+	for i := range d {
+		switch rng.IntN(8) {
+		case 0:
+			d[i] = math.Inf(1)
+		case 1:
+			d[i] = math.Inf(-1)
+		case 2:
+			d[i] = math.NaN()
+		default:
+			d[i] = rng.NormFloat64()
+		}
+	}
+}
+
+// wantSameBitsOrNaN is wantSameBits where NaN matches NaN: which of two NaN
+// operands an addition returns depends on the operand order the compiler
+// or the assembly picks, so no kernel, the scalar loops included, pins NaN
+// payloads. Every other value must match bit for bit, and NaN must appear
+// exactly where the scalar loop has it.
+func wantSameBitsOrNaN(t *testing.T, what string, want, got *Dense) {
+	t.Helper()
+	for i, w := range want.data {
+		g := got.data[i]
+		if math.IsNaN(w) && math.IsNaN(g) {
+			continue
+		}
+		if math.Float64bits(g) != math.Float64bits(w) {
+			t.Fatalf("%s: element %d = %g, scalar reference %g", what, i, g, w)
+		}
+	}
+}
+
+// mulFills pair an A fill with a B fill: the three finite modes on both
+// operands, and zero-heavy A against a non-finite B.
+var mulFills = []struct {
+	name string
+	a, b func(*rand.Rand, []float64, int)
+}{
+	{fillModes[0].name, fillModes[0].fill, fillModes[0].fill},
+	{fillModes[1].name, fillModes[1].fill, fillModes[1].fill},
+	{fillModes[2].name, fillModes[2].fill, fillModes[2].fill},
+	{"zero-A/nonfinite-B", fillModes[1].fill, nonFinite},
+}
+
+// checkAxpyKernel pins one of Mul/MulTN to its scalar loop. run is the
+// public entry point, goTiles computes the same product with the Go tiles
+// alone (what every non-AVX2 build runs). The public kernel runs under
+// both backends at Workers 1/4/8.
+func checkAxpyKernel(t *testing.T, name string, ref func(a, b *Dense) *Dense,
+	run func(dst, a, b *Dense) *Dense, goTiles func(dst, a, b *Dense),
+	aShape func(m, k int) (int, int)) {
+	t.Helper()
+	prevW := SetWorkers(1)
+	defer SetWorkers(prevW)
+	for _, fill := range mulFills {
+		for _, sh := range mulShapes {
+			m, k, n := sh[0], sh[1], sh[2]
+			rng := rand.New(rand.NewPCG(uint64(m*1_000_000+k*1000+n), 0x5ca1))
+			ar, ac := aShape(m, k)
+			a := fillDense(rng, fill.a, ar, ac)
+			b := fillDense(rng, fill.b, k, n)
+			want := ref(a, b)
+			got := NewDense(m, n)
+			goTiles(got, a, b)
+			wantSameBitsOrNaN(t, fmt.Sprintf("%s %s %v Go tiles", name, fill.name, sh), want, got)
+			for _, backend := range []Backend{BackendReference, BackendFast} {
+				pinBackend(t, backend)
+				for _, workers := range []int{1, 4, 8} {
+					SetWorkers(workers)
+					got := nanDense(m, n)
+					run(got, a, b)
+					wantSameBitsOrNaN(t, fmt.Sprintf("%s %s %v %s workers=%d", name, fill.name, sh, backend, workers), want, got)
+				}
+				SetWorkers(1)
+			}
+		}
+	}
+}
+
+// TestMulMatchesScalarReference pins Mul byte-for-byte to the scalar i-k-j
+// loop: every tile edge, zeros in A skipped even against Inf and NaN in B,
+// both backends, Workers 1/4/8, and the Go tiles run alone.
+func TestMulMatchesScalarReference(t *testing.T) {
+	checkAxpyKernel(t, "Mul", scalarMul, Mul,
+		func(dst, a, b *Dense) { axpyRows(dst, a.data, a.c, 1, b, 0, a.r, 0) },
+		func(m, k int) (int, int) { return m, k })
+}
+
+// TestMulTNMatchesScalarReference is TestMulMatchesScalarReference for
+// MulTN, whose kernel reads A column-major.
+func TestMulTNMatchesScalarReference(t *testing.T) {
+	checkAxpyKernel(t, "MulTN", scalarMulTN, MulTN,
+		func(dst, a, b *Dense) { axpyRows(dst, a.data, 1, a.c, b, 0, a.c, 0) },
+		func(m, k int) (int, int) { return k, m })
+}
+
+// TestMulNTMatchesScalarReference pins the reference backend's MulNT
+// byte-for-byte to the scalar dot loop at Workers 1/4/8, and its Go tiles
+// run alone (the AVX2 bands take only shards of four rows or more). MulNT
+// does not skip zeros, so a zero in A against an Inf in B must give NaN.
+// (The fast backend's MulNT splits each dot across lanes;
+// backend_diff_test.go bounds it.)
+func TestMulNTMatchesScalarReference(t *testing.T) {
+	pinBackend(t, BackendReference)
+	prevW := SetWorkers(1)
+	defer SetWorkers(prevW)
+	for _, fill := range mulFills {
+		for _, sh := range mulShapes {
+			m, k, n := sh[0], sh[1], sh[2]
+			rng := rand.New(rand.NewPCG(uint64(m*1_000_000+k*1000+n), 0x47))
+			a := fillDense(rng, fill.a, m, k)
+			b := fillDense(rng, fill.b, n, k)
+			want := scalarMulNT(a, b)
+			got := nanDense(m, n)
+			contractNTShard(got, a, b, 0, n)
+			wantSameBitsOrNaN(t, fmt.Sprintf("MulNT %s %v Go tiles", fill.name, sh), want, got)
+			for _, workers := range []int{1, 4, 8} {
+				SetWorkers(workers)
+				got := nanDense(m, n)
+				MulNT(got, a, b)
+				wantSameBitsOrNaN(t, fmt.Sprintf("MulNT %s %v workers=%d", fill.name, sh, workers), want, got)
+			}
+			SetWorkers(1)
+		}
+	}
+}
