@@ -25,12 +25,12 @@ import (
 	"repro/internal/workload"
 )
 
-// benchResult is one row of the perf-trajectory artifact (BENCH_11.json):
-// one operation at one worker count under one kernel backend. Kernels,
-// GOARCH, CPUs, GOMAXPROCS and GoVersion identify what actually ran and
-// where — MB/s from a fast-backend row on one architecture is not
-// comparable to a reference row, nor a 2-CPU row to a 16-CPU one — and
-// older artifacts predate the fields, so they unmarshal as zero values.
+// benchResult is one row of the perf-trajectory artifact (BENCH_12.json):
+// one operation at one worker count. Kernels, GOARCH, CPUs, GOMAXPROCS and
+// GoVersion identify what actually ran and where — a 2-CPU row is not
+// comparable to a 16-CPU one, and rows of older artifacts made under the
+// retired lane-split backend say "fast" — and older artifacts predate the
+// fields, so they unmarshal as zero values.
 type benchResult struct {
 	Op          string  `json:"op"`
 	Kernels     string  `json:"kernels,omitempty"`
@@ -157,14 +157,6 @@ func benchCases(workers int) ([]benchCase, error) {
 	cases = append(cases,
 		benchCase{"kron/matvec-cph", int64(8 * (ccols + crows)), func() { cph.MatVecTo(cdst, cx, cws) }},
 		benchCase{"kron/mattvec-cph", int64(8 * (crows + ccols)), func() { cph.MatTVecTo(cdstT, cy, cws) }},
-	)
-
-	const k = 16
-	xs := randSlice(rng, k*cols)
-	batch := make([]float64, k*rows)
-	p.MatMulTo(batch, xs, k, ws)
-	cases = append(cases,
-		benchCase{fmt.Sprintf("kron/matmul%d", k), int64(8 * k * (cols + rows)), func() { p.MatMulTo(batch, xs, k, ws) }},
 	)
 
 	// --- Selection on the CPH workload the end-to-end benchmark's tenants
@@ -339,44 +331,19 @@ func parseWorkerSet(spec string) ([]int, error) {
 	return set, nil
 }
 
-// parseKernelSet parses the -kernels flag: a comma-separated list of
-// kernel backend names, deduplicated in order. "" selects only the
-// backend already active in this process (HDMM_KERNELS or the default),
-// so existing invocations keep their single-backend behavior.
-func parseKernelSet(spec string) ([]string, error) {
-	if spec == "" {
-		return []string{hdmm.KernelBackend()}, nil
-	}
-	var set []string
-	seen := map[string]bool{}
-	for _, part := range strings.Split(spec, ",") {
-		b, err := mat.ParseBackend(strings.TrimSpace(part))
-		if err != nil {
-			return nil, fmt.Errorf("bad -kernels value %q (want e.g. reference,fast)", part)
-		}
-		if seen[b.String()] {
-			continue
-		}
-		seen[b.String()] = true
-		set = append(set, b.String())
-	}
-	return set, nil
-}
-
 // cmdBench runs the kernel/reconstruct/serve/snapshot benchmark harness
-// across a sweep of worker counts and kernel backends and writes the
-// results as JSON, seeding the perf trajectory future PRs diff against.
+// across a sweep of worker counts and writes the results as JSON, seeding
+// the perf trajectory future PRs diff against.
 func cmdBench(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	out := fs.String("out", "BENCH_11.json", "output path for the JSON results")
+	out := fs.String("out", "BENCH_12.json", "output path for the JSON results")
 	targetMS := fs.Int("benchtime", 250, "minimum milliseconds of measurement per op")
 	workersSpec := fs.String("workers", "", "comma-separated worker counts to sweep (default 1,2,4 and GOMAXPROCS, deduplicated)")
-	kernelsSpec := fs.String("kernels", "", "comma-separated kernel backends to sweep, e.g. reference,fast (default: the active backend only)")
 	baseline := fs.String("baseline", "", "baseline JSON results to compare against (from an earlier -out)")
-	assertImproves := fs.String("assert-improves", "", "comma-separated [KERNELS:]OP entries; fail unless each op's best MB/s beats the -baseline file's (regression gate for CI)")
+	assertImproves := fs.String("assert-improves", "", "comma-separated ops; fail unless each op's best MB/s beats the -baseline file's (regression gate for CI)")
 	fs.Usage = func() {
-		fmt.Fprintln(stderr, "usage: hdmm bench [-out FILE] [-benchtime MS] [-workers 1,4,8] [-kernels reference,fast] [-baseline FILE -assert-improves [KERNELS:]OP,...]")
+		fmt.Fprintln(stderr, "usage: hdmm bench [-out FILE] [-benchtime MS] [-workers 1,4,8] [-baseline FILE -assert-improves OP,...]")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -396,43 +363,29 @@ func cmdBench(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return usageError(err.Error())
 	}
-	kernelSet, err := parseKernelSet(*kernelsSpec)
-	if err != nil {
-		return usageError(err.Error())
-	}
 
 	var results []benchResult
-	for _, backend := range kernelSet {
-		prevBackend, err := hdmm.SetKernelBackend(backend)
+	for _, workers := range workerSet {
+		prev := hdmm.SetWorkers(workers)
+		cases, err := benchCases(workers)
 		if err != nil {
-			return err
-		}
-		for _, workers := range workerSet {
-			prev := hdmm.SetWorkers(workers)
-			cases, err := benchCases(workers)
-			if err != nil {
-				hdmm.SetWorkers(prev)
-				hdmm.SetKernelBackend(prevBackend)
-				return err
-			}
-			for _, c := range cases {
-				r := measure(c, *targetMS)
-				r.Workers = workers
-				r.Kernels = backend
-				r.GOARCH = runtime.GOARCH
-				r.CPUs = runtime.NumCPU()
-				r.GOMAXPROCS = runtime.GOMAXPROCS(0)
-				r.GoVersion = runtime.Version()
-				results = append(results, r)
-				// Progress goes to stderr so `-out -` leaves stdout pure JSON.
-				fmt.Fprintf(stderr, "%-22s kernels=%-9s workers=%-2d %12.0f ns/op %10.1f allocs/op %10.1f MB/s\n",
-					c.op, backend, workers, r.NsPerOp, r.AllocsPerOp, r.MBPerS)
-			}
 			hdmm.SetWorkers(prev)
-		}
-		if _, err := hdmm.SetKernelBackend(prevBackend); err != nil {
 			return err
 		}
+		for _, c := range cases {
+			r := measure(c, *targetMS)
+			r.Workers = workers
+			r.Kernels = mat.Arithmetic
+			r.GOARCH = runtime.GOARCH
+			r.CPUs = runtime.NumCPU()
+			r.GOMAXPROCS = runtime.GOMAXPROCS(0)
+			r.GoVersion = runtime.Version()
+			results = append(results, r)
+			// Progress goes to stderr so `-out -` leaves stdout pure JSON.
+			fmt.Fprintf(stderr, "%-22s workers=%-2d %12.0f ns/op %10.1f allocs/op %10.1f MB/s\n",
+				c.op, workers, r.NsPerOp, r.AllocsPerOp, r.MBPerS)
+		}
+		hdmm.SetWorkers(prev)
 	}
 
 	blob, err := json.MarshalIndent(results, "", "  ")
@@ -460,13 +413,11 @@ func cmdBench(args []string, stdout, stderr io.Writer) error {
 }
 
 // bestMBPerS returns the best throughput recorded for op across worker
-// counts, and whether the op appears at all. A non-empty kernels filter
-// keeps only rows from that backend; "" matches every row (including
-// rows from pre-backend artifacts, which carry no kernels field).
-func bestMBPerS(results []benchResult, op, kernels string) (float64, bool) {
+// counts, and whether the op appears at all.
+func bestMBPerS(results []benchResult, op string) (float64, bool) {
 	best, found := 0.0, false
 	for _, r := range results {
-		if r.Op != op || (kernels != "" && r.Kernels != kernels) {
+		if r.Op != op {
 			continue
 		}
 		found = true
@@ -477,15 +428,10 @@ func bestMBPerS(results []benchResult, op, kernels string) (float64, bool) {
 	return best, found
 }
 
-// assertOpImproves is the CI regression gate: for each comma-separated
-// [KERNELS:]OP entry, the current run's best MB/s must strictly beat the
-// baseline file's best for the same op. Comparing best-across-workers on
-// both sides keeps the gate insensitive to which worker counts each run
-// swept. A KERNELS prefix (e.g. "fast:kron/matvec") restricts the
-// *current* side to rows from that backend; the baseline side is always
-// unfiltered, so gating fast rows against a pre-backend artifact (whose
-// rows carry no kernels field) asserts the new backend beats the old
-// single-backend numbers.
+// assertOpImproves is the CI regression gate: for each comma-separated op,
+// the current run's best MB/s must strictly beat the baseline file's best
+// for the same op. Comparing best-across-workers on both sides keeps the
+// gate insensitive to which worker counts each run swept.
 func assertOpImproves(baselinePath, spec string, results []benchResult, stdout io.Writer) error {
 	raw, err := os.ReadFile(baselinePath)
 	if err != nil {
@@ -495,27 +441,20 @@ func assertOpImproves(baselinePath, spec string, results []benchResult, stdout i
 	if err := json.Unmarshal(raw, &base); err != nil {
 		return fmt.Errorf("bench: parsing baseline %s: %w", baselinePath, err)
 	}
-	for _, entry := range strings.Split(spec, ",") {
-		entry = strings.TrimSpace(entry)
-		kernels, op := "", entry
-		if i := strings.IndexByte(entry, ':'); i >= 0 {
-			kernels, op = entry[:i], entry[i+1:]
-			if _, err := mat.ParseBackend(kernels); err != nil {
-				return fmt.Errorf("bench: bad -assert-improves entry %q: %v", entry, err)
-			}
-		}
-		was, ok := bestMBPerS(base, op, "")
+	for _, op := range strings.Split(spec, ",") {
+		op = strings.TrimSpace(op)
+		was, ok := bestMBPerS(base, op)
 		if !ok {
 			return fmt.Errorf("bench: baseline %s has no %q rows", baselinePath, op)
 		}
-		now, ok := bestMBPerS(results, op, kernels)
+		now, ok := bestMBPerS(results, op)
 		if !ok {
-			return fmt.Errorf("bench: this run produced no %q rows", entry)
+			return fmt.Errorf("bench: this run produced no %q rows", op)
 		}
 		if now <= was {
-			return fmt.Errorf("bench: %s regressed: %.2f MB/s vs baseline %.2f MB/s", entry, now, was)
+			return fmt.Errorf("bench: %s regressed: %.2f MB/s vs baseline %.2f MB/s", op, now, was)
 		}
-		fmt.Fprintf(stdout, "%s improved: %.2f MB/s vs baseline %.2f MB/s (%.1fx)\n", entry, now, was, now/was)
+		fmt.Fprintf(stdout, "%s improved: %.2f MB/s vs baseline %.2f MB/s (%.1fx)\n", op, now, was, now/was)
 	}
 	return nil
 }

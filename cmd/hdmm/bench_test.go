@@ -7,8 +7,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"testing"
-
-	hdmm "repro"
 )
 
 // TestCmdBench runs the harness at the shortest measurement window and
@@ -17,9 +15,8 @@ import (
 // malformed trajectory.
 func TestCmdBench(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "BENCH_test.json")
-	prevBackend := hdmm.KernelBackend()
 	var stdout, stderr bytes.Buffer
-	if err := cmdBench([]string{"-benchtime", "1", "-workers", "1,2", "-kernels", "reference,fast", "-out", out}, &stdout, &stderr); err != nil {
+	if err := cmdBench([]string{"-benchtime", "1", "-workers", "1,2", "-out", out}, &stdout, &stderr); err != nil {
 		t.Fatalf("cmdBench: %v\nstderr: %s", err, stderr.String())
 	}
 	blob, err := os.ReadFile(out)
@@ -31,20 +28,21 @@ func TestCmdBench(t *testing.T) {
 		t.Fatalf("BENCH json: %v", err)
 	}
 	want := map[string]bool{
-		"kron/matvec": false, "kron/mattvec": false, "kron/matmul16": false,
+		"kron/matvec": false, "kron/mattvec": false,
 		"kron/matvec-cph": false, "kron/mattvec-cph": false,
 		"select/opt0-cph": false, "select/cph": false,
 		"reconstruct/kron": false, "reconstruct/union": false,
 		"serve/answer512": false, "snapshot/roundtrip": false,
 	}
 	workerRows := map[int]int{}
-	kernelRows := map[string]int{}
 	for _, r := range results {
 		if _, ok := want[r.Op]; ok {
 			want[r.Op] = true
 		}
 		workerRows[r.Workers]++
-		kernelRows[r.Kernels]++
+		if r.Kernels != "reference" {
+			t.Errorf("%s: kernels = %q, want reference", r.Op, r.Kernels)
+		}
 		if r.NsPerOp <= 0 || r.Iters <= 0 || r.Workers <= 0 {
 			t.Errorf("%s (workers=%d): non-positive measurement %+v", r.Op, r.Workers, r)
 		}
@@ -64,15 +62,9 @@ func TestCmdBench(t *testing.T) {
 			t.Errorf("op %s missing from results", op)
 		}
 	}
-	// 2 worker counts × 2 backends: every op must appear in each cell.
-	if workerRows[1] != 2*len(want) || workerRows[2] != 2*len(want) {
-		t.Errorf("worker sweep rows = %v, want %d per requested count", workerRows, 2*len(want))
-	}
-	if kernelRows["reference"] != 2*len(want) || kernelRows["fast"] != 2*len(want) {
-		t.Errorf("kernel sweep rows = %v, want %d per backend", kernelRows, 2*len(want))
-	}
-	if got := hdmm.KernelBackend(); got != prevBackend {
-		t.Errorf("cmdBench left kernel backend %q, want prior %q restored", got, prevBackend)
+	// Every op must appear once per requested worker count.
+	if workerRows[1] != len(want) || workerRows[2] != len(want) {
+		t.Errorf("worker sweep rows = %v, want %d per requested count", workerRows, len(want))
 	}
 }
 
@@ -104,31 +96,9 @@ func TestParseWorkerSet(t *testing.T) {
 	}
 }
 
-// TestParseKernelSet: the backend sweep flag deduplicates, keeps order,
-// rejects unknown backends, and defaults to the active backend only.
-func TestParseKernelSet(t *testing.T) {
-	set, err := parseKernelSet("fast, reference,fast")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(set) != 2 || set[0] != "fast" || set[1] != "reference" {
-		t.Fatalf("parseKernelSet = %v", set)
-	}
-	for _, bad := range []string{"turbo", "reference,,fast", "fast,scalar"} {
-		if _, err := parseKernelSet(bad); err == nil {
-			t.Errorf("parseKernelSet(%q) accepted", bad)
-		}
-	}
-	def, err := parseKernelSet("")
-	if err != nil || len(def) != 1 || def[0] != hdmm.KernelBackend() {
-		t.Fatalf("default sweep = %v, %v (active backend %q)", def, err, hdmm.KernelBackend())
-	}
-}
-
 // TestAssertImproves covers the CI regression gate: a run must beat the
 // baseline's best MB/s for the asserted op, and a baseline it cannot beat
-// (or that lacks the op) is an error. Entries may carry a KERNELS: prefix
-// restricting the current side to one backend's rows.
+// (or that lacks the op) is an error.
 func TestAssertImproves(t *testing.T) {
 	results := []benchResult{
 		{Op: "reconstruct/union", Workers: 1, MBPerS: 50},
@@ -161,36 +131,22 @@ func TestAssertImproves(t *testing.T) {
 		t.Fatal("unreadable baseline accepted")
 	}
 
-	// Backend-qualified entries: the current side is filtered to that
-	// backend's rows, the baseline side (a pre-backend artifact with no
-	// kernels field) is not.
-	tagged := []benchResult{
-		{Op: "kron/matvec", Kernels: "reference", Workers: 1, MBPerS: 100},
-		{Op: "kron/matvec", Kernels: "fast", Workers: 1, MBPerS: 250},
-	}
-	if err := assertOpImproves(writeBaseline([]benchResult{{Op: "kron/matvec", Workers: 1, MBPerS: 120}}),
-		"fast:kron/matvec", tagged, &out); err != nil {
-		t.Fatalf("fast rows beat baseline but gate rejected: %v", err)
-	}
-	if err := assertOpImproves(writeBaseline([]benchResult{{Op: "kron/matvec", Workers: 1, MBPerS: 300}}),
-		"fast:kron/matvec", tagged, &out); err == nil {
-		t.Fatal("regressed fast rows accepted")
-	}
-	if err := assertOpImproves(slow, "turbo:reconstruct/union", results, &out); err == nil {
-		t.Fatal("unknown backend prefix accepted")
-	}
 	// Multi-entry spec: every entry must pass; one failing entry fails the
 	// gate even when an earlier entry improved.
-	multi := writeBaseline([]benchResult{
+	both := append([]benchResult{{Op: "kron/matvec", Workers: 1, MBPerS: 250}}, results...)
+	improved := writeBaseline([]benchResult{
 		{Op: "kron/matvec", Workers: 1, MBPerS: 120},
 		{Op: "reconstruct/union", Workers: 1, MBPerS: 1.3},
 	})
-	both := append(append([]benchResult{}, results...), tagged...)
-	if err := assertOpImproves(multi, "reconstruct/union, fast:kron/matvec", both, &out); err != nil {
+	if err := assertOpImproves(improved, "reconstruct/union, kron/matvec", both, &out); err != nil {
 		t.Fatalf("multi-entry gate rejected improving run: %v", err)
 	}
-	if err := assertOpImproves(multi, "reconstruct/union,reference:kron/matvec", both, &out); err == nil {
-		t.Fatal("multi-entry gate passed despite reference:kron/matvec regressing")
+	regressed := writeBaseline([]benchResult{
+		{Op: "kron/matvec", Workers: 1, MBPerS: 300},
+		{Op: "reconstruct/union", Workers: 1, MBPerS: 1.3},
+	})
+	if err := assertOpImproves(regressed, "reconstruct/union,kron/matvec", both, &out); err == nil {
+		t.Fatal("multi-entry gate passed despite kron/matvec regressing")
 	}
 }
 

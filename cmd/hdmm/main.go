@@ -93,34 +93,18 @@ type usageError string
 
 func (e usageError) Error() string { return string(e) }
 
-// workloadFlags is the flag set shared by every mode: domain + products,
-// plus the process-wide kernel backend.
+// workloadFlags is the flag set shared by every mode: domain + products.
 type workloadFlags struct {
 	fs      *flag.FlagSet
 	domain  *string
 	queries queryFlags
-	kernels *string
 }
 
 func newWorkloadFlags(name string) *workloadFlags {
 	wf := &workloadFlags{fs: flag.NewFlagSet(name, flag.ContinueOnError)}
 	wf.domain = wf.fs.String("domain", "", "comma-separated attribute sizes, e.g. 2,115")
 	wf.fs.Var(&wf.queries, "query", "workload product, e.g. I,R (repeatable)")
-	wf.kernels = wf.fs.String("kernels", "", "kernel backend: reference (scalar, byte-stable across releases) or fast (multi-accumulator/AVX2, ≥2x on dot-bound kernels; strategy-cache and engine keys are tagged). Empty = keep the HDMM_KERNELS setting or the reference default")
 	return wf
-}
-
-// applyKernels applies the -kernels flag, if set, before any numeric work
-// runs. The backend is a startup knob — this is the one place the CLI
-// sets it, alongside SetWorkers.
-func (wf *workloadFlags) applyKernels() error {
-	if *wf.kernels == "" {
-		return nil
-	}
-	if _, err := hdmm.SetKernelBackend(*wf.kernels); err != nil {
-		return usageError(err.Error())
-	}
-	return nil
 }
 
 // workload parses the -domain and -query flags into a workload.
@@ -177,9 +161,6 @@ func cmdOptimize(args []string, stdout, stderr io.Writer) error {
 	}
 
 	hdmm.SetWorkers(*workers)
-	if err := wf.applyKernels(); err != nil {
-		return err
-	}
 	opts := hdmm.SelectOptions{Restarts: *restarts, Seed: *optseed, Workers: *workers}
 	key, sel, fromCache, err := hdmm.Optimize(w, *cache, opts)
 	if err != nil {
@@ -234,7 +215,6 @@ func cmdServe(args []string, stdout, stderr io.Writer) error {
 			restarts:     *restarts,
 			optseed:      *optseed,
 			workers:      *workers,
-			kernels:      *wf.kernels,
 			drain:        *drain,
 			solveMaxIter: *solveMaxIter,
 			logFormat:    *logFormat,
@@ -308,9 +288,6 @@ func cmdServe(args []string, stdout, stderr io.Writer) error {
 	x := w.Domain.DataVector(records)
 
 	hdmm.SetWorkers(*workers)
-	if err := wf.applyKernels(); err != nil {
-		return err
-	}
 	eng, err := hdmm.NewEngine(w, x, *eps, hdmm.EngineOptions{
 		Selection: hdmm.SelectOptions{Restarts: *restarts, Seed: *optseed, Workers: *workers},
 		CacheDir:  *cache,
@@ -356,7 +333,6 @@ type daemonConfig struct {
 	restarts     int
 	optseed      uint64
 	workers      int
-	kernels      string        // kernel backend name ("" = leave the process default)
 	drain        time.Duration // shutdown grace for in-flight requests
 	solveMaxIter int           // union-reconstruction LSMR iteration cap (0 = default)
 	logFormat    string        // slog handler: "text" or "json" ("" = text)
@@ -374,11 +350,6 @@ type daemonConfig struct {
 // after every startup message has been written (tests listen on :0).
 func serveDaemon(ctx context.Context, addr string, cfg daemonConfig, stdout, stderr io.Writer, onReady func(string)) error {
 	hdmm.SetWorkers(cfg.workers)
-	if cfg.kernels != "" {
-		if _, err := hdmm.SetKernelBackend(cfg.kernels); err != nil {
-			return usageError(err.Error())
-		}
-	}
 	format, level := cfg.logFormat, cfg.logLevel
 	if format == "" {
 		format = "text"
@@ -564,9 +535,6 @@ func cmdRun(args []string, stdout, stderr io.Writer) error {
 	x := w.Domain.DataVector(records)
 
 	hdmm.SetWorkers(*workers) // kernel-level bound; Selection.Workers bounds the restart fan-out
-	if err := wf.applyKernels(); err != nil {
-		return err
-	}
 	res, err := hdmm.Run(w, x, *eps, hdmm.Options{
 		Seed:      *seed,
 		Selection: hdmm.SelectOptions{Restarts: *restarts, Workers: *workers},

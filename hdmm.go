@@ -35,7 +35,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/kron"
-	"repro/internal/mat"
 	"repro/internal/mech"
 	"repro/internal/registry"
 	"repro/internal/schema"
@@ -151,32 +150,6 @@ func Select(w *Workload, opts SelectOptions) (*Selected, error) {
 // pipeline to a single core. n <= 0 restores the default,
 // runtime.GOMAXPROCS(0). All results are bit-identical for any value.
 func SetWorkers(n int) int { return kron.SetWorkers(n) }
-
-// SetKernelBackend selects the process-wide kernel backend by name and
-// returns the previous one. "reference" (the default) is the original
-// scalar arithmetic — byte-identical strategies, measurements and
-// snapshots on every machine since the kernels were written. "fast"
-// computes the same contractions with multi-accumulator lanes (AVX2
-// where available), ≥2x faster on the dot-bound kernels; its results
-// are equally deterministic — run-to-run and worker-count independent
-// — but differ from reference at the ULP level, so strategy-cache and
-// engine keys minted under it are tagged with the backend and never
-// collide with reference keys.
-//
-// Like the HDMM_KERNELS environment variable it mirrors, this is a
-// startup knob: call it once in main, before the first Select or
-// Register. Flipping it mid-process would mix two arithmetic regimes
-// in one run.
-func SetKernelBackend(name string) (previous string, err error) {
-	b, err := mat.ParseBackend(name)
-	if err != nil {
-		return "", err
-	}
-	return mat.SetKernelBackend(b).String(), nil
-}
-
-// KernelBackend reports the active kernel backend name.
-func KernelBackend() string { return mat.KernelBackend().String() }
 
 // Options configures an end-to-end Run.
 type Options struct {

@@ -7,8 +7,8 @@ import (
 
 // TestApplicationsAreAllocationFree asserts the zero-allocation contract of
 // the GEMM-backed application layer: once a workspace's buffers (and the
-// stack's cached offsets) have grown to size, MatVecTo, MatTVecTo,
-// MatMulTo, and the stacked forms perform no allocations at all. Run at
+// stack's cached offsets) have grown to size, MatVecTo, MatTVecTo and the
+// stacked forms perform no allocations at all. Run at
 // Workers=1 — the serial paths are the contract; parallel fan-out spawns
 // goroutines, whose bookkeeping is constant per application and covered by
 // the solver-level O(1) test.
@@ -25,10 +25,6 @@ func TestApplicationsAreAllocationFree(t *testing.T) {
 	dstT := make([]float64, cols)
 	ws := NewWorkspace()
 
-	const k = 8
-	xs := randVec(rng, k*cols)
-	batch := make([]float64, k*rows)
-
 	s := NewStack([]Linear{
 		NewProduct(randMat(rng, 9, 8), randMat(rng, 33, 16)),
 		NewProduct(randMat(rng, 4, 8), randMat(rng, 21, 16)),
@@ -43,7 +39,6 @@ func TestApplicationsAreAllocationFree(t *testing.T) {
 	// Warm caches: workspace buffers, stack offsets.
 	p.MatVecTo(dst, x, ws)
 	p.MatTVecTo(dstT, y, ws)
-	p.MatMulTo(batch, xs, k, ws)
 	s.MatVecTo(sdst, sx, sws)
 	s.MatTVecTo(sdstT, sy, sws)
 
@@ -53,7 +48,6 @@ func TestApplicationsAreAllocationFree(t *testing.T) {
 	}{
 		{"Product.MatVecTo", func() { p.MatVecTo(dst, x, ws) }},
 		{"Product.MatTVecTo", func() { p.MatTVecTo(dstT, y, ws) }},
-		{"Product.MatMulTo", func() { p.MatMulTo(batch, xs, k, ws) }},
 		{"Stack.MatVecTo", func() { s.MatVecTo(sdst, sx, sws) }},
 		{"Stack.MatTVecTo", func() { s.MatTVecTo(sdstT, sy, sws) }},
 	}

@@ -8,10 +8,8 @@
 // contraction of Algorithm 1 is one mat.ContractNT call (out = F·Zᵀ) over
 // a reusable two-buffer Workspace, the transpose path runs the exact
 // adjoint of that sweep (mode 0 first, one mat.ContractTN call per mode,
-// out = Zᵀ·F on the factor as stored) so Aᵀy costs the flops Ax costs,
-// and a multi-RHS entry point (Product.MatMulTo) applies one product to a
-// block of k vectors with the batch axis folded into the GEMMs. Results
-// are bit-identical to the scalar reference algorithm at any worker
+// out = Zᵀ·F on the factor as stored) so Aᵀy costs the flops Ax costs.
+// Results are bit-identical to the scalar reference algorithm at any worker
 // count: each output element is a single serial dot product accumulated
 // in ascending index order no matter how the output range is sharded.
 package kron
@@ -230,7 +228,7 @@ func (p *Product) MatVecTo(dst, x []float64, ws *Workspace) {
 		ws = GetWorkspace()
 		defer PutWorkspace(ws)
 	}
-	applyFactors(dst, p.Factors, x, 1, ws)
+	applyFactors(dst, p.Factors, x, ws)
 }
 
 // MatTVecTo writes Aᵀ·y into dst (len cols), drawing all scratch from ws
@@ -245,60 +243,40 @@ func (p *Product) MatTVecTo(dst, y []float64, ws *Workspace) {
 	applyAdjoint(dst, p.Factors, y, ws)
 }
 
-// MatMulTo applies the product to k vectors at once: xs holds the vectors
-// row-major (k×cols), dst receives the k results row-major (k×rows). The
-// batch axis rides through the mode contractions, so the whole batch costs
-// d GEMMs (plus one transpose pass) instead of k·d thinner ones — answer v
-// is bit-identical to MatVecTo on vector v alone. dst may not alias xs.
-func (p *Product) MatMulTo(dst, xs []float64, k int, ws *Workspace) {
-	if k <= 0 {
-		panic(fmt.Sprintf("kron: MatMulTo with %d vectors", k))
-	}
-	if ws == nil {
-		ws = GetWorkspace()
-		defer PutWorkspace(ws)
-	}
-	applyFactors(dst, p.Factors, xs, k, ws)
-}
-
 // applyFactors runs Algorithm 1 (Appendix A.5) forward, A·x, as a sweep of
-// GEMMs over a batch of k vectors stored row-major in x (k×n). It
-// contracts modes d-1 → 0: at each step the current batch is viewed as a
-// rows×fc matrix Z whose trailing axis is the mode being contracted and
-// whose leading axis carries the batch and all not-yet-contracted tensor
+// GEMMs. It contracts modes d-1 → 0: at each step the current vector is
+// viewed as a rows×fc matrix Z whose trailing axis is the mode being
+// contracted and whose leading axis carries all not-yet-contracted tensor
 // axes, and the factor application "multiply by F and transpose" is
 // exactly out = F·Zᵀ — one mat.ContractNT (the factor-resident,
-// intermediate-streaming GEMM order) into the next ping-pong buffer, the
-// result axis rotated to the front (or straight into dst on the final
-// step when k == 1; for k > 1 the batch axis ends up trailing after d
-// contractions, so one transpose pass delivers the row-major k×m result).
+// intermediate-streaming GEMM order) into the next ping-pong buffer (straight
+// into dst on the final step), the result axis rotated to the front.
 // applyAdjoint is its mirror for Aᵀ·y. Each output element is a single
 // dot product accumulated in ascending index order both serially and
 // under mat's row sharding, so results are bit-identical to the scalar
 // reference at any worker count.
-func applyFactors(dst []float64, factors []*mat.Dense, x []float64, k int, ws *Workspace) {
-	d := len(factors)
+func applyFactors(dst []float64, factors []*mat.Dense, x []float64, ws *Workspace) {
 	m, n := 1, 1
 	for _, f := range factors {
 		fr, fc := f.Dims()
 		m *= fr
 		n *= fc
 	}
-	if len(x) != k*n {
-		panic(fmt.Sprintf("kron: input length %d want %d", len(x), k*n))
+	if len(x) != n {
+		panic(fmt.Sprintf("kron: input length %d want %d", len(x), n))
 	}
-	if len(dst) != k*m {
-		panic(fmt.Sprintf("kron: output length %d want %d", len(dst), k*m))
+	if len(dst) != m {
+		panic(fmt.Sprintf("kron: output length %d want %d", len(dst), m))
 	}
 	cur := x
-	size := n // per-vector length of cur
+	size := n // length of cur
 	buf := 0
-	for i := d - 1; i >= 0; i-- {
+	for i := len(factors) - 1; i >= 0; i-- {
 		f := factors[i]
 		fr, fc := f.Dims()
-		rows := k * size / fc
+		rows := size / fc
 		var out []float64
-		if i == 0 && k == 1 {
+		if i == 0 {
 			out = dst
 		} else {
 			out = ws.buf(buf, rows*fr)
@@ -308,17 +286,7 @@ func applyFactors(dst []float64, factors []*mat.Dense, x []float64, k int, ws *W
 		o := ws.o.Reshape(fr, rows, out)
 		mat.ContractNT(o, f, z)
 		cur = out
-		size = size / fc * fr
-	}
-	if k > 1 {
-		// After d contractions the layout is (m1,…,md,k): vector v is
-		// column v of an m×k matrix. Deliver row-major k×m.
-		for j := 0; j < m; j++ {
-			row := cur[j*k : j*k+k]
-			for v, val := range row {
-				dst[v*m+j] = val
-			}
-		}
+		size = rows * fr
 	}
 }
 

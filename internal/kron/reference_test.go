@@ -146,22 +146,9 @@ func randFactors(rng *rand.Rand, d int) []*mat.Dense {
 }
 
 // TestGEMMKernelsMatchScalarReference is the differential gate of the GEMM
-// rewrite: MatVec/MatTVec (pooled and workspace forms) and the multi-RHS
-// MatMulTo must be byte-identical to the retired scalar kernel at every
-// tested worker count.
-// pinReferenceBackend scopes a test to the reference kernel backend:
-// the scalar models in this file define the REFERENCE backend's
-// byte-identity contract, which the fast backend intentionally does not
-// satisfy (lane-split dots differ at ULP). The fast backend's own gate
-// is the differential suite in internal/mat.
-func pinReferenceBackend(t *testing.T) {
-	t.Helper()
-	prev := mat.SetKernelBackend(mat.BackendReference)
-	t.Cleanup(func() { mat.SetKernelBackend(prev) })
-}
-
+// rewrite: MatVec/MatTVec (pooled and workspace forms) must be
+// byte-identical to the retired scalar kernel at every tested worker count.
 func TestGEMMKernelsMatchScalarReference(t *testing.T) {
-	pinReferenceBackend(t)
 	for _, workers := range []int{1, 4, 8} {
 		prev := SetWorkers(workers)
 		t.Cleanup(func() { SetWorkers(prev) })
@@ -190,17 +177,6 @@ func TestGEMMKernelsMatchScalarReference(t *testing.T) {
 			clear(gotT)
 			p.MatTVecTo(gotT, y, ws)
 			bitsEqual(t, "MatTVecTo", gotT, wantT)
-
-			// Multi-RHS: row v of the batch result is the reference
-			// applied to vector v.
-			k := 1 + rng.IntN(5)
-			xs := randVec(rng, k*cols)
-			batch := make([]float64, k*rows)
-			p.MatMulTo(batch, xs, k, ws)
-			for v := 0; v < k; v++ {
-				wantV := refKmatvec(p.Factors, xs[v*cols:(v+1)*cols], false)
-				bitsEqual(t, "MatMulTo", batch[v*rows:(v+1)*rows], wantV)
-			}
 		}
 	}
 }
@@ -209,7 +185,6 @@ func TestGEMMKernelsMatchScalarReference(t *testing.T) {
 // stacked operators, including weighted blocks and column counts above the
 // stack's parallel fan-out threshold.
 func TestStackMatchesScalarReference(t *testing.T) {
-	pinReferenceBackend(t)
 	for _, workers := range []int{1, 4, 8} {
 		prev := SetWorkers(workers)
 		t.Cleanup(func() { SetWorkers(prev) })
@@ -269,7 +244,6 @@ var heterogeneousShapes = [][][2]int{
 // factor from the same small range), forward and transposed, Products
 // and Stacks, at Workers 1/4/8.
 func TestAdjointSweepHeterogeneousShapes(t *testing.T) {
-	pinReferenceBackend(t)
 	for _, workers := range []int{1, 4, 8} {
 		prev := SetWorkers(workers)
 		t.Cleanup(func() { SetWorkers(prev) })
@@ -315,11 +289,9 @@ func TestAdjointSweepHeterogeneousShapes(t *testing.T) {
 	}
 }
 
-// TestAdjointSweepDeterministicAcrossWorkers runs under whichever kernel
-// backend is active (CI runs the suite once per backend): the transposed
-// sweep must give the same bits at Workers 1/4/8. Its per-element
-// arithmetic is elementwise in both backends, so those bits are also the
-// scalar reference's.
+// TestAdjointSweepDeterministicAcrossWorkers: the transposed sweep must
+// give the same bits at Workers 1/4/8, and those bits are the scalar
+// reference's.
 func TestAdjointSweepDeterministicAcrossWorkers(t *testing.T) {
 	rng := rand.New(rand.NewPCG(53, 59))
 	shape := heterogeneousShapes[len(heterogeneousShapes)-1]

@@ -6,11 +6,6 @@
 // math/rand state (order-dependent under concurrency, the exact bug
 // PR 1 fixed) and never a wall-clock or pid seed (silently forks the
 // byte-identity contract between runs).
-//
-// The same contract covers the kernel backend knob: SetKernelBackend
-// selects a process-wide arithmetic regime and is legal only at
-// startup. Request-path packages (serve, server) calling it would mix
-// regimes mid-flight, so such calls are findings.
 package detrand
 
 import (
@@ -55,31 +50,12 @@ var seeded = map[string]bool{
 	"Seed":       true, // math/rand (v1) global reseed
 }
 
-// requestPath is the set of packages that execute per-request: flipping
-// the process-wide kernel backend from here would mix two arithmetic
-// regimes inside one process lifetime — results minted before and after
-// the flip disagree at ULP, and any strategy/engine key minted across
-// the boundary lies about its provenance. The knob is a startup knob
-// (main, flags, env), never a request-path mutation.
-var requestPath = map[string]bool{
-	"repro/internal/serve":  true,
-	"repro/internal/server": true,
-}
-
-// backendKnob matches the process-wide kernel backend setters, at both
-// the internal (mat) and public (repro) surfaces.
-func backendKnob(fn *types.Func) bool {
-	return analysis.IsPkgFunc(fn, "repro/internal/mat", "SetKernelBackend") ||
-		analysis.IsPkgFunc(fn, "repro", "SetKernelBackend")
-}
-
 // Analyzer is the detrand check.
 var Analyzer = &analysis.Analyzer{
 	Name: "detrand",
 	Doc: "deterministic packages (core, kron, mat, lsmr, mech, registry, snapshot) must not use " +
 		"global math/rand state or wall-clock/pid seeds; RNGs flow from an explicit seed via " +
-		"parallel.DeriveSeed or mech.NoiseRNG; request-path packages (serve, server) must not " +
-		"flip the process-wide kernel backend",
+		"parallel.DeriveSeed or mech.NoiseRNG",
 	Run: run,
 }
 
@@ -102,14 +78,6 @@ func run(pass *analysis.Pass) error {
 			}
 			fn := analysis.Callee(pass.TypesInfo, call)
 			if fn == nil || fn.Pkg() == nil {
-				return true
-			}
-			if requestPath[pass.Pkg.Path()] && backendKnob(fn) {
-				pass.Reportf(call.Pos(),
-					"%s.SetKernelBackend called from request-path package %s: the kernel backend is a startup knob; "+
-						"flipping it per-request mixes two arithmetic regimes in one process and mints strategy/engine "+
-						"keys that lie about their provenance — set it in main before serving",
-					fn.Pkg().Name(), pass.Pkg.Path())
 				return true
 			}
 			path := fn.Pkg().Path()

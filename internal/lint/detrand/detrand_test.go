@@ -16,14 +16,7 @@ func TestDeterministicPackage(t *testing.T) {
 }
 
 // TestOutsidePackages: wall-clock/pid seeds are flagged in every
-// package; global draws, local seed helpers and backend-knob wiring
-// are not.
+// package; global draws and local seed helpers are not.
 func TestOutsidePackages(t *testing.T) {
 	analysistest.Run(t, detrand.Analyzer, "b")
-}
-
-// TestRequestPathBackendKnob: request-path packages must not flip the
-// process-wide kernel backend; reading it is fine.
-func TestRequestPathBackendKnob(t *testing.T) {
-	analysistest.Run(t, detrand.Analyzer, "repro/internal/server")
 }

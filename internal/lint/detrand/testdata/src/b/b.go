@@ -9,8 +9,6 @@ import (
 	"math/rand/v2"
 	"os"
 	"time"
-
-	"repro/internal/mat"
 )
 
 // Not a deterministic package: global draws pass.
@@ -33,10 +31,4 @@ func pidSeed() mrand.Source {
 
 func reseedGlobal() {
 	mrand.Seed(time.Now().Unix()) // want `rand\.Seed seeded from time\.Now`
-}
-
-// Outside the request path (and the deterministic set), the backend
-// knob is legal: this is exactly where main/flag wiring lives.
-func chooseBackend() {
-	mat.SetKernelBackend(mat.BackendFast)
 }

@@ -333,15 +333,14 @@ func sym(a, b float64) (c, s, r float64) {
 	return a / r, b / r, r
 }
 
-// norm2 returns ‖x‖₂. The fast path is the plain sum of squares in the
-// active kernel backend's accumulation order (mat.SqSum: the historical
-// serial chain under reference, lane-split under fast) — and only when
+// norm2 returns ‖x‖₂. The fast path is the plain sum of squares
+// (mat.SqSum, the historical serial chain) — and only when
 // that sum overflows to +Inf (large well-scaled vectors: ~1e154 entries
 // square past MaxFloat64 while the norm itself is representable), or
 // underflows all the way to zero on a non-zero vector, does it fall back
-// to a scaled two-pass accumulation (serial in both backends: the
-// fallback is too rare to optimize, and keeping one implementation keeps
-// its numerics trivially deterministic).
+// to a scaled two-pass accumulation (serial: the fallback is too rare to
+// optimize, and keeping it serial keeps its numerics trivially
+// deterministic).
 func norm2(x []float64) float64 {
 	s := mat.SqSum(x)
 	if !math.IsInf(s, 1) && s != 0 {

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/kron"
-	"repro/internal/mat"
 )
 
 // norm2Plain is the historical accumulation — the differential reference
@@ -21,13 +20,8 @@ func norm2Plain(x []float64) float64 {
 
 // TestNorm2DifferentialInRange: for every vector whose plain sum of squares
 // stays finite and non-zero, the rewritten norm2 takes the fast path and
-// returns the exact bits of the historical accumulation. A reference-
-// backend contract: under the fast kernel backend the sum is lane-split
-// and agrees only to ULP (covered by internal/mat's differential suite),
-// so the backend is pinned here.
+// returns the exact bits of the historical accumulation.
 func TestNorm2DifferentialInRange(t *testing.T) {
-	prev := mat.SetKernelBackend(mat.BackendReference)
-	t.Cleanup(func() { mat.SetKernelBackend(prev) })
 	rng := rand.New(rand.NewPCG(31, 32))
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + rng.IntN(300)

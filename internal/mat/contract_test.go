@@ -23,9 +23,8 @@ func refContractTN(a, b *Dense) *Dense {
 	return out
 }
 
-// refContractNT is the scalar definition of the reference ContractNT:
-// C = A·Bᵀ with one serial chain per output element, k ascending from
-// zero, no skips.
+// refContractNT is the scalar definition of ContractNT: C = A·Bᵀ with one
+// serial chain per output element, k ascending from zero, no skips.
 func refContractNT(a, b *Dense) *Dense {
 	out := NewDense(a.r, b.r)
 	for q := 0; q < a.r; q++ {
@@ -40,33 +39,44 @@ func refContractNT(a, b *Dense) *Dense {
 	return out
 }
 
-// TestContractNTMatchesScalarReference pins the reference backend's
-// ContractNT byte-for-byte to its scalar definition at Workers 1/4/8.
-// Shapes cover every edge of its 4×2 tiles (A rows below, at and past
-// multiples of four; odd and even B row counts, so shards start tiles at
-// odd rows), empty contractions, and shapes past parallelFlops.
+// TestContractNTMatchesScalarReference pins ContractNT byte-for-byte to its
+// scalar definition at Workers 1/4/8, and its Go tiles run alone (what
+// every non-AVX2 build runs). Shapes cover every edge of the 4×2 Go tiles
+// (A rows below, at and past multiples of four; odd and even B row counts,
+// so shards start tiles at odd rows), both sides of the AVX2 band's gate (A
+// rows 7/8/9 against shards of 15/16/17 B rows), B row counts that leave a
+// short last band, k = 1, a 2080-row AllRange factor against one and 64
+// rows, empty contractions, and shapes past parallelFlops. ContractNT does
+// not skip zeros, so a zero in A against an Inf in B must give NaN.
 func TestContractNTMatchesScalarReference(t *testing.T) {
 	shapes := [][3]int{ // ar, n, k: A is ar×k, B is n×k
 		{0, 5, 3}, {3, 0, 2}, {3, 5, 0},
 		{1, 1, 1}, {3, 2, 1}, {4, 2, 3}, {5, 3, 2}, {8, 7, 5},
 		{9, 4, 7}, {13, 9, 6}, {2, 33, 11},
+		{7, 15, 9}, {7, 16, 9}, {7, 17, 9},
+		{8, 15, 9}, {8, 16, 9}, {8, 17, 9},
+		{9, 15, 9}, {9, 16, 9}, {9, 17, 9},
+		{12, 18, 6}, {16, 19, 33}, {11, 23, 4}, {8, 20, 1}, {24, 37, 1},
+		{2080, 1, 64}, {2080, 64, 64},
 		{65, 64, 64}, {115, 41, 122}, {2, 90001, 3}, {17, 4099, 18},
 	}
-	pinBackend(t, BackendReference)
 	prevW := SetWorkers(1)
 	defer SetWorkers(prevW)
-	for _, mode := range fillModes {
+	for _, fill := range mulFills {
 		for _, sh := range shapes {
 			ar, n, kk := sh[0], sh[1], sh[2]
 			rng := rand.New(rand.NewPCG(uint64(ar*1_000_000+n*100+kk), 0x4e))
-			a := fillDense(rng, mode.fill, ar, kk)
-			b := fillDense(rng, mode.fill, n, kk)
+			a := fillDense(rng, fill.a, ar, kk)
+			b := fillDense(rng, fill.b, n, kk)
 			want := refContractNT(a, b)
+			got := nanDense(ar, n)
+			contractNTTiles(got, a, b, 0, n)
+			wantSameBitsOrNaN(t, fmt.Sprintf("%s %v Go tiles", fill.name, sh), want, got)
 			for _, workers := range []int{1, 4, 8} {
 				SetWorkers(workers)
 				got := nanDense(ar, n)
 				ContractNT(got, a, b)
-				wantSameBits(t, fmt.Sprintf("%s %v workers=%d", mode.name, sh, workers), want, got)
+				wantSameBitsOrNaN(t, fmt.Sprintf("%s %v workers=%d", fill.name, sh, workers), want, got)
 			}
 			SetWorkers(1)
 		}
@@ -75,9 +85,7 @@ func TestContractNTMatchesScalarReference(t *testing.T) {
 
 // TestContractTNMatchesScalarReference pins ContractTN byte-for-byte to
 // its scalar definition at Workers 1/4/8, so it is both the oracle test
-// and the shard-invariance test of the kernel. ContractTN does not read
-// the kernel backend; TestFastMatchesReferenceDifferential checks that
-// the two backends agree on it. On AVX2 hardware ContractTN runs the 8×4
+// and the shard-invariance test of the kernel. On AVX2 hardware ContractTN runs the 8×4
 // assembly tiles with the Go tiles on the edges, so the Go tiles are
 // also run alone over every shape: that is all non-AVX2 builds run.
 // Shapes cover every tile edge of both tilings (rows and columns below,

@@ -3,6 +3,17 @@
 // triangular solves, symmetric eigendecomposition, pseudo-inverses and the
 // matrix norms that appear in matrix-mechanism error expressions.
 //
+// The kernels have one arithmetic contract. Every output element is one
+// serial accumulation chain, in the order the original scalar loops used
+// (zero skips included), so strategies, measurements and snapshots are
+// byte-identical to every release since the kernels were written, on every
+// architecture and at any worker count. The kernels are register-tiled,
+// and where they use SIMD lanes each lane is a separate output element,
+// never a split of one element's sum. Multiplies and adds stay separate
+// instructions (never FMA, whose single rounding would change the bits).
+// Enabling or disabling the assembly (-tags hdmm_noasm) therefore changes
+// throughput and never a bit of output.
+//
 // The package is deliberately small and allocation-conscious rather than
 // general: everything HDMM needs, nothing more, stdlib only.
 package mat
@@ -11,6 +22,12 @@ import (
 	"fmt"
 	"math"
 )
+
+// Arithmetic names the kernels' arithmetic contract where machine records
+// report it (the "kernels" field of /healthz, /metrics and ledger rows).
+// "reference" is the name the contract had while a second, lane-split
+// backend existed, so records from before and after its removal compare.
+const Arithmetic = "reference"
 
 // Dense is a dense row-major matrix of float64.
 type Dense struct {

@@ -2,23 +2,14 @@
 
 package mat
 
-// The AVX2 kernels are implementation details, not a third arithmetic
-// regime: dotAVX2 executes the exact lane assignment and reduction tree
-// dotFastGeneric defines (vmulpd+vaddpd, no FMA), axpyAVX2 is
-// elementwise, and axpyRowAVX2, dotBandAVX2 and contractTNTileAVX2 give
-// each lane its own output element, so enabling or disabling the
-// assembly never changes a single bit of output — only throughput.
-// dotAVX2 and axpyAVX2 serve the fast backend (its dot-shaped kernels,
-// Gram, MatTVec and Axpy); dotBandAVX2 serves the reference backend's
-// MulNT; axpyRowAVX2 serves Mul and MulTN, and contractTNTileAVX2
-// ContractTN, under both backends, whose bits they share. Build with
-// -tags hdmm_noasm to force pure Go.
-
-// dotAVX2 computes dotFastGeneric(a, b) with two ymm accumulators.
-// len(b) must be at least len(a).
-//
-//go:noescape
-func dotAVX2(a, b []float64) float64
+// The AVX2 kernels are implementation details, not a second arithmetic:
+// axpyAVX2 is elementwise, and axpyRowAVX2, dotBandAVX2 and
+// contractTNTileAVX2 give each lane its own output element, so enabling or
+// disabling the assembly never changes a single bit of output — only
+// throughput. axpyAVX2 serves Gram, MatTVec and Axpy; axpyRowAVX2 serves
+// Mul and MulTN; dotBandAVX2 serves MulNT and ContractNT; and
+// contractTNTileAVX2 serves ContractTN. Build with -tags hdmm_noasm to
+// force pure Go.
 
 // axpyAVX2 computes dst[j] += alpha*src[j] for j in [0, len(dst)).
 // len(src) must be at least len(dst).
@@ -35,11 +26,12 @@ func axpyAVX2(alpha float64, dst, src []float64)
 //go:noescape
 func axpyRowAVX2(c []float64, a []float64, off []int, b []float64, strips int)
 
-// dotBandAVX2 computes one four-row band of the reference MulNT kernel
-// over strips × 8 columns: out[r*ld+j] = Σ_{q<k} a[ar+q]·bt[q*ld+j] for
-// r < 4 and j < 8*strips (ar is a0..a3), where bt holds B transposed;
-// each element is one serial chain over q ascending from zero. Rows may
-// repeat. Every element the band touches must lie inside the slices.
+// dotBandAVX2 computes one four-row band of the MulNT and ContractNT
+// kernels (dotBands) over strips × 8 columns:
+// out[r*ld+j] = Σ_{q<k} a[ar+q]·bt[q*ld+j] for r < 4 and j < 8*strips (ar
+// is a0..a3), where bt holds the other operand transposed; each element is
+// one serial chain over q ascending from zero. Rows may repeat. Every
+// element the band touches must lie inside the slices.
 //
 //go:noescape
 func dotBandAVX2(out []float64, a []float64, a0, a1, a2, a3 int, bt []float64, ld, k, strips int)

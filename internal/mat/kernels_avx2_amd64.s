@@ -2,66 +2,6 @@
 
 #include "textflag.h"
 
-// func dotAVX2(a, b []float64) float64
-//
-// The fast backend's dot product: the 8 accumulator lanes of
-// dotFastGeneric mapped onto two ymm registers. Y0 holds lanes 0-3
-// (elements i, i+1, i+2, i+3 of each 8-group), Y1 holds lanes 4-7.
-// Multiplication and addition stay separate (VMULPD + VADDPD, never
-// FMA) and the reduction reproduces the generic tree
-//   r_j = s_j + s_{j+4};  (r0+r2) + (r1+r3)
-// exactly, so this routine is bit-identical to the pure-Go lanes.
-TEXT ·dotAVX2(SB), NOSPLIT, $0-56
-	MOVQ a_base+0(FP), SI
-	MOVQ a_len+8(FP), CX
-	MOVQ b_base+24(FP), DI
-	VXORPD Y0, Y0, Y0 // lanes 0-3
-	VXORPD Y1, Y1, Y1 // lanes 4-7
-	MOVQ CX, DX
-	ANDQ $-8, DX      // DX = 8*floor(n/8): end of the vector body
-	XORQ AX, AX       // AX = i
-
-loop8:
-	CMPQ AX, DX
-	JGE  reduce
-	VMOVUPD (SI)(AX*8), Y2
-	VMOVUPD 32(SI)(AX*8), Y3
-	VMOVUPD (DI)(AX*8), Y4
-	VMOVUPD 32(DI)(AX*8), Y5
-	VMULPD  Y4, Y2, Y2
-	VMULPD  Y5, Y3, Y3
-	VADDPD  Y2, Y0, Y0
-	VADDPD  Y3, Y1, Y1
-	ADDQ    $8, AX
-	JMP     loop8
-
-reduce:
-	// r = [s0+s4, s1+s5, s2+s6, s3+s7]
-	VADDPD Y1, Y0, Y0
-	// low = [r0, r1], high = [r2, r3]
-	VEXTRACTF128 $1, Y0, X1
-	// [r0+r2, r1+r3]
-	VADDPD X1, X0, X0
-	// (r0+r2) + (r1+r3) in the low lane
-	VPERMILPD $1, X0, X1
-	VADDSD X1, X0, X0
-
-tail:
-	// Remaining n%8 elements accumulate serially onto the reduced sum,
-	// matching dotFastGeneric's tail loop.
-	CMPQ AX, CX
-	JGE  done
-	VMOVSD (SI)(AX*8), X2
-	VMULSD (DI)(AX*8), X2, X2
-	VADDSD X2, X0, X0
-	INCQ   AX
-	JMP    tail
-
-done:
-	VMOVSD X0, ret+48(FP)
-	VZEROUPPER
-	RET
-
 // func axpyAVX2(alpha float64, dst, src []float64)
 //
 // dst[j] += alpha*src[j] for j in [0, len(dst)). Elementwise, so the
@@ -261,13 +201,14 @@ rdone:
 
 // func dotBandAVX2(out []float64, a []float64, a0, a1, a2, a3 int, bt []float64, ld, k, strips int)
 //
-// One four-row band of the reference MulNT kernel over strips × 8 columns:
+// One four-row band of the MulNT and ContractNT kernels over strips × 8
+// columns:
 //   out[r*ld + j] = Σ_{q<k} a[ar + q] · bt[q*ld + j]
-// for r < 4 and j < 8*strips, q ascending from zero, where bt is B
-// transposed. Per strip the 4×8 tile sits in Y0..Y7 (row r in Y{2r},
-// Y{2r+1}) across the whole k loop. Each lane is one output element's
-// serial dot product: VMULPD (a first, as the scalar loop multiplies)
-// then VADDPD, never FMA, and no zero skips.
+// for r < 4 and j < 8*strips, q ascending from zero, where bt is the other
+// operand transposed. Per strip the 4×8 tile sits in Y0..Y7 (row r in
+// Y{2r}, Y{2r+1}) across the whole k loop. Each lane is one output
+// element's serial dot product: VMULPD then VADDPD, never FMA, and no zero
+// skips.
 TEXT ·dotBandAVX2(SB), NOSPLIT, $0-128
 	MOVQ  strips+120(FP), SI
 	TESTQ SI, SI

@@ -2,15 +2,10 @@
 
 package mat
 
-// Non-amd64 builds (and -tags hdmm_noasm) run the fast backend on the
-// pure-Go lane kernels and Mul, MulTN, MulNT and ContractTN on their Go
-// tiles. Same bits, portable throughput.
+// Non-amd64 builds (and -tags hdmm_noasm) run every kernel on its Go loops
+// and tiles. Same bits, portable throughput.
 
 const haveAVX2 = false
-
-func dotAVX2(a, b []float64) float64 {
-	panic("mat: dotAVX2 called without AVX2 support")
-}
 
 func axpyAVX2(alpha float64, dst, src []float64) {
 	panic("mat: axpyAVX2 called without AVX2 support")

@@ -1,14 +1,11 @@
 package mat
 
-import "sync"
-
 // Mul computes C = A·B. If dst is non-nil it must have the right shape and is
 // reused; otherwise a new matrix is allocated. Each output element is one
 // serial chain over k ascending from zero that skips every zero A[i,k], so a
 // zero in A contributes nothing even where B holds Inf or NaN. The kernel
 // (axpyRows) vectorizes across output columns only, so it computes those
-// bits under either kernel backend, on any hardware and at any worker
-// count. Above the size threshold the rows are sharded across cores.
+// bits on any hardware and at any worker count. Above the size threshold the rows are sharded across cores.
 func Mul(dst, a, b *Dense) *Dense {
 	if a.c != b.r {
 		panic("mat: Mul dimension mismatch")
@@ -39,9 +36,8 @@ func MulTN(dst, a, b *Dense) *Dense {
 }
 
 // MulNT computes C = A·Bᵀ, sharding output rows across cores above the size
-// threshold. Under the reference backend each output element is one serial
-// dot product over k ascending from zero (mulNTShard); the fast backend
-// splits each dot across lanes (dotFast).
+// threshold. Each output element is one serial dot product over k ascending
+// from zero (mulNTShard).
 func MulNT(dst, a, b *Dense) *Dense {
 	if a.c != b.c {
 		panic("mat: MulNT dimension mismatch")
@@ -49,15 +45,11 @@ func MulNT(dst, a, b *Dense) *Dense {
 	// Every output element is assigned, never accumulated, so the
 	// destination is not zeroed first.
 	dst = prepDstNoZero(dst, a.r, b.r)
-	shard := mulNTShard
-	if KernelBackend() == BackendFast {
-		shard = mulNTShardFast
-	}
 	if w := MulWorkers(); w > 1 && a.r*a.c*b.r >= parallelFlops {
-		shardRows(w, a.r, a.c*b.r, func(lo, hi int) { shard(dst, a, b, lo, hi) })
+		shardRows(w, a.r, a.c*b.r, func(lo, hi int) { mulNTShard(dst, a, b, lo, hi) })
 		return dst
 	}
-	shard(dst, a, b, 0, a.r)
+	mulNTShard(dst, a, b, 0, a.r)
 	return dst
 }
 
@@ -157,33 +149,42 @@ func axpyRowGo(crow, vals []float64, offs []int, bd []float64, jlo, jhi int) {
 	}
 }
 
-// mulNTShard computes rows [lo, hi) of dst = A·Bᵀ for the reference
-// backend, each element one serial dot product over k ascending from
-// zero. Where the hardware has AVX2 and the shard has a band's worth of
-// rows, it transposes B into scratch, so that a run of output columns is
-// a run of memory, and dotBandAVX2 sweeps four-row bands with one output
-// element per lane; a short last band repeats its last row, and B's
-// columns are zero-padded to a multiple of eight (the padding lanes are
-// computed and dropped). Elsewhere ContractNT's Go tiles take the shard,
-// run on views of its rows of A and dst.
+// mulNTShard computes rows [lo, hi) of dst = A·Bᵀ, each element one serial
+// dot product over k ascending from zero. Where the hardware has AVX2 and
+// the shard has a band's worth of rows, dotBands takes it with A's rows as
+// the band rows. Elsewhere ContractNT's Go tiles take the shard, run on
+// views of its rows of A and dst.
 func mulNTShard(dst, a, b *Dense, lo, hi int) {
 	kk, n := a.c, b.r
 	if !haveAVX2 || hi-lo < 4 || kk == 0 || n == 0 {
 		av := Dense{r: hi - lo, c: kk, data: a.data[lo*kk : hi*kk]}
 		dv := Dense{r: hi - lo, c: n, data: dst.data[lo*n : hi*n]}
-		contractNTShard(&dv, &av, b, 0, n)
+		contractNTTiles(&dv, &av, b, 0, n)
 		return
 	}
+	dotBands(a, lo, hi, b, func(i int, v []float64) { copy(dst.data[i*n:i*n+n], v) })
+}
+
+// dotBands computes the dot product of each row i in [lo, hi) of x with
+// every row of y and hands row i's y.r results to emit. It transposes y
+// into scratch, so that a run of y's rows is a run of memory, and
+// dotBandAVX2 sweeps four-row bands of x with one output element per lane,
+// each a serial chain over k ascending from zero. A short last band
+// repeats its last row, and y's rows are zero-padded to a multiple of
+// eight (the padding lanes are computed and dropped). It needs AVX2 and
+// x.c == y.c > 0.
+func dotBands(x *Dense, lo, hi int, y *Dense, emit func(i int, v []float64)) {
+	kk, n := x.c, y.r
 	n8 := (n + 7) &^ 7
 	buf := getScratch((kk + 4) * n8)
-	defer scratchPool.Put(buf)
-	bt, out := (*buf)[:kk*n8], (*buf)[kk*n8:]
-	transposePadded(bt, n8, b)
+	defer putScratch(buf)
+	yt, out := (*buf)[:kk*n8], (*buf)[kk*n8:]
+	transposePadded(yt, n8, y)
 	for i := lo; i < hi; i += 4 {
 		r1, r2, r3 := min(i+1, hi-1), min(i+2, hi-1), min(i+3, hi-1)
-		dotBandAVX2(out, a.data, i*kk, r1*kk, r2*kk, r3*kk, bt, n8, kk, n8/8)
-		for r, row := range [4]int{i, r1, r2, r3} {
-			copy(dst.data[row*n:row*n+n], out[r*n8:r*n8+n])
+		dotBandAVX2(out, x.data, i*kk, r1*kk, r2*kk, r3*kk, yt, n8, kk, n8/8)
+		for r := 0; r < min(4, hi-i); r++ {
+			emit(i+r, out[r*n8:r*n8+n])
 		}
 	}
 }
@@ -203,20 +204,39 @@ func transposePadded(bt []float64, ld int, b *Dense) {
 	}
 }
 
-// scratchPool recycles mulNTShard's scratch buffers (*[]float64), so a
-// MulNT called tens of thousands of times per selection does not feed the
-// collector.
-var scratchPool sync.Pool
+// scratchFree recycles dotBands' scratch buffers, so a MulNT called tens
+// of thousands of times per selection, or a ContractNT called once per
+// Kronecker mode, does not feed the collector. It is a buffered channel
+// rather than a sync.Pool because under the race detector a Pool drops a
+// quarter of its Puts at random, and the Kronecker applications' zero
+// allocation contract is tested under -race too. Sixteen idle buffers
+// cover the kernel shards of a few concurrent selections or requests on a
+// machine of a few cores; a buffer handed back past that is left to the
+// collector, which costs one allocation the next time, never a result.
+var scratchFree = make(chan *[]float64, 16)
 
 // getScratch returns a buffer of length n with unspecified contents; hand
-// it back with scratchPool.Put.
+// it back with putScratch. An idle buffer too small for n is dropped, so
+// the idle buffers grow to the largest size in use.
 func getScratch(n int) *[]float64 {
-	if b, ok := scratchPool.Get().(*[]float64); ok && cap(*b) >= n {
-		*b = (*b)[:n]
-		return b
+	select {
+	case b := <-scratchFree:
+		if cap(*b) >= n {
+			*b = (*b)[:n]
+			return b
+		}
+	default:
 	}
 	b := make([]float64, n)
 	return &b
+}
+
+// putScratch hands b back for reuse, or drops it if enough are idle.
+func putScratch(b *[]float64) {
+	select {
+	case scratchFree <- b:
+	default:
+	}
 }
 
 // ContractNT computes C = A·Bᵀ — the same contraction as MulNT with the
@@ -235,20 +255,37 @@ func ContractNT(dst, a, b *Dense) *Dense {
 		panic("mat: ContractNT dimension mismatch")
 	}
 	dst = prepDstNoZero(dst, a.r, b.r)
-	shard := contractNTShard
-	if KernelBackend() == BackendFast {
-		shard = contractNTShardFast
-	}
 	if w := MulWorkers(); w > 1 && a.r*a.c*b.r >= parallelFlops {
-		shardRows(w, b.r, a.r*a.c, func(lo, hi int) { shard(dst, a, b, lo, hi) })
+		shardRows(w, b.r, a.r*a.c, func(lo, hi int) { contractNTShard(dst, a, b, lo, hi) })
 		return dst
 	}
-	shard(dst, a, b, 0, b.r)
+	contractNTShard(dst, a, b, 0, b.r)
 	return dst
 }
 
-// contractNTShard computes dst[q, r] for r in [lo, hi): B-row outer, A-row
-// inner, one serial dot product per element (ascending k), written
+// contractNTShard computes dst[q, r] for r in [lo, hi). Where the hardware
+// has AVX2, A has at least eight rows and the shard at least sixteen rows
+// of B, dotBands takes it with B's rows as the band rows and A's rows
+// across the lanes, each B row's results written down a column of dst.
+// Elsewhere the Go tiles take it: with fewer than eight rows of A most
+// lanes would be padding, and a shard of a few rows would not repay
+// transposing A. Either way each element is one serial dot product over k
+// ascending from zero, so the choice never changes a bit.
+func contractNTShard(dst, a, b *Dense, lo, hi int) {
+	if !haveAVX2 || a.r < 8 || hi-lo < 16 || a.c == 0 {
+		contractNTTiles(dst, a, b, lo, hi)
+		return
+	}
+	n, dd := b.r, dst.data
+	dotBands(b, lo, hi, a, func(r int, v []float64) {
+		for q, x := range v {
+			dd[q*n+r] = x
+		}
+	})
+}
+
+// contractNTTiles computes dst[q, r] for r in [lo, hi) in Go: B-row outer,
+// A-row inner, one serial dot product per element (ascending k), written
 // column-strided into dst's row-major layout — the transposed write of the
 // mode contraction. It works in 4×2 register tiles (four rows of A against
 // two rows of B) whose eight chains are independent, so the loop is
@@ -258,7 +295,7 @@ func ContractNT(dst, a, b *Dense) *Dense {
 // the arithmetic per element is the same either way. The rows are hoisted
 // raw slices resliced to one length, so the compiler drops the inner
 // bounds checks.
-func contractNTShard(dst, a, b *Dense, lo, hi int) {
+func contractNTTiles(dst, a, b *Dense, lo, hi int) {
 	n, ar, kk := b.r, a.r, a.c
 	ad, bd, dd := a.data, b.data, dst.data
 	r := lo
@@ -323,10 +360,8 @@ func contractNTShard(dst, a, b *Dense, lo, hi int) {
 // sweep every column of B, so A as a whole streams through once and every
 // output element is written exactly once. Above the size threshold the r
 // output rows are sharded across cores; the per-element arithmetic is
-// independent of the split. It is also independent of the kernel backend,
-// so ContractTN has one implementation for both: its SIMD lanes, where the
-// hardware has them, are separate output elements, never a split of one
-// element's sum.
+// independent of the split. Its SIMD lanes, where the hardware has them,
+// are separate output elements, never a split of one element's sum.
 func ContractTN(dst, a, b *Dense) *Dense {
 	if a.r != b.r {
 		panic("mat: ContractTN dimension mismatch")
@@ -429,13 +464,10 @@ func contractTNRect(dst, a, b *Dense, ilo, ihi, jlo, jhi int) {
 }
 
 // Gram computes AᵀA, exploiting symmetry (only the upper triangle is
-// accumulated and then mirrored).
+// accumulated, one axpy per nonzero A[k,i] over the row suffix, and then
+// mirrored).
 func Gram(dst, a *Dense) *Dense {
 	dst = prepDst(dst, a.c, a.c)
-	if KernelBackend() == BackendFast {
-		gramFast(dst, a)
-		return dst
-	}
 	n := a.c
 	for k := 0; k < a.r; k++ {
 		row := a.Row(k)
@@ -443,10 +475,7 @@ func Gram(dst, a *Dense) *Dense {
 			if vi == 0 {
 				continue
 			}
-			drow := dst.data[i*n : i*n+n]
-			for j := i; j < n; j++ {
-				drow[j] += vi * row[j]
-			}
+			axpy(vi, dst.data[i*n+i:i*n+n], row[i:])
 		}
 	}
 	for i := 0; i < n; i++ {
@@ -457,7 +486,8 @@ func Gram(dst, a *Dense) *Dense {
 	return dst
 }
 
-// MatVec computes dst = A·x. dst may be nil.
+// MatVec computes dst = A·x, each element one serial dot product. dst may
+// be nil.
 func MatVec(dst []float64, a *Dense, x []float64) []float64 {
 	if len(x) != a.c {
 		panic("mat: MatVec dimension mismatch")
@@ -466,10 +496,6 @@ func MatVec(dst []float64, a *Dense, x []float64) []float64 {
 		dst = make([]float64, a.r)
 	} else if len(dst) != a.r {
 		panic("mat: MatVec dst length mismatch")
-	}
-	if KernelBackend() == BackendFast {
-		matVecFast(dst, a, x)
-		return dst
 	}
 	for i := 0; i < a.r; i++ {
 		row := a.Row(i)
@@ -482,7 +508,7 @@ func MatVec(dst []float64, a *Dense, x []float64) []float64 {
 	return dst
 }
 
-// MatTVec computes dst = Aᵀ·y. dst may be nil.
+// MatTVec computes dst = Aᵀ·y as one axpy per nonzero y[i]. dst may be nil.
 func MatTVec(dst []float64, a *Dense, y []float64) []float64 {
 	if len(y) != a.r {
 		panic("mat: MatTVec dimension mismatch")
@@ -496,18 +522,9 @@ func MatTVec(dst []float64, a *Dense, y []float64) []float64 {
 			dst[i] = 0
 		}
 	}
-	if KernelBackend() == BackendFast {
-		matTVecFast(dst, a, y)
-		return dst
-	}
 	for i := 0; i < a.r; i++ {
-		yi := y[i]
-		if yi == 0 {
-			continue
-		}
-		row := a.Row(i)
-		for j, v := range row {
-			dst[j] += yi * v
+		if yi := y[i]; yi != 0 {
+			axpy(yi, dst, a.Row(i))
 		}
 	}
 	return dst

@@ -66,6 +66,53 @@ func scalarMulNT(a, b *Dense) *Dense {
 	return dst
 }
 
+// fillModes generate operand data: dense gaussian, zero-heavy entries
+// (every axpy kernel's av == 0 skip), and fully zero rows (the
+// strongest skip pattern, plus exact-zero dot products).
+var fillModes = []struct {
+	name string
+	fill func(rng *rand.Rand, d []float64, cols int)
+}{
+	{"dense", func(rng *rand.Rand, d []float64, _ int) {
+		for i := range d {
+			d[i] = rng.NormFloat64()
+		}
+	}},
+	{"zero-heavy", func(rng *rand.Rand, d []float64, _ int) {
+		for i := range d {
+			if rng.Float64() < 0.5 {
+				d[i] = rng.NormFloat64()
+			}
+		}
+	}},
+	{"zero-rows", func(rng *rand.Rand, d []float64, cols int) {
+		if cols == 0 {
+			return
+		}
+		for i := range d {
+			if (i/cols)%2 == 0 {
+				d[i] = rng.NormFloat64()
+			}
+		}
+	}},
+}
+
+func fillDense(rng *rand.Rand, mode func(*rand.Rand, []float64, int), r, c int) *Dense {
+	m := NewDense(r, c)
+	mode(rng, m.Data(), c)
+	return m
+}
+
+func wantBitIdentical(t *testing.T, op string, want, got *Dense) {
+	t.Helper()
+	wd, gd := want.Data(), got.Data()
+	for i := range wd {
+		if math.Float64bits(wd[i]) != math.Float64bits(gd[i]) {
+			t.Fatalf("%s: element %d differs in bits: want %g, got %g", op, i, wd[i], gd[i])
+		}
+	}
+}
+
 // mulShapes are (m, k, n) for an m×k times k×n product. n straddles the
 // sixteen-column assembly strip and the four-column Go tile; k straddles
 // the kBlock panel; m covers the four-row and two-row tiles of MulNT. The
@@ -128,8 +175,8 @@ var mulFills = []struct {
 
 // checkAxpyKernel pins one of Mul/MulTN to its scalar loop. run is the
 // public entry point, goTiles computes the same product with the Go tiles
-// alone (what every non-AVX2 build runs). The public kernel runs under
-// both backends at Workers 1/4/8.
+// alone (what every non-AVX2 build runs). The public kernel runs at
+// Workers 1/4/8.
 func checkAxpyKernel(t *testing.T, name string, ref func(a, b *Dense) *Dense,
 	run func(dst, a, b *Dense) *Dense, goTiles func(dst, a, b *Dense),
 	aShape func(m, k int) (int, int)) {
@@ -147,23 +194,20 @@ func checkAxpyKernel(t *testing.T, name string, ref func(a, b *Dense) *Dense,
 			got := NewDense(m, n)
 			goTiles(got, a, b)
 			wantSameBitsOrNaN(t, fmt.Sprintf("%s %s %v Go tiles", name, fill.name, sh), want, got)
-			for _, backend := range []Backend{BackendReference, BackendFast} {
-				pinBackend(t, backend)
-				for _, workers := range []int{1, 4, 8} {
-					SetWorkers(workers)
-					got := nanDense(m, n)
-					run(got, a, b)
-					wantSameBitsOrNaN(t, fmt.Sprintf("%s %s %v %s workers=%d", name, fill.name, sh, backend, workers), want, got)
-				}
-				SetWorkers(1)
+			for _, workers := range []int{1, 4, 8} {
+				SetWorkers(workers)
+				got := nanDense(m, n)
+				run(got, a, b)
+				wantSameBitsOrNaN(t, fmt.Sprintf("%s %s %v workers=%d", name, fill.name, sh, workers), want, got)
 			}
+			SetWorkers(1)
 		}
 	}
 }
 
 // TestMulMatchesScalarReference pins Mul byte-for-byte to the scalar i-k-j
 // loop: every tile edge, zeros in A skipped even against Inf and NaN in B,
-// both backends, Workers 1/4/8, and the Go tiles run alone.
+// Workers 1/4/8, and the Go tiles run alone.
 func TestMulMatchesScalarReference(t *testing.T) {
 	checkAxpyKernel(t, "Mul", scalarMul, Mul,
 		func(dst, a, b *Dense) { axpyRows(dst, a.data, a.c, 1, b, 0, a.r, 0) },
@@ -178,14 +222,11 @@ func TestMulTNMatchesScalarReference(t *testing.T) {
 		func(m, k int) (int, int) { return k, m })
 }
 
-// TestMulNTMatchesScalarReference pins the reference backend's MulNT
-// byte-for-byte to the scalar dot loop at Workers 1/4/8, and its Go tiles
-// run alone (the AVX2 bands take only shards of four rows or more). MulNT
-// does not skip zeros, so a zero in A against an Inf in B must give NaN.
-// (The fast backend's MulNT splits each dot across lanes;
-// backend_diff_test.go bounds it.)
+// TestMulNTMatchesScalarReference pins MulNT byte-for-byte to the scalar
+// dot loop at Workers 1/4/8, and its Go tiles run alone (the AVX2 bands
+// take only shards of four rows or more). MulNT does not skip zeros, so a
+// zero in A against an Inf in B must give NaN.
 func TestMulNTMatchesScalarReference(t *testing.T) {
-	pinBackend(t, BackendReference)
 	prevW := SetWorkers(1)
 	defer SetWorkers(prevW)
 	for _, fill := range mulFills {
@@ -196,7 +237,7 @@ func TestMulNTMatchesScalarReference(t *testing.T) {
 			b := fillDense(rng, fill.b, n, k)
 			want := scalarMulNT(a, b)
 			got := nanDense(m, n)
-			contractNTShard(got, a, b, 0, n)
+			contractNTTiles(got, a, b, 0, n)
 			wantSameBitsOrNaN(t, fmt.Sprintf("MulNT %s %v Go tiles", fill.name, sh), want, got)
 			for _, workers := range []int{1, 4, 8} {
 				SetWorkers(workers)
@@ -205,6 +246,86 @@ func TestMulNTMatchesScalarReference(t *testing.T) {
 				wantSameBitsOrNaN(t, fmt.Sprintf("MulNT %s %v workers=%d", fill.name, sh, workers), want, got)
 			}
 			SetWorkers(1)
+		}
+	}
+}
+
+// TestAxpyMatchesScalarReference pins the axpy primitive, and Gram and
+// MatTVec built on it, to their scalar loops bit for bit. The lengths
+// straddle the AVX2 strip widths and the fills span magnitudes, signed
+// zeros and sign cancellation; Gram and MatTVec keep their zero skips,
+// which only the zero-heavy fills reach.
+func TestAxpyMatchesScalarReference(t *testing.T) {
+	lengths := []int{0, 1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 32, 33, 127, 128, 129, 1031}
+	fills := []struct {
+		name string
+		gen  func(rng *rand.Rand, i int) float64
+	}{
+		{"gaussian", func(rng *rand.Rand, _ int) float64 { return rng.NormFloat64() }},
+		{"alternating", func(_ *rand.Rand, i int) float64 { return float64(1-2*(i%2)) * float64(i+1) }},
+		{"magnitudes", func(rng *rand.Rand, _ int) float64 { return rng.NormFloat64() * math.Pow(2, float64(rng.IntN(120)-60)) }},
+		{"signed-zeros", func(rng *rand.Rand, i int) float64 {
+			if i%3 == 0 {
+				return math.Copysign(0, float64(1-2*(i%2)))
+			}
+			return rng.NormFloat64()
+		}},
+	}
+	for _, fill := range fills {
+		rng := rand.New(rand.NewPCG(0xa5, 0x2e))
+		for _, n := range lengths {
+			src := make([]float64, n)
+			want := make([]float64, n)
+			for i := range src {
+				src[i] = fill.gen(rng, i)
+				want[i] = fill.gen(rng, i+1)
+			}
+			got := append([]float64(nil), want...)
+			for i, v := range src {
+				want[i] += -1.5 * v
+			}
+			axpy(-1.5, got, src)
+			wantBitIdentical(t, fmt.Sprintf("axpy %s n=%d", fill.name, n), FromData(1, n, want), FromData(1, n, got))
+		}
+	}
+
+	for _, mode := range fillModes {
+		for _, sh := range [][2]int{{0, 3}, {3, 0}, {1, 1}, {7, 1}, {3, 9}, {5, 17}, {6, 100}, {80, 80}} {
+			m, k := sh[0], sh[1]
+			rng := rand.New(rand.NewPCG(uint64(m*1000+k), 0xa4f))
+			a := fillDense(rng, mode.fill, m, k)
+			y := make([]float64, m)
+			mode.fill(rng, y, m)
+
+			gram := NewDense(k, k)
+			for r := 0; r < m; r++ {
+				row := a.Row(r)
+				for i, vi := range row {
+					if vi == 0 {
+						continue
+					}
+					for j := i; j < k; j++ {
+						gram.data[i*k+j] += vi * row[j]
+					}
+				}
+			}
+			for i := 0; i < k; i++ {
+				for j := i + 1; j < k; j++ {
+					gram.data[j*k+i] = gram.data[i*k+j]
+				}
+			}
+			wantBitIdentical(t, fmt.Sprintf("Gram %s %v", mode.name, sh), gram, Gram(nil, a))
+
+			mtv := make([]float64, k)
+			for i := 0; i < m; i++ {
+				if y[i] == 0 {
+					continue
+				}
+				for j, v := range a.Row(i) {
+					mtv[j] += y[i] * v
+				}
+			}
+			wantBitIdentical(t, fmt.Sprintf("MatTVec %s %v", mode.name, sh), FromData(1, k, mtv), FromData(1, k, MatTVec(nil, a, y)))
 		}
 	}
 }

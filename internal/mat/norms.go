@@ -72,15 +72,11 @@ func TraceMul(a, b *Dense) float64 {
 	return s
 }
 
-// Dot returns the inner product of two equal-length vectors. Under the
-// fast backend the accumulation is lane-split (see dotFast); under the
-// reference backend it is the historical serial chain.
+// Dot returns the inner product of two equal-length vectors, one serial
+// chain.
 func Dot(a, b []float64) float64 {
 	if len(a) != len(b) {
 		panic("mat: Dot length mismatch")
-	}
-	if KernelBackend() == BackendFast {
-		return dotFast(a, b)
 	}
 	s := 0.0
 	for i, v := range a {
@@ -89,13 +85,9 @@ func Dot(a, b []float64) float64 {
 	return s
 }
 
-// SqSum returns the sum of squares of x under the active backend's
-// accumulation order — the primitive behind Norm2 and lsmr's norm
-// computations.
+// SqSum returns the sum of squares of x, one serial chain — the primitive
+// behind Norm2 and lsmr's norm computations.
 func SqSum(x []float64) float64 {
-	if KernelBackend() == BackendFast {
-		return dotFast(x, x)
-	}
 	s := 0.0
 	for _, v := range x {
 		s += v * v
@@ -108,18 +100,25 @@ func Norm2(x []float64) float64 {
 	return math.Sqrt(SqSum(x))
 }
 
-// Axpy computes y += a·x in place. Elementwise, so the backends agree
-// to the bit; fast is purely a throughput win.
+// Axpy computes y += a·x in place.
 func Axpy(a float64, x, y []float64) {
 	if len(x) != len(y) {
 		panic("mat: Axpy length mismatch")
 	}
-	if KernelBackend() == BackendFast {
-		axpyFast(a, y, x)
+	axpy(a, y, x)
+}
+
+// axpy computes dst[j] += alpha*src[j] for j in [0, len(dst)); len(src)
+// must be at least len(dst). Elementwise, so the AVX2 lanes, where the
+// hardware has them, give the scalar loop's bits.
+func axpy(alpha float64, dst, src []float64) {
+	if haveAVX2 {
+		axpyAVX2(alpha, dst, src)
 		return
 	}
-	for i, v := range x {
-		y[i] += a * v
+	src = src[:len(dst)]
+	for j, v := range src {
+		dst[j] += alpha * v
 	}
 }
 

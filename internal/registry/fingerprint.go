@@ -19,7 +19,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/mat"
 	"repro/internal/workload"
 )
 
@@ -74,24 +73,12 @@ func FingerprintHex(w *workload.Workload) string {
 // that can influence the result. Options that cannot change the selected
 // strategy — Workers (results are bit-identical at any worker count) —
 // are excluded, so runs on different machines share cache entries.
-//
-// The kernel backend CAN change the selected strategy (lane-split
-// accumulation perturbs the optimizer's floats at ULP, and gradient
-// descent amplifies ULPs into different local optima), so a non-reference
-// backend is mixed into the key. Reference keys are unchanged from every
-// prior release — a cache populated before the backend knob existed keeps
-// hitting — and a strategy minted under fast arithmetic can never be
-// silently served to a reference-backend process or vice versa; the two
-// regimes simply occupy disjoint key spaces.
 func Key(w *workload.Workload, opts core.HDMMOptions) string {
 	fp := Fingerprint(w)
 	h := sha256.New()
 	h.Write([]byte("hdmm-strategy-key-v1\x00"))
 	h.Write(fp[:])
 	h.Write([]byte(paramsToken(opts.Normalized())))
-	if b := mat.KernelBackend(); b != mat.BackendReference {
-		h.Write([]byte(";kernels=" + b.String()))
-	}
 	return hex.EncodeToString(h.Sum(nil))
 }
 

@@ -4,6 +4,7 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"repro/internal/census"
 	"repro/internal/core"
 	"repro/internal/mat"
 	"repro/internal/schema"
@@ -236,34 +237,17 @@ func TestKeyIgnoresNonResultOptions(t *testing.T) {
 	}
 }
 
-// TestKeyTaggedByKernelBackend: strategy bytes minted under the fast
-// kernels live in a disjoint key space — the same workload and options
-// key differently under each backend, while reference keys are
-// byte-for-byte what every pre-backend release computed (the tag is only
-// written when the backend is not the reference), so existing registries
-// remain addressable.
-func TestKeyTaggedByKernelBackend(t *testing.T) {
-	prev := mat.SetKernelBackend(mat.BackendReference)
-	defer mat.SetKernelBackend(prev)
-
-	w := workload.MustNew(schema.Sizes(2, 16),
-		workload.NewProduct(workload.Identity(2), workload.AllRange(16)))
-	opts := core.HDMMOptions{Restarts: 3, Seed: 5}
-
-	refKey := Key(w, opts)
-	if again := Key(w, opts); again != refKey {
-		t.Fatalf("reference key not stable: %s vs %s", refKey, again)
+// TestKeyReferenceGolden pins the strategy key of the CPH workload, the
+// workload every end-to-end benchmark tenant registers, to the hex every
+// earlier release computed. A changed key would orphan every strategy
+// already cached under it.
+func TestKeyReferenceGolden(t *testing.T) {
+	w, err := census.CPHMarginalWorkload()
+	if err != nil {
+		t.Fatal(err)
 	}
-	mat.SetKernelBackend(mat.BackendFast)
-	fastKey := Key(w, opts)
-	if fastKey == refKey {
-		t.Fatal("fast and reference backends produced the same strategy key")
-	}
-	if again := Key(w, opts); again != fastKey {
-		t.Fatalf("fast key not stable: %s vs %s", fastKey, again)
-	}
-	mat.SetKernelBackend(mat.BackendReference)
-	if back := Key(w, opts); back != refKey {
-		t.Fatalf("reference key changed after backend round-trip: %s vs %s", back, refKey)
+	const want = "2d6811994f322317009c285126c6dce6a997108944f4dc87f1ffa47de07f7a86"
+	if got := Key(w, core.HDMMOptions{Restarts: 2, Seed: 21}); got != want {
+		t.Fatalf("Key(CPH, Restarts 2, Seed 21) = %s, golden %s", got, want)
 	}
 }

@@ -1,37 +1,16 @@
 package server
 
-import (
-	"testing"
+import "testing"
 
-	"repro/internal/mat"
-)
-
-// TestEngineKeyTaggedByKernelBackend: engines measured under the fast
-// kernels must never collide with engines measured under the reference
-// backend — even when their strategy keys are identical strings (the
-// caller could hand engineKey a pre-tagging strategy key from an old
-// snapshot). Reference-engine keys are unchanged by the knob's
-// existence, so snapshots recorded before the backend layer still
-// recover onto the same pool keys.
-func TestEngineKeyTaggedByKernelBackend(t *testing.T) {
-	prev := mat.SetKernelBackend(mat.BackendReference)
-	defer mat.SetKernelBackend(prev)
-
+// TestEngineKeyGolden pins the engine key for a fixed secret, ε, δ, seed
+// and data vector to the hex every earlier release computed, so snapshots
+// already on disk keep recovering onto the same pool keys.
+func TestEngineKeyGolden(t *testing.T) {
 	s := &Server{}
 	s.secret = [32]byte{1, 2, 3}
 	x := []float64{1, 2, 3, 4}
-
-	refKey := s.engineKey("strategy-key", 0.5, 1e-6, 42, x)
-	if again := s.engineKey("strategy-key", 0.5, 1e-6, 42, x); again != refKey {
-		t.Fatalf("reference engine key not stable")
-	}
-	mat.SetKernelBackend(mat.BackendFast)
-	fastKey := s.engineKey("strategy-key", 0.5, 1e-6, 42, x)
-	if fastKey == refKey {
-		t.Fatal("fast and reference backends produced the same engine key")
-	}
-	mat.SetKernelBackend(mat.BackendReference)
-	if back := s.engineKey("strategy-key", 0.5, 1e-6, 42, x); back != refKey {
-		t.Fatal("reference engine key changed after backend round-trip")
+	const want = "eb37be1a492183419eba44a533972f88ad4f7b3e528f67f2772990deca00e7ed"
+	if got := s.engineKey("strategy-key", 0.5, 1e-6, 42, x); got != want {
+		t.Fatalf("engineKey = %s, golden %s", got, want)
 	}
 }

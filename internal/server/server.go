@@ -439,9 +439,8 @@ type EngineInfo struct {
 // request Accepts application/json).
 type MetricsResponse struct {
 	Version string `json:"version"`
-	// Kernels is the process-wide kernel backend ("reference" or "fast"):
-	// the arithmetic regime every strategy and engine key in this process
-	// was minted under. Also a label on hdmm_build_info.
+	// Kernels is the kernels' arithmetic contract, always "reference"
+	// (mat.Arithmetic). Also a label on hdmm_build_info.
 	Kernels       string                   `json:"kernels"`
 	UptimeSeconds float64                  `json:"uptime_seconds"`
 	Engines       int                      `json:"engines"`
@@ -782,7 +781,7 @@ func (s *Server) Metrics() *MetricsResponse {
 	endpoints, hists := s.met.snapshot()
 	resp := &MetricsResponse{
 		Version:        Version,
-		Kernels:        mat.KernelBackend().String(),
+		Kernels:        mat.Arithmetic,
 		UptimeSeconds:  s.met.uptime().Seconds(),
 		Engines:        s.pool.Len(),
 		StrategyCache:  cache,
@@ -866,7 +865,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	doc := map[string]any{
 		"status":         "ok",
 		"version":        Version,
-		"kernels":        mat.KernelBackend().String(),
+		"kernels":        mat.Arithmetic,
 		"uptime_seconds": s.met.uptime().Seconds(),
 		"degraded":       s.degraded(),
 	}
@@ -1092,14 +1091,6 @@ func (s *Server) engineKey(strategyKey string, eps, delta float64, seed uint64, 
 	_, _ = io.WriteString(h, "hdmm-engine-key-v1\x00")
 	h.Write(s.secret[:])
 	_, _ = io.WriteString(h, strategyKey)
-	// The kernel backend already distinguishes strategy keys, but engines
-	// also reconstruct (LSMR) under the active backend, so mix it in here
-	// too: even two engines sharing a strategy must not collide across
-	// arithmetic regimes. Reference keys are unchanged (empty write),
-	// preserving every pre-knob snapshot's key derivation.
-	if b := mat.KernelBackend(); b != mat.BackendReference {
-		_, _ = io.WriteString(h, "kernels="+b.String()+"\x00")
-	}
 	var buf [8]byte
 	for _, u := range []uint64{math.Float64bits(eps), math.Float64bits(delta), seed, uint64(len(x))} {
 		binary.LittleEndian.PutUint64(buf[:], u)
