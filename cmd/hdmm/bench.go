@@ -25,7 +25,7 @@ import (
 	"repro/internal/workload"
 )
 
-// benchResult is one row of the perf-trajectory artifact (BENCH_12.json):
+// benchResult is one row of the perf-trajectory artifact (BENCH_13.json):
 // one operation at one worker count. Kernels, GOARCH, CPUs, GOMAXPROCS and
 // GoVersion identify what actually ran and where — a 2-CPU row is not
 // comparable to a 16-CPU one, and rows of older artifacts made under the
@@ -112,7 +112,8 @@ func randSlice(rng *rand.Rand, n int) []float64 {
 // benchCases builds the harness: the Kronecker kernels on a 3-factor
 // 68×64 product (the shape of the existing kernel microbenchmarks) and on
 // a CPH strategy block's factor shapes, strategy selection on the CPH
-// workload, the two reconstruction paths, and the batched serving path.
+// workload, the two reconstruction paths, and the batched serving path on
+// a small domain and on the census schema.
 // workers bounds the selection's and the serving engine's fan-out (the
 // kernels read the process-wide bound the caller has already set).
 func benchCases(workers int) ([]benchCase, error) {
@@ -277,6 +278,53 @@ func benchCases(workers int) ([]benchCase, error) {
 		}
 	}})
 
+	// --- Serving at production shape: the census schema (500,480 cells)
+	// and a fixed batch of one spec from each answer-pool class of the
+	// end-to-end benchmark, each three times, every one with age Total —
+	// so the first step of every spec's sweep is the same age contraction.
+	// The tenant's workload is the three marginals the specs are drawn
+	// from; only its estimate matters to the answer path.
+	cdom := census.CPHDomain(false)
+	cdata := make([]float64, cdom.Size())
+	for i := range cdata {
+		cdata[i] = float64((i * 7) % 23)
+	}
+	csizes := cdom.AttrSizes()
+	cwl, err := workload.ParseProducts([]string{"I,I,T,T,T", "T,I,T,I,T", "T,T,I,I,T"}, csizes)
+	if err != nil {
+		return nil, err
+	}
+	ceng, err := serve.NewEngineCtx(ctx, workload.MustNew(cdom, cwl...), cdata, 1.0, serve.Options{
+		Selection: hdmm.SelectOptions{Restarts: 1, Seed: 13},
+		Seed:      19,
+		Workers:   workers,
+	})
+	if err != nil {
+		return nil, err
+	}
+	pool := []string{"R,P,T,T,T", "T,T,T,P,T", "T,T,W8,T,T", "T,R,T,W2,T", "T,T,W32,W8,T", "T,T,P,I,T"}
+	cspecs := make([]string, 0, 3*len(pool))
+	for range 3 {
+		cspecs = append(cspecs, pool...)
+	}
+	cproducts, err := workload.ParseProducts(cspecs, csizes)
+	if err != nil {
+		return nil, err
+	}
+	canswered, err := ceng.AnswerSharedCtx(ctx, cproducts)
+	if err != nil {
+		return nil, err
+	}
+	var cansVals int64
+	for _, a := range canswered {
+		cansVals += int64(len(a))
+	}
+	cases = append(cases, benchCase{"serve/answer-cph", 8 * (int64(len(cdata)) + cansVals), func() {
+		if _, err := ceng.AnswerSharedCtx(ctx, cproducts); err != nil {
+			panic(err)
+		}
+	}})
+
 	// --- Durability: full snapshot codec round-trip of the serving engine
 	// above (encode + decode, no disk) — the fixed cost a registration pays
 	// to become crash-safe and a boot pays per recovered engine.
@@ -337,7 +385,7 @@ func parseWorkerSet(spec string) ([]int, error) {
 func cmdBench(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	out := fs.String("out", "BENCH_12.json", "output path for the JSON results")
+	out := fs.String("out", "BENCH_13.json", "output path for the JSON results")
 	targetMS := fs.Int("benchtime", 250, "minimum milliseconds of measurement per op")
 	workersSpec := fs.String("workers", "", "comma-separated worker counts to sweep (default 1,2,4 and GOMAXPROCS, deduplicated)")
 	baseline := fs.String("baseline", "", "baseline JSON results to compare against (from an earlier -out)")

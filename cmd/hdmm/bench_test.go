@@ -32,7 +32,8 @@ func TestCmdBench(t *testing.T) {
 		"kron/matvec-cph": false, "kron/mattvec-cph": false,
 		"select/opt0-cph": false, "select/cph": false,
 		"reconstruct/kron": false, "reconstruct/union": false,
-		"serve/answer512": false, "snapshot/roundtrip": false,
+		"serve/answer512": false, "serve/answer-cph": false,
+		"snapshot/roundtrip": false,
 	}
 	workerRows := map[int]int{}
 	for _, r := range results {

@@ -269,25 +269,34 @@ func applyFactors(dst []float64, factors []*mat.Dense, x []float64, ws *Workspac
 		panic(fmt.Sprintf("kron: output length %d want %d", len(dst), m))
 	}
 	cur := x
-	size := n // length of cur
 	buf := 0
 	for i := len(factors) - 1; i >= 0; i-- {
 		f := factors[i]
 		fr, fc := f.Dims()
-		rows := size / fc
 		var out []float64
 		if i == 0 {
 			out = dst
 		} else {
-			out = ws.buf(buf, rows*fr)
+			out = ws.buf(buf, len(cur)/fc*fr)
 			buf ^= 1
 		}
-		z := ws.z.Reshape(rows, fc, cur)
-		o := ws.o.Reshape(fr, rows, out)
-		mat.ContractNT(o, f, z)
+		ModeStep(out, f, cur, ws)
 		cur = out
-		size = rows * fr
 	}
+}
+
+// ModeStep is one step of the forward sweep: x, viewed as a rows×fc matrix
+// Z (rows = len(x)/fc) whose trailing axis is the mode f contracts, becomes
+// dst = F·Zᵀ, an fr×rows matrix with the result axis rotated to the front.
+// It is one mat.ContractNT call through ws's view headers and touches no
+// other workspace state, so a caller that keeps its own intermediates (the
+// batched answer path, which shares steps across products) runs exactly
+// the arithmetic applyFactors runs. dst must have length fr·rows and may
+// not alias x.
+func ModeStep(dst []float64, f *mat.Dense, x []float64, ws *Workspace) {
+	fr, fc := f.Dims()
+	rows := len(x) / fc
+	mat.ContractNT(ws.o.Reshape(fr, rows, dst), f, ws.z.Reshape(rows, fc, x))
 }
 
 // applyAdjoint writes Aᵀ·y into dst by running applyFactors' sweep for one

@@ -14,6 +14,8 @@ import (
 	"math"
 	"math/rand/v2"
 	"reflect"
+	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/kron"
@@ -146,32 +148,15 @@ func ExpectedRMSE(a kron.Linear, errF float64, queries int, eps, delta float64) 
 
 // AnswerProduct evaluates one query product on a (possibly private)
 // data-vector estimate: ans = weight·(W₁⊗···⊗W_d)·x̂, materializing only
-// the small per-attribute matrices (pᵢ×nᵢ each). Both the one-shot
-// pipeline (AnswerWorkload) and the serving engine answer through this
-// evaluation, so their results cannot diverge.
+// the small per-attribute matrices (pᵢ×nᵢ each). It is the one-product
+// case of AnswerBatch, so a product answered alone and the same product
+// answered in any batch cannot diverge.
 func AnswerProduct(p workload.Product, x []float64) ([]float64, error) {
-	ans, err := answerUnweighted(p, x)
+	out, err := answerBatch(context.Background(), []workload.Product{p}, x, 1, false)
 	if err != nil {
 		return nil, err
 	}
-	scaleAnswer(ans, p.Weight)
-	return ans, nil
-}
-
-// answerUnweighted evaluates (W₁⊗···⊗W_d)·x̂ without the product weight.
-func answerUnweighted(p workload.Product, x []float64) ([]float64, error) {
-	ms := make([]*mat.Dense, len(p.Terms))
-	for i, t := range p.Terms {
-		if !t.CanMaterialize() {
-			return nil, fmt.Errorf("term %d (%s) too large to answer explicitly", i, t.Name())
-		}
-		ms[i] = t.Matrix()
-	}
-	op := kron.NewProduct(ms...)
-	rows, _ := op.Dims()
-	ans := make([]float64, rows)
-	op.MatVec(ans, x)
-	return ans, nil
+	return out[0], nil
 }
 
 func scaleAnswer(ans []float64, w float64) {
@@ -184,35 +169,48 @@ func scaleAnswer(ans []float64, w float64) {
 }
 
 // AnswerBatch evaluates a batch of query products on one estimate,
-// returning slot i = weight_i·(⊗W^(i))·x. Products are grouped by their
-// per-attribute predicate-set instances — the distinct (attr, spec) factor
-// sets of the batch — and each distinct factor set is contracted against x
-// exactly once; every other member of its group receives a weight-scaled
-// copy. A serving batch of 500 queries drawn from a handful of specs (the
-// spec parser shares predicate-set instances across identical specs) costs
-// a handful of GEMM sweeps instead of 500. Slot i depends only on
-// products[i] and is bit-identical to AnswerProduct(products[i], x) at any
-// worker count; grouping keys on instance identity, so structurally equal
-// but distinct instances are simply evaluated separately.
+// returning slot i = weight_i·(⊗W^(i))·x. Products are first grouped by
+// their per-attribute predicate-set instances (the distinct factor sets of
+// the batch); every other member of a group receives a weight-scaled copy
+// of its representative's answer. The representatives are then evaluated
+// as one suffix trie: the forward sweep contracts mode d-1 first, and
+// level k of the trie holds the distinct (parent node, Terms[d-1-k]
+// instance) pairs, so a trailing run of factors that several products
+// share is contracted once. On the census schema every answer spec with
+// age Total shares the first step, which shrinks the 500,480-cell x to
+// 4,352 cells and costs more than all later steps together. A serving batch
+// of 500 queries drawn from a handful of specs therefore streams x once,
+// not once per spec.
+//
+// Slot i depends only on products[i] and is bit-identical to
+// AnswerProduct(products[i], x) at any worker count: every trie node runs
+// kron.ModeStep, the step the per-product sweep runs, on the same parent
+// intermediate, the same factor values and the same shapes, and each
+// output element of that step is one serial dot product whatever the
+// sharding. Sharing keys on instance identity (== on the predicate set),
+// so structurally equal but distinct instances are contracted separately,
+// and a predicate set whose type is not comparable gets a node of its own.
 func AnswerBatch(products []workload.Product, x []float64, workers int) ([][]float64, error) {
 	return answerBatch(context.Background(), products, x, workers, false)
 }
 
 // AnswerBatchCtx is AnswerBatch with cancellation, tracing and a choice of
-// copy or alias semantics. Each contraction group checks ctx before
-// evaluating, so a cancelled context — a disconnected HTTP client, a
-// deadline — stops the batch after the group in flight instead of burning
-// CPU through hundreds of remaining GEMM sweeps. On cancellation the error
-// satisfies errors.Is(err, ctx.Err()). Any obs.Trace carried by ctx receives
-// one StageAnswer observation. For an uncancellable background context the
-// per-group check is a nil-channel select.
+// copy or alias semantics. The trie is evaluated level by level, the nodes
+// of a level concurrently on up to workers goroutines, and each node checks
+// ctx before contracting, so a cancelled context — a disconnected HTTP
+// client, a deadline — stops the batch after the steps in flight instead of
+// burning CPU through the rest of the sweep. On cancellation the error
+// satisfies errors.Is(err, ctx.Err()) and no partial result is returned.
+// Any obs.Trace carried by ctx receives one StageAnswer observation. For an
+// uncancellable background context the per-node check is a nil-channel
+// select.
 //
 // shared = false gives every slot its own slice. shared = true is for
 // read-only consumers: slots of products that are exact duplicates (same
 // predicate-set instances AND the same weight) alias one answer slice
 // instead of copying it, and callers must not mutate the returned slices.
 // The serialization path of the HTTP daemon uses it — a batch of hundreds
-// of repeated specs costs one contraction and zero copies.
+// of repeated specs costs one sweep and zero copies.
 func AnswerBatchCtx(ctx context.Context, products []workload.Product, x []float64, workers int, shared bool) ([][]float64, error) {
 	tr := obs.TraceFrom(ctx)
 	start := time.Now()
@@ -223,33 +221,17 @@ func AnswerBatchCtx(ctx context.Context, products []workload.Product, x []float6
 
 func answerBatch(ctx context.Context, products []workload.Product, x []float64, workers int, shared bool) ([][]float64, error) {
 	reps, members := groupByFactorSet(products)
-
-	type slot struct {
-		ans []float64
-		err error
+	t := triePool.Get().(*suffixTrie)
+	defer t.release()
+	if err := t.build(products, reps, len(x)); err != nil {
+		return nil, err
 	}
-	done := ctx.Done() // nil for Background: the select below never fires
-	base := parallel.Map(workers, len(reps), func(g int) slot {
-		select {
-		case <-done:
-			return slot{nil, ctx.Err()}
-		default:
-		}
-		ans, err := answerUnweighted(products[reps[g]], x)
-		return slot{ans, err}
-	})
+	if err := t.eval(ctx, x, workers); err != nil {
+		return nil, err
+	}
 
 	out := make([][]float64, len(products))
-	for g, sl := range base {
-		if sl.err != nil {
-			if ctxErr := ctx.Err(); ctxErr != nil && sl.err == ctxErr {
-				// Cancellation is the caller's own signal, not a batch
-				// failure: return it bare so errors.Is(err, context.Canceled)
-				// holds without unwrapping product decoration.
-				return nil, ctxErr
-			}
-			return nil, fmt.Errorf("product %d: %w", reps[g], sl.err)
-		}
+	for g, ans := range t.answers {
 		rep := reps[g]
 		repW := products[rep].Weight
 		// Non-alias members copy the still-unweighted base before it is
@@ -258,14 +240,14 @@ func answerBatch(ctx context.Context, products []workload.Product, x []float64, 
 			if pi == rep || (shared && products[pi].Weight == repW) {
 				continue
 			}
-			cp := append([]float64(nil), sl.ans...)
+			cp := append([]float64(nil), ans...)
 			scaleAnswer(cp, products[pi].Weight)
 			out[pi] = cp
 		}
-		scaleAnswer(sl.ans, repW)
+		scaleAnswer(ans, repW)
 		for _, pi := range members[g] {
 			if out[pi] == nil {
-				out[pi] = sl.ans
+				out[pi] = ans
 			}
 		}
 	}
@@ -289,7 +271,7 @@ func groupByFactorSet(products []workload.Product) (reps []int, members [][]int)
 		key = key[:0]
 		grouped := true
 		for _, t := range p.Terms {
-			if t == nil || !reflect.TypeOf(t).Comparable() {
+			if !keyable(t) {
 				grouped = false
 				break
 			}
@@ -315,6 +297,175 @@ func groupByFactorSet(products []workload.Product) (reps []int, members [][]int)
 		members[g] = append(members[g], pi)
 	}
 	return reps, members
+}
+
+// keyable reports whether t can key a map: the grouping and the trie share
+// work only between predicate sets that compare equal under ==.
+func keyable(t workload.PredicateSet) bool {
+	return t != nil && reflect.TypeOf(t).Comparable()
+}
+
+// suffixTrie is the evaluation plan of one batch: the forward sweeps of its
+// distinct factor sets, merged where they coincide. levels[k] holds one node
+// per distinct (parent, term) pair for mode d-1-k, the parent being a node
+// of levels[k-1] (x itself at level 0). Tries are pooled, so the node
+// tables, the key index and the intermediate arenas are reused across
+// batches; of the trie's memory, only the answers are allocated per batch.
+type suffixTrie struct {
+	levels  [][]trieNode
+	index   map[trieKey]int32
+	arena   [2][]float64 // intermediates of the even and the odd levels
+	answers [][]float64  // answers[g] is group g's unweighted answer
+}
+
+type trieKey struct {
+	level, parent int32
+	term          workload.PredicateSet
+}
+
+// trieNode is one mode step: out = F·Zᵀ with F the term's matrix and Z the
+// parent's output (see kron.ModeStep).
+type trieNode struct {
+	parent int32 // index in the previous level; unused at level 0
+	term   workload.PredicateSet
+	group  int32 // group whose answer this node computes, or -1
+	size   int   // length of out
+	out    []float64
+	err    error // ctx.Err() if the node saw cancellation before starting
+}
+
+var triePool = sync.Pool{New: func() any {
+	return &suffixTrie{index: make(map[trieKey]int32)}
+}}
+
+// build lays out the trie of the groups represented by reps, checks every
+// representative against an estimate of the given length, and assigns each
+// node its output: the group's fresh answer slice at a leaf, a slice of its
+// level's arena otherwise. Levels k and k+2 share an arena, which is safe
+// because level k+1 is the only reader of level k.
+func (t *suffixTrie) build(products []workload.Product, reps []int, cells int) error {
+	for g, r := range reps {
+		terms := products[r].Terms
+		if len(terms) == 0 {
+			return fmt.Errorf("product %d has no terms", r)
+		}
+		cols := 1
+		for i, term := range terms {
+			if !term.CanMaterialize() {
+				return fmt.Errorf("product %d: term %d (%s) too large to answer explicitly", r, i, term.Name())
+			}
+			cols *= term.Cols()
+		}
+		if cols != cells {
+			return fmt.Errorf("product %d spans %d cells, the estimate has %d", r, cols, cells)
+		}
+		parent, size := int32(-1), cells
+		for k := range terms {
+			term := terms[len(terms)-1-k]
+			size = size / term.Cols() * term.Rows()
+			parent = t.node(k, parent, term, size)
+		}
+		t.levels[len(terms)-1][parent].group = int32(g)
+	}
+
+	t.answers = slices.Grow(t.answers[:0], len(reps))[:len(reps)]
+	for k, lv := range t.levels {
+		need := 0
+		for _, n := range lv {
+			if n.group < 0 {
+				need += n.size
+			}
+		}
+		if cap(t.arena[k&1]) < need {
+			t.arena[k&1] = make([]float64, need)
+		}
+		arena := t.arena[k&1][:need]
+		for i := range lv {
+			n := &lv[i]
+			if n.group >= 0 {
+				n.out = make([]float64, n.size)
+				t.answers[n.group] = n.out
+				continue
+			}
+			n.out, arena = arena[:n.size:n.size], arena[n.size:]
+		}
+	}
+	return nil
+}
+
+// node returns the index of the level-k node contracting term against
+// parent's output, adding it if the batch has none yet. A term that cannot
+// key a map always gets a new node.
+func (t *suffixTrie) node(k int, parent int32, term workload.PredicateSet, size int) int32 {
+	if len(t.levels) == k {
+		// Revive a level released by an earlier batch, keeping its capacity.
+		t.levels = slices.Grow(t.levels, 1)[:k+1]
+	}
+	share := keyable(term)
+	key := trieKey{int32(k), parent, term}
+	if share {
+		if i, ok := t.index[key]; ok {
+			return i
+		}
+	}
+	i := int32(len(t.levels[k]))
+	t.levels[k] = append(t.levels[k], trieNode{parent: parent, term: term, group: -1, size: size})
+	if share {
+		t.index[key] = i
+	}
+	return i
+}
+
+// eval runs the trie level by level on x, the nodes of a level concurrently.
+// Each node checks ctx before contracting; if any saw cancellation the
+// batch stops after that level.
+func (t *suffixTrie) eval(ctx context.Context, x []float64, workers int) error {
+	done := ctx.Done() // nil for Background: the select below never fires
+	for k, lv := range t.levels {
+		var prev []trieNode
+		if k > 0 {
+			prev = t.levels[k-1]
+		}
+		parallel.For(workers, len(lv), func(i int) {
+			n := &lv[i]
+			select {
+			case <-done:
+				n.err = ctx.Err()
+				return
+			default:
+			}
+			in := x
+			if prev != nil {
+				in = prev[n.parent].out
+			}
+			ws := kron.GetWorkspace()
+			kron.ModeStep(n.out, n.term.Matrix(), in, ws)
+			kron.PutWorkspace(ws)
+		})
+		for _, n := range lv {
+			if n.err != nil {
+				// Cancellation is the caller's own signal, not a batch
+				// failure: return it bare so errors.Is(err, context.Canceled)
+				// holds without unwrapping product decoration.
+				return n.err
+			}
+		}
+	}
+	return nil
+}
+
+// release clears every reference the trie holds into this batch (its
+// predicate sets and answers) and returns it to the pool.
+func (t *suffixTrie) release() {
+	for k := range t.levels {
+		clear(t.levels[k])
+		t.levels[k] = t.levels[k][:0]
+	}
+	t.levels = t.levels[:0]
+	clear(t.index)
+	clear(t.answers)
+	t.answers = t.answers[:0]
+	triePool.Put(t)
 }
 
 // AnswerWorkload evaluates all workload queries on a (possibly private)

@@ -80,6 +80,20 @@ func TestAnswerWorkloadAgainstExplicit(t *testing.T) {
 			t.Fatalf("answer[%d] = %v want %v", i, got[i], want[i])
 		}
 	}
+	// Bit for bit, each product's block is the per-product Kronecker sweep.
+	var oracle [][]float64
+	for _, p := range w.Products {
+		oracle = append(oracle, productOracle(t, p, x))
+	}
+	off := 0
+	for pi, o := range oracle {
+		for j, v := range o {
+			if math.Float64bits(got[off+j]) != math.Float64bits(v) {
+				t.Fatalf("product %d answer %d: %v, want %v", pi, j, got[off+j], v)
+			}
+		}
+		off += len(o)
+	}
 }
 
 func TestRunEndToEndUnbiasedAndCalibrated(t *testing.T) {

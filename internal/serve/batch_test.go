@@ -7,7 +7,7 @@ import (
 
 	hdmm "repro"
 	"repro/internal/kron"
-	"repro/internal/mech"
+	"repro/internal/mat"
 	"repro/internal/serve"
 	"repro/internal/workload"
 )
@@ -58,21 +58,32 @@ func batchProducts() []workload.Product {
 	return ps
 }
 
-// TestAnswerBatchMatchesPerProduct pins the grouped batch evaluator to the
-// one-product-at-a-time reference byte-for-byte at several worker counts,
+// TestAnswerBatchMatchesPerProduct pins the batch evaluator to the
+// one-product-at-a-time Kronecker sweep byte-for-byte at several worker counts,
 // across duplicate factor sets, weight variations, and ungroupable
 // instances.
 func TestAnswerBatchMatchesPerProduct(t *testing.T) {
 	eng := batchEngine(t)
 	ps := batchProducts()
 
+	// The oracle is the per-product Kronecker sweep, scaled by the weight
+	// the way the batch path scales it: it shares no code with the batch
+	// evaluator beyond the mode step itself.
 	want := make([][]float64, len(ps))
 	for i, p := range ps {
-		ans, err := mech.AnswerProduct(p, eng.Xhat())
-		if err != nil {
-			t.Fatal(err)
+		ms := make([]*mat.Dense, len(p.Terms))
+		for a, term := range p.Terms {
+			ms[a] = term.Matrix()
 		}
-		want[i] = ans
+		op := kron.NewProduct(ms...)
+		rows, _ := op.Dims()
+		want[i] = make([]float64, rows)
+		op.MatVec(want[i], eng.Xhat())
+		if p.Weight != 1 {
+			for j := range want[i] {
+				want[i][j] *= p.Weight
+			}
+		}
 	}
 
 	for _, workers := range []int{1, 4, 8} {

@@ -291,19 +291,22 @@ func (e *Engine) SolveInfo() *core.SolveInfo { return e.solve }
 
 // AnswerCtx evaluates a batch of query products against the private
 // estimate, returning one answer vector per product (the product's queries
-// in row-major order, scaled by its weight). The batch is grouped by
-// distinct (attr, spec) factor sets — products sharing predicate-set
-// instances on every attribute share one GEMM-backed contraction of x̂ —
-// and distinct factor sets run concurrently on up to Workers goroutines.
-// Slot i of the result depends only on products[i], so the output is
+// in row-major order, scaled by its weight). Products sharing predicate-set
+// instances on every attribute are evaluated once, and the distinct factor
+// sets run as one suffix trie (see mech.AnswerBatch): the forward sweep
+// contracts the last attribute first, so a trailing run of factor instances
+// that several specs share is contracted against x̂ once for all of them,
+// and the nodes of each trie level run concurrently on up to Workers
+// goroutines. Every node runs the step the per-product sweep runs, on the
+// same inputs, so slot i of the result depends only on products[i] and is
 // bit-identical at any worker count and to answering the products one by
 // one. Each product must span the engine's domain and have materializable
 // per-attribute predicate sets.
 //
-// A cancelled ctx stops the batch between contraction groups (the error
-// satisfies errors.Is(err, ctx.Err())), and any obs.Trace carried by ctx
-// receives a StageAnswer span. Answering is privacy-free post-processing,
-// so aborting it mid-way is always safe.
+// A cancelled ctx stops the batch between trie nodes (the error satisfies
+// errors.Is(err, ctx.Err())), and any obs.Trace carried by ctx receives a
+// StageAnswer span. Answering is privacy-free post-processing, so aborting
+// it mid-way is always safe.
 func (e *Engine) AnswerCtx(ctx context.Context, products []workload.Product) ([][]float64, error) {
 	return e.answer(ctx, products, false)
 }

@@ -54,8 +54,9 @@ func BenchmarkServerAnswer(b *testing.B) {
 
 	// A production-shaped batch: hundreds of queries drawn from a handful
 	// of specs. ParseProducts shares predicate-set instances across
-	// identical specs, so the engine answers this with one contraction per
-	// distinct factor set instead of one per query.
+	// identical specs, so the engine answers this with at most one sweep
+	// per distinct factor set (trailing factors shared between specs are
+	// contracted once) instead of one per query.
 	specs := []string{"I,T,P", "T,P,I", "I,P,P", "T,I,R"}
 	queries := make([]string, 512)
 	for i := range queries {

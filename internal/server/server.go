@@ -676,6 +676,8 @@ func (s *Server) answer(ctx context.Context, key string, req *AnswerRequest, sha
 	// value intermediate). The peak (which always ≥ output rows) is
 	// charged per product; float64 accounting is exact into the 2⁵³ range
 	// and degrades safely (overflow → +Inf → reject) far beyond any cap.
+	// Since the engine contracts a suffix shared by several specs once,
+	// the per-product peak is now an upper bound on what a batch holds.
 	maxVals := float64(s.cfg.MaxAnswerValues)
 	var total float64
 	seen := make(map[string]struct{})
