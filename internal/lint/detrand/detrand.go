@@ -19,6 +19,7 @@ import (
 // contract: everything between a workload and its persisted strategy,
 // measurement and snapshot bytes.
 var deterministic = map[string]bool{
+	"repro/internal/binfmt":   true,
 	"repro/internal/core":     true,
 	"repro/internal/kron":     true,
 	"repro/internal/mat":      true,
@@ -53,7 +54,7 @@ var seeded = map[string]bool{
 // Analyzer is the detrand check.
 var Analyzer = &analysis.Analyzer{
 	Name: "detrand",
-	Doc: "deterministic packages (core, kron, mat, lsmr, mech, registry, snapshot) must not use " +
+	Doc: "deterministic packages (binfmt, core, kron, mat, lsmr, mech, registry, snapshot) must not use " +
 		"global math/rand state or wall-clock/pid seeds; RNGs flow from an explicit seed via " +
 		"parallel.DeriveSeed or mech.NoiseRNG",
 	Run: run,

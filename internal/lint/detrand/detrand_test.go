@@ -20,3 +20,9 @@ func TestDeterministicPackage(t *testing.T) {
 func TestOutsidePackages(t *testing.T) {
 	analysistest.Run(t, detrand.Analyzer, "b")
 }
+
+// TestWireCodecIsDeterministic: the shared HDMMSTRG/HDMMSNAP wire codec
+// is bound by the same contract as the formats built on it.
+func TestWireCodecIsDeterministic(t *testing.T) {
+	analysistest.Run(t, detrand.Analyzer, "repro/internal/binfmt")
+}

@@ -1,11 +1,10 @@
 package registry
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math"
 
+	"repro/internal/binfmt"
 	"repro/internal/core"
 	"repro/internal/marginals"
 	"repro/internal/mat"
@@ -25,11 +24,13 @@ type Record = core.Selected
 //	operator string  (u32 length + bytes)
 //	err     f64
 //	kind    u8       1=Identity 2=Kron 3=Union 4=Marginal
-//	payload          kind-specific, see encode* below
+//	payload          kind-specific, see Encode below
 //	crc     u32      CRC-32 (IEEE) of every preceding byte
 //
-// The trailing checksum plus fully bounds-checked decoding means corrupted
-// or truncated blobs are rejected with an error — never a panic and never a
+// The frame (magic, version, checksum) and the bounds-checked primitives
+// are internal/binfmt's, shared with the HDMMSNAP snapshot format. The
+// trailing checksum plus fully bounds-checked decoding means corrupted or
+// truncated blobs are rejected with an error — never a panic and never a
 // silently wrong strategy.
 const (
 	codecMagic   = "HDMMSTRG"
@@ -39,10 +40,6 @@ const (
 	kindKron     = 2
 	kindUnion    = 3
 	kindMarginal = 4
-
-	// maxCount bounds every length field read from a blob before it is used
-	// for allocation, so a corrupted count cannot trigger huge allocations.
-	maxCount = 1 << 26
 
 	// maxMarginalDims bounds the marginal lattice dimension (the weight
 	// vector has 2^d entries). Enforced symmetrically by Encode and Decode
@@ -55,345 +52,216 @@ const (
 // products, marginal weight vectors, and the Identity fallback — is
 // supported; anything else is an error.
 func Encode(rec *Record) ([]byte, error) {
-	e := &encoder{}
-	e.bytes([]byte(codecMagic))
-	e.u16(codecVersion)
-	e.str(rec.Operator)
-	e.f64(rec.Err)
+	w := binfmt.NewWriter(codecMagic, codecVersion, 0)
+	w.Str(rec.Operator)
+	w.F64(rec.Err)
 	switch s := rec.Strategy.(type) {
 	case *core.IdentityStrategy:
-		if s.N <= 0 || s.N > maxCount {
-			return nil, fmt.Errorf("registry: identity strategy size %d outside the codec bound %d", s.N, maxCount)
+		if s.N <= 0 || s.N > binfmt.MaxCount {
+			return nil, fmt.Errorf("registry: identity strategy size %d outside the codec bound %d", s.N, binfmt.MaxCount)
 		}
-		e.u8(kindIdentity)
-		e.u64(uint64(s.N))
+		w.U8(kindIdentity)
+		w.U64(uint64(s.N))
 	case *core.KronStrategy:
-		e.u8(kindKron)
-		if err := e.kron(s); err != nil {
+		w.U8(kindKron)
+		if err := writeKron(w, s); err != nil {
 			return nil, err
 		}
 	case *core.UnionStrategy:
-		e.u8(kindUnion)
-		e.u32(uint32(len(s.Parts)))
+		w.U8(kindUnion)
+		w.U32(uint32(len(s.Parts)))
 		for _, part := range s.Parts {
-			if err := e.kron(part); err != nil {
+			if err := writeKron(w, part); err != nil {
 				return nil, err
 			}
 		}
-		for _, sh := range s.Shares {
-			e.f64(sh)
-		}
+		w.F64s(s.Shares)
 		for _, g := range s.Groups {
-			e.u32(uint32(len(g)))
+			w.U32(uint32(len(g)))
 			for _, idx := range g {
-				if idx < 0 || idx > maxCount {
-					return nil, fmt.Errorf("registry: union group index %d outside the codec bound %d", idx, maxCount)
+				if idx < 0 || idx > binfmt.MaxCount {
+					return nil, fmt.Errorf("registry: union group index %d outside the codec bound %d", idx, binfmt.MaxCount)
 				}
-				e.u32(uint32(idx))
+				w.U32(uint32(idx))
 			}
 		}
 	case *core.MarginalStrategy:
-		e.u8(kindMarginal)
+		w.U8(kindMarginal)
 		sizes := s.Space.Sizes()
 		if len(sizes) > maxMarginalDims {
 			return nil, fmt.Errorf("registry: marginal strategy over %d attributes exceeds the codec bound %d", len(sizes), maxMarginalDims)
 		}
-		e.u32(uint32(len(sizes)))
+		w.U32(uint32(len(sizes)))
 		for _, n := range sizes {
-			if n <= 0 || n > maxCount {
-				return nil, fmt.Errorf("registry: marginal attribute size %d outside the codec bound %d", n, maxCount)
+			if n <= 0 || n > binfmt.MaxCount {
+				return nil, fmt.Errorf("registry: marginal attribute size %d outside the codec bound %d", n, binfmt.MaxCount)
 			}
-			e.u64(uint64(n))
+			w.U64(uint64(n))
 		}
-		e.u32(uint32(len(s.Theta)))
-		for _, v := range s.Theta {
-			e.f64(v)
-		}
+		w.U32(uint32(len(s.Theta)))
+		w.F64s(s.Theta)
 	default:
 		return nil, fmt.Errorf("registry: cannot encode strategy type %T", rec.Strategy)
 	}
-	e.u32(crc32.ChecksumIEEE(e.buf))
-	return e.buf, nil
+	return w.Seal(), nil
+}
+
+// writeKron writes a Kronecker strategy: per factor the explicit p×n
+// parameter matrix Θ of its p-Identity sub-strategy. Shapes outside
+// Decode's bounds are rejected here, keeping the "anything persisted loads
+// again" invariant.
+func writeKron(w *binfmt.Writer, s *core.KronStrategy) error {
+	w.U32(uint32(len(s.Subs)))
+	for _, sub := range s.Subs {
+		p, n := sub.Theta.Dims()
+		if p > binfmt.MaxCount || n > binfmt.MaxCount || p*n > binfmt.MaxCount {
+			return fmt.Errorf("registry: Θ shape %d×%d outside the codec bound", p, n)
+		}
+		w.U32(uint32(p))
+		w.U32(uint32(n))
+		w.F64s(sub.Theta.Data())
+	}
+	return nil
 }
 
 // Decode parses a blob produced by Encode. It round-trips every strategy
 // byte-identically: all floats are stored as raw IEEE-754 bits.
 func Decode(b []byte) (*Record, error) {
-	if len(b) < len(codecMagic)+2+4 {
-		return nil, fmt.Errorf("registry: blob too short (%d bytes)", len(b))
-	}
-	if string(b[:len(codecMagic)]) != codecMagic {
-		return nil, fmt.Errorf("registry: bad magic")
-	}
-	body, tail := b[:len(b)-4], b[len(b)-4:]
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(tail) {
-		return nil, fmt.Errorf("registry: checksum mismatch (corrupted blob)")
-	}
-	d := &decoder{buf: body, off: len(codecMagic)}
-	if v := d.u16(); v != codecVersion && d.err == nil {
-		return nil, fmt.Errorf("registry: unsupported format version %d", v)
-	}
-	rec := &Record{}
-	rec.Operator = d.str()
-	rec.Err = d.f64()
-	if math.IsNaN(rec.Err) || rec.Err < 0 {
-		return nil, fmt.Errorf("registry: invalid stored error %v", rec.Err)
-	}
-	kind := d.u8()
-	switch kind {
-	case kindIdentity:
-		n := d.u64()
-		if d.err == nil && (n == 0 || n > maxCount) {
-			return nil, fmt.Errorf("registry: invalid identity size %d", n)
-		}
-		rec.Strategy = &core.IdentityStrategy{N: int(n)}
-	case kindKron:
-		rec.Strategy = d.kron()
-	case kindUnion:
-		numParts := int(d.u32())
-		if d.err == nil && (numParts <= 0 || numParts > maxCount) {
-			return nil, fmt.Errorf("registry: invalid union part count %d", numParts)
-		}
-		u := &core.UnionStrategy{}
-		for i := 0; i < numParts && d.err == nil; i++ {
-			u.Parts = append(u.Parts, d.kron())
-		}
-		u.Shares = d.f64s(numParts)
-		shareSum := 0.0
-		for _, sh := range u.Shares {
-			if d.err == nil && (math.IsNaN(sh) || sh <= 0 || sh > 1) {
-				return nil, fmt.Errorf("registry: invalid budget share %v", sh)
-			}
-			shareSum += sh
-		}
-		// UnionStrategy.Sensitivity() hardcodes 1 on the invariant Σβ = 1;
-		// a blob violating it would silently under-calibrate the noise.
-		if d.err == nil && math.Abs(shareSum-1) > 1e-9 {
-			return nil, fmt.Errorf("registry: union budget shares sum to %v, want 1", shareSum)
-		}
-		u.Groups = make([][]int, 0, numParts)
-		for i := 0; i < numParts && d.err == nil; i++ {
-			glen := int(d.u32())
-			if d.err == nil && (glen < 0 || glen > maxCount) {
-				return nil, fmt.Errorf("registry: invalid group length %d", glen)
-			}
-			g := make([]int, 0, min(glen, 4096))
-			for j := 0; j < glen && d.err == nil; j++ {
-				idx := int(d.u32())
-				if d.err == nil && (idx < 0 || idx > maxCount) {
-					return nil, fmt.Errorf("registry: invalid union group index %d", idx)
-				}
-				g = append(g, idx)
-			}
-			u.Groups = append(u.Groups, g)
-		}
-		rec.Strategy = u
-	case kindMarginal:
-		nd := int(d.u32())
-		if d.err == nil && (nd <= 0 || nd > maxMarginalDims) {
-			return nil, fmt.Errorf("registry: invalid marginal dimension count %d", nd)
-		}
-		if d.err != nil {
-			return nil, d.err
-		}
-		sizes := make([]int, nd)
-		for i := range sizes {
-			n := d.u64()
-			if d.err == nil && (n == 0 || n > maxCount) {
-				return nil, fmt.Errorf("registry: invalid marginal attribute size %d", n)
-			}
-			sizes[i] = int(n)
-		}
-		tlen := int(d.u32())
-		if d.err == nil && tlen != 1<<nd {
-			return nil, fmt.Errorf("registry: marginal weight vector has %d entries, want %d", tlen, 1<<nd)
-		}
-		theta := d.f64s(tlen)
-		sum := 0.0
-		for _, v := range theta {
-			if d.err == nil && (math.IsNaN(v) || v < 0) {
-				return nil, fmt.Errorf("registry: invalid marginal weight %v", v)
-			}
-			sum += v
-		}
-		if d.err != nil {
-			return nil, d.err
-		}
-		// MarginalStrategy.Sensitivity() hardcodes 1 on the normalization
-		// invariant Σθ = 1 (NewMarginalStrategy enforces it at build time,
-		// and the decoder constructs the struct directly); accepting an
-		// unnormalized blob would silently under-calibrate the noise.
-		if math.Abs(sum-1) > 1e-9 {
-			return nil, fmt.Errorf("registry: marginal weights sum to %v, want 1", sum)
-		}
-		rec.Strategy = &core.MarginalStrategy{Space: marginals.NewSpace(sizes), Theta: theta}
-	default:
-		if d.err == nil {
-			return nil, fmt.Errorf("registry: unknown strategy kind %d", kind)
-		}
-	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.off != len(d.buf) {
-		return nil, fmt.Errorf("registry: %d trailing bytes after strategy payload", len(d.buf)-d.off)
+	rec, err := decode(b)
+	if err != nil {
+		return nil, fmt.Errorf("registry: %w", err)
 	}
 	return rec, nil
 }
 
-// ---------------------------------------------------------------------------
-// low-level writer/reader
-// ---------------------------------------------------------------------------
-
-type encoder struct{ buf []byte }
-
-func (e *encoder) bytes(b []byte) { e.buf = append(e.buf, b...) }
-func (e *encoder) u8(v uint8)     { e.buf = append(e.buf, v) }
-func (e *encoder) u16(v uint16)   { e.buf = binary.LittleEndian.AppendUint16(e.buf, v) }
-func (e *encoder) u32(v uint32)   { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
-func (e *encoder) u64(v uint64)   { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
-func (e *encoder) f64(v float64)  { e.u64(math.Float64bits(v)) }
-
-func (e *encoder) str(s string) {
-	e.u32(uint32(len(s)))
-	e.bytes([]byte(s))
+func decode(b []byte) (*Record, error) {
+	r, err := binfmt.Open(b, codecMagic, codecVersion)
+	if err != nil {
+		return nil, err
+	}
+	rec := &Record{Operator: r.Str(), Err: r.F64()}
+	kind := r.U8()
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	if math.IsNaN(rec.Err) || rec.Err < 0 {
+		return nil, fmt.Errorf("invalid stored error %v", rec.Err)
+	}
+	switch kind {
+	case kindIdentity:
+		rec.Strategy = &core.IdentityStrategy{N: r.Count64(1, binfmt.MaxCount, "identity size")}
+	case kindKron:
+		rec.Strategy, err = readKron(&r)
+	case kindUnion:
+		rec.Strategy, err = readUnion(&r)
+	case kindMarginal:
+		rec.Strategy, err = readMarginal(&r)
+	default:
+		return nil, fmt.Errorf("unknown strategy kind %d", kind)
+	}
+	if err == nil {
+		err = r.Err()
+	}
+	if err != nil {
+		return nil, err
+	}
+	if n := r.Remaining(); n != 0 {
+		return nil, fmt.Errorf("%d trailing bytes after strategy payload", n)
+	}
+	return rec, nil
 }
 
-// kron writes a Kronecker strategy: per factor the explicit p×n parameter
-// matrix Θ of its p-Identity sub-strategy. Shapes outside Decode's bounds
-// are rejected here, keeping the "anything persisted loads again"
-// invariant.
-func (e *encoder) kron(s *core.KronStrategy) error {
-	e.u32(uint32(len(s.Subs)))
-	for _, sub := range s.Subs {
-		p, n := sub.Theta.Dims()
-		if p > maxCount || n > maxCount || p*n > maxCount {
-			return fmt.Errorf("registry: Θ shape %d×%d outside the codec bound", p, n)
-		}
-		e.u32(uint32(p))
-		e.u32(uint32(n))
-		for _, v := range sub.Theta.Data() {
-			e.f64(v)
-		}
-	}
-	return nil
-}
-
-// decoder is a bounds-checked reader: the first short read or invalid value
-// latches err and every later read returns zero, so callers can decode a
-// whole section and check err once.
-type decoder struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (d *decoder) need(n int) bool {
-	if d.err != nil {
-		return false
-	}
-	if len(d.buf)-d.off < n {
-		d.err = fmt.Errorf("registry: truncated blob (need %d bytes at offset %d, have %d)", n, d.off, len(d.buf)-d.off)
-		return false
-	}
-	return true
-}
-
-func (d *decoder) u8() uint8 {
-	if !d.need(1) {
-		return 0
-	}
-	v := d.buf[d.off]
-	d.off++
-	return v
-}
-
-func (d *decoder) u16() uint16 {
-	if !d.need(2) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint16(d.buf[d.off:])
-	d.off += 2
-	return v
-}
-
-func (d *decoder) u32() uint32 {
-	if !d.need(4) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(d.buf[d.off:])
-	d.off += 4
-	return v
-}
-
-func (d *decoder) u64() uint64 {
-	if !d.need(8) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.buf[d.off:])
-	d.off += 8
-	return v
-}
-
-func (d *decoder) f64() float64 { return math.Float64frombits(d.u64()) }
-
-func (d *decoder) f64s(n int) []float64 {
-	if n < 0 || n > maxCount || !d.need(8*n) {
-		if d.err == nil {
-			d.err = fmt.Errorf("registry: invalid float vector length %d", n)
-		}
-		return nil
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = d.f64()
-	}
-	return out
-}
-
-func (d *decoder) str() string {
-	n := int(d.u32())
-	if n < 0 || n > maxCount || !d.need(n) {
-		if d.err == nil {
-			d.err = fmt.Errorf("registry: invalid string length %d", n)
-		}
-		return ""
-	}
-	s := string(d.buf[d.off : d.off+n])
-	d.off += n
-	return s
-}
-
-// kron reads a Kronecker strategy, validating that every Θ entry is a
+// readKron reads a Kronecker strategy, validating that every Θ entry is a
 // finite non-negative float (the p-Identity invariant; violating it would
 // panic deep inside reconstruction).
-func (d *decoder) kron() *core.KronStrategy {
-	numSubs := int(d.u32())
-	if d.err == nil && (numSubs <= 0 || numSubs > maxCount) {
-		d.err = fmt.Errorf("registry: invalid Kron factor count %d", numSubs)
-	}
+func readKron(r *binfmt.Reader) (*core.KronStrategy, error) {
+	numSubs := r.Count(1, binfmt.MaxCount, "Kron factor count")
 	subs := make([]*core.PIdentity, 0, min(numSubs, 4096))
-	for i := 0; i < numSubs && d.err == nil; i++ {
-		p := int(d.u32())
-		n := int(d.u32())
-		if d.err == nil && (p <= 0 || n <= 0 || p > maxCount || n > maxCount) {
-			d.err = fmt.Errorf("registry: invalid Θ shape %d×%d", p, n)
-			break
+	for range numSubs {
+		p := r.Count(1, binfmt.MaxCount, "Θ row count")
+		n := r.Count(1, binfmt.MaxCount, "Θ column count")
+		data := r.F64s(p * n)
+		if err := r.Err(); err != nil {
+			return nil, err
 		}
-		data := d.f64s(p * n)
 		for _, v := range data {
 			if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-				d.err = fmt.Errorf("registry: invalid Θ entry %v", v)
-				break
+				return nil, fmt.Errorf("invalid Θ entry %v", v)
 			}
-		}
-		if d.err != nil {
-			break
 		}
 		subs = append(subs, core.NewPIdentity(mat.FromData(p, n, data)))
 	}
-	if d.err != nil {
-		return nil
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
-	return core.NewKronStrategy(subs...)
+	return core.NewKronStrategy(subs...), nil
+}
+
+// readUnion reads a union of Kronecker parts with their budget shares and
+// workload groups. A count is only as trustworthy as the bytes behind it,
+// so no slice is sized from one beyond readKron's cap.
+func readUnion(r *binfmt.Reader) (*core.UnionStrategy, error) {
+	numParts := r.Count(1, binfmt.MaxCount, "union part count")
+	u := &core.UnionStrategy{Parts: make([]*core.KronStrategy, 0, min(numParts, 4096))}
+	for range numParts {
+		part, err := readKron(r)
+		if err != nil {
+			return nil, err
+		}
+		u.Parts = append(u.Parts, part)
+	}
+	u.Shares = r.F64s(numParts)
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	shareSum := 0.0
+	for _, sh := range u.Shares {
+		if math.IsNaN(sh) || sh <= 0 || sh > 1 {
+			return nil, fmt.Errorf("invalid budget share %v", sh)
+		}
+		shareSum += sh
+	}
+	// UnionStrategy.Sensitivity() hardcodes 1 on the invariant Σβ = 1;
+	// a blob violating it would silently under-calibrate the noise.
+	if math.Abs(shareSum-1) > 1e-9 {
+		return nil, fmt.Errorf("union budget shares sum to %v, want 1", shareSum)
+	}
+	u.Groups = make([][]int, 0, min(numParts, 4096))
+	for i := 0; i < numParts && r.Err() == nil; i++ {
+		glen := r.Count(0, binfmt.MaxCount, "union group length")
+		g := make([]int, 0, min(glen, 4096))
+		for j := 0; j < glen && r.Err() == nil; j++ {
+			g = append(g, r.Count(0, binfmt.MaxCount, "union group index"))
+		}
+		u.Groups = append(u.Groups, g)
+	}
+	return u, nil
+}
+
+// readMarginal reads a marginal strategy: the attribute sizes and the 2^d
+// subset weights θ.
+func readMarginal(r *binfmt.Reader) (*core.MarginalStrategy, error) {
+	sizes := make([]int, r.Count(1, maxMarginalDims, "marginal dimension count"))
+	for i := range sizes {
+		sizes[i] = r.Count64(1, binfmt.MaxCount, "marginal attribute size")
+	}
+	theta := r.F64s(r.Count(1<<len(sizes), 1<<len(sizes), "marginal weight vector length"))
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	sum := 0.0
+	for _, v := range theta {
+		if math.IsNaN(v) || v < 0 {
+			return nil, fmt.Errorf("invalid marginal weight %v", v)
+		}
+		sum += v
+	}
+	// MarginalStrategy.Sensitivity() hardcodes 1 on the normalization
+	// invariant Σθ = 1 (NewMarginalStrategy enforces it at build time,
+	// and the decoder constructs the struct directly); accepting an
+	// unnormalized blob would silently under-calibrate the noise.
+	if math.Abs(sum-1) > 1e-9 {
+		return nil, fmt.Errorf("marginal weights sum to %v, want 1", sum)
+	}
+	return &core.MarginalStrategy{Space: marginals.NewSpace(sizes), Theta: theta}, nil
 }

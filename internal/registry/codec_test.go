@@ -2,7 +2,6 @@ package registry
 
 import (
 	"bytes"
-	"hash/crc32"
 	"math/rand/v2"
 	"testing"
 
@@ -310,21 +309,16 @@ func TestDecodeRejectsBadVersionAndKind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rechecksum := func(b []byte) []byte {
-		e := &encoder{buf: append([]byte(nil), b[:len(b)-4]...)}
-		e.u32(crc32.ChecksumIEEE(e.buf))
-		return e.buf
-	}
 	futureVersion := append([]byte(nil), blob...)
 	futureVersion[len(codecMagic)] = 0xff
-	if _, err := Decode(rechecksum(futureVersion)); err == nil {
+	if _, err := Decode(reseal(futureVersion)); err == nil {
 		t.Error("future format version decoded without error")
 	}
 	// kind byte sits after magic+version+operator(str)+err(f64)
 	kindOff := len(codecMagic) + 2 + 4 + len(testCodecRecord().Operator) + 8
 	badKind := append([]byte(nil), blob...)
 	badKind[kindOff] = 0x7f
-	if _, err := Decode(rechecksum(badKind)); err == nil {
+	if _, err := Decode(reseal(badKind)); err == nil {
 		t.Error("unknown strategy kind decoded without error")
 	}
 }

@@ -8,19 +8,19 @@
 // as its own self-validating HDMMSTRG blob), the budget ledger (ε, δ,
 // mechanism seed), and the y and x̂ vectors bit-exactly.
 //
-// The codec mirrors internal/registry's HDMMSTRG discipline: versioned
-// magic, little-endian, floats as raw IEEE-754 bits (bit-exact round
-// trip), a CRC-32 trailer, and a fully bounds-checked decoder that rejects
-// every truncation and corruption with an error — never a panic and never
-// a silently wrong engine.
+// HDMMSNAP shares its frame and primitives with the registry's HDMMSTRG
+// format through internal/binfmt: versioned magic, little endian, floats
+// as raw IEEE-754 bits (bit-exact round trip), a CRC-32 trailer, and one
+// bounds-checked decoder that rejects every truncation and corruption
+// with an error — never a panic and never a silently wrong engine. This
+// file owns only the field order and the snapshot's own validation.
 package snapshot
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math"
 
+	"repro/internal/binfmt"
 	"repro/internal/registry"
 )
 
@@ -77,11 +77,6 @@ type Snapshot struct {
 const (
 	codecMagic   = "HDMMSNAP"
 	codecVersion = 1
-
-	// maxCount bounds every length field before it is used for allocation,
-	// mirroring the registry codec: a corrupted count must cost an error,
-	// not a multi-gigabyte allocation.
-	maxCount = 1 << 26
 )
 
 // Encode serializes a snapshot. The same bounds Decode enforces are
@@ -96,16 +91,16 @@ func Encode(sn *Snapshot) ([]byte, error) {
 	if math.IsNaN(sn.Delta) || sn.Delta < 0 || sn.Delta >= 1 {
 		return nil, fmt.Errorf("snapshot: invalid delta %v", sn.Delta)
 	}
-	if len(sn.Domain) == 0 || len(sn.Domain) > maxCount {
+	if len(sn.Domain) == 0 || len(sn.Domain) > binfmt.MaxCount {
 		return nil, fmt.Errorf("snapshot: invalid domain attribute count %d", len(sn.Domain))
 	}
-	if len(sn.Queries) == 0 || len(sn.Queries) > maxCount {
+	if len(sn.Queries) == 0 || len(sn.Queries) > binfmt.MaxCount {
 		return nil, fmt.Errorf("snapshot: invalid query count %d", len(sn.Queries))
 	}
-	if len(sn.Y) == 0 || len(sn.Y) > maxCount {
+	if len(sn.Y) == 0 || len(sn.Y) > binfmt.MaxCount {
 		return nil, fmt.Errorf("snapshot: invalid measurement length %d", len(sn.Y))
 	}
-	if len(sn.Xhat) == 0 || len(sn.Xhat) > maxCount {
+	if len(sn.Xhat) == 0 || len(sn.Xhat) > binfmt.MaxCount {
 		return nil, fmt.Errorf("snapshot: invalid estimate length %d", len(sn.Xhat))
 	}
 	blob, err := registry.Encode(sn.Record)
@@ -120,38 +115,30 @@ func Encode(sn *Snapshot) ([]byte, error) {
 	for _, q := range sn.Queries {
 		size += 4 + len(q)
 	}
-	e := &encoder{buf: make([]byte, 0, size)}
-	e.bytes([]byte(codecMagic))
-	e.u16(codecVersion)
-	e.str(sn.Key)
-	e.str(sn.StrategyKey)
-	e.f64(sn.Eps)
-	e.f64(sn.Delta)
-	e.u64(sn.Seed)
-	e.f64(sn.RootMSE)
-	e.u32(uint32(len(sn.Domain)))
+	w := binfmt.NewWriter(codecMagic, codecVersion, size)
+	w.Str(sn.Key)
+	w.Str(sn.StrategyKey)
+	w.F64(sn.Eps)
+	w.F64(sn.Delta)
+	w.U64(sn.Seed)
+	w.F64(sn.RootMSE)
+	w.U32(uint32(len(sn.Domain)))
 	for i, n := range sn.Domain {
-		if n <= 0 || n > maxCount {
-			return nil, fmt.Errorf("snapshot: domain[%d] = %d outside the codec bound %d", i, n, maxCount)
+		if n <= 0 || n > binfmt.MaxCount {
+			return nil, fmt.Errorf("snapshot: domain[%d] = %d outside the codec bound %d", i, n, binfmt.MaxCount)
 		}
-		e.u64(uint64(n))
+		w.U64(uint64(n))
 	}
-	e.u32(uint32(len(sn.Queries)))
+	w.U32(uint32(len(sn.Queries)))
 	for _, q := range sn.Queries {
-		e.str(q)
+		w.Str(q)
 	}
-	e.u32(uint32(len(blob)))
-	e.bytes(blob)
-	e.u32(uint32(len(sn.Y)))
-	for _, v := range sn.Y {
-		e.f64(v)
-	}
-	e.u32(uint32(len(sn.Xhat)))
-	for _, v := range sn.Xhat {
-		e.f64(v)
-	}
-	e.u32(crc32.ChecksumIEEE(e.buf))
-	return e.buf, nil
+	w.Blob(blob)
+	w.U32(uint32(len(sn.Y)))
+	w.F64s(sn.Y)
+	w.U32(uint32(len(sn.Xhat)))
+	w.F64s(sn.Xhat)
+	return w.Seal(), nil
 }
 
 // Decode parses a blob produced by Encode, round-tripping every float
@@ -160,197 +147,75 @@ func Encode(sn *Snapshot) ([]byte, error) {
 // the semantic fit between strategy, workload and vector lengths is the
 // restorer's job, which has the workload machinery to check shapes.
 func Decode(b []byte) (*Snapshot, error) {
-	if len(b) < len(codecMagic)+2+4 {
-		return nil, fmt.Errorf("snapshot: blob too short (%d bytes)", len(b))
-	}
-	if string(b[:len(codecMagic)]) != codecMagic {
-		return nil, fmt.Errorf("snapshot: bad magic")
-	}
-	body, tail := b[:len(b)-4], b[len(b)-4:]
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(tail) {
-		return nil, fmt.Errorf("snapshot: checksum mismatch (corrupted blob)")
-	}
-	d := &decoder{buf: body, off: len(codecMagic)}
-	if v := d.u16(); d.err == nil && v != codecVersion {
-		return nil, fmt.Errorf("snapshot: unsupported format version %d", v)
-	}
-	sn := &Snapshot{}
-	sn.Key = d.str()
-	sn.StrategyKey = d.str()
-	sn.Eps = d.f64()
-	sn.Delta = d.f64()
-	sn.Seed = d.u64()
-	sn.RootMSE = d.f64()
-	if d.err == nil && (math.IsNaN(sn.Eps) || math.IsInf(sn.Eps, 0) || sn.Eps <= 0) {
-		return nil, fmt.Errorf("snapshot: invalid stored eps %v", sn.Eps)
-	}
-	if d.err == nil && (math.IsNaN(sn.Delta) || sn.Delta < 0 || sn.Delta >= 1) {
-		return nil, fmt.Errorf("snapshot: invalid stored delta %v", sn.Delta)
-	}
-	if d.err == nil && (math.IsNaN(sn.RootMSE) || sn.RootMSE < 0) {
-		return nil, fmt.Errorf("snapshot: invalid stored RMSE %v", sn.RootMSE)
-	}
-
-	nd := int(d.u32())
-	if d.err == nil && (nd <= 0 || nd > maxCount) {
-		return nil, fmt.Errorf("snapshot: invalid domain attribute count %d", nd)
-	}
-	for i := 0; i < nd && d.err == nil; i++ {
-		n := d.u64()
-		if n == 0 || n > maxCount {
-			if d.err == nil {
-				return nil, fmt.Errorf("snapshot: invalid domain size %d", n)
-			}
-			break
-		}
-		sn.Domain = append(sn.Domain, int(n))
-	}
-
-	nq := int(d.u32())
-	if d.err == nil && (nq <= 0 || nq > maxCount) {
-		return nil, fmt.Errorf("snapshot: invalid query count %d", nq)
-	}
-	for i := 0; i < nq && d.err == nil; i++ {
-		sn.Queries = append(sn.Queries, d.str())
-	}
-
-	blob := d.blob()
-	if d.err == nil {
-		rec, err := registry.Decode(blob)
-		if err != nil {
-			return nil, fmt.Errorf("snapshot: embedded strategy: %w", err)
-		}
-		sn.Record = rec
-	}
-
-	sn.Y = d.f64s(int(d.u32()))
-	sn.Xhat = d.f64s(int(d.u32()))
-	if d.err != nil {
-		return nil, d.err
-	}
-	if len(sn.Y) == 0 || len(sn.Xhat) == 0 {
-		return nil, fmt.Errorf("snapshot: empty measurement or estimate vector")
-	}
-	for _, v := range sn.Y {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("snapshot: non-finite measurement value %v", v)
-		}
-	}
-	for _, v := range sn.Xhat {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("snapshot: non-finite estimate value %v", v)
-		}
-	}
-	if d.off != len(d.buf) {
-		return nil, fmt.Errorf("snapshot: %d trailing bytes after payload", len(d.buf)-d.off)
+	sn, err := decode(b)
+	if err != nil {
+		return nil, fmt.Errorf("snapshot: %w", err)
 	}
 	return sn, nil
 }
 
-// ---------------------------------------------------------------------------
-// low-level writer/reader (the registry codec's discipline: the first short
-// read or invalid value latches err and every later read returns zero)
-// ---------------------------------------------------------------------------
-
-type encoder struct{ buf []byte }
-
-func (e *encoder) bytes(b []byte) { e.buf = append(e.buf, b...) }
-func (e *encoder) u16(v uint16)   { e.buf = binary.LittleEndian.AppendUint16(e.buf, v) }
-func (e *encoder) u32(v uint32)   { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
-func (e *encoder) u64(v uint64)   { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
-func (e *encoder) f64(v float64)  { e.u64(math.Float64bits(v)) }
-
-func (e *encoder) str(s string) {
-	e.u32(uint32(len(s)))
-	e.bytes([]byte(s))
-}
-
-type decoder struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (d *decoder) need(n int) bool {
-	if d.err != nil {
-		return false
+func decode(b []byte) (*Snapshot, error) {
+	r, err := binfmt.Open(b, codecMagic, codecVersion)
+	if err != nil {
+		return nil, err
 	}
-	if len(d.buf)-d.off < n {
-		d.err = fmt.Errorf("snapshot: truncated blob (need %d bytes at offset %d, have %d)", n, d.off, len(d.buf)-d.off)
-		return false
+	sn := &Snapshot{
+		Key:         r.Str(),
+		StrategyKey: r.Str(),
+		Eps:         r.F64(),
+		Delta:       r.F64(),
+		Seed:        r.U64(),
+		RootMSE:     r.F64(),
 	}
-	return true
-}
-
-func (d *decoder) u16() uint16 {
-	if !d.need(2) {
-		return 0
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
-	v := binary.LittleEndian.Uint16(d.buf[d.off:])
-	d.off += 2
-	return v
-}
-
-func (d *decoder) u32() uint32 {
-	if !d.need(4) {
-		return 0
+	if math.IsNaN(sn.Eps) || math.IsInf(sn.Eps, 0) || sn.Eps <= 0 {
+		return nil, fmt.Errorf("invalid stored eps %v", sn.Eps)
 	}
-	v := binary.LittleEndian.Uint32(d.buf[d.off:])
-	d.off += 4
-	return v
-}
-
-func (d *decoder) u64() uint64 {
-	if !d.need(8) {
-		return 0
+	if math.IsNaN(sn.Delta) || sn.Delta < 0 || sn.Delta >= 1 {
+		return nil, fmt.Errorf("invalid stored delta %v", sn.Delta)
 	}
-	v := binary.LittleEndian.Uint64(d.buf[d.off:])
-	d.off += 8
-	return v
-}
-
-func (d *decoder) f64() float64 { return math.Float64frombits(d.u64()) }
-
-func (d *decoder) f64s(n int) []float64 {
-	if d.err != nil {
-		return nil
+	if math.IsNaN(sn.RootMSE) || sn.RootMSE < 0 {
+		return nil, fmt.Errorf("invalid stored RMSE %v", sn.RootMSE)
 	}
-	if n <= 0 || n > maxCount || !d.need(8*n) {
-		if d.err == nil {
-			d.err = fmt.Errorf("snapshot: invalid float vector length %d", n)
+
+	nd := r.Count(1, binfmt.MaxCount, "domain attribute count")
+	for i := 0; i < nd && r.Err() == nil; i++ {
+		sn.Domain = append(sn.Domain, r.Count64(1, binfmt.MaxCount, "domain size"))
+	}
+	nq := r.Count(1, binfmt.MaxCount, "query count")
+	for i := 0; i < nq && r.Err() == nil; i++ {
+		sn.Queries = append(sn.Queries, r.Str())
+	}
+	blob := r.Blob()
+	if r.Err() == nil {
+		rec, err := registry.Decode(blob)
+		if err != nil {
+			return nil, fmt.Errorf("embedded strategy: %w", err)
 		}
-		return nil
+		sn.Record = rec
 	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = d.f64()
+	sn.Y = r.F64s(int(r.U32()))
+	sn.Xhat = r.F64s(int(r.U32()))
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
-	return out
-}
-
-func (d *decoder) str() string {
-	n := int(d.u32())
-	if n < 0 || n > maxCount || !d.need(n) {
-		if d.err == nil {
-			d.err = fmt.Errorf("snapshot: invalid string length %d", n)
+	if len(sn.Y) == 0 || len(sn.Xhat) == 0 {
+		return nil, fmt.Errorf("empty measurement or estimate vector")
+	}
+	for _, v := range sn.Y {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("non-finite measurement value %v", v)
 		}
-		return ""
 	}
-	s := string(d.buf[d.off : d.off+n])
-	d.off += n
-	return s
-}
-
-// blob reads a length-prefixed byte section (the embedded strategy).
-func (d *decoder) blob() []byte {
-	n := int(d.u32())
-	if n < 0 || n > maxCount || !d.need(n) {
-		if d.err == nil {
-			d.err = fmt.Errorf("snapshot: invalid embedded blob length %d", n)
+	for _, v := range sn.Xhat {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("non-finite estimate value %v", v)
 		}
-		return nil
 	}
-	b := d.buf[d.off : d.off+n]
-	d.off += n
-	return b
+	if n := r.Remaining(); n != 0 {
+		return nil, fmt.Errorf("%d trailing bytes after payload", n)
+	}
+	return sn, nil
 }
