@@ -1,12 +1,16 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"math/rand/v2"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"runtime"
 	"strconv"
@@ -19,13 +23,15 @@ import (
 	"repro/internal/fsx"
 	"repro/internal/kron"
 	"repro/internal/mat"
+	"repro/internal/registry"
 	"repro/internal/schema"
 	"repro/internal/serve"
+	"repro/internal/server"
 	"repro/internal/snapshot"
 	"repro/internal/workload"
 )
 
-// benchResult is one row of the perf-trajectory artifact (BENCH_13.json):
+// benchResult is one row of the perf-trajectory artifact (BENCH_21.json):
 // one operation at one worker count. Kernels, GOARCH, CPUs, GOMAXPROCS and
 // GoVersion identify what actually ran and where — a 2-CPU row is not
 // comparable to a 16-CPU one, and rows of older artifacts made under the
@@ -112,8 +118,9 @@ func randSlice(rng *rand.Rand, n int) []float64 {
 // benchCases builds the harness: the Kronecker kernels on a 3-factor
 // 68×64 product (the shape of the existing kernel microbenchmarks) and on
 // a CPH strategy block's factor shapes, strategy selection on the CPH
-// workload, the two reconstruction paths, and the batched serving path on
-// a small domain and on the census schema.
+// workload, the two reconstruction paths, the batched serving path on a
+// small domain and on the census schema, and the daemon's HTTP request path
+// on the census schema.
 // workers bounds the selection's and the serving engine's fan-out (the
 // kernels read the process-wide bound the caller has already set).
 func benchCases(workers int) ([]benchCase, error) {
@@ -325,6 +332,71 @@ func benchCases(workers int) ([]benchCase, error) {
 		}
 	}})
 
+	// --- The daemon's HTTP path on the census schema, through ServeHTTP
+	// with no network. http/register-decode re-posts a registration shaped
+	// like the end-to-end benchmark's — 200,000 synthetic people over the
+	// 500,480 cells, about 980 KiB — for a tenant already registered, so
+	// the op reads and decodes the body, validates it, derives the engine
+	// key from the data and hits the pool. http/answer-cph posts the
+	// serve/answer-cph batch to that tenant: decode, answer and encode.
+	hist := make([]float64, cdom.Size())
+	hrng := benchRand(307)
+	for range 200_000 {
+		hist[int(float64(len(hist))*hrng.Float64()*hrng.Float64())]++ // skewed, like a population
+	}
+	regBody, err := json.Marshal(server.RegisterRequest{
+		Domain: csizes, Queries: []string{"I,I,T,T,T", "T,I,T,I,T", "T,T,I,I,T"},
+		Data: hist, Eps: 1, Seed: 19, Restarts: 1, OptSeed: 13,
+	})
+	if err != nil {
+		return nil, err
+	}
+	reg, err := registry.Open("", 0)
+	if err != nil {
+		return nil, err
+	}
+	srv, err := server.NewWithRegistry(server.Config{
+		Workers: workers,
+		Logger:  slog.New(slog.NewTextHandler(io.Discard, nil)),
+	}, reg)
+	if err != nil {
+		return nil, err
+	}
+	post := func(path string, body []byte, want int) ([]byte, error) {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		if rec.Code != want {
+			return nil, fmt.Errorf("bench: POST %s: status %d, want %d: %s", path, rec.Code, want, rec.Body.Bytes())
+		}
+		return rec.Body.Bytes(), nil
+	}
+	mustPost := func(path string, body []byte) {
+		if _, err := post(path, body, http.StatusOK); err != nil {
+			panic(err)
+		}
+	}
+	created, err := post("/v1/engines", regBody, http.StatusCreated)
+	if err != nil {
+		return nil, err
+	}
+	var tenant server.RegisterResponse
+	if err := json.Unmarshal(created, &tenant); err != nil {
+		return nil, err
+	}
+	ansBody, err := json.Marshal(server.AnswerRequest{Queries: cspecs})
+	if err != nil {
+		return nil, err
+	}
+	ansPath := "/v1/engines/" + tenant.Key + "/answer"
+	ansResp, err := post(ansPath, ansBody, http.StatusOK)
+	if err != nil {
+		return nil, err
+	}
+	cases = append(cases,
+		benchCase{"http/register-decode", int64(len(regBody)), func() { mustPost("/v1/engines", regBody) }},
+		benchCase{"http/answer-cph", int64(len(ansBody) + len(ansResp)), func() { mustPost(ansPath, ansBody) }},
+	)
+
 	// --- Durability: full snapshot codec round-trip of the serving engine
 	// above (encode + decode, no disk) — the fixed cost a registration pays
 	// to become crash-safe and a boot pays per recovered engine.
@@ -385,7 +457,7 @@ func parseWorkerSet(spec string) ([]int, error) {
 func cmdBench(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	out := fs.String("out", "BENCH_13.json", "output path for the JSON results")
+	out := fs.String("out", "BENCH_21.json", "output path for the JSON results")
 	targetMS := fs.Int("benchtime", 250, "minimum milliseconds of measurement per op")
 	workersSpec := fs.String("workers", "", "comma-separated worker counts to sweep (default 1,2,4 and GOMAXPROCS, deduplicated)")
 	baseline := fs.String("baseline", "", "baseline JSON results to compare against (from an earlier -out)")

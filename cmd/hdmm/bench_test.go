@@ -33,6 +33,7 @@ func TestCmdBench(t *testing.T) {
 		"select/opt0-cph": false, "select/cph": false,
 		"reconstruct/kron": false, "reconstruct/union": false,
 		"serve/answer512": false, "serve/answer-cph": false,
+		"http/register-decode": false, "http/answer-cph": false,
 		"snapshot/roundtrip": false,
 	}
 	workerRows := map[int]int{}

@@ -847,7 +847,8 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	body, err := appendAnswers(nil, resp)
+	s.writeEncoded(w, http.StatusOK, body, err)
 }
 
 func (s *Server) handleEngineGet(w http.ResponseWriter, r *http.Request) {
@@ -926,21 +927,24 @@ func (s *Server) instrument(name string, h http.HandlerFunc) http.Handler {
 	})
 }
 
-// decode reads a JSON request body with a size cap and strict fields, so
-// misspelled parameters fail loudly instead of silently using defaults.
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, dst any) error {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
+// decode reads a request body under the size cap and fills dst with the
+// daemon's own JSON codec (json.go). Fields are strict, so misspelled
+// parameters fail loudly instead of silently using defaults, and only
+// whitespace may follow the document.
+func (s *Server) decode(w http.ResponseWriter, r *http.Request, dst interface{ decodeJSON([]byte) error }) error {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	if err != nil {
 		var maxErr *http.MaxBytesError
 		if errors.As(err, &maxErr) {
 			return &httpError{code: http.StatusRequestEntityTooLarge, msg: fmt.Sprintf("request body exceeds %d bytes", maxErr.Limit)}
 		}
-		return badRequest("decoding request body: %v", err)
+		return badRequest("reading request body: %v", err)
 	}
-	if dec.More() {
-		return badRequest("request body has trailing data after the JSON document")
+	if err := dst.decodeJSON(body); err != nil {
+		if errors.Is(err, errTrailingData) {
+			return badRequest("%v", err)
+		}
+		return badRequest("decoding request body: %v", err)
 	}
 	return nil
 }
@@ -953,16 +957,22 @@ func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
 	enc.SetEscapeHTML(false)
-	if err := enc.Encode(v); err != nil {
+	err := enc.Encode(v)
+	s.writeEncoded(w, code, buf.Bytes(), err)
+}
+
+// writeEncoded writes an encoded JSON body, or the 500 for an encoding
+// error.
+func (s *Server) writeEncoded(w http.ResponseWriter, code int, body []byte, err error) {
+	w.Header().Set("Content-Type", "application/json")
+	if err != nil {
 		s.log.Error("encoding response failed", "err", err)
-		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusInternalServerError)
 		_, _ = io.WriteString(w, `{"error":"internal server error"}`+"\n")
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	_, _ = w.Write(buf.Bytes())
+	_, _ = w.Write(body)
 }
 
 func (s *Server) writeError(w http.ResponseWriter, r *http.Request, err error) {
@@ -1093,18 +1103,22 @@ func (s *Server) engineKey(strategyKey string, eps, delta float64, seed uint64, 
 	_, _ = io.WriteString(h, "hdmm-engine-key-v1\x00")
 	h.Write(s.secret[:])
 	_, _ = io.WriteString(h, strategyKey)
-	var buf [8]byte
-	for _, u := range []uint64{math.Float64bits(eps), math.Float64bits(delta), seed, uint64(len(x))} {
-		binary.LittleEndian.PutUint64(buf[:], u)
-		h.Write(buf[:])
+	var buf [8 << 10]byte // cells are hashed a block at a time
+	for i, u := range []uint64{math.Float64bits(eps), math.Float64bits(delta), seed, uint64(len(x))} {
+		binary.LittleEndian.PutUint64(buf[8*i:], u)
 	}
-	for _, v := range x {
-		// v+0 collapses -0.0 onto +0.0 (IEEE 754): a client whose float
-		// serializer emits a zero count as -0 must hit the same engine,
-		// not fork the key into a second measurement of the same
-		// histogram — mirroring the delta normalization in RegisterCtx.
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v+0))
-		h.Write(buf[:])
+	h.Write(buf[:32])
+	for len(x) > 0 {
+		n := min(len(x), len(buf)/8)
+		for i, v := range x[:n] {
+			// v+0 collapses -0.0 onto +0.0 (IEEE 754): a client whose float
+			// serializer emits a zero count as -0 must hit the same engine,
+			// not fork the key into a second measurement of the same
+			// histogram — mirroring the delta normalization in RegisterCtx.
+			binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v+0))
+		}
+		h.Write(buf[:8*n])
+		x = x[n:]
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }

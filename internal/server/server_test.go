@@ -702,6 +702,53 @@ func TestEnginePoolCap(t *testing.T) {
 	}
 }
 
+// TestTrailingDataRejected: only whitespace may follow a request's JSON
+// document. A stray ']' or '}' after it, which the Decoder-based check let
+// through, is a 400 with the same message as any other trailing data, on
+// both request bodies.
+func TestTrailingDataRejected(t *testing.T) {
+	srv, _ := newTestServer(t, t.TempDir())
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	r := register(t, ts, testRegisterBody(5, 1.0))
+	regBody, err := json.Marshal(testRegisterBody(6, 1.0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, path string
+		body       []byte
+	}{
+		{"register", "/v1/engines", regBody},
+		{"answer", "/v1/engines/" + r.Key + "/answer", []byte(`{"queries":["I,T"]}`)},
+	} {
+		for _, trailer := range []string{" ]", " }", "\n}", "]]", "x", "{}"} {
+			body := append(append([]byte(nil), tc.body...), trailer...)
+			resp, err := http.Post(ts.URL+tc.path, "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			var doc map[string]string
+			if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(raw, &doc) != nil ||
+				doc["error"] != "request body has trailing data after the JSON document" {
+				t.Errorf("%s body + %q: status %d: %s", tc.name, trailer, resp.StatusCode, raw)
+			}
+		}
+		// Whitespace after the document is fine.
+		resp, err := http.Post(ts.URL+tc.path, "application/json", bytes.NewReader(append(tc.body, " \r\n\t"...)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode >= 300 {
+			t.Errorf("%s body + whitespace: status %d: %s", tc.name, resp.StatusCode, raw)
+		}
+	}
+}
+
 // TestPublicReexports: the hdmm package re-exports the server construction
 // surface (config + constructor), so embedding the daemon needs no internal
 // imports.
