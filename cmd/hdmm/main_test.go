@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -16,6 +17,8 @@ import (
 
 	hdmm "repro"
 	"repro/internal/core"
+	"repro/internal/serve"
+	"repro/internal/snapshot"
 )
 
 // writeTestData writes a small (sex, age∈[0,16)) CSV dataset.
@@ -263,41 +266,13 @@ func TestServeHTTPDaemonRecovery(t *testing.T) {
 		queries:  []string{"I,R", "T,P"},
 		dataPath: data,
 	}
-	const answerBody = `{"queries":["I,T","T,I"]}`
-
 	boot := func(label string) (key string, answer []byte) {
 		t.Helper()
 		cfg := baseCfg
 		cfg.cache = t.TempDir() // fresh registry every boot: only the snapshots persist
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		ready := make(chan string, 1)
-		errc := make(chan error, 1)
-		var out, errb bytes.Buffer
-		go func() {
-			errc <- serveDaemon(ctx, "127.0.0.1:0", cfg, &out, &errb, func(addr string) { ready <- addr })
-		}()
-		var addr string
-		select {
-		case addr = <-ready:
-		case err := <-errc:
-			t.Fatalf("%s: daemon exited before ready: %v\n%s", label, err, errb.String())
-		}
-		key = strings.TrimSpace(out.String())
-		resp, err := http.Post("http://"+addr+"/v1/engines/"+key+"/answer", "application/json",
-			strings.NewReader(answerBody))
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		answer, _ = io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: answer status %d: %s", label, resp.StatusCode, answer)
-		}
-		cancel()
-		if err := <-errc; err != nil {
-			t.Fatalf("%s: shutdown: %v", label, err)
-		}
+		runDaemon(t, label, cfg, func(addr, k string) {
+			key, answer = k, post(t, "http://"+addr+"/v1/engines/"+k+"/answer", smokeAnswerBody, http.StatusOK)
+		})
 		return key, answer
 	}
 
@@ -315,8 +290,161 @@ func TestServeHTTPDaemonRecovery(t *testing.T) {
 	if err := cmdSnapshots([]string{"-dir", snapDir, "-verify"}, &out, &errb); err != nil {
 		t.Fatalf("snapshots -verify: %v\n%s", err, errb.String())
 	}
-	if !strings.Contains(out.String(), key1) || !strings.Contains(out.String(), "1 snapshot(s), 0 failed") {
+	if !strings.Contains(out.String(), key1) || !strings.Contains(out.String(), "cells=32") ||
+		!strings.Contains(out.String(), "1 snapshot(s), 0 failed") {
 		t.Fatalf("snapshots listing:\n%s", out.String())
+	}
+}
+
+// smokeAnswerBody is the answer request of the recovery checks, here and
+// in CI's kill -9 smoke.
+const smokeAnswerBody = `{"queries":["I,T","T,I"]}`
+
+// runDaemon boots the daemon with cfg, calls fn with its bound address
+// and the pre-registered engine key, then shuts it down and requires a
+// clean exit.
+func runDaemon(t *testing.T, label string, cfg daemonConfig, fn func(addr, key string)) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ready := make(chan string, 1)
+	errc := make(chan error, 1)
+	var out, errb bytes.Buffer
+	go func() {
+		errc <- serveDaemon(ctx, "127.0.0.1:0", cfg, &out, &errb, func(addr string) { ready <- addr })
+	}()
+	select {
+	case addr := <-ready:
+		fn(addr, strings.TrimSpace(out.String())) // startup writes precede onReady
+	case err := <-errc:
+		t.Fatalf("%s: daemon exited before ready: %v\n%s", label, err, errb.String())
+	}
+	cancel()
+	if err := <-errc; err != nil {
+		t.Fatalf("%s: shutdown: %v", label, err)
+	}
+}
+
+// post sends body to url and returns the response body, failing the test
+// on any status but want.
+func post(t *testing.T, url, body string, want int) []byte {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	b, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != want {
+		t.Fatalf("POST %s: status %d, want %d: %s", url, resp.StatusCode, want, b)
+	}
+	return b
+}
+
+// TestServeHTTPDaemonRecoversV1Store: a snapshot directory written before
+// HDMMSNAP version 2 (testdata/recovery-v1: the CI smoke tenant's store as
+// the version 1 daemon left it after kill -9, with that daemon's engine key
+// and /answer bytes) keeps recovering. Booted over a copy with a fresh
+// strategy cache, the daemon re-derives the same key and answers the same
+// bytes. A second tenant registered on that daemon adds a version 2 file
+// beside the version 1 one; Store.Recover adopts both and quarantines
+// nothing, and `hdmm snapshots -verify` lists both.
+func TestServeHTTPDaemonRecoversV1Store(t *testing.T) {
+	fixture := filepath.Join("testdata", "recovery-v1")
+	dir := filepath.Join(t.TempDir(), "snaps")
+	if err := os.CopyFS(dir, os.DirFS(filepath.Join(fixture, "snaps"))); err != nil {
+		t.Fatal(err)
+	}
+	keyFile, err := os.ReadFile(filepath.Join(fixture, "key.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantKey := strings.TrimSpace(string(keyFile))
+	wantAnswer, err := os.ReadFile(filepath.Join(fixture, "answer.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := daemonConfig{
+		cache:    t.TempDir(),
+		snapDir:  dir,
+		eps:      1.0,
+		seed:     123,
+		restarts: 2,
+		optseed:  9,
+		drain:    2 * time.Second,
+		domain:   "2,16",
+		queries:  []string{"I,R", "T,P"},
+		dataPath: filepath.Join(fixture, "data.csv"),
+	}
+	var v2Key string
+	runDaemon(t, "boot over the v1 store", cfg, func(addr, key string) {
+		if key != wantKey {
+			t.Fatalf("engine key %s, the v1 daemon's was %s", key, wantKey)
+		}
+		if got := post(t, "http://"+addr+"/v1/engines/"+key+"/answer", smokeAnswerBody, http.StatusOK); !bytes.Equal(got, wantAnswer) {
+			t.Fatalf("answer differs from the v1 daemon's:\n%s\nvs\n%s", got, wantAnswer)
+		}
+		resp, err := http.Get("http://" + addr + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		metrics, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		for _, want := range []string{"\nhdmm_snapshot_recovered_total 1\n", "\nhdmm_degraded 0\n"} {
+			if !strings.Contains(string(metrics), want) {
+				t.Fatalf("metrics lack %q:\n%s", strings.TrimSpace(want), metrics)
+			}
+		}
+		var reg struct {
+			Key string `json:"key"`
+		}
+		body := post(t, "http://"+addr+"/v1/engines",
+			`{"domain":[2,16],"queries":["I,T"],"data":[`+strings.TrimSuffix(strings.Repeat("1,", 32), ",")+`],"eps":0.5,"seed":7,"restarts":1}`, http.StatusCreated)
+		if err := json.Unmarshal(body, &reg); err != nil {
+			t.Fatal(err)
+		}
+		v2Key = reg.Key
+	})
+
+	versions := map[uint16]int{}
+	entries, err := snapshot.List(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		blob, err := os.ReadFile(filepath.Join(dir, e.File))
+		if err != nil {
+			t.Fatal(err)
+		}
+		versions[binary.LittleEndian.Uint16(blob[len("HDMMSNAP"):])]++
+	}
+	if versions[1] != 1 || versions[2] != 1 || len(entries) != 2 {
+		t.Fatalf("store holds versions %v, want one v1 and one v2 file", versions)
+	}
+
+	store, err := snapshot.Open(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := store.Recover(func(sn *snapshot.Snapshot) error {
+		_, err := serve.Restore(sn, 1)
+		return err
+	})
+	if err != nil || n != 2 {
+		t.Fatalf("Recover adopted %d snapshots (err %v), want 2", n, err)
+	}
+	if st := store.Stats(); st.Quarantined != 0 || st.Degraded {
+		t.Fatalf("mixed-version recovery: %+v", st)
+	}
+
+	var out, errb bytes.Buffer
+	if err := cmdSnapshots([]string{"-dir", dir, "-verify"}, &out, &errb); err != nil {
+		t.Fatalf("snapshots -verify: %v\n%s", err, errb.String())
+	}
+	listing := out.String()
+	if !strings.Contains(listing, wantKey) || !strings.Contains(listing, v2Key) ||
+		!strings.Contains(listing, "2 snapshot(s), 0 failed") {
+		t.Fatalf("snapshots listing:\n%s", listing)
 	}
 }
 

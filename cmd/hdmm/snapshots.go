@@ -13,7 +13,7 @@ import (
 
 // cmdSnapshots inspects a durable engine-snapshot directory without
 // mutating it — safe to run against a live daemon's store. Each snapshot
-// prints one line: key, domain, budget, query count, measurement length.
+// prints one line: key, domain, budget, query count, cells (length of x̂).
 // With -verify, the exit status reports whether every file verified
 // (decode + name/key match); bad files print their reason to stderr.
 func cmdSnapshots(args []string, stdout, stderr io.Writer) error {
@@ -54,8 +54,8 @@ func cmdSnapshots(args []string, stdout, stderr io.Writer) error {
 		if sn.Delta > 0 {
 			budget = fmt.Sprintf("eps=%g delta=%g", sn.Eps, sn.Delta)
 		}
-		fmt.Fprintf(out, "%s  domain=[%s]  %s  queries=%d  measurements=%d  %d bytes\n",
-			sn.Key, strings.Join(sizes, ","), budget, len(sn.Queries), len(sn.Y), e.Size)
+		fmt.Fprintf(out, "%s  domain=[%s]  %s  queries=%d  cells=%d  %d bytes\n",
+			sn.Key, strings.Join(sizes, ","), budget, len(sn.Queries), len(sn.Xhat), e.Size)
 	}
 	fmt.Fprintf(out, "%d snapshot(s), %d failed verification\n", len(entries), bad)
 	if err := out.Flush(); err != nil {

@@ -83,23 +83,25 @@ type Reader struct {
 	err error
 }
 
-// Open checks a frame's minimum length, magic, checksum and version, in
-// that order, and returns a Reader positioned after the version field.
-func Open(b []byte, magic string, version uint16) (Reader, error) {
+// Open checks a frame's minimum length, magic, checksum and version (any
+// in [minVersion, maxVersion]), in that order, and returns a Reader
+// positioned after the version field and the version it found.
+func Open(b []byte, magic string, minVersion, maxVersion uint16) (Reader, uint16, error) {
 	if len(b) < len(magic)+2+4 {
-		return Reader{}, fmt.Errorf("blob too short (%d bytes)", len(b))
+		return Reader{}, 0, fmt.Errorf("blob too short (%d bytes)", len(b))
 	}
 	if string(b[:len(magic)]) != magic {
-		return Reader{}, errors.New("bad magic")
+		return Reader{}, 0, errors.New("bad magic")
 	}
 	body := b[:len(b)-4]
 	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(b[len(body):]) {
-		return Reader{}, errors.New("checksum mismatch (corrupted blob)")
+		return Reader{}, 0, errors.New("checksum mismatch (corrupted blob)")
 	}
-	if v := binary.LittleEndian.Uint16(body[len(magic):]); v != version {
-		return Reader{}, fmt.Errorf("unsupported format version %d", v)
+	v := binary.LittleEndian.Uint16(body[len(magic):])
+	if v < minVersion || v > maxVersion {
+		return Reader{}, 0, fmt.Errorf("unsupported format version %d", v)
 	}
-	return Reader{buf: body, off: len(magic) + 2}, nil
+	return Reader{buf: body, off: len(magic) + 2}, v, nil
 }
 
 // Err is the first read error, or nil.

@@ -23,9 +23,12 @@ func sealed(payload []byte) []byte {
 
 func open(t *testing.T, b []byte) Reader {
 	t.Helper()
-	r, err := Open(b, testMagic, testVersion)
+	r, v, err := Open(b, testMagic, testVersion, testVersion)
 	if err != nil {
 		t.Fatalf("open: %v", err)
+	}
+	if v != testVersion {
+		t.Fatalf("open reported version %d, want %d", v, testVersion)
 	}
 	return r
 }
@@ -120,13 +123,33 @@ func TestOpenRejects(t *testing.T) {
 		{"version", badVersion, "unsupported format version 9"},
 	}
 	for _, tc := range cases {
-		if _, err := Open(tc.blob, testMagic, testVersion); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if _, _, err := Open(tc.blob, testMagic, testVersion, testVersion); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
 		}
 	}
 	r := open(t, sealed(nil))
 	if r.Remaining() != 0 {
 		t.Errorf("empty payload has %d bytes", r.Remaining())
+	}
+}
+
+// TestOpenVersionRange: Open accepts every version in [min, max],
+// reports the one it found, and rejects the versions on either side.
+func TestOpenVersionRange(t *testing.T) {
+	for v := uint16(1); v <= 4; v++ {
+		w := NewWriter(testMagic, v, 0)
+		w.U8(7)
+		_, got, err := Open(w.Seal(), testMagic, 2, 3)
+		switch {
+		case v < 2 || v > 3:
+			if err == nil || !strings.Contains(err.Error(), "unsupported format version") {
+				t.Errorf("version %d: err = %v, want a version rejection", v, err)
+			}
+		case err != nil:
+			t.Errorf("version %d: %v", v, err)
+		case got != v:
+			t.Errorf("version %d: Open reported %d", v, got)
+		}
 	}
 }
 

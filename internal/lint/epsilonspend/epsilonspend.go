@@ -52,11 +52,11 @@ type Site struct {
 var Allowlist = map[Site]string{
 	// The serving engine's constructor is the measure-once site the
 	// whole registry/snapshot design exists to protect: it measures
-	// exactly once per engine key, persists y, and every later answer
-	// reuses it. Singleflight in serve.Pool and the snapshot recovery
-	// path guarantee no duplicate construction. The public one-shot
-	// pipeline (hdmm.Run, RunGaussian) builds an engine too, so this is
-	// its measurement site as well.
+	// exactly once per engine key, persists the x̂ reconstructed from
+	// it, and every later answer reuses x̂. Singleflight in serve.Pool and
+	// the snapshot recovery path guarantee no duplicate construction. The
+	// public one-shot pipeline (hdmm.Run, RunGaussian) builds an engine
+	// too, so this is its measurement site as well.
 	{"repro/internal/serve", "NewEngineCtx"}: "engine construction: the measure-once site guarded by pool singleflight and snapshot recovery",
 
 	// DAWA baseline (Li et al.): its two-stage budget split takes

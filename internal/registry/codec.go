@@ -135,7 +135,7 @@ func Decode(b []byte) (*Record, error) {
 }
 
 func decode(b []byte) (*Record, error) {
-	r, err := binfmt.Open(b, codecMagic, codecVersion)
+	r, _, err := binfmt.Open(b, codecMagic, codecVersion, codecVersion)
 	if err != nil {
 		return nil, err
 	}

@@ -68,7 +68,6 @@ type Engine struct {
 	rootMSE   float64
 	eps       float64
 	delta     float64
-	y         []float64       // the noisy measurement vector (what the budget bought)
 	seed      uint64          // noise seed of the measurement (0 = fresh entropy)
 	solve     *core.SolveInfo // union-reconstruction diagnostics (nil otherwise)
 }
@@ -176,7 +175,6 @@ func NewEngineCtx(ctx context.Context, w *workload.Workload, x []float64, eps fl
 		rootMSE:   mech.ExpectedRMSE(op, rec.Err, w.NumQueries(), eps, opts.Delta),
 		eps:       eps,
 		delta:     opts.Delta,
-		y:         y,
 		seed:      opts.Seed,
 		solve:     solve,
 	}, nil
@@ -269,15 +267,10 @@ func (e *Engine) ExpectedRMSE() float64 { return e.rootMSE }
 // sensitivity 1 (the stored Selected.Err; multiply by 2/ε² for a budget).
 func (e *Engine) ExpectedErr() float64 { return e.errF }
 
-// Xhat returns the private estimate of the data vector. Callers must treat
-// it as read-only; every function of it is privacy-free post-processing.
+// Xhat returns the private estimate of the data vector, the one vector the
+// engine keeps. Callers must treat it as read-only; every function of it
+// is privacy-free post-processing.
 func (e *Engine) Xhat() []float64 { return e.xhat }
-
-// Measurement returns the noisy measurement vector y — the state the
-// privacy budget bought (already differentially private; the raw data
-// vector is NOT retained by the engine). Callers must treat it as
-// read-only. Snapshot persistence serializes this.
-func (e *Engine) Measurement() []float64 { return e.y }
 
 // Seed returns the noise seed the measurement used (0 = fresh entropy).
 func (e *Engine) Seed() uint64 { return e.seed }

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/registry"
 	"repro/internal/schema"
@@ -15,8 +14,8 @@ import (
 // engine itself holds parsed products; the specs round-trip the workload
 // deterministically and are what a restarted process re-parses).
 //
-// The snapshot holds NO raw data: x is gone the moment construction
-// returns, and y/x̂ are differentially private by post-processing.
+// The snapshot holds NO raw data. Its one vector is x̂, the budget-carrying
+// state, which is differentially private by post-processing.
 func (e *Engine) Snapshot(key string, queries []string) *snapshot.Snapshot {
 	return &snapshot.Snapshot{
 		Key:         key,
@@ -28,7 +27,6 @@ func (e *Engine) Snapshot(key string, queries []string) *snapshot.Snapshot {
 		Domain:      e.w.Domain.AttrSizes(),
 		Queries:     queries,
 		Record:      &registry.Record{Strategy: e.strategy, Err: e.errF, Operator: e.operator},
-		Y:           e.y,
 		Xhat:        e.xhat,
 	}
 }
@@ -36,24 +34,18 @@ func (e *Engine) Snapshot(key string, queries []string) *snapshot.Snapshot {
 // Restore rebuilds a serving engine from a decoded snapshot WITHOUT
 // touching private data: no optimizer run, no measurement, no noise draw —
 // the recovered engine answers byte-identically to the one that wrote the
-// snapshot because it serves the very same x̂ bits.
+// snapshot because it serves the very same x̂ bits: the persisted,
+// budget-carrying state.
 //
 // The codec already proved structural integrity (magic, CRC, bounds);
 // Restore owns the semantic validation the codec cannot do: the queries
-// must parse over the domain, the strategy must fit the workload, and the
-// vector lengths must match the strategy's shape. A snapshot failing any
-// of these is rejected with an error — the store quarantines it; nothing
-// ever "heals" a snapshot by recomputing, since the recompute would be a
-// second measurement.
+// must parse over the domain, the strategy must fit the workload, and x̂
+// must cover the domain. A snapshot failing any of these is rejected with
+// an error — the store quarantines it; nothing ever "heals" a snapshot by
+// recomputing, since the recompute would be a second measurement.
 func Restore(sn *snapshot.Snapshot, workers int) (*Engine, error) {
-	if math.IsNaN(sn.Eps) || math.IsInf(sn.Eps, 0) || sn.Eps <= 0 {
-		return nil, fmt.Errorf("serve: snapshot has invalid eps %v", sn.Eps)
-	}
-	if math.IsNaN(sn.Delta) || sn.Delta < 0 || sn.Delta >= 1 {
-		return nil, fmt.Errorf("serve: snapshot has invalid delta %v", sn.Delta)
-	}
-	if sn.Record == nil || sn.Record.Strategy == nil {
-		return nil, fmt.Errorf("serve: snapshot has no strategy")
+	if err := sn.Validate(); err != nil {
+		return nil, fmt.Errorf("serve: snapshot: %w", err)
 	}
 	products, err := workload.ParseProducts(sn.Queries, sn.Domain)
 	if err != nil {
@@ -65,10 +57,6 @@ func Restore(sn *snapshot.Snapshot, workers int) (*Engine, error) {
 	}
 	if err := strategyMatchesWorkload(sn.Record.Strategy, w); err != nil {
 		return nil, fmt.Errorf("serve: snapshot strategy does not fit its workload: %w", err)
-	}
-	rows, _ := sn.Record.Strategy.Operator().Dims()
-	if len(sn.Y) != rows {
-		return nil, fmt.Errorf("serve: snapshot measurement has %d values, strategy has %d rows", len(sn.Y), rows)
 	}
 	if len(sn.Xhat) != w.Domain.Size() {
 		return nil, fmt.Errorf("serve: snapshot estimate has %d values, domain has %d cells", len(sn.Xhat), w.Domain.Size())
@@ -85,7 +73,6 @@ func Restore(sn *snapshot.Snapshot, workers int) (*Engine, error) {
 		rootMSE:   sn.RootMSE,
 		eps:       sn.Eps,
 		delta:     sn.Delta,
-		y:         sn.Y,
 		seed:      sn.Seed,
 	}, nil
 }

@@ -2,6 +2,7 @@ package serve_test
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -38,7 +39,7 @@ func testEngine(t *testing.T) (*serve.Engine, []string) {
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	eng, queries := testEngine(t)
 	sn := eng.Snapshot("tenant-1", queries)
-	if sn.Key != "tenant-1" || len(sn.Y) != len(eng.Measurement()) || sn.Seed != eng.Seed() {
+	if sn.Key != "tenant-1" || len(sn.Xhat) != len(eng.Xhat()) || sn.Seed != eng.Seed() {
 		t.Fatalf("snapshot fields: %+v", sn)
 	}
 	blob, err := snapshot.Encode(sn)
@@ -84,6 +85,42 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEngineKeepsNoMeasurement: once NewEngineCtx returns, the engine
+// holds x̂ and no vector of the strategy's row length — the noisy
+// measurement y is dropped after reconstruction.
+func TestEngineKeepsNoMeasurement(t *testing.T) {
+	// All range queries on one attribute select OPT⊗, a p-Identity
+	// strategy with more rows than cells.
+	dom := hdmm.NewDomain(hdmm.Attribute{Name: "a", Size: 64})
+	w, err := hdmm.NewWorkload(dom, hdmm.NewProduct(hdmm.AllRange(64)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, err := registry.Open("", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := serve.NewEngineCtx(t.Context(), w, make([]float64, 64), 1.0, serve.Options{
+		Selection: hdmm.SelectOptions{Restarts: 1, Seed: 3},
+		Seed:      99,
+		Registry:  reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, cells := eng.Strategy().Operator().Dims()
+	if rows == cells {
+		t.Fatalf("strategy is %d×%d; the check needs rows ≠ cells", rows, cells)
+	}
+	v := reflect.ValueOf(eng).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		if f.Kind() == reflect.Slice && f.Type().Elem().Kind() == reflect.Float64 && f.Len() == rows {
+			t.Errorf("field %s holds %d floats, the strategy's row count", v.Type().Field(i).Name, rows)
+		}
+	}
+}
+
 // TestRestoreRejectsSemanticCorruption: a snapshot that decodes cleanly but
 // lies about its own shape is rejected with an error (the store quarantines
 // it) — never "repaired" by re-optimizing or re-measuring.
@@ -98,7 +135,6 @@ func TestRestoreRejectsSemanticCorruption(t *testing.T) {
 		"no strategy":     {func(sn *snapshot.Snapshot) { sn.Record = nil }, "no strategy"},
 		"bad query":       {func(sn *snapshot.Snapshot) { sn.Queries = []string{"Z,Q"} }, "queries"},
 		"wrong domain":    {func(sn *snapshot.Snapshot) { sn.Domain = []int{3, 17} }, "fit its workload"},
-		"truncated y":     {func(sn *snapshot.Snapshot) { sn.Y = sn.Y[:len(sn.Y)-1] }, "strategy has"},
 		"truncated xhat":  {func(sn *snapshot.Snapshot) { sn.Xhat = sn.Xhat[:len(sn.Xhat)-1] }, "domain has"},
 		"swapped queries": {func(sn *snapshot.Snapshot) { sn.Queries = []string{"I"} }, ""},
 	} {

@@ -1,12 +1,13 @@
 // Package snapshot persists the measured state of a serving engine — the
 // state that carries spent privacy budget. HDMM's lifecycle is "optimize
 // once, measure once, answer many" (Table 1(b) of McKenna et al.): the
-// noisy measurement vector y is bought with an unrecoverable ε (and δ), so
-// a daemon restart that loses y cannot re-measure without doubling the
-// spend. A snapshot is everything needed to resurrect an engine WITHOUT
-// touching the private data again: the engine key, the strategy (embedded
-// as its own self-validating HDMMSTRG blob), the budget ledger (ε, δ,
-// mechanism seed), and the y and x̂ vectors bit-exactly.
+// noisy measurement y is bought with an unrecoverable ε (and δ), and every
+// answer is post-processing of the estimate x̂ = A⁺y, so x̂ is the
+// persisted, budget-carrying state and y is dropped once x̂ exists. A
+// snapshot is everything needed to resurrect an engine WITHOUT touching
+// the private data again: the engine key, the strategy (embedded as its
+// own self-validating HDMMSTRG blob), the budget ledger (ε, δ, mechanism
+// seed), and x̂ bit-exactly.
 //
 // HDMMSNAP shares its frame and primitives with the registry's HDMMSTRG
 // format through internal/binfmt: versioned magic, little endian, floats
@@ -48,18 +49,16 @@ type Snapshot struct {
 	Queries []string
 	// Record is the selected strategy, embedded as a registry blob.
 	Record *registry.Record
-	// Y is the noisy measurement vector — the budget-carrying state.
-	Y []float64
-	// Xhat is the least-squares estimate reconstructed from Y. Persisting
-	// it (rather than re-running Reconstruct) makes recovered answers
-	// byte-identical by construction.
+	// Xhat is the least-squares estimate x̂, the budget-carrying state.
+	// Persisting it (rather than re-running Reconstruct) makes recovered
+	// answers byte-identical by construction.
 	Xhat []float64
 }
 
-// Binary format (version 1, little endian):
+// Binary format (version 2, little endian):
 //
 //	magic    [8]byte  "HDMMSNAP"
-//	version  u16      1
+//	version  u16      2
 //	key      string   (u32 length + bytes)
 //	strategyKey string
 //	eps      f64
@@ -71,47 +70,40 @@ type Snapshot struct {
 //	strategy u32 length + HDMMSTRG blob (registry.Encode output, carrying
 //	         its own magic and CRC — a snapshot cannot smuggle in a
 //	         strategy the registry codec would reject)
-//	y        u32 count + count × f64
 //	xhat     u32 count + count × f64
 //	crc      u32 CRC-32 (IEEE) of every preceding byte
+//
+// Version 1, read but never written, has a `y` section (u32 count + count
+// × f64, the noisy measurement) between strategy and xhat; Decode checks
+// it as version 1 did and drops it.
 const (
 	codecMagic   = "HDMMSNAP"
-	codecVersion = 1
+	codecVersion = 2
 )
 
-// Encode serializes a snapshot. The same bounds Decode enforces are
-// checked here, keeping the "anything persisted loads again" invariant.
+// Encode serializes a snapshot in version 2. It runs Validate first, so
+// anything persisted loads again.
 func Encode(sn *Snapshot) ([]byte, error) {
-	if sn.Record == nil {
-		return nil, fmt.Errorf("snapshot: nil strategy record")
+	if err := sn.Validate(); err != nil {
+		return nil, fmt.Errorf("snapshot: %w", err)
 	}
-	if math.IsNaN(sn.Eps) || math.IsInf(sn.Eps, 0) || sn.Eps <= 0 {
-		return nil, fmt.Errorf("snapshot: invalid eps %v", sn.Eps)
-	}
-	if math.IsNaN(sn.Delta) || sn.Delta < 0 || sn.Delta >= 1 {
-		return nil, fmt.Errorf("snapshot: invalid delta %v", sn.Delta)
-	}
-	if len(sn.Domain) == 0 || len(sn.Domain) > binfmt.MaxCount {
-		return nil, fmt.Errorf("snapshot: invalid domain attribute count %d", len(sn.Domain))
-	}
-	if len(sn.Queries) == 0 || len(sn.Queries) > binfmt.MaxCount {
-		return nil, fmt.Errorf("snapshot: invalid query count %d", len(sn.Queries))
-	}
-	if len(sn.Y) == 0 || len(sn.Y) > binfmt.MaxCount {
-		return nil, fmt.Errorf("snapshot: invalid measurement length %d", len(sn.Y))
-	}
-	if len(sn.Xhat) == 0 || len(sn.Xhat) > binfmt.MaxCount {
-		return nil, fmt.Errorf("snapshot: invalid estimate length %d", len(sn.Xhat))
-	}
+	return encode(sn)
+}
+
+// encode writes the format without Validate's value checks.
+func encode(sn *Snapshot) ([]byte, error) {
 	blob, err := registry.Encode(sn.Record)
+	if err == nil && len(blob) > binfmt.MaxCount {
+		err = fmt.Errorf("%d-byte blob exceeds %d", len(blob), binfmt.MaxCount)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: encoding strategy: %w", err)
 	}
 
-	// Size the buffer exactly up front: the vectors make a snapshot tens of
-	// MB, and growing it by append copies it several times over.
+	// Size the buffer exactly up front: x̂ makes a snapshot megabytes, and
+	// growing it by append copies it several times over.
 	size := len(codecMagic) + 2 + 4 + len(sn.Key) + 4 + len(sn.StrategyKey) + 4*8 +
-		4 + 8*len(sn.Domain) + 4 + 4 + len(blob) + 4 + 8*len(sn.Y) + 4 + 8*len(sn.Xhat) + 4
+		4 + 8*len(sn.Domain) + 4 + 4 + len(blob) + 4 + 8*len(sn.Xhat) + 4
 	for _, q := range sn.Queries {
 		size += 4 + len(q)
 	}
@@ -123,10 +115,7 @@ func Encode(sn *Snapshot) ([]byte, error) {
 	w.U64(sn.Seed)
 	w.F64(sn.RootMSE)
 	w.U32(uint32(len(sn.Domain)))
-	for i, n := range sn.Domain {
-		if n <= 0 || n > binfmt.MaxCount {
-			return nil, fmt.Errorf("snapshot: domain[%d] = %d outside the codec bound %d", i, n, binfmt.MaxCount)
-		}
+	for _, n := range sn.Domain {
 		w.U64(uint64(n))
 	}
 	w.U32(uint32(len(sn.Queries)))
@@ -134,17 +123,58 @@ func Encode(sn *Snapshot) ([]byte, error) {
 		w.Str(q)
 	}
 	w.Blob(blob)
-	w.U32(uint32(len(sn.Y)))
-	w.F64s(sn.Y)
 	w.U32(uint32(len(sn.Xhat)))
 	w.F64s(sn.Xhat)
 	return w.Seal(), nil
 }
 
-// Decode parses a blob produced by Encode, round-tripping every float
-// bit-exactly. It performs the structural validation (magic, version,
-// checksum, bounds, embedded-strategy integrity, finite budget fields);
-// the semantic fit between strategy, workload and vector lengths is the
+// Validate applies every value check Decode applies to what it reads, so
+// a snapshot that passes it loads again once encoded.
+func (sn *Snapshot) Validate() error {
+	switch {
+	case sn.Record == nil || sn.Record.Strategy == nil:
+		return fmt.Errorf("no strategy")
+	case math.IsNaN(sn.Eps) || math.IsInf(sn.Eps, 0) || sn.Eps <= 0:
+		return fmt.Errorf("invalid eps %v", sn.Eps)
+	case math.IsNaN(sn.Delta) || sn.Delta < 0 || sn.Delta >= 1:
+		return fmt.Errorf("invalid delta %v", sn.Delta)
+	case math.IsNaN(sn.RootMSE) || sn.RootMSE < 0:
+		return fmt.Errorf("invalid RMSE %v", sn.RootMSE)
+	case len(sn.Domain) == 0 || len(sn.Domain) > binfmt.MaxCount:
+		return fmt.Errorf("invalid domain attribute count %d", len(sn.Domain))
+	case len(sn.Queries) == 0 || len(sn.Queries) > binfmt.MaxCount:
+		return fmt.Errorf("invalid query count %d", len(sn.Queries))
+	}
+	for i, n := range sn.Domain {
+		if n <= 0 || n > binfmt.MaxCount {
+			return fmt.Errorf("domain[%d] = %d outside [1, %d]", i, n, binfmt.MaxCount)
+		}
+	}
+	for _, s := range append([]string{sn.Key, sn.StrategyKey}, sn.Queries...) {
+		if len(s) > binfmt.MaxCount {
+			return fmt.Errorf("string of %d bytes exceeds %d", len(s), binfmt.MaxCount)
+		}
+	}
+	return checkVector(sn.Xhat, "estimate")
+}
+
+// checkVector rejects an empty, oversized or non-finite vector. NaN and Inf
+// are valid IEEE bits the CRC cannot catch, and would poison every answer.
+func checkVector(v []float64, what string) error {
+	if len(v) == 0 || len(v) > binfmt.MaxCount {
+		return fmt.Errorf("invalid %s length %d", what, len(v))
+	}
+	for _, x := range v {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return fmt.Errorf("non-finite %s value %v", what, x)
+		}
+	}
+	return nil
+}
+
+// Decode parses a version 2 or 1 blob, every float bit-exactly. It checks
+// structure (magic, version, checksum, bounds, embedded strategy) and runs
+// Validate; the fit between strategy, workload and x̂'s length is the
 // restorer's job, which has the workload machinery to check shapes.
 func Decode(b []byte) (*Snapshot, error) {
 	sn, err := decode(b)
@@ -155,7 +185,7 @@ func Decode(b []byte) (*Snapshot, error) {
 }
 
 func decode(b []byte) (*Snapshot, error) {
-	r, err := binfmt.Open(b, codecMagic, codecVersion)
+	r, version, err := binfmt.Open(b, codecMagic, 1, codecVersion)
 	if err != nil {
 		return nil, err
 	}
@@ -167,19 +197,6 @@ func decode(b []byte) (*Snapshot, error) {
 		Seed:        r.U64(),
 		RootMSE:     r.F64(),
 	}
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if math.IsNaN(sn.Eps) || math.IsInf(sn.Eps, 0) || sn.Eps <= 0 {
-		return nil, fmt.Errorf("invalid stored eps %v", sn.Eps)
-	}
-	if math.IsNaN(sn.Delta) || sn.Delta < 0 || sn.Delta >= 1 {
-		return nil, fmt.Errorf("invalid stored delta %v", sn.Delta)
-	}
-	if math.IsNaN(sn.RootMSE) || sn.RootMSE < 0 {
-		return nil, fmt.Errorf("invalid stored RMSE %v", sn.RootMSE)
-	}
-
 	nd := r.Count(1, binfmt.MaxCount, "domain attribute count")
 	for i := 0; i < nd && r.Err() == nil; i++ {
 		sn.Domain = append(sn.Domain, r.Count64(1, binfmt.MaxCount, "domain size"))
@@ -196,26 +213,22 @@ func decode(b []byte) (*Snapshot, error) {
 		}
 		sn.Record = rec
 	}
-	sn.Y = r.F64s(int(r.U32()))
+	if version == 1 { // y: held to version 1's checks, then dropped
+		if y := r.F64s(int(r.U32())); r.Err() == nil {
+			if err := checkVector(y, "measurement"); err != nil {
+				return nil, err
+			}
+		}
+	}
 	sn.Xhat = r.F64s(int(r.U32()))
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	if len(sn.Y) == 0 || len(sn.Xhat) == 0 {
-		return nil, fmt.Errorf("empty measurement or estimate vector")
-	}
-	for _, v := range sn.Y {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("non-finite measurement value %v", v)
-		}
-	}
-	for _, v := range sn.Xhat {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("non-finite estimate value %v", v)
-		}
-	}
 	if n := r.Remaining(); n != 0 {
 		return nil, fmt.Errorf("%d trailing bytes after payload", n)
+	}
+	if err := sn.Validate(); err != nil {
+		return nil, err
 	}
 	return sn, nil
 }

@@ -11,17 +11,25 @@ import (
 )
 
 // goldenNames names the committed HDMMSNAP blobs under testdata, in
-// sampleSnapshots order.
+// sampleFixtures order. NAME-v2.hdmmsnap is what Encode writes;
+// NAME-v1.hdmmsnap is the same fixture in the read-only version 1 layout,
+// captured before version 2 existed and never regenerated.
 var goldenNames = []string{"identity", "kron"}
 
-// TestCodecGolden pins the HDMMSNAP format byte for byte: the fixtures
-// from sampleSnapshots(PCG(1, 2)) must encode to the committed blobs, and
-// each blob must decode and re-encode to itself. A codec edit that moves
-// one byte of the format fails here.
+// TestCodecGolden pins the HDMMSNAP format byte for byte. The fixtures
+// from sampleFixtures(PCG(1, 2)) must encode to the v2 blobs, and each v2
+// blob must decode and re-encode to itself. Each v1 blob must decode to
+// the same fixture and re-encode to exactly the v2 blob, and encodeV1 must
+// rebuild it, so the v1 blobs tests write are the format as it was
+// persisted. A codec edit that moves one byte of either version fails here.
 func TestCodecGolden(t *testing.T) {
-	snaps := sampleSnapshots(rand.New(rand.NewPCG(1, 2)))
+	snaps, ys := sampleFixtures(rand.New(rand.NewPCG(1, 2)))
 	for i, name := range goldenNames {
-		golden, err := os.ReadFile(filepath.Join("testdata", name+".hdmmsnap"))
+		v1, err := os.ReadFile(filepath.Join("testdata", name+"-v1.hdmmsnap"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		v2, err := os.ReadFile(filepath.Join("testdata", name+"-v2.hdmmsnap"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -29,19 +37,28 @@ func TestCodecGolden(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: encode: %v", name, err)
 		}
-		if !bytes.Equal(blob, golden) {
-			t.Errorf("%s: Encode output differs from the golden blob", name)
+		if !bytes.Equal(blob, v2) {
+			t.Errorf("%s: Encode output differs from the v2 golden blob", name)
 		}
-		sn, err := Decode(golden)
-		if err != nil {
-			t.Fatalf("%s: decode golden: %v", name, err)
+		if !bytes.Equal(encodeV1(t, snaps[i], ys[i]), v1) {
+			t.Errorf("%s: encodeV1 output differs from the v1 golden blob", name)
 		}
-		again, err := Encode(sn)
-		if err != nil {
-			t.Fatalf("%s: re-encode: %v", name, err)
-		}
-		if !bytes.Equal(again, golden) {
-			t.Errorf("%s: golden blob does not re-encode to itself", name)
+		for _, golden := range []struct {
+			version string
+			blob    []byte
+		}{{"v2", v2}, {"v1", v1}} {
+			sn, err := Decode(golden.blob)
+			if err != nil {
+				t.Fatalf("%s %s: decode golden: %v", name, golden.version, err)
+			}
+			snapshotsEqual(t, snaps[i], sn)
+			again, err := Encode(sn)
+			if err != nil {
+				t.Fatalf("%s %s: re-encode: %v", name, golden.version, err)
+			}
+			if !bytes.Equal(again, v2) {
+				t.Errorf("%s: %s golden blob does not re-encode to the v2 golden", name, golden.version)
+			}
 		}
 	}
 }
@@ -54,11 +71,13 @@ func reseal(b []byte) []byte {
 	return binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body))
 }
 
-// FuzzDecode: Decode never panics, and any input it accepts re-encodes to
-// exactly the same bytes. Each input is tried as given and resealed with
-// a fresh checksum, so mutations reach the payload parser rather than
-// stopping at the CRC. The seeds under testdata/fuzz are the golden blobs
-// plus a truncated and a bit-flipped copy of each.
+// FuzzDecode: Decode never panics; an accepted v2 blob re-encodes to
+// exactly the same bytes, and an accepted v1 blob re-encodes to a v2 blob
+// that decodes to an equal snapshot. Each input is tried as given and
+// resealed with a fresh checksum, so mutations reach the payload parser
+// rather than stopping at the CRC. The seeds under testdata/fuzz are the
+// golden blobs of both versions plus a truncated and a bit-flipped copy
+// of each.
 func FuzzDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
 		inputs := [][]byte{b}
@@ -74,9 +93,17 @@ func FuzzDecode(f *testing.F) {
 			if err != nil {
 				t.Fatalf("accepted blob does not re-encode: %v", err)
 			}
-			if !bytes.Equal(again, in) {
-				t.Fatalf("accepted %d-byte blob re-encodes to %d different bytes", len(in), len(again))
+			if binary.LittleEndian.Uint16(in[len(codecMagic):]) == codecVersion {
+				if !bytes.Equal(again, in) {
+					t.Fatalf("accepted %d-byte v2 blob re-encodes to %d different bytes", len(in), len(again))
+				}
+				continue
 			}
+			back, err := Decode(again)
+			if err != nil {
+				t.Fatalf("v1 blob re-encodes to a v2 blob Decode rejects: %v", err)
+			}
+			snapshotsEqual(t, sn, back)
 		}
 	})
 }

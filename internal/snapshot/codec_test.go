@@ -2,10 +2,13 @@ package snapshot
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand/v2"
+	"strings"
 	"testing"
 
+	"repro/internal/binfmt"
 	"repro/internal/core"
 	"repro/internal/mat"
 	"repro/internal/registry"
@@ -27,9 +30,12 @@ func randVec(rng *rand.Rand, n int) []float64 {
 	return out
 }
 
-// sampleSnapshots covers the strategy kinds an engine snapshot embeds,
-// with randomized floats so repeated trials cover many bit patterns.
-func sampleSnapshots(rng *rand.Rand) []*Snapshot {
+// sampleFixtures covers the strategy kinds an engine snapshot embeds,
+// with randomized floats so repeated trials cover many bit patterns. ys
+// holds the measurement vector a version 1 snapshot of each fixture
+// carried. It is drawn where the version 1 fixtures drew it, so PCG(1, 2)
+// still yields the fixtures the v1 goldens were captured from.
+func sampleFixtures(rng *rand.Rand) (snaps []*Snapshot, ys [][]float64) {
 	identity := &registry.Record{
 		Strategy: &core.IdentityStrategy{N: 6},
 		Err:      rng.Float64() * 100,
@@ -43,34 +49,76 @@ func sampleSnapshots(rng *rand.Rand) []*Snapshot {
 		Err:      rng.Float64() * 100,
 		Operator: "OPT⊗",
 	}
-	return []*Snapshot{
-		{
-			Key:         "a1b2c3",
-			StrategyKey: "deadbeef",
-			Eps:         0.5 + rng.Float64(),
-			Delta:       0,
-			Seed:        rng.Uint64(),
-			RootMSE:     rng.Float64() * 10,
-			Domain:      []int{6},
-			Queries:     []string{"I"},
-			Record:      identity,
-			Y:           randVec(rng, 6),
-			Xhat:        randVec(rng, 6),
-		},
-		{
-			Key:         "ffee00",
-			StrategyKey: "cafe42",
-			Eps:         0.9,
-			Delta:       1e-6,
-			Seed:        rng.Uint64(),
-			RootMSE:     rng.Float64(),
-			Domain:      []int{2, 5},
-			Queries:     []string{"I,T", "T,I"},
-			Record:      kron,
-			Y:           randVec(rng, 10),
-			Xhat:        randVec(rng, 10),
-		},
+	a := &Snapshot{
+		Key:         "a1b2c3",
+		StrategyKey: "deadbeef",
+		Eps:         0.5 + rng.Float64(),
+		Delta:       0,
+		Seed:        rng.Uint64(),
+		RootMSE:     rng.Float64() * 10,
+		Domain:      []int{6},
+		Queries:     []string{"I"},
+		Record:      identity,
 	}
+	ys = append(ys, randVec(rng, 6))
+	a.Xhat = randVec(rng, 6)
+	b := &Snapshot{
+		Key:         "ffee00",
+		StrategyKey: "cafe42",
+		Eps:         0.9,
+		Delta:       1e-6,
+		Seed:        rng.Uint64(),
+		RootMSE:     rng.Float64(),
+		Domain:      []int{2, 5},
+		Queries:     []string{"I,T", "T,I"},
+		Record:      kron,
+	}
+	ys = append(ys, randVec(rng, 10))
+	b.Xhat = randVec(rng, 10)
+	return []*Snapshot{a, b}, ys
+}
+
+func sampleSnapshots(rng *rand.Rand) []*Snapshot {
+	snaps, _ := sampleFixtures(rng)
+	return snaps
+}
+
+// encodeV1 writes sn in the read-only version 1 layout with y as its
+// measurement section: the version 2 blob with y spliced in before x̂ and
+// version 1 in its header, resealed. It skips Encode's checks so tests can
+// write blobs Decode must reject; TestCodecGolden holds its output to the
+// committed v1 blobs.
+func encodeV1(t testing.TB, sn *Snapshot, y []float64) []byte {
+	t.Helper()
+	v2, err := encode(sn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	xhatAt := len(v2) - 4 - (4 + 8*len(sn.Xhat))
+	b := append([]byte(nil), v2[:xhatAt]...)
+	binary.LittleEndian.PutUint16(b[len(codecMagic):], 1)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(y)))
+	for _, v := range y {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	return reseal(append(b, v2[xhatAt:]...))
+}
+
+// sampleBlobs is every fixture of rng encoded in both versions: the v2
+// blob Encode writes and the v1 blob of the same fixture.
+func sampleBlobs(t testing.TB, rng *rand.Rand) map[string][]byte {
+	t.Helper()
+	snaps, ys := sampleFixtures(rng)
+	out := map[string][]byte{}
+	for i, sn := range snaps {
+		v2, err := Encode(sn)
+		if err != nil {
+			t.Fatalf("%s: encode: %v", sn.Key, err)
+		}
+		out[sn.Key+"-v2"] = v2
+		out[sn.Key+"-v1"] = encodeV1(t, sn, ys[i])
+	}
+	return out
 }
 
 func snapshotsEqual(t *testing.T, a, b *Snapshot) {
@@ -98,9 +146,6 @@ func snapshotsEqual(t *testing.T, a, b *Snapshot) {
 		if a.Queries[i] != b.Queries[i] {
 			t.Fatalf("query %d mismatch: %q vs %q", i, a.Queries[i], b.Queries[i])
 		}
-	}
-	if !floatsEqual(a.Y, b.Y) {
-		t.Fatal("measurement vector bits differ")
 	}
 	if !floatsEqual(a.Xhat, b.Xhat) {
 		t.Fatal("estimate vector bits differ")
@@ -174,53 +219,43 @@ func TestEncodeSizesBufferExactly(t *testing.T) {
 	}
 }
 
-// TestCodecRejectsTruncation: every proper prefix of a valid blob must be
-// rejected with an error — never a panic, never a silent success. A
-// truncated snapshot that loaded would serve wrong answers under a valid
-// tenant key.
+// TestCodecRejectsTruncation: every proper prefix of a valid blob, in
+// either version, must be rejected with an error — never a panic, never a
+// silent success. A truncated snapshot that loaded would serve wrong
+// answers under a valid tenant key.
 func TestCodecRejectsTruncation(t *testing.T) {
-	rng := rand.New(rand.NewPCG(1, 2))
-	for _, sn := range sampleSnapshots(rng) {
-		blob, err := Encode(sn)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for name, blob := range sampleBlobs(t, rand.New(rand.NewPCG(1, 2))) {
 		for n := 0; n < len(blob); n++ {
 			func() {
 				defer func() {
 					if r := recover(); r != nil {
-						t.Fatalf("%s: panic decoding %d-byte truncation: %v", sn.Key, n, r)
+						t.Fatalf("%s: panic decoding %d-byte truncation: %v", name, n, r)
 					}
 				}()
 				if _, err := Decode(blob[:n]); err == nil {
-					t.Fatalf("%s: %d-byte truncation decoded without error", sn.Key, n)
+					t.Fatalf("%s: %d-byte truncation decoded without error", name, n)
 				}
 			}()
 		}
 	}
 }
 
-// TestCodecRejectsCorruption: flipping any single byte must be rejected
-// without panicking (the CRC catches all single-byte corruptions,
-// including inside the embedded strategy blob).
+// TestCodecRejectsCorruption: flipping any single byte of a blob in either
+// version must be rejected without panicking (the CRC catches all
+// single-byte corruptions, including inside the embedded strategy blob).
 func TestCodecRejectsCorruption(t *testing.T) {
-	rng := rand.New(rand.NewPCG(3, 4))
-	for _, sn := range sampleSnapshots(rng) {
-		blob, err := Encode(sn)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for name, blob := range sampleBlobs(t, rand.New(rand.NewPCG(3, 4))) {
 		for i := range blob {
 			mut := append([]byte(nil), blob...)
 			mut[i] ^= 0xff
 			func() {
 				defer func() {
 					if r := recover(); r != nil {
-						t.Fatalf("%s: panic decoding blob with byte %d flipped: %v", sn.Key, i, r)
+						t.Fatalf("%s: panic decoding blob with byte %d flipped: %v", name, i, r)
 					}
 				}()
 				if _, err := Decode(mut); err == nil {
-					t.Fatalf("%s: corrupted byte %d decoded without error", sn.Key, i)
+					t.Fatalf("%s: corrupted byte %d decoded without error", name, i)
 				}
 			}()
 		}
@@ -248,69 +283,95 @@ func TestCodecRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestEncodeRejectsInvalidState: a snapshot that could never have come
-// from a real engine must not persist (the "anything persisted loads
-// again" invariant cuts both ways).
-func TestEncodeRejectsInvalidState(t *testing.T) {
+// TestEncodeRejectsWhatDecodeRejects: Encode persists nothing Decode
+// refuses to load ("anything persisted loads again"). Each mutation is
+// written without Encode's checks and must be rejected by Decode, and
+// Encode must refuse it: a store that persisted it would quarantine the
+// tenant at the next boot.
+func TestEncodeRejectsWhatDecodeRejects(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 8))
-	base := func() *Snapshot { return sampleSnapshots(rng)[0] }
 	cases := []struct {
 		name string
 		mut  func(*Snapshot)
 	}{
-		{"nil record", func(s *Snapshot) { s.Record = nil }},
 		{"zero eps", func(s *Snapshot) { s.Eps = 0 }},
+		{"negative eps", func(s *Snapshot) { s.Eps = -1 }},
 		{"NaN eps", func(s *Snapshot) { s.Eps = math.NaN() }},
 		{"inf eps", func(s *Snapshot) { s.Eps = math.Inf(1) }},
 		{"negative delta", func(s *Snapshot) { s.Delta = -0.1 }},
 		{"delta one", func(s *Snapshot) { s.Delta = 1 }},
+		{"NaN delta", func(s *Snapshot) { s.Delta = math.NaN() }},
+		{"NaN RMSE", func(s *Snapshot) { s.RootMSE = math.NaN() }},
+		{"negative RMSE", func(s *Snapshot) { s.RootMSE = -1 }},
 		{"empty domain", func(s *Snapshot) { s.Domain = nil }},
 		{"zero domain size", func(s *Snapshot) { s.Domain = []int{0} }},
+		{"negative domain size", func(s *Snapshot) { s.Domain = []int{-6} }},
+		{"oversized domain size", func(s *Snapshot) { s.Domain = []int{binfmt.MaxCount + 1} }},
 		{"empty queries", func(s *Snapshot) { s.Queries = nil }},
-		{"empty measurement", func(s *Snapshot) { s.Y = nil }},
 		{"empty estimate", func(s *Snapshot) { s.Xhat = nil }},
+		{"NaN estimate", func(s *Snapshot) { s.Xhat[2] = math.NaN() }},
+		{"+Inf estimate", func(s *Snapshot) { s.Xhat[2] = math.Inf(1) }},
+		{"-Inf estimate", func(s *Snapshot) { s.Xhat[5] = math.Inf(-1) }},
 	}
 	for _, tc := range cases {
-		sn := base()
+		sn := sampleSnapshots(rng)[0]
 		tc.mut(sn)
+		blob, err := encode(sn)
+		if err != nil {
+			t.Fatalf("%s: unchecked encode: %v", tc.name, err)
+		}
+		if _, err := Decode(blob); err == nil {
+			t.Errorf("%s: Decode accepted the blob", tc.name)
+		}
 		if _, err := Encode(sn); err == nil {
-			t.Errorf("%s: encoded without error", tc.name)
+			t.Errorf("%s: Encode accepted a snapshot Decode rejects", tc.name)
+		}
+	}
+	// Without a strategy there is nothing to write; Encode still refuses.
+	for _, rec := range []*registry.Record{nil, {Operator: "Identity"}} {
+		sn := sampleSnapshots(rng)[0]
+		sn.Record = rec
+		if _, err := Encode(sn); err == nil {
+			t.Errorf("record %+v: encoded without error", rec)
 		}
 	}
 }
 
-// TestDecodeRejectsBadVersion: a structurally valid blob with an unknown
-// version is rejected on the version check, not the CRC.
+// TestDecodeRejectsBadVersion: a structurally valid blob with a version
+// outside [1, 2] is rejected on the version check, not the CRC.
 func TestDecodeRejectsBadVersion(t *testing.T) {
 	rng := rand.New(rand.NewPCG(9, 10))
 	blob, err := Encode(sampleSnapshots(rng)[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	mut := append([]byte(nil), blob...)
-	mut[len(codecMagic)] = 0xff
-	if _, err := Decode(reseal(mut)); err == nil {
-		t.Error("future format version decoded without error")
+	for _, v := range []uint16{0, codecVersion + 1, 0xffff} {
+		mut := append([]byte(nil), blob...)
+		binary.LittleEndian.PutUint16(mut[len(codecMagic):], v)
+		if _, err := Decode(reseal(mut)); err == nil || !strings.Contains(err.Error(), "unsupported format version") {
+			t.Errorf("version %d: err = %v, want a version rejection", v, err)
+		}
 	}
 }
 
-// TestDecodeRejectsNonFiniteVectors: NaN/Inf in y or x̂ (valid IEEE bits, so
-// the CRC alone cannot catch a snapshot written from poisoned state) are
-// rejected — they would poison every answer the recovered engine serves.
-func TestDecodeRejectsNonFiniteVectors(t *testing.T) {
-	rng := rand.New(rand.NewPCG(11, 12))
-	for _, poison := range []float64{math.NaN(), math.Inf(1)} {
-		sn := sampleSnapshots(rng)[0]
-		sn.Y = append([]float64(nil), sn.Y...)
-		sn.Y[2] = poison
-		// Encode deliberately does not re-scan vector floats (hot path);
-		// build the blob and prove Decode is the backstop.
-		blob, err := Encode(sn)
-		if err != nil {
-			t.Fatal(err)
+// TestDecodeV1ChecksMeasurement: a version 1 blob's measurement y is
+// dropped, but only after v1's checks: an empty y or a NaN/Inf in it (valid
+// IEEE bits, so the CRC alone cannot catch a snapshot written from
+// poisoned state) is rejected as version 1 rejected it.
+func TestDecodeV1ChecksMeasurement(t *testing.T) {
+	snaps, ys := sampleFixtures(rand.New(rand.NewPCG(11, 12)))
+	sn, y := snaps[0], ys[0]
+	if _, err := Decode(encodeV1(t, sn, y)); err != nil {
+		t.Fatalf("clean v1 blob: %v", err)
+	}
+	for _, poison := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		bad := append([]float64(nil), y...)
+		bad[2] = poison
+		if _, err := Decode(encodeV1(t, sn, bad)); err == nil || !strings.Contains(err.Error(), "measurement") {
+			t.Errorf("v1 blob with y[2]=%v: err = %v, want a measurement rejection", poison, err)
 		}
-		if _, err := Decode(blob); err == nil {
-			t.Errorf("snapshot with y[2]=%v decoded without error", poison)
-		}
+	}
+	if _, err := Decode(encodeV1(t, sn, nil)); err == nil || !strings.Contains(err.Error(), "measurement") {
+		t.Errorf("v1 blob with empty y: err = %v, want a measurement rejection", err)
 	}
 }

@@ -229,6 +229,46 @@ func TestStoreRecoverQuarantinesCorruption(t *testing.T) {
 	}
 }
 
+// TestStoreRecoverMixedVersions: a directory holding a version 1 file
+// (written before version 2 existed) and a version 2 file recovers both
+// and quarantines neither; List verifies both. A v1 snapshot carries paid
+// budget, so rejecting it for its version would lose the tenant.
+func TestStoreRecoverMixedVersions(t *testing.T) {
+	s := testStore(t, nil)
+	snaps := sampleSnapshots(rand.New(rand.NewPCG(1, 2)))
+	for i, file := range []string{"identity-v1.hdmmsnap", "kron-v2.hdmmsnap"} {
+		blob, err := os.ReadFile(filepath.Join("testdata", file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(s.Path(snaps[i].Key), blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var adopted []*Snapshot
+	n, err := s.Recover(func(sn *Snapshot) error { adopted = append(adopted, sn); return nil })
+	if err != nil || n != 2 {
+		t.Fatalf("Recover = %d, %v; want 2 adopted", n, err)
+	}
+	if st := s.Stats(); st.Quarantined != 0 || st.Degraded {
+		t.Fatalf("mixed-version recovery: %+v", st)
+	}
+	for _, sn := range adopted {
+		for _, want := range snaps {
+			if sn.Key == want.Key {
+				snapshotsEqual(t, want, sn)
+			}
+		}
+	}
+	entries, err := List(s.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 2 || entries[0].Err != nil || entries[1].Err != nil {
+		t.Fatalf("List = %+v, want two verified entries", entries)
+	}
+}
+
 // TestStoreRecoverQuarantinesRenamedFile: a snapshot copied under another
 // key's name is internally valid but must not serve under the wrong
 // handle.
