@@ -193,7 +193,7 @@ func cmdServe(args []string, stdout, stderr io.Writer) error {
 	httpAddr := wf.fs.String("http", "", "run the HTTP answer-serving daemon on this address (e.g. :8080)")
 	drain := wf.fs.Duration("drain", 30*time.Second, "how long the daemon waits for in-flight requests on shutdown")
 	snapDir := wf.fs.String("snapshot-dir", "", "durable engine-snapshot directory: a restarted daemon recovers its engines without re-measuring")
-	solveMaxIter := wf.fs.Int("solve-max-iter", 0, "cap on LSMR iterations for union-strategy reconstruction (0 = solver default); a registration whose solve hits the cap fails instead of serving unconverged answers")
+	solveMaxIter := wf.fs.Int("solve-max-iter", 0, "cap on LSMR iterations or refinement steps for union-strategy reconstruction (0 = solver default); a registration whose solve hits the cap fails instead of serving unconverged answers")
 	logFormat := wf.fs.String("log-format", "text", "daemon log format: text or json")
 	logLevel := wf.fs.String("log-level", "info", "daemon log level: debug, info, warn, or error")
 	pprofAddr := wf.fs.String("pprof-addr", "", "serve net/http/pprof on this separate address (e.g. localhost:6060); empty = no profiling endpoint")

@@ -22,11 +22,18 @@ import (
 // answering from it.
 var ErrNotConverged = errors.New("union reconstruction did not converge")
 
-// SolveInfo reports how a union reconstruction's LSMR solve went — exported
+// Solve methods reported in SolveInfo.Method.
+const (
+	SolveRefine = "refine" // certified fixed-point refinement (lsmr.Refine)
+	SolveLSMR   = "lsmr"   // LSMR iterations (lsmr.Solve)
+)
+
+// SolveInfo reports how a union reconstruction's solve went — exported
 // by the serving engine and the HTTP daemon's /metrics so operators can see
 // iteration counts and residuals instead of inferring them from latency.
 type SolveInfo struct {
-	Iters          int     // LSMR iterations performed
+	Method         string  // SolveRefine or SolveLSMR
+	Iters          int     // LSMR iterations, or refinement steps when Method is SolveRefine
 	Resid          float64 // final ‖y − A·x̂‖ estimate (of the solved system)
 	Stopped        string  // lsmr stopping reason
 	Preconditioned bool    // the per-factor eigendecomposition preconditioner was applied
@@ -189,6 +196,7 @@ type UnionStrategy struct {
 	pcOnce  sync.Once
 	pcStack kron.Linear           // preconditioned operator A·M, guarded by pcOnce
 	pcM     kron.WorkspaceApplier // right preconditioner M (x = M·z); nil when unavailable
+	pcDelta float64               // upper bound on ‖I − (AM)ᵀAM‖₂; +Inf off the pencil path
 }
 
 // Name implements Strategy.
@@ -198,7 +206,7 @@ func (s *UnionStrategy) Name() string { return "OPT+" }
 func (s *UnionStrategy) Sensitivity() float64 { return 1 }
 
 // Operator returns the scaled stack, built once — repeated applications
-// (every LSMR iteration of every reconstruction) then reuse the stack's
+// (every solve step of every reconstruction) then reuse the stack's
 // cached row offsets and the factor transposes cached on its products.
 func (s *UnionStrategy) Operator() kron.Linear {
 	s.opOnce.Do(func() {
@@ -230,11 +238,15 @@ func (s *UnionStrategy) Error(w *workload.Workload) (float64, error) {
 }
 
 // Reconstruct solves the joint least-squares problem over the full stacked
-// strategy with LSMR (Section 7.2: no closed-form pseudo-inverse exists for
-// unions of Kronecker products). The solve runs right-preconditioned from
-// the per-factor eigendecompositions (see precond) and returns a non-nil
-// error wrapping ErrNotConverged — alongside the best iterate — when the
-// iteration budget binds before convergence.
+// strategy iteratively (Section 7.2: no closed-form pseudo-inverse exists
+// for unions of Kronecker products). The solve runs right-preconditioned
+// from the per-factor eigendecompositions (see precond). A two-part union,
+// whose preconditioned operator is certified within δ < 1 of orthonormal
+// columns, takes the fixed refinement lsmr.Refine, one step on CPH; any
+// other union, and a two-part one whose certificate is not below 1, runs
+// LSMR. Either returns a non-nil error wrapping ErrNotConverged —
+// alongside the best iterate — when the iteration budget binds before
+// convergence.
 func (s *UnionStrategy) Reconstruct(y []float64) ([]float64, error) {
 	return s.ReconstructOpt(y, ReconstructOptions{})
 }
@@ -246,7 +258,8 @@ type ReconstructOptions struct {
 	// borrows a pooled one. Callers that reconstruct repeatedly pass one
 	// workspace so every solve stays O(1) in allocations.
 	Workspace *kron.Workspace
-	// MaxIter caps the LSMR iterations (0 = solver default, 4·cols).
+	// MaxIter caps the LSMR iterations or refinement steps (0 = solver
+	// default, 4·cols).
 	MaxIter int
 	// NoPrecond disables the eigendecomposition preconditioner — the
 	// reference solve the preconditioned path is pinned against in tests.
@@ -256,14 +269,15 @@ type ReconstructOptions struct {
 	// Trace, when non-nil, receives stage spans for the reconstruction:
 	// StagePrecondition covering the preconditioner build (cached after the
 	// first reconstruction of a strategy, so later spans are ~0) and
-	// StageSolve covering the LSMR solve and, when preconditioned, the
-	// map back x = M·z. Nil-safe and allocation-free.
+	// StageSolve covering the solve and, when preconditioned, the map back
+	// x = M·z: one observation for a refinement, one for an LSMR solve and
+	// one for its map back. Nil-safe and allocation-free.
 	Trace *obs.Trace
 }
 
 // precond builds (once) the right-preconditioned operator pair: the
 // preconditioned operator A·M whose Kronecker part folds INTO the stack
-// factors — so a preconditioned LSMR iteration costs what a plain one does
+// factors — so a preconditioned solve step costs what a plain one does
 // — and the preconditioner M itself for mapping z back to x = M·z.
 //
 // Two constructions, best first:
@@ -273,8 +287,9 @@ type ReconstructOptions struct {
 //     diagonalized — Vᵢᵀ·G_{1,i}·Vᵢ = I, Vᵢᵀ·G_{2,i}·Vᵢ = Λᵢ — which makes
 //     (⊗Vᵢ)ᵀ·AᵀA·(⊗Vᵢ) = β₁²·I + β₂²·⊗Λᵢ exactly DIAGONAL. With the
 //     residual diagonal scaled out (M = (⊗Vᵢ)·D^{-1/2}, a kron.ColScaled),
-//     the preconditioned operator has exactly orthonormal columns and LSMR
-//     converges in a handful of iterations regardless of conditioning.
+//     the preconditioned operator has orthonormal columns in exact
+//     arithmetic, and pencilBound certifies how far the built one is from
+//     that (the delta returned), so the solve can be a fixed refinement.
 //
 //   - General unions: M = ⊗Fᵢ with Fᵢ = Hᵢ^{-1/2}, Hᵢ = Σ_g (β_g²)^{1/d}·
 //     G_{g,i}. ⊗Hᵢ ⪰ AᵀA in the PSD order (the Kronecker product of the
@@ -282,10 +297,12 @@ type ReconstructOptions struct {
 //     products), so the preconditioned spectrum lies in (0,1] and the
 //     iteration count drops by the cross-term looseness of the majorizer.
 //
-// Returns (nil, nil) — plain solve — when the parts are heterogeneous or a
-// Gram is numerically rank-deficient.
-func (s *UnionStrategy) precond() (kron.Linear, kron.WorkspaceApplier) {
+// Returns (nil, nil, +Inf) — plain solve — when the parts are
+// heterogeneous or a Gram is numerically rank-deficient; delta is +Inf on
+// the majorizer path too.
+func (s *UnionStrategy) precond() (kron.Linear, kron.WorkspaceApplier, float64) {
 	s.pcOnce.Do(func() {
+		s.pcDelta = math.Inf(1)
 		d := len(s.Parts[0].Subs)
 		for _, p := range s.Parts {
 			if len(p.Subs) != d {
@@ -298,8 +315,8 @@ func (s *UnionStrategy) precond() (kron.Linear, kron.WorkspaceApplier) {
 			}
 		}
 		if len(s.Parts) == 2 {
-			if st, m, ok := s.pencilPrecond(d); ok {
-				s.pcStack, s.pcM = st, m
+			if st, m, delta, ok := s.pencilPrecond(d); ok {
+				s.pcStack, s.pcM, s.pcDelta = st, m, delta
 				return
 			}
 		}
@@ -332,62 +349,130 @@ func (s *UnionStrategy) precond() (kron.Linear, kron.WorkspaceApplier) {
 		s.pcStack = kron.NewStack(blocks, s.Shares)
 		s.pcM = kron.NewProduct(factors...)
 	})
-	return s.pcStack, s.pcM
+	return s.pcStack, s.pcM, s.pcDelta
 }
 
 // pencilPrecond is the exact two-block preconditioner: per factor it whitens
 // block 1's Gram and eigendecomposes block 2's Gram in the whitened basis
 // (the symmetric form of the generalized eigenproblem G₂·v = λ·G₁·v), then
-// scales out the remaining diagonal β₁² + β₂²·⊗Λᵢ over the full domain.
-func (s *UnionStrategy) pencilPrecond(d int) (kron.Linear, kron.WorkspaceApplier, bool) {
+// scales out the remaining diagonal D = β₁² + β₂²·⊗Λᵢ over the full domain.
+//
+// It also returns delta ≥ ‖I − N‖₂ for N = (AM)ᵀAM of the operator it
+// built. With Bᵢ the built factors of a block, P = ⊗B₁ᵢᵀB₁ᵢ ≈ I,
+// Q = ⊗B₂ᵢᵀB₂ᵢ ≈ ⊗Λᵢ and S = D^{-1/2}, N = S·(β₁²·P + β₂²·Q)·S and
+//
+//	I − N = (I − S·D·S) − β₁²·S·(P − I)·S − β₂²·S·(Q − ⊗Λᵢ)·S.
+//
+// The first term is diagonal, max_j |1 − s_j²·D_j|. The second is at most
+// β₁²·max s_j² times kronDeviation of block 1. Writing Q − ⊗Λᵢ =
+// (⊗Tᵢ)·(⊗(Tᵢ⁻¹·B₂ᵢᵀB₂ᵢ·Tᵢ⁻¹) − I)·(⊗Tᵢ) with Tᵢ = Λᵢ^{1/2}, the third is
+// at most max β₂²·s_j²·λ_j (≤ 1) times kronDeviation of block 2 against Λ.
+// Every quantity is computed at factor size except the three maxima, one
+// pass over the diagonal that building S makes anyway.
+func (s *UnionStrategy) pencilPrecond(d int) (kron.Linear, kron.WorkspaceApplier, float64, bool) {
 	b1 := s.Shares[0] * s.Shares[0]
 	b2 := s.Shares[1] * s.Shares[1]
 	if !(b1 > 0) || !(b2 > 0) {
-		return nil, nil, false
+		return nil, nil, 0, false
 	}
 	vs := make([]*mat.Dense, d)
+	lams := make([][]float64, d)
 	lamKron := []float64{1}
 	for i := 0; i < d; i++ {
 		g1 := mat.Gram(nil, s.Parts[0].Subs[i].Matrix())
 		g2 := mat.Gram(nil, s.Parts[1].Subs[i].Matrix())
 		w1, ok := invSqrtSPD(g1)
 		if !ok {
-			return nil, nil, false
+			return nil, nil, 0, false
 		}
 		c := mat.Mul(nil, mat.Mul(nil, w1, g2), w1)
 		symmetrize(c)
 		lam, q, err := mat.SymEigen(c)
 		if err != nil {
-			return nil, nil, false
+			return nil, nil, 0, false
 		}
 		vs[i] = mat.Mul(nil, w1, q)
 		// Λᵢ is PSD up to rounding; clamp so D stays ≥ β₁² > 0.
+		for b, lb := range lam {
+			if lb < 0 {
+				lam[b] = 0
+			}
+		}
+		lams[i] = lam
 		next := make([]float64, len(lamKron)*len(lam))
 		for a, la := range lamKron {
 			for b, lb := range lam {
-				if lb < 0 {
-					lb = 0
-				}
 				next[a*len(lam)+b] = la * lb
 			}
 		}
 		lamKron = next
 	}
+	// scale = D^{-1/2}, overwriting ⊗Λᵢ in place once the diagonal terms
+	// of the bound have read it.
 	scale := lamKron
+	var eta, maxS2, c2 float64
 	for j, v := range scale {
-		scale[j] = 1 / math.Sqrt(b1+b2*v)
+		sj := 1 / math.Sqrt(b1+b2*v)
+		s2 := sj * sj
+		eta = math.Max(eta, math.Abs(1-s2*(b1+b2*v)))
+		maxS2 = math.Max(maxS2, s2)
+		c2 = math.Max(c2, b2*s2*v)
+		scale[j] = sj
 	}
 	blocks := make([]kron.Linear, 2)
+	bfs := make([][]*mat.Dense, 2)
 	for g, p := range s.Parts {
 		bf := make([]*mat.Dense, d)
 		for i, sub := range p.Subs {
 			bf[i] = mat.Mul(nil, sub.Matrix(), vs[i])
 		}
 		blocks[g] = kron.NewProduct(bf...)
+		bfs[g] = bf
 	}
+	delta := eta + b1*maxS2*kronDeviation(bfs[0], nil) + c2*kronDeviation(bfs[1], lams)
 	st := kron.NewColScaled(kron.NewStack(blocks, s.Shares), scale)
 	m := kron.NewColScaled(kron.NewProduct(vs...), scale)
-	return st, m, true
+	return st, m, delta, true
+}
+
+// kronDeviation bounds ‖⊗ᵢ(Tᵢ⁻¹·BᵢᵀBᵢ·Tᵢ⁻¹) − I‖₂ for the factors Bᵢ of
+// one preconditioned block, with Tᵢ = Λᵢ^{1/2} (Tᵢ = I when lams is nil).
+// Each factor's deviation Eᵢ = Tᵢ⁻¹·BᵢᵀBᵢ·Tᵢ⁻¹ − I is bounded by ‖Eᵢ‖_F
+// plus γ_m·‖Bᵢ·Tᵢ⁻¹‖²_F, the worst-case rounding of forming the Gram from
+// m-row columns (γ_m = m·u/(1 − m·u)), and the terms of ⊗(I + Eᵢ) − I are
+// at most ∏(1 + ‖Eᵢ‖) − 1 in norm. It is +Inf when some λ is not positive.
+func kronDeviation(factors []*mat.Dense, lams [][]float64) float64 {
+	const u = 0x1p-53
+	prod := 1.0
+	for i, b := range factors {
+		m, n := b.Dims()
+		gram := mat.Gram(nil, b)
+		gamma := float64(m) * u / (1 - float64(m)*u)
+		dev, colSq := 0.0, 0.0
+		for a := 0; a < n; a++ {
+			ta := 1.0
+			if lams != nil {
+				if !(lams[i][a] > 0) {
+					return math.Inf(1)
+				}
+				ta = math.Sqrt(lams[i][a])
+			}
+			colSq += gram.At(a, a) / (ta * ta)
+			for c := 0; c < n; c++ {
+				tc := 1.0
+				if lams != nil {
+					tc = math.Sqrt(lams[i][c])
+				}
+				e := gram.At(a, c) / (ta * tc)
+				if a == c {
+					e--
+				}
+				dev += e * e
+			}
+		}
+		prod *= 1 + math.Sqrt(dev) + gamma*colSq
+	}
+	return prod - 1
 }
 
 // symmetrize averages a nearly-symmetric matrix with its transpose in
@@ -431,9 +516,9 @@ func invSqrtSPD(h *mat.Dense) (*mat.Dense, bool) {
 }
 
 // notConvergedErr formats the non-convergence failure for one solve.
-func (s *UnionStrategy) notConvergedErr(res lsmr.Result) error {
-	return fmt.Errorf("core: %w: %s solve stopped at its %d-iteration budget with residual estimate %.6g; raise the iteration budget or serve degraded explicitly",
-		ErrNotConverged, s.Name(), res.Iters, res.Resid)
+func (s *UnionStrategy) notConvergedErr(method string, res lsmr.Result) error {
+	return fmt.Errorf("core: %w: %s %s solve stopped at its %d-iteration budget with residual estimate %.6g; raise the iteration budget or serve degraded explicitly",
+		ErrNotConverged, s.Name(), method, res.Iters, res.Resid)
 }
 
 // ReconstructOpt is the full-control union reconstruction: preconditioning
@@ -458,30 +543,43 @@ func (s *UnionStrategy) ReconstructOpt(y []float64, opts ReconstructOptions) ([]
 
 	solveOp := kron.Linear(op)
 	var pcM kron.WorkspaceApplier
+	delta := math.Inf(1)
 	if !opts.NoPrecond {
 		opts.Trace.Begin(obs.StagePrecondition)
-		pcStack, m := s.precond()
+		pcStack, m, d := s.precond()
 		opts.Trace.End(obs.StagePrecondition)
 		if pcStack != nil {
-			solveOp, pcM = pcStack, m
+			solveOp, pcM, delta = pcStack, m, d
 		}
 	}
 
-	res := lsmr.Solve(solveOp, y, lsmr.Options{
-		MaxIter: opts.MaxIter, Workspace: ws, Trace: opts.Trace,
-	})
-	x := res.X
-	if pcM != nil {
-		// The map back is a full Kronecker application over the domain
-		// and part of the reconstruction, so its time belongs to the
-		// solve stage; left out, it is registration time no stage explains.
+	// The map back x = M·z is a full Kronecker application over the
+	// domain and part of the reconstruction, so its time belongs to the
+	// solve stage; left out, it is registration time no stage explains.
+	lopts := lsmr.Options{MaxIter: opts.MaxIter, Workspace: ws}
+	method := solveMethod(delta)
+	var res lsmr.Result
+	x := []float64(nil)
+	if method == SolveRefine {
 		start := time.Now()
+		res = lsmr.Refine(solveOp, y, delta, lopts)
 		x = make([]float64, cols)
 		pcM.MatVecTo(x, res.X, ws)
 		opts.Trace.Observe(obs.StageSolve, time.Since(start))
+	} else {
+		lopts.Trace = opts.Trace
+		res = lsmr.Solve(solveOp, y, lopts)
+		x = res.X
+		if pcM != nil {
+			start := time.Now()
+			x = make([]float64, cols)
+			pcM.MatVecTo(x, res.X, ws)
+			opts.Trace.Observe(obs.StageSolve, time.Since(start))
+		}
 	}
 	if opts.Info != nil {
 		*opts.Info = SolveInfo{
+			Method:         method,
 			Iters:          res.Iters,
 			Resid:          res.Resid,
 			Stopped:        res.Stopped,
@@ -489,9 +587,20 @@ func (s *UnionStrategy) ReconstructOpt(y []float64, opts ReconstructOptions) ([]
 		}
 	}
 	if res.Stopped == lsmr.StoppedMaxIter {
-		return x, s.notConvergedErr(res)
+		return x, s.notConvergedErr(method, res)
 	}
 	return x, nil
+}
+
+// solveMethod picks the solve for a preconditioned operator whose normal
+// matrix is within delta of the identity: the certified refinement when
+// delta < 1 (the pencil path), LSMR otherwise (δ ≥ 1, NaN, or +Inf for the
+// majorizer path and the unpreconditioned operator).
+func solveMethod(delta float64) string {
+	if delta < 1 {
+		return SolveRefine
+	}
+	return SolveLSMR
 }
 
 // OptimalShares returns budget shares βg ∝ Err_g^{1/3}, which minimize

@@ -172,23 +172,32 @@ func TestUnionReconstructDeterministicAcrossWorkers(t *testing.T) {
 
 // TestUnionReconstructTracesMapBack: a traced preconditioned
 // reconstruction charges the map back x = M·z to the solve stage, next to
-// the LSMR solve itself, so a registration's stage spans cover it; the
-// unpreconditioned solve has no map back and records the solve alone.
+// the solve itself, so a registration's stage spans cover it. The
+// two-part refinement and its map back are one observation, the
+// three-part LSMR solve and its map back two, and the unpreconditioned
+// solve has no map back and records the solve alone.
 func TestUnionReconstructTracesMapBack(t *testing.T) {
 	rng := rand.New(rand.NewPCG(47, 48))
-	s := testUnionStrategy(t)
-	y := randMeasurement(rng, s)
 	for _, tc := range []struct {
+		name      string
+		build     func(testing.TB) *UnionStrategy
 		noPrecond bool
+		method    string
 		want      int
-	}{{false, 2}, {true, 1}} {
+	}{
+		{"refine-2part", func(tb testing.TB) *UnionStrategy { return testUnionStrategy(tb) }, false, SolveRefine, 1},
+		{"lsmr-3part", func(tb testing.TB) *UnionStrategy { return testUnionStrategy3(tb) }, false, SolveLSMR, 2},
+		{"plain", func(tb testing.TB) *UnionStrategy { return testUnionStrategy(tb) }, true, SolveLSMR, 1},
+	} {
+		s := tc.build(t)
+		y := randMeasurement(rng, s)
 		tr := obs.NewTrace("reconstruct")
 		var info SolveInfo
 		if _, err := s.ReconstructOpt(y, ReconstructOptions{NoPrecond: tc.noPrecond, Info: &info, Trace: tr}); err != nil {
 			t.Fatal(err)
 		}
-		if info.Preconditioned == tc.noPrecond {
-			t.Fatalf("NoPrecond=%v ran preconditioned=%v", tc.noPrecond, info.Preconditioned)
+		if info.Preconditioned == tc.noPrecond || info.Method != tc.method {
+			t.Fatalf("%s: ran preconditioned=%v method=%q", tc.name, info.Preconditioned, info.Method)
 		}
 		count := 0
 		for _, sp := range tr.Spans() {
@@ -197,7 +206,7 @@ func TestUnionReconstructTracesMapBack(t *testing.T) {
 			}
 		}
 		if count != tc.want {
-			t.Errorf("NoPrecond=%v: %d solve-stage observations, want %d", tc.noPrecond, count, tc.want)
+			t.Errorf("%s: %d solve-stage observations, want %d", tc.name, count, tc.want)
 		}
 	}
 }

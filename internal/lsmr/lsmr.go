@@ -2,7 +2,8 @@
 // Saunders (2011), which HDMM uses to reconstruct data-vector estimates from
 // noisy measurements of union-of-product strategies (Section 7.2): it needs
 // only matrix–vector products with A and Aᵀ, which the implicit operators of
-// package kron provide.
+// package kron provide. Refine is the fixed-point alternative for operators
+// whose normal matrix is certified close to the identity.
 package lsmr
 
 import (
@@ -37,7 +38,7 @@ type Options struct {
 	// workspace for the duration of the solve.
 	Workspace *kron.Workspace
 	// Trace, when non-nil, receives one StageSolve observation covering the
-	// whole solve. The hook is outside the iteration loop and
+	// whole of a Solve (Refine does not read it; its caller times it). The hook is outside the iteration loop and
 	// allocation-free, so a traced solve performs exactly the allocations of
 	// an untraced one.
 	Trace *obs.Trace
@@ -194,21 +195,7 @@ func solve(a kron.Linear, b []float64, opts Options) Result {
 		ws = kron.GetWorkspace()
 		defer kron.PutWorkspace(ws)
 	}
-	wsOp, hasWS := a.(kron.WorkspaceApplier)
-	matVec := func(dst, x []float64) {
-		if hasWS {
-			wsOp.MatVecTo(dst, x, ws)
-			return
-		}
-		a.MatVec(dst, x)
-	}
-	matTVec := func(dst, y []float64) {
-		if hasWS {
-			wsOp.MatTVecTo(dst, y, ws)
-			return
-		}
-		a.MatTVec(dst, y)
-	}
+	ap := newApplier(a, ws)
 
 	u := append([]float64(nil), b...)
 	beta := norm2(u)
@@ -218,7 +205,7 @@ func solve(a kron.Linear, b []float64, opts Options) Result {
 	v := make([]float64, cols)
 	alpha := 0.0
 	if beta > 0 {
-		matTVec(v, u)
+		ap.matTVec(v, u)
 		alpha = norm2(v)
 		if alpha > 0 {
 			scale(1/alpha, v)
@@ -247,12 +234,12 @@ func solve(a kron.Linear, b []float64, opts Options) Result {
 	res := Result{}
 	for iter := 1; iter <= opts.MaxIter; iter++ {
 		// Bidiagonalization step: β·u = A·v − α·u ; α·v = Aᵀ·u − β·v.
-		matVec(tmpRows, v)
+		ap.matVec(tmpRows, v)
 		subScale(workers, u, tmpRows, alpha)
 		beta = norm2(u)
 		if beta > 0 {
 			scale(1/beta, u)
-			matTVec(tmpCols, u)
+			ap.matTVec(tmpCols, u)
 			subScale(workers, v, tmpCols, beta)
 			alpha = norm2(v)
 			if alpha > 0 {
@@ -278,6 +265,112 @@ func solve(a kron.Linear, b []float64, opts Options) Result {
 		res.Stopped = StoppedMaxIter
 	}
 	res.X = x
+	return res
+}
+
+// applier runs A· and Aᵀ· applications through ws when the operator
+// supports workspaces. It is a value, so a solve builds it without
+// allocating.
+type applier struct {
+	a    kron.Linear
+	wsOp kron.WorkspaceApplier // nil when a has no workspace entry points
+	ws   *kron.Workspace
+}
+
+func newApplier(a kron.Linear, ws *kron.Workspace) applier {
+	wsOp, _ := a.(kron.WorkspaceApplier)
+	return applier{a: a, wsOp: wsOp, ws: ws}
+}
+
+func (p applier) matVec(dst, x []float64) {
+	if p.wsOp != nil {
+		p.wsOp.MatVecTo(dst, x, p.ws)
+		return
+	}
+	p.a.MatVec(dst, x)
+}
+
+func (p applier) matTVec(dst, y []float64) {
+	if p.wsOp != nil {
+		p.wsOp.MatTVecTo(dst, y, p.ws)
+		return
+	}
+	p.a.MatTVec(dst, y)
+}
+
+// Refine solves min ‖b − A·x‖ for an operator whose normal matrix N = AᵀA
+// satisfies ‖I − N‖₂ ≤ delta < 1, by the fixed-point iteration
+//
+//	x₀ = Aᵀb,  g_k = Aᵀ(b − A·x_k),  x_{k+1} = x_k + g_k.
+//
+// Each step maps the gradient by g_{k+1} = (I − N)·g_k exactly, so
+// ‖g_{k+1}‖ ≤ delta·‖g_k‖ bounds the gradient of the iterate that step k
+// returns without computing it. Refine stops after the fewest steps whose
+// bound meets LSMR's own tests at opts.Atol and opts.Btol, taking
+// √(1 − delta) ≤ ‖A‖₂ ≤ √(1 + delta):
+//
+//   - atol: delta·‖g_k‖ ≤ atol·√(1−delta)·(‖r_k‖ − √(1+delta)·‖g_k‖), where
+//     the bracket is a lower bound on the new residual ‖r_{k+1}‖;
+//   - btol: ‖r_k‖ ≤ btol·‖b‖ + atol·√(1−delta)·‖x_{k+1}‖, since
+//     ‖r_{k+1}‖ ≤ ‖r_k‖ when delta < 1.
+//
+// One step costs two adjoint and one forward application of A (the first
+// adjoint forms x₀); each further step one more of each. Iters counts the
+// steps, Resid estimates ‖b − A·x‖ as √(‖r_k‖² − ‖g_k‖²) (exact to within
+// delta·‖g_k‖²), and when opts.MaxIter steps pass without a certificate
+// the result stops at StoppedMaxIter with the last iterate. Like Solve, it
+// allocates O(1) vectors, runs every application through opts.Workspace,
+// and is bit-identical at any worker count. It panics unless 0 ≤ delta < 1.
+func Refine(a kron.Linear, b []float64, delta float64, opts Options) Result {
+	rows, cols := a.Dims()
+	if len(b) != rows {
+		panic("lsmr: rhs length mismatch")
+	}
+	if !(delta >= 0 && delta < 1) {
+		panic("lsmr: Refine needs 0 ≤ delta < 1")
+	}
+	opts = opts.withDefaults(cols)
+	ws := opts.Workspace
+	if ws == nil {
+		ws = kron.GetWorkspace()
+		defer kron.PutWorkspace(ws)
+	}
+	ap := newApplier(a, ws)
+
+	x := make([]float64, cols)
+	normb := norm2(b)
+	if normb == 0 {
+		return Result{X: x, Stopped: StoppedZeroRHS}
+	}
+	ap.matTVec(x, b)
+	if norm2(x) == 0 {
+		return Result{X: x, Stopped: StoppedZeroRHS}
+	}
+	r := make([]float64, rows)
+	g := make([]float64, cols)
+	normAlo, normAhi := math.Sqrt(1-delta), math.Sqrt(1+delta)
+	workers := parallel.KernelWorkers()
+
+	res := Result{X: x, Stopped: StoppedMaxIter}
+	for k := 1; k <= opts.MaxIter; k++ {
+		ap.matVec(r, x)
+		subScale(workers, r, b, 1) // r = b − A·x
+		ap.matTVec(g, r)
+		normr, normg := norm2(r), norm2(g)
+		for i, v := range g {
+			x[i] += v
+		}
+		res.Iters = k
+		res.Resid = math.Sqrt(math.Max(0, normr*normr-normg*normg))
+		if delta*normg <= opts.Atol*normAlo*(normr-normAhi*normg) {
+			res.Stopped = StoppedAtol
+			break
+		}
+		if normr <= opts.Btol*normb+opts.Atol*normAlo*norm2(x) {
+			res.Stopped = StoppedBtol
+			break
+		}
+	}
 	return res
 }
 

@@ -7,7 +7,7 @@
 // precondition → solve → answer — and "where did this registration spend
 // its 40 seconds" is the question every production incident starts with.
 // A Trace rides the request's context.Context from the HTTP edge down
-// through serve.Engine, mech, and the LSMR solver; each layer attributes
+// through serve.Engine, mech, and the union solvers; each layer attributes
 // its wall time to one of the fixed stages. The hooks are built for hot
 // paths: every Trace method is safe on a nil receiver and allocates
 // nothing, so the solver and kernel layers can observe unconditionally
@@ -39,9 +39,11 @@ const (
 	// StagePrecondition covers building the union solve's eigendecomposition
 	// preconditioner (cached per strategy; near-zero after the first solve).
 	StagePrecondition
-	// StageSolve covers the LSMR least-squares reconstruction and, on a
-	// preconditioned union solve, the map back x = M·z from the
-	// preconditioned variable to the data domain.
+	// StageSolve covers the least-squares reconstruction — the certified
+	// refinement of a two-part union or the LSMR solve of any other, and a
+	// closed-form strategy's pseudo-inverse — and, on a preconditioned
+	// union solve, the map back x = M·z from the preconditioned variable to
+	// the data domain.
 	StageSolve
 	// StageAnswer covers batched query evaluation on the private estimate.
 	StageAnswer
@@ -176,7 +178,8 @@ func (t *Trace) End(s Stage) {
 }
 
 // Observe attributes a duration to stage s directly — for layers that time
-// themselves (the LSMR solver measures its own solve). The duration is
+// themselves (the LSMR solver measures its own solve, and a union
+// reconstruction times its refinement and map back as one observation). The duration is
 // also charged to the innermost open span's child accumulator, so an
 // Observe inside a Begin/End window is excluded from the enclosing span
 // exactly like a nested span would be.

@@ -43,8 +43,9 @@ type Options struct {
 	// built at different times in one process reuse each other's
 	// strategies.
 	Registry *registry.Registry
-	// SolveMaxIter caps the LSMR iterations of a union-strategy
-	// reconstruction (0 = solver default). When the budget binds before
+	// SolveMaxIter caps the LSMR iterations or refinement steps of a
+	// union-strategy reconstruction (0 = solver default). When the budget
+	// binds before
 	// convergence, NewEngineCtx fails with an error wrapping
 	// core.ErrNotConverged instead of serving from the unconverged iterate.
 	SolveMaxIter int
@@ -140,8 +141,9 @@ func NewEngineCtx(ctx context.Context, w *workload.Workload, x []float64, eps fl
 	tr.Begin(obs.StageMeasure)
 	y := mech.Measure(op, x, eps, opts.Delta, rng)
 	tr.End(obs.StageMeasure)
-	// Union strategies run the iterative LSMR reconstruction; route them
-	// through the option-bearing entry point so the engine records solver
+	// Union strategies run an iterative reconstruction (the certified
+	// refinement for two parts, LSMR otherwise); route them through the
+	// option-bearing entry point so the engine records solver
 	// diagnostics (surfaced via SolveInfo and the daemon's /metrics) and
 	// honors the caller's iteration cap. A non-converged solve is a
 	// construction failure — the unconverged iterate must never be served.
@@ -276,8 +278,8 @@ func (e *Engine) Xhat() []float64 { return e.xhat }
 func (e *Engine) Seed() uint64 { return e.seed }
 
 // SolveInfo returns the diagnostics of the union-strategy reconstruction
-// this engine performed at construction (iterations, residual estimate,
-// stopping reason, preconditioning), or nil for engines whose strategy
+// this engine performed at construction (method, iterations or refinement
+// steps, residual estimate, stopping reason, preconditioning), or nil for engines whose strategy
 // reconstructs in closed form and for engines restored from snapshots
 // (restore does not re-run the solve).
 func (e *Engine) SolveInfo() *core.SolveInfo { return e.solve }

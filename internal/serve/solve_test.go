@@ -80,6 +80,9 @@ func TestEngineUnionSolveInfo(t *testing.T) {
 	if !si.Preconditioned {
 		t.Fatal("union reconstruction ran unpreconditioned")
 	}
+	if si.Method != core.SolveLSMR {
+		t.Fatalf("three-part union solved by %q, want %q", si.Method, core.SolveLSMR)
+	}
 
 	wk, xk := testWorkload(t)
 	closed, err := serve.NewEngineCtx(t.Context(), wk, xk, 1.0, serve.Options{Selection: hdmm.SelectOptions{Restarts: 1, Seed: 3}, Seed: 7})
@@ -89,6 +92,37 @@ func TestEngineUnionSolveInfo(t *testing.T) {
 	if closed.SolveInfo() != nil {
 		t.Fatalf("closed-form engine reports SolveInfo %+v", closed.SolveInfo())
 	}
+}
+
+// TestEngineTwoPartUnionRefines: an engine over a two-part union
+// reconstructs with the certified refinement, and the one step it needs
+// fits a one-step budget.
+func TestEngineTwoPartUnionRefines(t *testing.T) {
+	w, x, _, _ := unionTenant(t)
+	w = &workload.Workload{Domain: w.Domain, Products: w.Products[:2]}
+	sel := hdmm.SelectOptions{Restarts: 1, Seed: 4, SkipKron: true, SkipMarg: true}
+	eng, err := serve.NewEngineCtx(t.Context(), w, x, 1.0, serve.Options{
+		Selection:    sel,
+		Seed:         7,
+		Registry:     mustRegistry(t),
+		SolveMaxIter: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	si := eng.SolveInfo()
+	if si == nil || si.Method != core.SolveRefine || si.Iters != 1 || !si.Preconditioned {
+		t.Fatalf("SolveInfo = %+v, want one preconditioned refinement step", si)
+	}
+}
+
+func mustRegistry(t *testing.T) *registry.Registry {
+	t.Helper()
+	reg, err := registry.Open("", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return reg
 }
 
 // TestEngineUnionNonConvergence is the headline contract at the serving

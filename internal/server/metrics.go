@@ -121,7 +121,7 @@ func (m *metrics) observeSolveFailure() {
 // SolverStats is the exported union-solver snapshot served by /metrics.
 type SolverStats struct {
 	Solves       int64   `json:"solves"`        // converged union reconstructions
-	Iterations   int64   `json:"iterations"`    // total LSMR iterations across them
+	Iterations   int64   `json:"iterations"`    // total LSMR iterations and refinement steps across them
 	Failures     int64   `json:"failures"`      // reconstructions that hit the iteration cap
 	LastResidual float64 `json:"last_residual"` // residual norm of the most recent converged solve
 }
@@ -253,8 +253,8 @@ func (m *MetricsResponse) prometheus() []byte {
 	}
 
 	if s := m.Solver; s != nil {
-		counter("hdmm_union_solves_total", "Converged union-reconstruction LSMR solves.", s.Solves)
-		counter("hdmm_union_solve_iterations_total", "Total LSMR iterations across converged union solves.", s.Iterations)
+		counter("hdmm_union_solves_total", "Converged union-reconstruction solves.", s.Solves)
+		counter("hdmm_union_solve_iterations_total", "Total LSMR iterations and refinement steps across converged union solves.", s.Iterations)
 		counter("hdmm_union_solve_failures_total", "Union reconstructions that hit the iteration cap.", s.Failures)
 		fmt.Fprintf(&b, "# HELP hdmm_union_solve_last_residual Residual norm of the most recent converged union solve.\n# TYPE hdmm_union_solve_last_residual gauge\nhdmm_union_solve_last_residual %v\n", s.LastResidual)
 	}

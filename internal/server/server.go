@@ -159,8 +159,8 @@ type Config struct {
 	// MaxRestarts caps a registration's requested strategy-selection
 	// restarts (<= 0 = DefaultMaxRestarts).
 	MaxRestarts int
-	// SolveMaxIter caps the LSMR iterations of a union strategy's
-	// reconstruction during registration (0 = solver default). When the cap
+	// SolveMaxIter caps the LSMR iterations or refinement steps of a union
+	// strategy's reconstruction during registration (0 = solver default). When the cap
 	// binds, registration fails with a 500 wrapping core.ErrNotConverged
 	// rather than serving answers from an unconverged estimate.
 	SolveMaxIter int
@@ -417,10 +417,14 @@ type EngineInfo struct {
 	Delta        float64 `json:"delta"`
 	Domain       []int   `json:"domain"`
 	NumQueries   int     `json:"num_queries"`
-	// Solver fields describe the union-reconstruction LSMR solve that built
-	// this engine's estimate; omitted for closed-form strategies (Kronecker,
-	// marginals) and for engines rehydrated from snapshots, which restore
-	// the estimate without re-running the solve.
+	// Solver fields describe the union-reconstruction solve that built
+	// this engine's estimate: SolverMethod is "refine" (the certified
+	// two-part refinement, SolverIters counting its steps) or "lsmr"
+	// (SolverIters counting LSMR iterations). They are omitted for
+	// closed-form strategies (Kronecker, marginals) and for engines
+	// rehydrated from snapshots, which restore the estimate without
+	// re-running the solve.
+	SolverMethod         string  `json:"solver_method,omitempty"`
 	SolverIters          int     `json:"solver_iters,omitempty"`
 	SolverResid          float64 `json:"solver_resid,omitempty"`
 	SolverPreconditioned bool    `json:"solver_preconditioned,omitempty"`
@@ -761,6 +765,7 @@ func (s *Server) Info(key string) (*EngineInfo, error) {
 		NumQueries:   w.NumQueries(),
 	}
 	if si := eng.SolveInfo(); si != nil {
+		info.SolverMethod = si.Method
 		info.SolverIters = si.Iters
 		info.SolverResid = si.Resid
 		info.SolverPreconditioned = si.Preconditioned

@@ -88,6 +88,9 @@ func TestUnionSolverObservability(t *testing.T) {
 	if !info.SolverPreconditioned {
 		t.Fatal("engine info says the union solve ran unpreconditioned")
 	}
+	if info.SolverMethod != core.SolveLSMR {
+		t.Fatalf("engine info reports solver method %q for a three-part union, want %q", info.SolverMethod, core.SolveLSMR)
+	}
 
 	m := getMetricsJSON(t, ts)
 	if m.Solver == nil {
