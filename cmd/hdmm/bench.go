@@ -31,7 +31,7 @@ import (
 	"repro/internal/workload"
 )
 
-// benchResult is one row of the perf-trajectory artifact (BENCH_21.json):
+// benchResult is one row of the perf-trajectory artifact (BENCH_23.json):
 // one operation at one worker count. Kernels, GOARCH, CPUs, GOMAXPROCS and
 // GoVersion identify what actually ran and where — a 2-CPU row is not
 // comparable to a 16-CPU one, and rows of older artifacts made under the
@@ -118,8 +118,9 @@ func randSlice(rng *rand.Rand, n int) []float64 {
 // benchCases builds the harness: the Kronecker kernels on a 3-factor
 // 68×64 product (the shape of the existing kernel microbenchmarks) and on
 // a CPH strategy block's factor shapes, strategy selection on the CPH
-// workload, the two reconstruction paths, the batched serving path on a
-// small domain and on the census schema, and the daemon's HTTP request path
+// workload, the two reconstruction paths on a small domain and the union
+// path on the CPH strategy, the batched serving path on a small domain and
+// on the census schema, and the daemon's HTTP request path
 // on the census schema.
 // workers bounds the selection's and the serving engine's fan-out (the
 // kernels read the process-wide bound the caller has already set).
@@ -240,6 +241,42 @@ func benchCases(workers int) ([]benchCase, error) {
 	}
 	cases = append(cases, benchCase{"reconstruct/union", int64(8 * (urows + ucols)), func() {
 		if _, err := us.ReconstructOpt(uy, uopts); err != nil {
+			panic(err)
+		}
+	}})
+
+	// --- Reconstruction at production shape: the two-part OPT⁺ strategy
+	// select/cph selects (2,506,140 × 500,480), from a fixed measurement
+	// y = A·x + Lap(1) of 200,000 synthetic people, the noise a
+	// measurement at ε = 1 adds, drawn from this harness's own generator.
+	// The preconditioner is built before timing, as the cached strategy
+	// of a warm registration already has it.
+	csel, err := core.Select(cw, core.HDMMOptions{Restarts: 2, Seed: 21, Workers: workers})
+	if err != nil {
+		return nil, err
+	}
+	cus, ok := csel.Strategy.(*core.UnionStrategy)
+	if !ok {
+		return nil, fmt.Errorf("bench: select/cph chose %s, not an OPT+ union", csel.Operator)
+	}
+	cop := cus.Operator()
+	curows, cucols := cop.Dims()
+	yrng := benchRand(401)
+	cux := make([]float64, cucols)
+	for range 200_000 {
+		cux[int(float64(cucols)*yrng.Float64()*yrng.Float64())]++
+	}
+	cuy := make([]float64, curows)
+	cop.MatVec(cuy, cux)
+	for i := range cuy {
+		cuy[i] += yrng.ExpFloat64() - yrng.ExpFloat64()
+	}
+	cuopts := core.ReconstructOptions{Workspace: kron.NewWorkspace()}
+	if _, err := cus.ReconstructOpt(cuy, cuopts); err != nil {
+		return nil, err
+	}
+	cases = append(cases, benchCase{"reconstruct/union-cph", int64(8 * (curows + cucols)), func() {
+		if _, err := cus.ReconstructOpt(cuy, cuopts); err != nil {
 			panic(err)
 		}
 	}})
@@ -457,7 +494,7 @@ func parseWorkerSet(spec string) ([]int, error) {
 func cmdBench(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	out := fs.String("out", "BENCH_21.json", "output path for the JSON results")
+	out := fs.String("out", "BENCH_23.json", "output path for the JSON results")
 	targetMS := fs.Int("benchtime", 250, "minimum milliseconds of measurement per op")
 	workersSpec := fs.String("workers", "", "comma-separated worker counts to sweep (default 1,2,4 and GOMAXPROCS, deduplicated)")
 	baseline := fs.String("baseline", "", "baseline JSON results to compare against (from an earlier -out)")
