@@ -288,8 +288,8 @@ type ReconstructOptions struct {
 //     (⊗Vᵢ)ᵀ·AᵀA·(⊗Vᵢ) = β₁²·I + β₂²·⊗Λᵢ exactly DIAGONAL. With the
 //     residual diagonal scaled out (M = (⊗Vᵢ)·D^{-1/2}, a kron.ColScaled),
 //     the preconditioned operator has orthonormal columns in exact
-//     arithmetic, and pencilBound certifies how far the built one is from
-//     that (the delta returned), so the solve can be a fixed refinement.
+//     arithmetic; the delta returned certifies how far the built one is
+//     from that, so the solve can be a fixed refinement.
 //
 //   - General unions: M = ⊗Fᵢ with Fᵢ = Hᵢ^{-1/2}, Hᵢ = Σ_g (β_g²)^{1/d}·
 //     G_{g,i}. ⊗Hᵢ ⪰ AᵀA in the PSD order (the Kronecker product of the
@@ -446,30 +446,29 @@ func kronDeviation(factors []*mat.Dense, lams [][]float64) float64 {
 	prod := 1.0
 	for i, b := range factors {
 		m, n := b.Dims()
-		gram := mat.Gram(nil, b)
-		gamma := float64(m) * u / (1 - float64(m)*u)
-		dev, colSq := 0.0, 0.0
-		for a := 0; a < n; a++ {
-			ta := 1.0
+		t := make([]float64, n) // the diagonal of Tᵢ
+		for a := range t {
+			t[a] = 1
 			if lams != nil {
 				if !(lams[i][a] > 0) {
 					return math.Inf(1)
 				}
-				ta = math.Sqrt(lams[i][a])
+				t[a] = math.Sqrt(lams[i][a])
 			}
-			colSq += gram.At(a, a) / (ta * ta)
+		}
+		gram := mat.Gram(nil, b)
+		dev, colSq := 0.0, 0.0
+		for a := 0; a < n; a++ {
+			colSq += gram.At(a, a) / (t[a] * t[a])
 			for c := 0; c < n; c++ {
-				tc := 1.0
-				if lams != nil {
-					tc = math.Sqrt(lams[i][c])
-				}
-				e := gram.At(a, c) / (ta * tc)
+				e := gram.At(a, c) / (t[a] * t[c])
 				if a == c {
 					e--
 				}
 				dev += e * e
 			}
 		}
+		gamma := float64(m) * u / (1 - float64(m)*u)
 		prod *= 1 + math.Sqrt(dev) + gamma*colSq
 	}
 	return prod - 1
@@ -553,29 +552,25 @@ func (s *UnionStrategy) ReconstructOpt(y []float64, opts ReconstructOptions) ([]
 		}
 	}
 
-	// The map back x = M·z is a full Kronecker application over the
-	// domain and part of the reconstruction, so its time belongs to the
-	// solve stage; left out, it is registration time no stage explains.
 	lopts := lsmr.Options{MaxIter: opts.MaxIter, Workspace: ws}
 	method := solveMethod(delta)
+	start := time.Now()
 	var res lsmr.Result
-	x := []float64(nil)
 	if method == SolveRefine {
-		start := time.Now()
 		res = lsmr.Refine(solveOp, y, delta, lopts)
+	} else {
+		lopts.Trace = opts.Trace // LSMR observes its own solve
+		res = lsmr.Solve(solveOp, y, lopts)
+		start = time.Now()
+	}
+	x := res.X
+	if pcM != nil {
+		// The map back is a full Kronecker application over the domain
+		// and part of the reconstruction, so its time belongs to the
+		// solve stage; left out, it is registration time no stage explains.
 		x = make([]float64, cols)
 		pcM.MatVecTo(x, res.X, ws)
 		opts.Trace.Observe(obs.StageSolve, time.Since(start))
-	} else {
-		lopts.Trace = opts.Trace
-		res = lsmr.Solve(solveOp, y, lopts)
-		x = res.X
-		if pcM != nil {
-			start := time.Now()
-			x = make([]float64, cols)
-			pcM.MatVecTo(x, res.X, ws)
-			opts.Trace.Observe(obs.StageSolve, time.Since(start))
-		}
 	}
 	if opts.Info != nil {
 		*opts.Info = SolveInfo{

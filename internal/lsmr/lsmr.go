@@ -38,9 +38,9 @@ type Options struct {
 	// workspace for the duration of the solve.
 	Workspace *kron.Workspace
 	// Trace, when non-nil, receives one StageSolve observation covering the
-	// whole of a Solve (Refine does not read it; its caller times it). The hook is outside the iteration loop and
-	// allocation-free, so a traced solve performs exactly the allocations of
-	// an untraced one.
+	// whole of a Solve; Refine does not read it (its caller times it). The
+	// hook is outside the iteration loop and allocation-free, so a traced
+	// solve performs exactly the allocations of an untraced one.
 	Trace *obs.Trace
 }
 
