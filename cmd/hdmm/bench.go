@@ -202,7 +202,8 @@ func benchCases(workers int) ([]benchCase, error) {
 		}},
 	)
 
-	// --- Reconstruction: OPT⊗ pseudo-inverse path and OPT⁺ LSMR path. ---
+	// --- Reconstruction: OPT⊗ pseudo-inverse path and the two-part OPT⁺
+	// refinement path. ---
 	wk, err := workload.New(schema.Sizes(64, 64),
 		workload.NewProduct(workload.AllRange(64), workload.AllRange(64)))
 	if err != nil {

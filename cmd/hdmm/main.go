@@ -334,7 +334,7 @@ type daemonConfig struct {
 	optseed      uint64
 	workers      int
 	drain        time.Duration // shutdown grace for in-flight requests
-	solveMaxIter int           // union-reconstruction LSMR iteration cap (0 = default)
+	solveMaxIter int           // union-reconstruction iteration or step cap (0 = default)
 	logFormat    string        // slog handler: "text" or "json" ("" = text)
 	logLevel     string        // minimum level ("" = info)
 	pprofAddr    string        // separate net/http/pprof address ("" = off)

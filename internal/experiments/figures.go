@@ -187,7 +187,8 @@ func Fig1d(s Scale) string {
 			}
 		})
 
-		// OPT⁺ strategy on (R×T×T) ∪ (T×R×R): reconstruct via LSMR.
+		// OPT⁺ strategy on (R×T×T) ∪ (T×R×R): reconstruct via the
+		// certified two-part refinement.
 		wu := workload.MustNew(dom,
 			workload.NewProduct(workload.AllRange(m), workload.Total(m), workload.Total(m)),
 			workload.NewProduct(workload.Total(m), workload.AllRange(m), workload.AllRange(m)),

@@ -179,10 +179,10 @@ func (t *Trace) End(s Stage) {
 
 // Observe attributes a duration to stage s directly — for layers that time
 // themselves (the LSMR solver measures its own solve, and a union
-// reconstruction times its refinement and map back as one observation). The duration is
-// also charged to the innermost open span's child accumulator, so an
-// Observe inside a Begin/End window is excluded from the enclosing span
-// exactly like a nested span would be.
+// reconstruction times its refinement and map back as one observation).
+// The duration is also charged to the innermost open span's child
+// accumulator, so an Observe inside a Begin/End window is excluded from
+// the enclosing span exactly like a nested span would be.
 func (t *Trace) Observe(s Stage, d time.Duration) {
 	if t == nil || int(s) >= NumStages {
 		return

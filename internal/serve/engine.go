@@ -45,8 +45,7 @@ type Options struct {
 	Registry *registry.Registry
 	// SolveMaxIter caps the LSMR iterations or refinement steps of a
 	// union-strategy reconstruction (0 = solver default). When the budget
-	// binds before
-	// convergence, NewEngineCtx fails with an error wrapping
+	// binds before convergence, NewEngineCtx fails with an error wrapping
 	// core.ErrNotConverged instead of serving from the unconverged iterate.
 	SolveMaxIter int
 }
@@ -279,9 +278,9 @@ func (e *Engine) Seed() uint64 { return e.seed }
 
 // SolveInfo returns the diagnostics of the union-strategy reconstruction
 // this engine performed at construction (method, iterations or refinement
-// steps, residual estimate, stopping reason, preconditioning), or nil for engines whose strategy
-// reconstructs in closed form and for engines restored from snapshots
-// (restore does not re-run the solve).
+// steps, residual estimate, stopping reason, preconditioning), or nil for
+// engines whose strategy reconstructs in closed form and for engines
+// restored from snapshots (restore does not re-run the solve).
 func (e *Engine) SolveInfo() *core.SolveInfo { return e.solve }
 
 // AnswerCtx evaluates a batch of query products against the private

@@ -100,11 +100,14 @@ func TestEngineUnionSolveInfo(t *testing.T) {
 func TestEngineTwoPartUnionRefines(t *testing.T) {
 	w, x, _, _ := unionTenant(t)
 	w = &workload.Workload{Domain: w.Domain, Products: w.Products[:2]}
-	sel := hdmm.SelectOptions{Restarts: 1, Seed: 4, SkipKron: true, SkipMarg: true}
+	reg, err := registry.Open("", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	eng, err := serve.NewEngineCtx(t.Context(), w, x, 1.0, serve.Options{
-		Selection:    sel,
+		Selection:    hdmm.SelectOptions{Restarts: 1, Seed: 4, SkipKron: true, SkipMarg: true},
 		Seed:         7,
-		Registry:     mustRegistry(t),
+		Registry:     reg,
 		SolveMaxIter: 1,
 	})
 	if err != nil {
@@ -114,15 +117,6 @@ func TestEngineTwoPartUnionRefines(t *testing.T) {
 	if si == nil || si.Method != core.SolveRefine || si.Iters != 1 || !si.Preconditioned {
 		t.Fatalf("SolveInfo = %+v, want one preconditioned refinement step", si)
 	}
-}
-
-func mustRegistry(t *testing.T) *registry.Registry {
-	t.Helper()
-	reg, err := registry.Open("", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return reg
 }
 
 // TestEngineUnionNonConvergence is the headline contract at the serving

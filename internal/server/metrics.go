@@ -43,7 +43,7 @@ type metrics struct {
 	stages [obs.NumStages]*obs.Histogram
 }
 
-// solverMetrics aggregates the union-reconstruction LSMR solves run by
+// solverMetrics aggregates the union-reconstruction solves run by
 // registrations. Closed-form strategies never touch the iterative solver,
 // so the counters stay zero (and the /metrics document omits them) on
 // deployments that only serve Kronecker or marginals strategies.

@@ -160,9 +160,10 @@ type Config struct {
 	// restarts (<= 0 = DefaultMaxRestarts).
 	MaxRestarts int
 	// SolveMaxIter caps the LSMR iterations or refinement steps of a union
-	// strategy's reconstruction during registration (0 = solver default). When the cap
-	// binds, registration fails with a 500 wrapping core.ErrNotConverged
-	// rather than serving answers from an unconverged estimate.
+	// strategy's reconstruction during registration (0 = solver default).
+	// When the cap binds, registration fails with a 500 wrapping
+	// core.ErrNotConverged rather than serving answers from an unconverged
+	// estimate.
 	SolveMaxIter int
 	// Logger receives the daemon's structured logs (nil = text handler on
 	// os.Stderr at info level).
@@ -454,7 +455,7 @@ type MetricsResponse struct {
 	// derived stats, one entry per stage in pipeline order (zero-valued for
 	// stages no request has exercised yet).
 	Stages []StageStats `json:"stages"`
-	// Solver reports the union-reconstruction LSMR counters; nil until a
+	// Solver reports the union-reconstruction solve counters; nil until a
 	// registration has run (or failed) an iterative union solve.
 	Solver *SolverStats `json:"solver,omitempty"`
 	// Snapshots reports the durable store's counters; nil when no
