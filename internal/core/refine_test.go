@@ -8,6 +8,7 @@ import (
 	"repro/internal/census"
 	"repro/internal/kron"
 	"repro/internal/lsmr"
+	"repro/internal/mat"
 )
 
 // deviationEstimate estimates ‖I − AᵀA‖₂ by power iteration on the
@@ -24,7 +25,7 @@ func deviationEstimate(a kron.Linear, iters int, seed uint64) float64 {
 	next := make([]float64, cols)
 	est := 0.0
 	for k := 0; k < iters; k++ {
-		n := math.Sqrt(sqNorm(v))
+		n := math.Sqrt(mat.SqSum(v))
 		for i := range v {
 			v[i] /= n
 		}
@@ -33,18 +34,10 @@ func deviationEstimate(a kron.Linear, iters int, seed uint64) float64 {
 		for i := range next {
 			next[i] = v[i] - next[i]
 		}
-		est = math.Sqrt(sqNorm(next))
+		est = math.Sqrt(mat.SqSum(next))
 		v, next = next, v
 	}
 	return est
-}
-
-func sqNorm(x []float64) float64 {
-	s := 0.0
-	for _, v := range x {
-		s += v * v
-	}
-	return s
 }
 
 // checkAtolDirect applies LSMR's atol test to the preconditioned solution
@@ -60,7 +53,7 @@ func checkAtolDirect(t *testing.T, am kron.Linear, delta float64, y, z []float64
 	}
 	g := make([]float64, cols)
 	am.MatTVec(g, r)
-	normg, normr := math.Sqrt(sqNorm(g)), math.Sqrt(sqNorm(r))
+	normg, normr := math.Sqrt(mat.SqSum(g)), math.Sqrt(mat.SqSum(r))
 	if bound := 1e-8 * math.Sqrt(1-delta) * normr; normg > bound {
 		t.Errorf("‖(AM)ᵀr‖ = %g exceeds LSMR's atol bound %g (‖r‖ = %g)", normg, bound, normr)
 	}
@@ -264,7 +257,7 @@ func TestUnionRefineCPH(t *testing.T) {
 		}
 		g := make([]float64, cols)
 		op.MatTVec(g, r)
-		return math.Sqrt(sqNorm(g))
+		return math.Sqrt(mat.SqSum(g))
 	}
 	gr, gl := gradNorm(got), gradNorm(ref)
 	t.Logf("δ = %g; ‖Aᵀ(y − A·x̂)‖: refinement %g, LSMR %g", delta, gr, gl)
