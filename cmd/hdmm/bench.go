@@ -23,6 +23,7 @@ import (
 	"repro/internal/fsx"
 	"repro/internal/kron"
 	"repro/internal/mat"
+	"repro/internal/mech"
 	"repro/internal/registry"
 	"repro/internal/schema"
 	"repro/internal/serve"
@@ -31,7 +32,7 @@ import (
 	"repro/internal/workload"
 )
 
-// benchResult is one row of the perf-trajectory artifact (BENCH_23.json):
+// benchResult is one row of the perf-trajectory artifact (BENCH_25.json):
 // one operation at one worker count. Kernels, GOARCH, CPUs, GOMAXPROCS and
 // GoVersion identify what actually ran and where — a 2-CPU row is not
 // comparable to a 16-CPU one, and rows of older artifacts made under the
@@ -119,7 +120,8 @@ func randSlice(rng *rand.Rand, n int) []float64 {
 // 68×64 product (the shape of the existing kernel microbenchmarks) and on
 // a CPH strategy block's factor shapes, strategy selection on the CPH
 // workload, the two reconstruction paths on a small domain and the union
-// path on the CPH strategy, the batched serving path on a small domain and
+// path on the CPH strategy, measurement on that strategy with Laplace and
+// Gaussian noise, the batched serving path on a small domain and
 // on the census schema, and the daemon's HTTP request path
 // on the census schema.
 // workers bounds the selection's and the serving engine's fan-out (the
@@ -281,6 +283,16 @@ func benchCases(workers int) ([]benchCase, error) {
 			panic(err)
 		}
 	}})
+
+	// --- Measurement on the same union and population: y = A·x plus one
+	// noise sample per row, 2,506,140 samples from one seeded source that
+	// each op advances. Laplace noise is drawn in parallel blocks; the
+	// Gaussian stream stays serial.
+	msrc := mech.NoiseRNG(29)
+	cases = append(cases,
+		benchCase{"measure/laplace", int64(8 * (cucols + curows)), func() { mech.Measure(cop, cux, 1, 0, msrc) }},
+		benchCase{"measure/gaussian", int64(8 * (cucols + curows)), func() { mech.Measure(cop, cux, 1, 1e-6, msrc) }},
+	)
 
 	// --- Serving: a 512-query batch drawn from 4 shared specs. ---
 	dom := hdmm.NewDomain(hdmm.Attribute{Name: "a", Size: 2}, hdmm.Attribute{Name: "b", Size: 64})
@@ -495,7 +507,7 @@ func parseWorkerSet(spec string) ([]int, error) {
 func cmdBench(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	out := fs.String("out", "BENCH_23.json", "output path for the JSON results")
+	out := fs.String("out", "BENCH_25.json", "output path for the JSON results")
 	targetMS := fs.Int("benchtime", 250, "minimum milliseconds of measurement per op")
 	workersSpec := fs.String("workers", "", "comma-separated worker counts to sweep (default 1,2,4 and GOMAXPROCS, deduplicated)")
 	baseline := fs.String("baseline", "", "baseline JSON results to compare against (from an earlier -out)")

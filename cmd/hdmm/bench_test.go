@@ -32,6 +32,7 @@ func TestCmdBench(t *testing.T) {
 		"kron/matvec-cph": false, "kron/mattvec-cph": false,
 		"select/opt0-cph": false, "select/cph": false,
 		"reconstruct/kron": false, "reconstruct/union": false, "reconstruct/union-cph": false,
+		"measure/laplace": false, "measure/gaussian": false,
 		"serve/answer512": false, "serve/answer-cph": false,
 		"http/register-decode": false, "http/answer-cph": false,
 		"snapshot/roundtrip": false,

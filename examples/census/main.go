@@ -44,9 +44,9 @@ func main() {
 	// End-to-end private release on a synthetic CPH population at ε = 1.
 	data := dataset.CPHLike(200000, false, 7)
 	x := data.Vector()
-	rng := rand.New(rand.NewPCG(2, 3))
+	src := rand.NewPCG(2, 3)
 	start = time.Now()
-	y := mech.Measure(sel.Strategy.Operator(), x, 1.0, 0, rng)
+	y := mech.Measure(sel.Strategy.Operator(), x, 1.0, 0, src)
 	xhat, err := sel.Strategy.Reconstruct(y)
 	if err != nil {
 		panic(err)

@@ -32,8 +32,8 @@ func TestSF1EndToEnd(t *testing.T) {
 	// sanity check against calibration bugs).
 	data := dataset.CPHLike(100000, false, 3)
 	x := data.Vector()
-	rng := rand.New(rand.NewPCG(5, 6))
-	y := mech.Measure(sel.Strategy.Operator(), x, 1.0, 0, rng)
+	src := rand.NewPCG(5, 6)
+	y := mech.Measure(sel.Strategy.Operator(), x, 1.0, 0, src)
 	xhat, err := sel.Strategy.Reconstruct(y)
 	if err != nil {
 		t.Fatal(err)
@@ -74,11 +74,11 @@ func TestEpsilonScalingEmpirical(t *testing.T) {
 		t.Fatal(err)
 	}
 	meanErr := func(eps float64, seed uint64) float64 {
-		rng := rand.New(rand.NewPCG(seed, 1))
+		src := rand.NewPCG(seed, 1)
 		total := 0.0
 		const trials = 300
 		for tr := 0; tr < trials; tr++ {
-			y := mech.Measure(sel.Strategy.Operator(), x, eps, 0, rng)
+			y := mech.Measure(sel.Strategy.Operator(), x, eps, 0, src)
 			xhat, err := sel.Strategy.Reconstruct(y)
 			if err != nil {
 				t.Fatal(err)

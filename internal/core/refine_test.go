@@ -83,7 +83,7 @@ func TestPencilCertificate(t *testing.T) {
 		if info.Method != SolveRefine || info.Iters != 1 || info.Stopped != lsmr.StoppedAtol {
 			t.Fatalf("trial %d: %+v, want one certified refinement step", trial, info)
 		}
-		res := lsmr.Refine(am, y, delta, lsmr.Options{})
+		res := lsmr.Refine(s.normal(), y, lsmr.Options{})
 		checkAtolDirect(t, am, delta, y, res.X)
 	}
 }
@@ -138,6 +138,30 @@ func TestSolveMethodFallback(t *testing.T) {
 	}
 }
 
+// TestRefineFallsBackWhenUncertified: for a noise-free measurement
+// y = A·x the residual is below the identity's rounding allowance, so the
+// refinement cannot certify; the union then solves with preconditioned
+// LSMR and still recovers x.
+func TestRefineFallsBackWhenUncertified(t *testing.T) {
+	s := testUnionStrategy(t)
+	rows, cols := s.Operator().Dims()
+	x := make([]float64, cols)
+	for i := range x {
+		x[i] = float64(i%11) + 3
+	}
+	y := make([]float64, rows)
+	s.Operator().MatVec(y, x)
+	var info SolveInfo
+	got, err := s.ReconstructOpt(y, ReconstructOptions{Info: &info})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Method != SolveLSMR || !info.Preconditioned {
+		t.Fatalf("noise-free measurement: %+v, want a preconditioned LSMR solve", info)
+	}
+	checkClose(t, got, x)
+}
+
 // checkClose compares a solution with the reference at the tolerance of
 // TestUnionPreconditionedMatchesReference.
 func checkClose(t *testing.T, got, ref []float64) {
@@ -189,11 +213,14 @@ func TestRefineAllocsNoMoreThanLSMR(t *testing.T) {
 
 // TestUnionRefineCPH runs the certificate on the OPT⁺ strategy selected for
 // the CPH workload (two parts, 2,506,140 × 500,480): δ bounds a short
-// power-iteration estimate and is below 1, one refinement step is
-// certified for a Laplace measurement, the preconditioned solution meets
-// LSMR's atol test when checked directly, and x̂ agrees with the LSMR
-// solve (δ forced to 1) at the reference tolerance, with an
-// unpreconditioned gradient ‖Aᵀ(y − A·x̂)‖ within a factor 2 of LSMR's.
+// power-iteration estimate and is below 1; at ε = 0.5, 1 and 2 one
+// refinement step is certified for a Laplace measurement, the residual
+// identity agrees with the explicit row-space residual within its
+// allowance, and the preconditioned solution meets LSMR's atol test when
+// checked directly; and at ε = 1 x̂ is bit-identical at Workers 1 and 4
+// and agrees with the LSMR solve (δ forced to 1) at the reference
+// tolerance, with an unpreconditioned gradient ‖Aᵀ(y − A·x̂)‖ within a
+// factor 2 of LSMR's.
 func TestUnionRefineCPH(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("selects and reconstructs on the 500,480-cell CPH domain")
@@ -215,7 +242,7 @@ func TestUnionRefineCPH(t *testing.T) {
 		t.Fatalf("certificate δ = %g, power-iteration estimate %g: want estimate ≤ δ < 1", delta, est)
 	}
 
-	// y = A·x + Lap(1/ε) at ε = 1 for a skewed synthetic population.
+	// y = A·x + Lap(1/ε) for a skewed synthetic population.
 	op := s.Operator()
 	rows, cols := op.Dims()
 	rng := rand.New(rand.NewPCG(59, 60))
@@ -223,21 +250,52 @@ func TestUnionRefineCPH(t *testing.T) {
 	for range 200_000 {
 		x[int(float64(cols)*rng.Float64()*rng.Float64())]++
 	}
-	y := make([]float64, rows)
-	op.MatVec(y, x)
-	for i := range y {
-		y[i] += rng.ExpFloat64() - rng.ExpFloat64()
+	ax := make([]float64, rows)
+	op.MatVec(ax, x)
+	measure := func(eps float64) []float64 {
+		y := make([]float64, rows)
+		for i := range y {
+			y[i] = ax[i] + (rng.ExpFloat64()-rng.ExpFloat64())/eps
+		}
+		return y
 	}
-
-	var info SolveInfo
-	got, err := s.ReconstructOpt(y, ReconstructOptions{Info: &info})
-	if err != nil {
-		t.Fatal(err)
+	var y, got []float64
+	for _, eps := range []float64{0.5, 2, 1} {
+		y = measure(eps)
+		var info SolveInfo
+		if got, err = s.ReconstructOpt(y, ReconstructOptions{Info: &info}); err != nil {
+			t.Fatal(err)
+		}
+		if info.Method != SolveRefine || info.Iters != 1 || info.Stopped != lsmr.StoppedAtol {
+			t.Fatalf("ε = %g: CPH solve %+v, want one certified refinement step", eps, info)
+		}
+		z := lsmr.Refine(s.normal(), y, lsmr.Options{}).X
+		r := make([]float64, rows)
+		am.MatVec(r, z)
+		for i := range r {
+			r[i] = y[i] - r[i]
+		}
+		explicit := mat.SqSum(r)
+		r2, allow := lsmr.Residual(s.normal(), y, z)
+		t.Logf("ε = %g: ‖r‖² identity %.9g, explicit %.9g (gap %.3g), allowance %.3g", eps, r2, explicit, math.Abs(r2-explicit), allow)
+		if d := math.Abs(r2 - explicit); d > allow {
+			t.Errorf("ε = %g: identity ‖r‖² = %.9g, explicit %.9g: gap %g exceeds the allowance %g", eps, r2, explicit, d, allow)
+		}
+		checkAtolDirect(t, am, delta, y, z)
 	}
-	if info.Method != SolveRefine || info.Iters != 1 || info.Stopped != lsmr.StoppedAtol {
-		t.Fatalf("CPH solve %+v, want one certified refinement step", info)
+	for _, w := range []int{1, 4} {
+		prev := kron.SetWorkers(w)
+		again, err := s.Reconstruct(y)
+		kron.SetWorkers(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range got {
+			if math.Float64bits(again[i]) != math.Float64bits(got[i]) {
+				t.Fatalf("workers=%d: x̂[%d] = %v, default workers %v", w, i, again[i], got[i])
+			}
+		}
 	}
-	checkAtolDirect(t, am, delta, y, lsmr.Refine(am, y, delta, lsmr.Options{}).X)
 
 	s.pcDelta = 1
 	var lsmrInfo SolveInfo

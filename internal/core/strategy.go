@@ -24,7 +24,7 @@ var ErrNotConverged = errors.New("union reconstruction did not converge")
 
 // Solve methods reported in SolveInfo.Method.
 const (
-	SolveRefine = "refine" // certified fixed-point refinement (lsmr.Refine)
+	SolveRefine = "refine" // certified fixed-point refinement on the normal equations (lsmr.Refine)
 	SolveLSMR   = "lsmr"   // LSMR iterations (lsmr.Solve)
 )
 
@@ -181,10 +181,12 @@ func (s *KronStrategy) Reconstruct(y []float64) ([]float64, error) {
 // ---------------------------------------------------------------------------
 
 // UnionStrategy is the output of OPT⁺: a stack of product strategies, block
-// g scaled by budget share βg (Σβ = 1, so total sensitivity stays 1). Each
-// group of workload products is reconstructed from its own block. Parts
-// and Shares must not be mutated after the first Operator call: the built
-// stack (and with it the stack's cached block offsets) is memoized.
+// g scaled by budget share βg (Σβ = 1, so total sensitivity stays 1).
+// Groups[g] lists the workload products block g was optimized for;
+// reconstruction is nevertheless joint, one least-squares solve over the
+// whole stack, so every answer draws on every block. Parts and Shares must
+// not be mutated after the first Operator call: the built stack (and with
+// it the stack's cached block offsets) is memoized.
 type UnionStrategy struct {
 	Parts  []*KronStrategy
 	Shares []float64
@@ -193,10 +195,12 @@ type UnionStrategy struct {
 	opOnce sync.Once
 	op     *kron.Stack // cached scaled stack, guarded by opOnce
 
-	pcOnce  sync.Once
-	pcStack kron.Linear           // preconditioned operator A·M, guarded by pcOnce
-	pcM     kron.WorkspaceApplier // right preconditioner M (x = M·z); nil when unavailable
-	pcDelta float64               // upper bound on ‖I − (AM)ᵀAM‖₂; +Inf off the pencil path
+	pcOnce    sync.Once
+	pcStack   kron.Linear           // preconditioned operator A·M, guarded by pcOnce
+	pcM       kron.WorkspaceApplier // right preconditioner M (x = M·z); nil when unavailable
+	pcDelta   float64               // upper bound on ‖I − (AM)ᵀAM‖₂; +Inf off the pencil path
+	pcNormal  kron.Linear           // (AM)ᵀAM at cell size from the factor Grams; nil off the pencil path
+	pcGramErr float64               // bound on ‖pcNormal − (AM)ᵀAM‖₂ from rounding those Grams
 }
 
 // Name implements Strategy.
@@ -219,8 +223,14 @@ func (s *UnionStrategy) Operator() kron.Linear {
 	return s.op
 }
 
-// Error sums per-group errors: group g is answered from block g whose
-// effective noise scale is 1/βg, giving Err_g/βg².
+// Error returns Σ_g Err_g/βg², the error of answering each group g from
+// block g alone, whose effective noise scale is 1/βg. Reconstruction is
+// joint, and the joint least-squares estimate is at least as good as any
+// estimate answering each group from its own block, so this is an upper
+// bound on the error of the served answers, not that error: on a 96-cell
+// two-part union the exact joint error is 21.0 against 26.5 here
+// (Laplace, ε = 1; the serve package's OPT⁺ calibration test). Selection
+// compares OPT⁺ candidates by this bound.
 func (s *UnionStrategy) Error(w *workload.Workload) (float64, error) {
 	total := 0.0
 	for g, part := range s.Parts {
@@ -242,8 +252,9 @@ func (s *UnionStrategy) Error(w *workload.Workload) (float64, error) {
 // for unions of Kronecker products). The solve runs right-preconditioned
 // from the per-factor eigendecompositions (see precond). A two-part union,
 // whose preconditioned operator is certified within δ < 1 of orthonormal
-// columns, takes the fixed refinement lsmr.Refine, one step on CPH; any
-// other union, and a two-part one whose certificate is not below 1, runs
+// columns, takes the fixed refinement lsmr.Refine on the normal equations,
+// one step on CPH; any other union, a two-part one whose certificate is
+// not below 1, and a refinement that floating point cannot certify run
 // LSMR. Either returns a non-nil error wrapping ErrNotConverged —
 // alongside the best iterate — when the iteration budget binds before
 // convergence.
@@ -271,7 +282,8 @@ type ReconstructOptions struct {
 	// first reconstruction of a strategy, so later spans are ~0) and
 	// StageSolve covering the solve and, when preconditioned, the map back
 	// x = M·z: one observation for a refinement, one for an LSMR solve and
-	// one for its map back. Nil-safe and allocation-free.
+	// one for its map back, and one more for a refinement that fails its
+	// certificate before LSMR runs. Nil-safe and allocation-free.
 	Trace *obs.Trace
 }
 
@@ -314,11 +326,8 @@ func (s *UnionStrategy) precond() (kron.Linear, kron.WorkspaceApplier, float64) 
 				}
 			}
 		}
-		if len(s.Parts) == 2 {
-			if st, m, delta, ok := s.pencilPrecond(d); ok {
-				s.pcStack, s.pcM, s.pcDelta = st, m, delta
-				return
-			}
+		if len(s.Parts) == 2 && s.pencilPrecond(d) {
+			return
 		}
 		factors := make([]*mat.Dense, d)
 		for i := 0; i < d; i++ {
@@ -356,8 +365,9 @@ func (s *UnionStrategy) precond() (kron.Linear, kron.WorkspaceApplier, float64) 
 // block 1's Gram and eigendecomposes block 2's Gram in the whitened basis
 // (the symmetric form of the generalized eigenproblem G₂·v = λ·G₁·v), then
 // scales out the remaining diagonal D = β₁² + β₂²·⊗Λᵢ over the full domain.
+// It sets the pc* fields and reports whether the construction succeeded.
 //
-// It also returns delta ≥ ‖I − N‖₂ for N = (AM)ᵀAM of the operator it
+// It also bounds delta ≥ ‖I − N‖₂ for N = (AM)ᵀAM of the operator it
 // built. With Bᵢ the built factors of a block, P = ⊗B₁ᵢᵀB₁ᵢ ≈ I,
 // Q = ⊗B₂ᵢᵀB₂ᵢ ≈ ⊗Λᵢ and S = D^{-1/2}, N = S·(β₁²·P + β₂²·Q)·S and
 //
@@ -369,11 +379,18 @@ func (s *UnionStrategy) precond() (kron.Linear, kron.WorkspaceApplier, float64) 
 // at most max β₂²·s_j²·λ_j (≤ 1) times kronDeviation of block 2 against Λ.
 // Every quantity is computed at factor size except the three maxima, one
 // pass over the diagonal that building S makes anyway.
-func (s *UnionStrategy) pencilPrecond(d int) (kron.Linear, kron.WorkspaceApplier, float64, bool) {
+//
+// The factor Grams kronDeviation forms are kept as the two Kronecker
+// products P and Q, so N itself applies at cell size (pencilGram) — the
+// refinement's step — without touching the stack's rows. The same
+// weights bound ‖N − (AM)ᵀAM‖₂ from the Grams' rounding: β₁²·max s_j²
+// and max β₂²·s_j²·λ_j times each block's rounding share of
+// kronDeviation.
+func (s *UnionStrategy) pencilPrecond(d int) bool {
 	b1 := s.Shares[0] * s.Shares[0]
 	b2 := s.Shares[1] * s.Shares[1]
 	if !(b1 > 0) || !(b2 > 0) {
-		return nil, nil, 0, false
+		return false
 	}
 	vs := make([]*mat.Dense, d)
 	lams := make([][]float64, d)
@@ -383,13 +400,13 @@ func (s *UnionStrategy) pencilPrecond(d int) (kron.Linear, kron.WorkspaceApplier
 		g2 := mat.Gram(nil, s.Parts[1].Subs[i].Matrix())
 		w1, ok := invSqrtSPD(g1)
 		if !ok {
-			return nil, nil, 0, false
+			return false
 		}
 		c := mat.Mul(nil, mat.Mul(nil, w1, g2), w1)
 		symmetrize(c)
 		lam, q, err := mat.SymEigen(c)
 		if err != nil {
-			return nil, nil, 0, false
+			return false
 		}
 		vs[i] = mat.Mul(nil, w1, q)
 		// Λᵢ is PSD up to rounding; clamp so D stays ≥ β₁² > 0.
@@ -429,10 +446,44 @@ func (s *UnionStrategy) pencilPrecond(d int) (kron.Linear, kron.WorkspaceApplier
 		blocks[g] = kron.NewProduct(bf...)
 		bfs[g] = bf
 	}
-	delta := eta + b1*maxS2*kronDeviation(bfs[0], nil) + c2*kronDeviation(bfs[1], lams)
-	st := kron.NewColScaled(kron.NewStack(blocks, s.Shares), scale)
-	m := kron.NewColScaled(kron.NewProduct(vs...), scale)
-	return st, m, delta, true
+	dev1, round1, gp := kronDeviation(bfs[0], nil)
+	dev2, round2, gq := kronDeviation(bfs[1], lams)
+	s.pcDelta = eta + b1*maxS2*dev1 + c2*dev2
+	s.pcStack = kron.NewColScaled(kron.NewStack(blocks, s.Shares), scale)
+	s.pcM = kron.NewColScaled(kron.NewProduct(vs...), scale)
+	if gq != nil { // nil only with dev2 = +Inf, where the refinement never runs
+		s.pcNormal = pencilGram{kron.NewColScaled(kron.NewSum([]kron.Linear{gp, gq}, []float64{b1, b2}), scale)}
+		s.pcGramErr = b1*maxS2*round1 + c2*round2
+	}
+	return true
+}
+
+// pencilGram applies N = S·(β₁²·P + β₂²·Q)·S, the normal matrix of the
+// pencil-preconditioned two-part union, over the cells: inner is
+// (β₁²·P + β₂²·Q)·S, and the left S runs in place on its output. N is
+// symmetric, so its transpose is itself.
+type pencilGram struct{ inner *kron.ColScaled }
+
+func (n pencilGram) Dims() (int, int)         { return n.inner.Dims() }
+func (n pencilGram) MatVec(dst, z []float64)  { n.MatVecTo(dst, z, nil) }
+func (n pencilGram) MatTVec(dst, z []float64) { n.MatVecTo(dst, z, nil) }
+func (n pencilGram) Sensitivity() float64     { return n.inner.Sensitivity() * maxAbs(n.inner.Scale) }
+
+func (n pencilGram) MatVecTo(dst, z []float64, ws *kron.Workspace) {
+	n.inner.MatVecTo(dst, z, ws)
+	for i, s := range n.inner.Scale {
+		dst[i] *= s
+	}
+}
+
+func (n pencilGram) MatTVecTo(dst, z []float64, ws *kron.Workspace) { n.MatVecTo(dst, z, ws) }
+
+func maxAbs(v []float64) float64 {
+	m := 0.0
+	for _, x := range v {
+		m = math.Max(m, math.Abs(x))
+	}
+	return m
 }
 
 // kronDeviation bounds ‖⊗ᵢ(Tᵢ⁻¹·BᵢᵀBᵢ·Tᵢ⁻¹) − I‖₂ for the factors Bᵢ of
@@ -441,9 +492,15 @@ func (s *UnionStrategy) pencilPrecond(d int) (kron.Linear, kron.WorkspaceApplier
 // plus γ_m·‖Bᵢ·Tᵢ⁻¹‖²_F, the worst-case rounding of forming the Gram from
 // m-row columns (γ_m = m·u/(1 − m·u)), and the terms of ⊗(I + Eᵢ) − I are
 // at most ∏(1 + ‖Eᵢ‖) − 1 in norm. It is +Inf when some λ is not positive.
-func kronDeviation(factors []*mat.Dense, lams [][]float64) float64 {
+//
+// It also returns the rounding's share of the bound, ∏(1 + ‖Êᵢ‖_F +
+// γ_m·‖Bᵢ·Tᵢ⁻¹‖²_F) − ∏(1 + ‖Êᵢ‖_F) for the deviations Êᵢ of the computed
+// Grams, which bounds the Tᵢ⁻¹-scaled gap between ⊗BᵢᵀBᵢ and the Kronecker
+// product of the computed Grams, and that product itself (nil with +Inf).
+func kronDeviation(factors []*mat.Dense, lams [][]float64) (float64, float64, *kron.Product) {
 	const u = 0x1p-53
-	prod := 1.0
+	prod, exact := 1.0, 1.0
+	grams := make([]*mat.Dense, len(factors))
 	for i, b := range factors {
 		m, n := b.Dims()
 		t := make([]float64, n) // the diagonal of Tᵢ
@@ -451,7 +508,7 @@ func kronDeviation(factors []*mat.Dense, lams [][]float64) float64 {
 			t[a] = 1
 			if lams != nil {
 				if !(lams[i][a] > 0) {
-					return math.Inf(1)
+					return math.Inf(1), math.Inf(1), nil
 				}
 				t[a] = math.Sqrt(lams[i][a])
 			}
@@ -470,8 +527,10 @@ func kronDeviation(factors []*mat.Dense, lams [][]float64) float64 {
 		}
 		gamma := float64(m) * u / (1 - float64(m)*u)
 		prod *= 1 + math.Sqrt(dev) + gamma*colSq
+		exact *= 1 + math.Sqrt(dev)
+		grams[i] = gram
 	}
-	return prod - 1
+	return prod - 1, prod - exact, kron.NewProduct(grams...)
 }
 
 // symmetrize averages a nearly-symmetric matrix with its transpose in
@@ -557,8 +616,13 @@ func (s *UnionStrategy) ReconstructOpt(y []float64, opts ReconstructOptions) ([]
 	start := time.Now()
 	var res lsmr.Result
 	if method == SolveRefine {
-		res = lsmr.Refine(solveOp, y, delta, lopts)
-	} else {
+		res = lsmr.Refine(s.normal(), y, lopts)
+		if res.Stopped == lsmr.StoppedUncertified {
+			opts.Trace.Observe(obs.StageSolve, time.Since(start))
+			method = SolveLSMR
+		}
+	}
+	if method == SolveLSMR {
 		lopts.Trace = opts.Trace // LSMR observes its own solve
 		res = lsmr.Solve(solveOp, y, lopts)
 		start = time.Now()
@@ -585,6 +649,12 @@ func (s *UnionStrategy) ReconstructOpt(y []float64, opts ReconstructOptions) ([]
 		return x, s.notConvergedErr(method, res)
 	}
 	return x, nil
+}
+
+// normal is the refinement's problem on the preconditioned operator; call
+// it after precond.
+func (s *UnionStrategy) normal() lsmr.Normal {
+	return lsmr.Normal{A: s.pcStack, N: s.pcNormal, Delta: s.pcDelta, GramErr: s.pcGramErr}
 }
 
 // solveMethod picks the solve for a preconditioned operator whose normal

@@ -553,6 +553,100 @@ func (s *Stack) Sensitivity() float64 {
 }
 
 // ---------------------------------------------------------------------------
+// Weighted sum
+// ---------------------------------------------------------------------------
+
+// Sum is the weighted sum Σ wᵢ·Termsᵢ of operators of one shape, applied
+// term by term to the same input. The Gram of a weighted stack is one:
+// (Σ over blocks) AᵀA = Σ wᵢ²·AᵢᵀAᵢ, with no cross terms. Terms must not
+// change after construction.
+type Sum struct {
+	Terms   []Linear
+	Weights []float64 // nil means all 1
+}
+
+// NewSum builds a sum; weights may be nil.
+func NewSum(terms []Linear, weights []float64) *Sum {
+	if len(terms) == 0 {
+		panic("kron: empty sum")
+	}
+	r0, c0 := terms[0].Dims()
+	for _, t := range terms {
+		if r, c := t.Dims(); r != r0 || c != c0 {
+			panic("kron: sum shape mismatch")
+		}
+	}
+	if weights != nil && len(weights) != len(terms) {
+		panic("kron: sum weights length mismatch")
+	}
+	return &Sum{Terms: terms, Weights: weights}
+}
+
+// Dims returns the terms' shared dimensions.
+func (s *Sum) Dims() (int, int) { return s.Terms[0].Dims() }
+
+// MatVec writes Σ wᵢ·Aᵢ·x into dst; see MatVecTo.
+func (s *Sum) MatVec(dst, x []float64) { s.MatVecTo(dst, x, nil) }
+
+// MatTVec writes Σ wᵢ·Aᵢᵀ·y into dst; see MatTVecTo.
+func (s *Sum) MatTVec(dst, y []float64) { s.MatTVecTo(dst, y, nil) }
+
+// MatVecTo writes Σ wᵢ·Aᵢ·x into dst. Like Stack.MatTVecTo, the terms run
+// concurrently above the size threshold into per-term buffers, and the
+// weighted reduction runs serially in term order, so the result is
+// identical at any worker count.
+func (s *Sum) MatVecTo(dst, x []float64, ws *Workspace) { s.apply(dst, x, ws, matVecWS) }
+
+// MatTVecTo writes Σ wᵢ·Aᵢᵀ·y into dst, as MatVecTo does.
+func (s *Sum) MatTVecTo(dst, y []float64, ws *Workspace) { s.apply(dst, y, ws, matTVecWS) }
+
+func (s *Sum) apply(dst, x []float64, ws *Workspace, app func(Linear, []float64, []float64, *Workspace)) {
+	if ws == nil {
+		ws = GetWorkspace()
+		defer PutWorkspace(ws)
+	}
+	n := len(dst)
+	tmps := ws.blockTmps(len(s.Terms), n)
+	if w := Workers(); w > 1 && len(s.Terms) > 1 && n >= stackParallelCols {
+		kids := ws.children(len(s.Terms))
+		parallel.For(w, len(s.Terms), func(i int) { app(s.Terms[i], tmps[i], x, kids[i]) })
+	} else {
+		kid := ws.children(1)[0]
+		for i, t := range s.Terms {
+			app(t, tmps[i], x, kid)
+		}
+	}
+	w0 := s.weight(0)
+	for j, v := range tmps[0] {
+		dst[j] = w0 * v
+	}
+	for i := 1; i < len(tmps); i++ {
+		wi := s.weight(i)
+		for j, v := range tmps[i] {
+			dst[j] += wi * v
+		}
+	}
+}
+
+func (s *Sum) weight(i int) float64 {
+	if s.Weights == nil {
+		return 1
+	}
+	return s.Weights[i]
+}
+
+// Sensitivity bounds ‖Σ wᵢ·Aᵢ‖₁ by Σ |wᵢ|·‖Aᵢ‖₁.
+func (s *Sum) Sensitivity() float64 {
+	total := 0.0
+	for i, t := range s.Terms {
+		total += math.Abs(s.weight(i)) * t.Sensitivity()
+	}
+	return total
+}
+
+var _ WorkspaceApplier = (*Sum)(nil)
+
+// ---------------------------------------------------------------------------
 // Diagonal right-scaling
 // ---------------------------------------------------------------------------
 

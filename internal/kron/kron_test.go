@@ -132,6 +132,56 @@ func TestStack(t *testing.T) {
 	}
 }
 
+// TestSum: a weighted sum of products matches the explicit sum in both
+// directions, and above the fan-out threshold its bits do not depend on
+// the worker count.
+func TestSum(t *testing.T) {
+	rng := rand.New(rand.NewPCG(9, 10))
+	a := NewProduct(randMat(rng, 3, 2), randMat(rng, 4, 3))
+	b := NewProduct(randMat(rng, 3, 2), randMat(rng, 4, 3))
+	s := NewSum([]Linear{a, b}, []float64{2, -0.5})
+	ex := a.Explicit().Scale(2)
+	ex.Add(b.Explicit().Scale(-0.5))
+	x := randVec(rng, 6)
+	got := make([]float64, 12)
+	s.MatVec(got, x)
+	for i, w := range mat.MatVec(nil, ex, x) {
+		if math.Abs(got[i]-w) > 1e-9 {
+			t.Fatal("sum MatVec mismatch")
+		}
+	}
+	y := randVec(rng, 12)
+	gotT := make([]float64, 6)
+	s.MatTVec(gotT, y)
+	for i, w := range mat.MatTVec(nil, ex, y) {
+		if math.Abs(gotT[i]-w) > 1e-9 {
+			t.Fatal("sum MatTVec mismatch")
+		}
+	}
+
+	big := NewSum([]Linear{
+		NewProduct(randMat(rng, 64, 64), randMat(rng, 70, 70)),
+		NewProduct(randMat(rng, 64, 64), randMat(rng, 70, 70)),
+	}, []float64{0.3, 0.7})
+	bx := randVec(rng, 64*70)
+	var ref []float64
+	for _, w := range []int{1, 2, 4} {
+		prev := SetWorkers(w)
+		out := make([]float64, 64*70)
+		big.MatVecTo(out, bx, NewWorkspace())
+		SetWorkers(prev)
+		if ref == nil {
+			ref = out
+			continue
+		}
+		for i := range ref {
+			if math.Float64bits(out[i]) != math.Float64bits(ref[i]) {
+				t.Fatalf("workers=%d: element %d differs from workers=1", w, i)
+			}
+		}
+	}
+}
+
 func TestDenseWrapper(t *testing.T) {
 	rng := rand.New(rand.NewPCG(9, 10))
 	m := randMat(rng, 4, 5)

@@ -1,18 +1,22 @@
 package a
 
-import "repro/internal/mech"
+import (
+	"math/rand/v2"
+
+	"repro/internal/mech"
+)
 
 func takeMeasurement(x []float64) []float64 {
-	return mech.Measure(x, 1.0) // want `call to mech\.Measure spends privacy budget from unaudited site a\.takeMeasurement`
+	return mech.Measure(x, 1.0, 0, nil) // want `call to mech\.Measure spends privacy budget from unaudited site a\.takeMeasurement`
 }
 
-func drawNoise() float64 {
-	v := mech.Laplace(0.5)         // want `call to mech\.Laplace spends privacy budget from unaudited site a\.drawNoise`
-	vec := mech.LaplaceVec(0.5, 3) // want `call to mech\.LaplaceVec spends privacy budget`
+func drawNoise(rng *rand.Rand) float64 {
+	v := mech.Laplace(rng, 0.5)         // want `call to mech\.Laplace spends privacy budget from unaudited site a\.drawNoise`
+	vec := mech.LaplaceVec(rng, 0.5, 3) // want `call to mech\.LaplaceVec spends privacy budget`
 	return v + vec[0]
 }
 
-func buildRNG() uint64 {
+func buildRNG() *rand.PCG {
 	return mech.NoiseRNG(42) // want `call to mech\.NoiseRNG spends privacy budget from unaudited site a\.buildRNG`
 }
 
@@ -23,7 +27,7 @@ type worker struct{}
 // still its builder's spend.
 func (w *worker) process(x []float64) {
 	f := func() {
-		mech.MeasureGaussian(x, 1, 1e-6) // want `unaudited site a\.worker\.process`
+		mech.Measure(x, 1, 1e-6, nil) // want `unaudited site a\.worker\.process`
 	}
 	f()
 }
@@ -36,5 +40,5 @@ func answer(x []float64) []float64 {
 // A reviewed exception carries its justification inline.
 func calibrationProbe(x []float64) []float64 {
 	//hdmmlint:allow epsilonspend fixture: deliberate spend documented for the directive test
-	return mech.Measure(x, 1.0)
+	return mech.Measure(x, 1.0, 0, nil)
 }

@@ -6,11 +6,10 @@ package serve
 import "repro/internal/mech"
 
 func NewEngineCtx(x []float64, eps float64) []float64 {
-	rng := mech.NoiseRNG(7)
-	_ = rng
-	return mech.Measure(x, eps)
+	src := mech.NoiseRNG(7)
+	return mech.Measure(x, eps, 0, src)
 }
 
 func sneakyRemeasure(x []float64, eps float64) []float64 {
-	return mech.Measure(x, eps) // want `unaudited site repro/internal/serve\.sneakyRemeasure`
+	return mech.Measure(x, eps, 0, nil) // want `unaudited site repro/internal/serve\.sneakyRemeasure`
 }

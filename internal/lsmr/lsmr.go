@@ -3,7 +3,8 @@
 // noisy measurements of union-of-product strategies (Section 7.2): it needs
 // only matrix–vector products with A and Aᵀ, which the implicit operators of
 // package kron provide. Refine is the fixed-point alternative for operators
-// whose normal matrix is certified close to the identity.
+// whose normal matrix is certified close to the identity: it works on the
+// normal equations, reading b once and then applying AᵀA at column size.
 package lsmr
 
 import (
@@ -298,34 +299,76 @@ func (p applier) matTVec(dst, y []float64) {
 	p.a.MatTVec(dst, y)
 }
 
-// Refine solves min ‖b − A·x‖ for an operator whose normal matrix N = AᵀA
-// satisfies ‖I − N‖₂ ≤ delta < 1, by the fixed-point iteration
+// Normal is a least-squares problem min ‖b − A·x‖ in the form Refine
+// solves it: A, read once to form Aᵀb, and an operator N applying the
+// normal matrix AᵀA at column size.
+type Normal struct {
+	A kron.Linear // m×n
+	N kron.Linear // n×n, applies AᵀA
+	// Delta certifies ‖I − AᵀA‖₂ ≤ Delta; Refine needs 0 ≤ Delta < 1.
+	Delta float64
+	// GramErr bounds ‖N − AᵀA‖₂ where N is built from factor Grams that
+	// were rounded when formed (0 when N applies AᵀA exactly).
+	GramErr float64
+}
+
+// StoppedUncertified is Refine's stopping reason when floating point
+// cannot certify its iterate: the rounding allowance swallows the
+// residual, or the gradient stopped contracting. Callers solve the
+// problem another way (LSMR).
+const StoppedUncertified = "certificate failed"
+
+// Refine solves min ‖b − A·x‖ for an operator whose normal matrix
+// N = AᵀA satisfies ‖I − N‖₂ ≤ delta < 1, by the fixed-point iteration on
+// the normal equations
 //
-//	x₀ = Aᵀb,  g_k = Aᵀ(b − A·x_k),  x_{k+1} = x_k + g_k.
+//	c = Aᵀb,  x₀ = c,  g_k = c − N·x_k,  x_{k+1} = x_k + g_k.
 //
-// Each step maps the gradient by g_{k+1} = (I − N)·g_k exactly, so
-// ‖g_{k+1}‖ ≤ delta·‖g_k‖ bounds the gradient of the iterate that step k
-// returns without computing it. Refine stops after the fewest steps whose
-// bound meets LSMR's own tests at opts.Atol and opts.Btol, taking
-// √(1 − delta) ≤ ‖A‖₂ ≤ √(1 + delta):
+// It reads b once, for c and ‖b‖²; every step then costs one application
+// of N at column size. Each step maps the gradient by g_{k+1} = (I − N)·g_k
+// exactly, so ‖g_{k+1}‖ ≤ delta·‖g_k‖ bounds the gradient of the iterate
+// that step k returns without computing it. The residual comes from the
+// identity
+//
+//	‖r_k‖² = ‖b‖² − 2⟨x_k, c⟩ + ⟨x_k, N·x_k⟩,
+//
+// which cancels: its evaluation is off by at most the allowance
+//
+//	γ_{m+2}·‖b‖² + γ_{n+2}·(2·Σ|x_i·c_i| + Σ|x_i·(N·x)_i|) + GramErr·‖x_k‖²,
+//
+// doubled to cover the rounding of its own evaluation. Here γ_k =
+// k·u/(1 − k·u) with u = 2⁻⁵³: the γ terms bound the three dot products
+// (of lengths m and n) and the two operations combining them, and GramErr
+// the gap between N and AᵀA. Like LSMR's own estimates, it takes the
+// computed c and N·x as exact. With ‖r_k‖ taken low by the allowance where
+// a low value is safe and high where a high one is, Refine stops after the
+// fewest steps whose bound meets LSMR's own tests at opts.Atol and
+// opts.Btol, taking √(1 − delta) ≤ ‖A‖₂ ≤ √(1 + delta):
 //
 //   - atol: delta·‖g_k‖ ≤ atol·√(1−delta)·(‖r_k‖ − √(1+delta)·‖g_k‖), where
 //     the bracket is a lower bound on the new residual ‖r_{k+1}‖;
 //   - btol: ‖r_k‖ ≤ btol·‖b‖ + atol·√(1−delta)·‖x_{k+1}‖, since
 //     ‖r_{k+1}‖ ≤ ‖r_k‖ when delta < 1.
 //
-// One step costs two adjoint and one forward application of A (the first
-// adjoint forms x₀); each further step one more of each. Iters counts the
-// steps, Resid estimates ‖b − A·x‖ as √(‖r_k‖² − ‖g_k‖²) (exact to within
-// delta·‖g_k‖²), and when opts.MaxIter steps pass without a certificate
-// the result stops at StoppedMaxIter with the last iterate. Like Solve, it
-// allocates O(1) vectors, runs every application through opts.Workspace,
-// and is bit-identical at any worker count. It panics unless 0 ≤ delta < 1.
-func Refine(a kron.Linear, b []float64, delta float64, opts Options) Result {
-	rows, cols := a.Dims()
+// When neither holds and the allowance is at least ‖r_k‖², or ‖g_k‖
+// exceeds delta·‖g_{k−1}‖ (rounding, not the iteration, now sets the
+// gradient), no later step can certify either: Refine stops at
+// StoppedUncertified. Iters counts the steps, Resid estimates ‖b − A·x‖
+// as √(‖r_k‖² − ‖g_k‖²) (exact to within delta·‖g_k‖²), and when
+// opts.MaxIter steps pass without a certificate the result stops at
+// StoppedMaxIter with the last iterate. It allocates O(1) vectors, runs
+// every application through opts.Workspace, keeps its reductions serial,
+// and so is bit-identical at any worker count. It panics unless
+// 0 ≤ delta < 1.
+func Refine(p Normal, b []float64, opts Options) Result {
+	rows, cols := p.A.Dims()
 	if len(b) != rows {
 		panic("lsmr: rhs length mismatch")
 	}
+	if nr, nc := p.N.Dims(); nr != cols || nc != cols {
+		panic("lsmr: normal operator shape mismatch")
+	}
+	delta := p.Delta
 	if !(delta >= 0 && delta < 1) {
 		panic("lsmr: Refine needs 0 ≤ delta < 1")
 	}
@@ -335,43 +378,105 @@ func Refine(a kron.Linear, b []float64, delta float64, opts Options) Result {
 		ws = kron.GetWorkspace()
 		defer kron.PutWorkspace(ws)
 	}
-	ap := newApplier(a, ws)
 
 	x := make([]float64, cols)
-	normb := norm2(b)
-	if normb == 0 {
+	bb := mat.SqSum(b)
+	if bb == 0 {
 		return Result{X: x, Stopped: StoppedZeroRHS}
 	}
-	ap.matTVec(x, b)
+	newApplier(p.A, ws).matTVec(x, b)
 	if norm2(x) == 0 {
 		return Result{X: x, Stopped: StoppedZeroRHS}
 	}
-	r := make([]float64, rows)
-	g := make([]float64, cols)
+	c := append([]float64(nil), x...)
+	nx := make([]float64, cols)
+	n := newApplier(p.N, ws)
+	normb := math.Sqrt(bb * (1 - gamma(rows+2))) // ≤ ‖b‖
 	normAlo, normAhi := math.Sqrt(1-delta), math.Sqrt(1+delta)
-	workers := parallel.KernelWorkers()
 
 	res := Result{X: x, Stopped: StoppedMaxIter}
+	prevg := math.Inf(1)
 	for k := 1; k <= opts.MaxIter; k++ {
-		ap.matVec(r, x)
-		subScale(workers, r, b, 1) // r = b − A·x
-		ap.matTVec(g, r)
-		normr, normg := norm2(r), norm2(g)
-		for i, v := range g {
-			x[i] += v
-		}
+		n.matVec(nx, x)
+		st := step(x, c, nx)
+		r2, allow := p.identity(bb, st)
+		rlo := math.Sqrt(math.Max(0, r2-allow))
+		rhi := math.Sqrt(r2 + allow)
+		normg := math.Sqrt(st.gg)
 		res.Iters = k
-		res.Resid = math.Sqrt(math.Max(0, normr*normr-normg*normg))
-		if delta*normg <= opts.Atol*normAlo*(normr-normAhi*normg) {
+		res.Resid = math.Sqrt(math.Max(0, r2-st.gg))
+		if delta*normg <= opts.Atol*normAlo*(rlo-normAhi*normg) {
 			res.Stopped = StoppedAtol
 			break
 		}
-		if normr <= opts.Btol*normb+opts.Atol*normAlo*norm2(x) {
+		if rhi <= opts.Btol*normb+opts.Atol*normAlo*norm2(x) {
 			res.Stopped = StoppedBtol
 			break
 		}
+		if !(r2-allow > 0) || !(normg <= delta*prevg) {
+			res.Stopped = StoppedUncertified
+			break
+		}
+		prevg = normg
 	}
 	return res
+}
+
+// Residual evaluates at x the residual identity Refine's tests read,
+// ‖b‖² − 2⟨x, Aᵀb⟩ + ⟨x, N·x⟩, and the allowance Refine takes off it:
+// ‖b − A·x‖² lies within the allowance of the value. It costs what one
+// refinement step does.
+func Residual(p Normal, b, x []float64) (r2, allowance float64) {
+	_, cols := p.A.Dims()
+	c := make([]float64, cols)
+	p.A.MatTVec(c, b)
+	nx := make([]float64, cols)
+	p.N.MatVec(nx, x)
+	return p.identity(mat.SqSum(b), step(append([]float64(nil), x...), c, nx))
+}
+
+// identity is the residual identity at the x a step's sums were taken at,
+// with its allowance (see Refine).
+func (p Normal) identity(bb float64, st stepSums) (r2, allowance float64) {
+	rows, cols := p.A.Dims()
+	r2 = bb - 2*st.xc + st.xn
+	allowance = 2 * (gamma(rows+2)*bb + gamma(cols+2)*(2*st.absXC+st.absXN) + p.GramErr*st.xx)
+	return r2, allowance
+}
+
+// gamma is γ_k = k·u/(1 − k·u), the relative rounding bound of a k-term
+// floating-point sum of products (u = 2⁻⁵³).
+func gamma(k int) float64 {
+	const u = 0x1p-53
+	return float64(k) * u / (1 - float64(k)*u)
+}
+
+// stepSums are the reductions of one refinement step, taken at x_k.
+type stepSums struct {
+	xc, xn       float64 // ⟨x, c⟩, ⟨x, N·x⟩
+	absXC, absXN float64 // Σ|x_i·c_i|, Σ|x_i·(N·x)_i|
+	xx, gg       float64 // ‖x‖², ‖g‖² for g = c − N·x
+}
+
+// step takes one refinement step in a single serial pass: it forms the
+// gradient g = c − nx, the reductions the stopping tests read, and
+// x += g.
+func step(x, c, nx []float64) stepSums {
+	var s stepSums
+	nx = nx[:len(x)]
+	c = c[:len(x)]
+	for i, xi := range x {
+		pc, pn := xi*c[i], xi*nx[i]
+		s.xc += pc
+		s.xn += pn
+		s.absXC += math.Abs(pc)
+		s.absXN += math.Abs(pn)
+		s.xx += xi * xi
+		g := c[i] - nx[i]
+		s.gg += g * g
+		x[i] = xi + g
+	}
+	return s
 }
 
 // subScale performs dst[i] = src[i] − a·dst[i], chunked across cores when

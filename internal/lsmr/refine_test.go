@@ -27,6 +27,14 @@ func nearOrthonormal(rng *rand.Rand, m, n int, delta float64) *mat.Dense {
 	return a
 }
 
+// normalOf is the normal-equations form of min ‖b − A·x‖ for an explicit
+// A: N is the computed Gram, whose rounding is at most γ_m·‖A‖²_F.
+func normalOf(a *mat.Dense, delta float64) Normal {
+	m, _ := a.Dims()
+	fro := mat.SqSum(a.Data())
+	return Normal{A: kron.Wrap(a), N: kron.Wrap(mat.Gram(nil, a)), Delta: delta, GramErr: gamma(m) * fro}
+}
+
 // atolHolds applies LSMR's atol test to x directly, with the certificate's
 // lower bound √(1−delta) standing in for ‖A‖₂.
 func atolHolds(a *mat.Dense, b, x []float64, delta float64) bool {
@@ -51,7 +59,7 @@ func TestRefineMatchesSolve(t *testing.T) {
 		for i := range b {
 			b[i] = rng.NormFloat64()
 		}
-		res := Refine(kron.Wrap(a), b, delta, Options{})
+		res := Refine(normalOf(a, delta), b, Options{})
 		if res.Stopped != StoppedAtol {
 			t.Fatalf("δ=%g: stopped %q after %d steps", delta, res.Stopped, res.Iters)
 		}
@@ -87,7 +95,7 @@ func TestRefineIterationBudget(t *testing.T) {
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
-	res := Refine(kron.Wrap(a), b, 0.5, Options{MaxIter: 1})
+	res := Refine(normalOf(a, 0.5), b, Options{MaxIter: 1})
 	if res.Stopped != StoppedMaxIter || res.Iters != 1 || res.X == nil {
 		t.Fatalf("got %d steps, stopped %q, want 1 step stopped at the budget", res.Iters, res.Stopped)
 	}
@@ -96,7 +104,7 @@ func TestRefineIterationBudget(t *testing.T) {
 // TestRefineZeroRHS mirrors Solve: a zero right-hand side returns x = 0.
 func TestRefineZeroRHS(t *testing.T) {
 	a := nearOrthonormal(rand.New(rand.NewPCG(75, 76)), 10, 4, 0.1)
-	res := Refine(kron.Wrap(a), make([]float64, 10), 0.1, Options{})
+	res := Refine(normalOf(a, 0.1), make([]float64, 10), Options{})
 	if res.Stopped != StoppedZeroRHS || res.Iters != 0 {
 		t.Fatalf("got %+v", res)
 	}
@@ -110,7 +118,6 @@ func TestRefineZeroRHS(t *testing.T) {
 // TestRefineRejectsUncertifiedDelta: the contraction argument needs
 // 0 ≤ delta < 1; anything else is a caller bug.
 func TestRefineRejectsUncertifiedDelta(t *testing.T) {
-	a := kron.Wrap(mat.Eye(3))
 	for _, delta := range []float64{1, 2, -0.1, math.NaN(), math.Inf(1)} {
 		func() {
 			defer func() {
@@ -118,7 +125,57 @@ func TestRefineRejectsUncertifiedDelta(t *testing.T) {
 					t.Errorf("Refine accepted δ = %g", delta)
 				}
 			}()
-			Refine(a, []float64{1, 2, 3}, delta, Options{})
+			Refine(normalOf(mat.Eye(3), delta), []float64{1, 2, 3}, Options{})
 		}()
+	}
+}
+
+// TestResidualIdentityWithinAllowance: on random iterates of
+// near-orthonormal problems, the identity's ‖r‖² lies within its
+// allowance of the explicit ‖b − A·x‖², even when b is nearly
+// consistent and the identity cancels almost all of its terms.
+func TestResidualIdentityWithinAllowance(t *testing.T) {
+	rng := rand.New(rand.NewPCG(77, 78))
+	for trial := 0; trial < 20; trial++ {
+		a := nearOrthonormal(rng, 60, 15, 0.3)
+		x := make([]float64, 15)
+		for i := range x {
+			x[i] = 1e3 * rng.NormFloat64()
+		}
+		b := mat.MatVec(nil, a, x)
+		noise := math.Pow(10, -float64(trial%8))
+		for i := range b {
+			b[i] += noise * rng.NormFloat64()
+		}
+		z := make([]float64, 15)
+		for i := range z {
+			z[i] = x[i] + noise*rng.NormFloat64()
+		}
+		r := mat.MatVec(nil, a, z)
+		for i := range r {
+			r[i] = b[i] - r[i]
+		}
+		explicit := mat.SqSum(r)
+		r2, allow := Residual(normalOf(a, 0.3), b, z)
+		if d := math.Abs(r2 - explicit); d > allow+1e-12*explicit {
+			t.Fatalf("trial %d: identity ‖r‖² = %g, explicit %g, allowance %g", trial, r2, explicit, allow)
+		}
+	}
+}
+
+// TestRefineUncertifiedOnConsistentSystem: when b = A·x exactly, the
+// iterates approach the exact solution until the allowance swallows the
+// identity's residual; from then on no step can certify, and Refine says
+// so instead of spending the rest of its iteration budget.
+func TestRefineUncertifiedOnConsistentSystem(t *testing.T) {
+	rng := rand.New(rand.NewPCG(79, 80))
+	a := nearOrthonormal(rng, 40, 12, 0.5)
+	x := make([]float64, 12)
+	for i := range x {
+		x[i] = 100 + rng.NormFloat64()
+	}
+	res := Refine(normalOf(a, 0.5), mat.MatVec(nil, a, x), Options{})
+	if res.Stopped != StoppedUncertified {
+		t.Fatalf("consistent system: stopped %q after %d steps, want %q", res.Stopped, res.Iters, StoppedUncertified)
 	}
 }

@@ -67,7 +67,7 @@ func TestL2SensitivityGenericFallback(t *testing.T) {
 }
 
 func TestMeasureGaussianCalibration(t *testing.T) {
-	rng := rand.New(rand.NewPCG(3, 3))
+	src := rand.NewPCG(3, 3)
 	n := 4
 	a := kron.Wrap(mat.Eye(n).Scale(2)) // L2 sensitivity 2
 	x := []float64{1, 2, 3, 4}
@@ -76,7 +76,7 @@ func TestMeasureGaussianCalibration(t *testing.T) {
 	const trials = 40000
 	var sumsq float64
 	for tr := 0; tr < trials; tr++ {
-		y := Measure(a, x, eps, delta, rng)
+		y := Measure(a, x, eps, delta, src)
 		for i := range y {
 			d := y[i] - 2*x[i]
 			sumsq += d * d

@@ -38,9 +38,11 @@ const RNGStream = 0xd9e
 // runs release independent noise. (Treating zero as the literal PCG seed
 // would make every unseeded "production" run release the exact same noise
 // vector — a correlation an observer could subtract away across releases.)
-func NoiseRNG(seed uint64) *rand.Rand {
+// It returns the PCG itself, not a rand.Rand over it: Measure jumps copies
+// of the generator's state ahead to draw noise blocks in parallel.
+func NoiseRNG(seed uint64) *rand.PCG {
 	if seed != 0 {
-		return rand.New(rand.NewPCG(seed, RNGStream))
+		return rand.NewPCG(seed, RNGStream)
 	}
 	var b [16]byte
 	if _, err := crand.Read(b[:]); err != nil {
@@ -48,10 +50,10 @@ func NoiseRNG(seed uint64) *rand.Rand {
 		// entropy source must not silently degrade to deterministic noise.
 		panic(fmt.Sprintf("mech: reading entropy for noise seed: %v", err))
 	}
-	return rand.New(rand.NewPCG(
+	return rand.NewPCG(
 		binary.LittleEndian.Uint64(b[:8]), //hdmmlint:allow detrand seed==0 is the production path: the PCG state is drawn from crypto/rand by design so independent runs release independent noise
 		binary.LittleEndian.Uint64(b[8:]),
-	))
+	)
 }
 
 // Laplace draws one sample from the Laplace distribution with mean 0 and
@@ -67,6 +69,11 @@ func Laplace(rng *rand.Rand, b float64) float64 {
 	for u == -0.5 {
 		u = rng.Float64() - 0.5
 	}
+	return laplaceInv(u, b)
+}
+
+// laplaceInv is the Laplace(b) inverse CDF at an interior u ∈ (−½, ½).
+func laplaceInv(u, b float64) float64 {
 	if u >= 0 {
 		return -b * math.Log(1-2*u)
 	}
@@ -107,7 +114,16 @@ func CheckBudget(eps, delta float64) error {
 // GaussianSigma, (ε,δ)-differentially private and valid only for ε ≤ 1.
 // Callers validate the budget with CheckBudget first: an invalid one is a
 // programming error here, not an input error.
-func Measure(a kron.Linear, x []float64, eps, delta float64, rng *rand.Rand) []float64 {
+//
+// The noise is the serial stream of src: sample i is Laplace's draw after
+// i samples (rand.New(src), one Float64 each), or the Gaussian stream's
+// i-th NormFloat64, and src is left where that serial loop leaves it, so a
+// caller measuring twice from one source sees one stream. Laplace noise is
+// drawn in fixed blocks of laplaceBlock samples on the kernel workers (see
+// addLaplace); the bytes are the serial loop's at any worker count.
+// Gaussian noise stays serial: the ziggurat takes a variable number of
+// draws per sample, so a block's starting draw is not known in advance.
+func Measure(a kron.Linear, x []float64, eps, delta float64, src *rand.PCG) []float64 {
 	rows, cols := a.Dims()
 	if len(x) != cols {
 		panic(fmt.Sprintf("mech: data vector length %d, strategy has %d columns", len(x), cols))
@@ -124,14 +140,68 @@ func Measure(a kron.Linear, x []float64, eps, delta float64, rng *rand.Rand) []f
 	measurementCounter.Add(1)
 	y := make([]float64, rows)
 	a.MatVec(y, x)
-	for i := range y {
-		if delta > 0 {
+	if delta > 0 {
+		rng := rand.New(src)
+		for i := range y {
 			y[i] += rng.NormFloat64() * sigma
-		} else {
+		}
+		return y
+	}
+	if first := addLaplace(y, b, src); first < rows {
+		// A zero uniform draw at sample first made the serial sampler
+		// draw again, shifting every later sample by one draw. Redo the
+		// tail serially on a fresh A·x; src stands at draw first.
+		ax := make([]float64, rows)
+		a.MatVec(ax, x)
+		copy(y[first:], ax[first:])
+		rng := rand.New(src)
+		for i := first; i < rows; i++ {
 			y[i] += Laplace(rng, b)
 		}
 	}
 	return y
+}
+
+// laplaceBlock is the number of samples one noise block draws. It sets
+// only the fan-out granularity: every block starts from the serial
+// stream's state at its first sample, so the bytes do not depend on it.
+const laplaceBlock = 1 << 14
+
+// addLaplace adds Laplace(b) noise to y in blocks of laplaceBlock samples
+// on parallel.KernelWorkers() goroutines. Block k draws from a copy of src
+// jumped ahead k·laplaceBlock draws (pcgJump), which is where the serial
+// loop stands at its first sample as long as every earlier sample took one
+// draw, and adds y[i] += laplaceInv(u, b) as Laplace would. A block stops
+// at a zero draw (u = −½), where Laplace would draw again. addLaplace
+// returns the earliest such sample index — len(y) when there is none —
+// with src advanced to the draw that sample starts at; samples from that
+// index on are then not the serial stream's and the caller redraws them.
+func addLaplace(y []float64, b float64, src *rand.PCG) int {
+	base := pcgStateOf(src)
+	blocks := (len(y) + laplaceBlock - 1) / laplaceBlock
+	stops := make([]int, blocks)
+	parallel.For(parallel.KernelWorkers(), blocks, func(k int) {
+		lo := k * laplaceBlock
+		hi := min(lo+laplaceBlock, len(y))
+		st := pcgJump(base, uint64(lo))
+		rng := rand.New(rand.NewPCG(st.hi, st.lo))
+		stops[k] = len(y)
+		for i := lo; i < hi; i++ {
+			u := rng.Float64() - 0.5
+			if u == -0.5 {
+				stops[k] = i
+				return
+			}
+			y[i] += laplaceInv(u, b)
+		}
+	})
+	first := len(y)
+	for _, stop := range stops {
+		first = min(first, stop)
+	}
+	end := pcgJump(base, uint64(first))
+	src.Seed(end.hi, end.lo)
+	return first
 }
 
 // ExpectedRMSE is the predicted per-query root-mean-squared error of a

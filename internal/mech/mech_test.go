@@ -35,7 +35,7 @@ func TestLaplaceMomentsAndSpread(t *testing.T) {
 
 func TestMeasureNoiseScale(t *testing.T) {
 	// The Laplace mechanism must calibrate noise to sensitivity/ε.
-	rng := rand.New(rand.NewPCG(2, 2))
+	src := rand.NewPCG(2, 2)
 	n := 4
 	a := kron.Wrap(mat.Eye(n).Scale(3)) // sensitivity 3
 	x := []float64{1, 2, 3, 4}
@@ -43,7 +43,7 @@ func TestMeasureNoiseScale(t *testing.T) {
 	const trials = 50000
 	var sumsq float64
 	for tr := 0; tr < trials; tr++ {
-		y := Measure(a, x, eps, 0, rng)
+		y := Measure(a, x, eps, 0, src)
 		for i := range y {
 			d := y[i] - 3*x[i]
 			sumsq += d * d
@@ -115,12 +115,12 @@ func TestRunEndToEndUnbiasedAndCalibrated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewPCG(4, 4))
+	src := rand.NewPCG(4, 4)
 	const trials = 400
 	var totalErr float64
 	bias := make([]float64, len(truth))
 	for tr := 0; tr < trials; tr++ {
-		y := Measure(sel.Strategy.Operator(), x, eps, 0, rng)
+		y := Measure(sel.Strategy.Operator(), x, eps, 0, src)
 		xhat, err := sel.Strategy.Reconstruct(y)
 		if err != nil {
 			t.Fatal(err)
@@ -165,10 +165,10 @@ func TestUnionStrategyMeasureReconstruct(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewPCG(6, 6))
+	src := rand.NewPCG(6, 6)
 	// With huge ε the noise vanishes and reconstruction must recover the
 	// workload answers exactly (the strategy supports the workload).
-	y := Measure(s.Operator(), x, 1e9, 0, rng)
+	y := Measure(s.Operator(), x, 1e9, 0, src)
 	xhat, err := s.Reconstruct(y)
 	if err != nil {
 		t.Fatal(err)

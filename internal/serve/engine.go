@@ -261,7 +261,10 @@ func (e *Engine) FromCache() bool { return e.fromCache }
 func (e *Engine) Key() string { return e.key }
 
 // ExpectedRMSE is the predicted per-query root-mean-squared error of the
-// engine's own workload at the construction-time budget.
+// engine's own workload at the construction-time budget. For an OPT⁺ union
+// it is an upper bound: the strategy's Error prices each workload group as
+// answered from its own block, while reconstruction solves all blocks
+// jointly (see core.UnionStrategy.Error).
 func (e *Engine) ExpectedRMSE() float64 { return e.rootMSE }
 
 // ExpectedErr is the strategy's expected total squared error ‖W·A⁺‖²_F at
