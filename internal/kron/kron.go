@@ -558,14 +558,14 @@ func (s *Stack) Sensitivity() float64 {
 
 // Sum is the weighted sum Σ wᵢ·Termsᵢ of operators of one shape, applied
 // term by term to the same input. The Gram of a weighted stack is one:
-// (Σ over blocks) AᵀA = Σ wᵢ²·AᵢᵀAᵢ, with no cross terms. Terms must not
-// change after construction.
+// AᵀA = Σ wᵢ²·AᵢᵀAᵢ, with no cross terms. Terms must not change after
+// construction.
 type Sum struct {
 	Terms   []Linear
-	Weights []float64 // nil means all 1
+	Weights []float64
 }
 
-// NewSum builds a sum; weights may be nil.
+// NewSum builds a sum with one weight per term.
 func NewSum(terms []Linear, weights []float64) *Sum {
 	if len(terms) == 0 {
 		panic("kron: empty sum")
@@ -576,7 +576,7 @@ func NewSum(terms []Linear, weights []float64) *Sum {
 			panic("kron: sum shape mismatch")
 		}
 	}
-	if weights != nil && len(weights) != len(terms) {
+	if len(weights) != len(terms) {
 		panic("kron: sum weights length mismatch")
 	}
 	return &Sum{Terms: terms, Weights: weights}
@@ -616,30 +616,23 @@ func (s *Sum) apply(dst, x []float64, ws *Workspace, app func(Linear, []float64,
 			app(t, tmps[i], x, kid)
 		}
 	}
-	w0 := s.weight(0)
+	w0 := s.Weights[0]
 	for j, v := range tmps[0] {
 		dst[j] = w0 * v
 	}
 	for i := 1; i < len(tmps); i++ {
-		wi := s.weight(i)
+		wi := s.Weights[i]
 		for j, v := range tmps[i] {
 			dst[j] += wi * v
 		}
 	}
 }
 
-func (s *Sum) weight(i int) float64 {
-	if s.Weights == nil {
-		return 1
-	}
-	return s.Weights[i]
-}
-
 // Sensitivity bounds ‖Σ wᵢ·Aᵢ‖₁ by Σ |wᵢ|·‖Aᵢ‖₁.
 func (s *Sum) Sensitivity() float64 {
 	total := 0.0
 	for i, t := range s.Terms {
-		total += math.Abs(s.weight(i)) * t.Sensitivity()
+		total += math.Abs(s.Weights[i]) * t.Sensitivity()
 	}
 	return total
 }

@@ -386,7 +386,7 @@ type RegisterResponse struct {
 	Key          string  `json:"key"`           // engine key for /answer and metadata
 	StrategyKey  string  `json:"strategy_key"`  // registry content address of the strategy
 	Operator     string  `json:"operator"`      // which optimizer produced the strategy
-	ExpectedRMSE float64 `json:"expected_rmse"` // predicted per-query RMSE at the tenant's budget
+	ExpectedRMSE float64 `json:"expected_rmse"` // predicted per-query RMSE at the tenant's budget; an upper bound for OPT⁺ unions
 	FromCache    bool    `json:"from_cache"`    // strategy loaded from the registry, not optimized now
 	Reused       bool    `json:"reused"`        // this registration took no new measurement (existing engine, or shared a concurrent identical registration's build)
 	NumQueries   int     `json:"num_queries"`
@@ -412,7 +412,7 @@ type EngineInfo struct {
 	Key          string  `json:"key"`
 	StrategyKey  string  `json:"strategy_key"`
 	Operator     string  `json:"operator"`
-	ExpectedRMSE float64 `json:"expected_rmse"`
+	ExpectedRMSE float64 `json:"expected_rmse"` // as in RegisterResponse: an upper bound for OPT⁺ unions
 	FromCache    bool    `json:"from_cache"`
 	Eps          float64 `json:"eps"`
 	Delta        float64 `json:"delta"`
