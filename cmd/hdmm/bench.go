@@ -32,7 +32,7 @@ import (
 	"repro/internal/workload"
 )
 
-// benchResult is one row of the perf-trajectory artifact (BENCH_25.json):
+// benchResult is one row of the perf-trajectory artifact (BENCH_27.json):
 // one operation at one worker count. Kernels, GOARCH, CPUs, GOMAXPROCS and
 // GoVersion identify what actually ran and where — a 2-CPU row is not
 // comparable to a 16-CPU one, and rows of older artifacts made under the
@@ -507,7 +507,7 @@ func parseWorkerSet(spec string) ([]int, error) {
 func cmdBench(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	out := fs.String("out", "BENCH_25.json", "output path for the JSON results")
+	out := fs.String("out", "BENCH_27.json", "output path for the JSON results")
 	targetMS := fs.Int("benchtime", 250, "minimum milliseconds of measurement per op")
 	workersSpec := fs.String("workers", "", "comma-separated worker counts to sweep (default 1,2,4 and GOMAXPROCS, deduplicated)")
 	baseline := fs.String("baseline", "", "baseline JSON results to compare against (from an earlier -out)")

@@ -831,6 +831,20 @@ func (m *marginalOperator) Sensitivity() float64 {
 	return s
 }
 
+// L2Sensitivity is √(Σθ_a²) over the active subsets: every column holds
+// θ_a once per subset a, in the cell of marginal a that contains it. The
+// squares are summed in subset order, the order in which a column probe
+// (mech.L2Sensitivity's fallback) adds the rows, so the value has the
+// probe's bits without its one full application per column.
+func (m *marginalOperator) L2Sensitivity() float64 {
+	s := 0.0
+	for _, a := range m.subsets {
+		th := m.s.Theta[a]
+		s += th * th
+	}
+	return math.Sqrt(s)
+}
+
 // ---------------------------------------------------------------------------
 // IdentityStrategy
 // ---------------------------------------------------------------------------
@@ -868,3 +882,4 @@ func (o identityOp) Dims() (int, int)         { return o.n, o.n }
 func (o identityOp) MatVec(dst, x []float64)  { copy(dst, x) }
 func (o identityOp) MatTVec(dst, y []float64) { copy(dst, y) }
 func (o identityOp) Sensitivity() float64     { return 1 }
+func (o identityOp) L2Sensitivity() float64   { return 1 }

@@ -40,11 +40,14 @@ func refContractNT(a, b *Dense) *Dense {
 }
 
 // TestContractNTMatchesScalarReference pins ContractNT byte-for-byte to its
-// scalar definition at Workers 1/4/8, and its Go tiles run alone (what
+// scalar definition at Workers 1/2/4/8, and its Go tiles run alone (what
 // every non-AVX2 build runs). Shapes cover every edge of the 4×2 Go tiles
 // (A rows below, at and past multiples of four; odd and even B row counts,
-// so shards start tiles at odd rows), both sides of the AVX2 band's gate (A
-// rows 7/8/9 against shards of 15/16/17 B rows), B row counts that leave a
+// so shards start tiles at odd rows), the 1×8 tiles of thin factors (the
+// census 1×115, 2×2 and 3×2 factors against 1, 7, 8 and 9 rows of B and
+// 4k+3 rows past parallelFlops, so shards start tiles mid-block and end in
+// 4×2 and single-chain tails), both sides of the AVX2 band's gate (A rows
+// 7/8/9 against shards of 15/16/17 B rows), B row counts that leave a
 // short last band, k = 1, a 2080-row AllRange factor against one and 64
 // rows, empty contractions, and shapes past parallelFlops. ContractNT does
 // not skip zeros, so a zero in A against an Inf in B must give NaN.
@@ -59,6 +62,9 @@ func TestContractNTMatchesScalarReference(t *testing.T) {
 		{12, 18, 6}, {16, 19, 33}, {11, 23, 4}, {8, 20, 1}, {24, 37, 1},
 		{2080, 1, 64}, {2080, 64, 64},
 		{65, 64, 64}, {115, 41, 122}, {2, 90001, 3}, {17, 4099, 18},
+		{1, 1, 115}, {1, 7, 115}, {1, 8, 115}, {1, 9, 115}, {1, 4*2500 + 3, 115},
+		{2, 1, 2}, {2, 7, 2}, {2, 8, 2}, {2, 9, 2}, {2, 4*50000 + 3, 2},
+		{3, 1, 2}, {3, 7, 2}, {3, 8, 2}, {3, 9, 2}, {3, 4*50000 + 3, 2},
 	}
 	prevW := SetWorkers(1)
 	defer SetWorkers(prevW)
@@ -72,7 +78,7 @@ func TestContractNTMatchesScalarReference(t *testing.T) {
 			got := nanDense(ar, n)
 			contractNTTiles(got, a, b, 0, n)
 			wantSameBitsOrNaN(t, fmt.Sprintf("%s %v Go tiles", fill.name, sh), want, got)
-			for _, workers := range []int{1, 4, 8} {
+			for _, workers := range []int{1, 2, 4, 8} {
 				SetWorkers(workers)
 				got := nanDense(ar, n)
 				ContractNT(got, a, b)

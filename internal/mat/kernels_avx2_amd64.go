@@ -3,13 +3,14 @@
 package mat
 
 // The AVX2 kernels are implementation details, not a second arithmetic:
-// axpyAVX2 is elementwise, and axpyRowAVX2, dotBandAVX2 and
+// axpyAVX2 and logAVX2 are elementwise, and axpyRowAVX2, dotBandAVX2 and
 // contractTNTileAVX2 give each lane its own output element, so enabling or
 // disabling the assembly never changes a single bit of output — only
 // throughput. axpyAVX2 serves Gram, MatTVec and Axpy; axpyRowAVX2 serves
-// Mul and MulTN; dotBandAVX2 serves MulNT and ContractNT; and
-// contractTNTileAVX2 serves ContractTN. Build with -tags hdmm_noasm to
-// force pure Go.
+// Mul and MulTN; dotBandAVX2 serves MulNT and ContractNT;
+// contractTNTileAVX2 serves ContractTN; and logAVX2 serves LogVec, which
+// the Laplace noise sampler runs. Build with -tags hdmm_noasm to force
+// pure Go.
 
 // axpyAVX2 computes dst[j] += alpha*src[j] for j in [0, len(dst)).
 // len(src) must be at least len(dst).
@@ -43,6 +44,15 @@ func dotBandAVX2(out []float64, a []float64, a0, a1, a2, a3 int, bt []float64, l
 //
 //go:noescape
 func contractTNTileAVX2(dst []float64, dstride int, a []float64, astride int, b []float64, bstride int, k int)
+
+// logAVX2 computes dst[i] = math.Log(x[i]) with the instruction sequence
+// of Go's amd64 math.Log, four lanes at a time, over groups of four up to
+// len(x) &^ 3. It stops before the first group holding a value that is
+// not positive, normal and finite, and returns the number of elements
+// written. len(dst) must be at least that; dst may alias x.
+//
+//go:noescape
+func logAVX2(dst, x []float64) int
 
 // cpuidAsm executes CPUID with the given leaf and subleaf.
 func cpuidAsm(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)

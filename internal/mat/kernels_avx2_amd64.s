@@ -292,6 +292,140 @@ ddone:
 	VZEROUPPER
 	RET
 
+// logConst holds logAVX2's constants, one float64 each, broadcast into
+// lanes with VBROADCASTSD: the frexp masks, the 2⁵² conversion pair, √½,
+// 1, 2, the domain bounds, and the constants of math.Log (L1..L7, Ln2Hi,
+// Ln2Lo, the same bits as $GOROOT/src/math/log_amd64.s).
+DATA logConst<>+0x00(SB)/8, $0x000FFFFFFFFFFFFF // mantissa mask
+DATA logConst<>+0x08(SB)/8, $0x3FE0000000000000 // 0.5
+DATA logConst<>+0x10(SB)/8, $0x4330000000000000 // 2⁵²
+DATA logConst<>+0x18(SB)/8, $0x43300000000003FE // 2⁵² + 1022
+DATA logConst<>+0x20(SB)/8, $0x3FE6A09E667F3BCD // √½
+DATA logConst<>+0x28(SB)/8, $0x3FF0000000000000 // 1
+DATA logConst<>+0x30(SB)/8, $0x4000000000000000 // 2
+DATA logConst<>+0x38(SB)/8, $0x0010000000000000 // smallest normal
+DATA logConst<>+0x40(SB)/8, $0x7FF0000000000000 // +Inf
+DATA logConst<>+0x48(SB)/8, $0x3FE5555555555593 // L1
+DATA logConst<>+0x50(SB)/8, $0x3FD999999997FA04 // L2
+DATA logConst<>+0x58(SB)/8, $0x3FD2492494229359 // L3
+DATA logConst<>+0x60(SB)/8, $0x3FCC71C51D8E78AF // L4
+DATA logConst<>+0x68(SB)/8, $0x3FC7466496CB03DE // L5
+DATA logConst<>+0x70(SB)/8, $0x3FC39A09D078C69F // L6
+DATA logConst<>+0x78(SB)/8, $0x3FC2F112DF3E5244 // L7
+DATA logConst<>+0x80(SB)/8, $0x3FE62E42FEE00000 // Ln2Hi
+DATA logConst<>+0x88(SB)/8, $0x3DEA39EF35793C76 // Ln2Lo
+GLOBL logConst<>(SB), RODATA|NOPTR, $0x90
+
+// func logAVX2(dst, x []float64) int
+//
+// dst[i] = math.Log(x[i]) four lanes at a time, for groups of four up to
+// len(x) &^ 3, stopping before the first group with a lane that is not a
+// positive, normal, finite float64; it returns the number of elements
+// written. Per lane it is the instruction sequence of Go's amd64 archLog:
+// frexp by bit masks, the √½ compare-and-mask, s = f/(2+f), the two
+// polynomials, and k*Ln2Hi − ((hfsq − (s*(hfsq+R) + k*Ln2Lo)) − f), with
+// VMULPD and VADDPD/VSUBPD in archLog's order and never FMA, so every lane
+// has math.Log's bits. The exponent k becomes a float64 exactly: the
+// biased exponent OR 2⁵²'s bits is 2⁵² + e, and subtracting 2⁵² + 1022
+// leaves e − 1022. Every constant is loaded with VBROADCASTSD: moving one
+// through a general register into a legacy-SSE X register inside the
+// loop would cost an AVX–SSE transition per use.
+TEXT ·logAVX2(SB), NOSPLIT, $0-56
+	MOVQ         dst_base+0(FP), DI
+	MOVQ         x_base+24(FP), SI
+	MOVQ         x_len+32(FP), CX
+	ANDQ         $-4, CX
+	XORQ         AX, AX
+	VBROADCASTSD logConst<>+0x00(SB), Y15 // mantissa mask
+	VBROADCASTSD logConst<>+0x08(SB), Y14 // 0.5
+	VBROADCASTSD logConst<>+0x10(SB), Y13 // 2⁵²
+	VBROADCASTSD logConst<>+0x18(SB), Y12 // 2⁵² + 1022
+	VBROADCASTSD logConst<>+0x20(SB), Y11 // √½
+	VBROADCASTSD logConst<>+0x28(SB), Y10 // 1
+	VBROADCASTSD logConst<>+0x38(SB), Y9  // smallest normal
+	VBROADCASTSD logConst<>+0x40(SB), Y8  // +Inf
+
+lloop:
+	CMPQ      AX, CX
+	JGE       ldone
+	VMOVUPD   (SI)(AX*8), Y0
+	VCMPPD    $0x0D, Y9, Y0, Y1 // x ≥ smallest normal (false for NaN)
+	VCMPPD    $0x01, Y8, Y0, Y2 // x < +Inf
+	VANDPD    Y2, Y1, Y1
+	VMOVMSKPD Y1, DX
+	CMPQ      DX, $15
+	JNE       ldone
+
+	// f1 = x's fraction in [½, 1), k = its exponent − 1022.
+	VANDPD Y15, Y0, Y1
+	VORPD  Y14, Y1, Y1
+	VPSRLQ $52, Y0, Y2
+	VPOR   Y13, Y2, Y2
+	VSUBPD Y12, Y2, Y2
+
+	// Where f1 ≤ √½: k −= 1, f1 *= 2. Then f = f1 − 1.
+	VCMPPD $0x05, Y1, Y11, Y3 // not (√½ < f1)
+	VANDPD Y10, Y3, Y3        // 1 or 0
+	VSUBPD Y3, Y2, Y2
+	VADDPD Y10, Y3, Y3        // 2 or 1
+	VMULPD Y3, Y1, Y1
+	VSUBPD Y10, Y1, Y1
+
+	// s = f/(2+f), s2 = s·s, s4 = s2·s2.
+	VBROADCASTSD logConst<>+0x30(SB), Y3
+	VADDPD       Y1, Y3, Y3
+	VDIVPD       Y3, Y1, Y3
+	VMULPD       Y3, Y3, Y4
+	VMULPD       Y4, Y4, Y5
+
+	// t1 = s2·(L1 + s4·(L3 + s4·(L5 + s4·L7))).
+	VBROADCASTSD logConst<>+0x78(SB), Y6
+	VMULPD       Y5, Y6, Y6
+	VBROADCASTSD logConst<>+0x68(SB), Y7
+	VADDPD       Y7, Y6, Y6
+	VMULPD       Y5, Y6, Y6
+	VBROADCASTSD logConst<>+0x58(SB), Y7
+	VADDPD       Y7, Y6, Y6
+	VMULPD       Y5, Y6, Y6
+	VBROADCASTSD logConst<>+0x48(SB), Y7
+	VADDPD       Y7, Y6, Y6
+	VMULPD       Y6, Y4, Y4
+
+	// t2 = s4·(L2 + s4·(L4 + s4·L6)); R = t1 + t2.
+	VBROADCASTSD logConst<>+0x70(SB), Y6
+	VMULPD       Y5, Y6, Y6
+	VBROADCASTSD logConst<>+0x60(SB), Y7
+	VADDPD       Y7, Y6, Y6
+	VMULPD       Y5, Y6, Y6
+	VBROADCASTSD logConst<>+0x50(SB), Y7
+	VADDPD       Y7, Y6, Y6
+	VMULPD       Y6, Y5, Y5
+	VADDPD       Y5, Y4, Y4
+
+	// hfsq = 0.5·f·f.
+	VMULPD Y14, Y1, Y5
+	VMULPD Y1, Y5, Y5
+
+	// k·Ln2Hi − ((hfsq − (s·(hfsq+R) + k·Ln2Lo)) − f).
+	VADDPD       Y5, Y4, Y4
+	VMULPD       Y4, Y3, Y3
+	VBROADCASTSD logConst<>+0x88(SB), Y6
+	VMULPD       Y2, Y6, Y6
+	VADDPD       Y6, Y3, Y3
+	VSUBPD       Y3, Y5, Y5
+	VSUBPD       Y1, Y5, Y5
+	VBROADCASTSD logConst<>+0x80(SB), Y6
+	VMULPD       Y6, Y2, Y2
+	VSUBPD       Y5, Y2, Y2
+	VMOVUPD      Y2, (DI)(AX*8)
+	ADDQ         $4, AX
+	JMP          lloop
+
+ldone:
+	MOVQ AX, ret+48(FP)
+	VZEROUPPER
+	RET
+
 // func cpuidAsm(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuidAsm(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX

@@ -22,3 +22,7 @@ func dotBandAVX2(out []float64, a []float64, a0, a1, a2, a3 int, bt []float64, l
 func contractTNTileAVX2(dst []float64, dstride int, a []float64, astride int, b []float64, bstride int, k int) {
 	panic("mat: contractTNTileAVX2 called without AVX2 support")
 }
+
+func logAVX2(dst, x []float64) int {
+	panic("mat: logAVX2 called without AVX2 support")
+}

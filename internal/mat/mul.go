@@ -162,18 +162,23 @@ func mulNTShard(dst, a, b *Dense, lo, hi int) {
 		contractNTTiles(&dv, &av, b, 0, n)
 		return
 	}
-	dotBands(a, lo, hi, b, func(i int, v []float64) { copy(dst.data[i*n:i*n+n], v) })
+	dotBands(a, lo, hi, b, func(i, rows int, out []float64, ld int) {
+		for r := range rows {
+			copy(dst.data[(i+r)*n:(i+r)*n+n], out[r*ld:r*ld+n])
+		}
+	})
 }
 
 // dotBands computes the dot product of each row i in [lo, hi) of x with
-// every row of y and hands row i's y.r results to emit. It transposes y
-// into scratch, so that a run of y's rows is a run of memory, and
-// dotBandAVX2 sweeps four-row bands of x with one output element per lane,
-// each a serial chain over k ascending from zero. A short last band
+// every row of y, four rows of x at a time, and hands each band to emit:
+// rows i to i+rows−1 (rows ≤ 4), row i+r's y.r results at out[r*ld:]. It
+// transposes y into scratch, so that a run of y's rows is a run of
+// memory, and dotBandAVX2 sweeps the bands with one output element per
+// lane, each a serial chain over k ascending from zero. A short last band
 // repeats its last row, and y's rows are zero-padded to a multiple of
 // eight (the padding lanes are computed and dropped). It needs AVX2 and
 // x.c == y.c > 0.
-func dotBands(x *Dense, lo, hi int, y *Dense, emit func(i int, v []float64)) {
+func dotBands(x *Dense, lo, hi int, y *Dense, emit func(i, rows int, out []float64, ld int)) {
 	kk, n := x.c, y.r
 	n8 := (n + 7) &^ 7
 	buf := getScratch((kk + 4) * n8)
@@ -183,9 +188,7 @@ func dotBands(x *Dense, lo, hi int, y *Dense, emit func(i int, v []float64)) {
 	for i := lo; i < hi; i += 4 {
 		r1, r2, r3 := min(i+1, hi-1), min(i+2, hi-1), min(i+3, hi-1)
 		dotBandAVX2(out, x.data, i*kk, r1*kk, r2*kk, r3*kk, yt, n8, kk, n8/8)
-		for r := 0; r < min(4, hi-i); r++ {
-			emit(i+r, out[r*n8:r*n8+n])
-		}
+		emit(i, min(4, hi-i), out, n8)
 	}
 }
 
@@ -266,20 +269,33 @@ func ContractNT(dst, a, b *Dense) *Dense {
 // contractNTShard computes dst[q, r] for r in [lo, hi). Where the hardware
 // has AVX2, A has at least eight rows and the shard at least sixteen rows
 // of B, dotBands takes it with B's rows as the band rows and A's rows
-// across the lanes, each B row's results written down a column of dst.
-// Elsewhere the Go tiles take it: with fewer than eight rows of A most
-// lanes would be padding, and a shard of a few rows would not repay
-// transposing A. Either way each element is one serial dot product over k
-// ascending from zero, so the choice never changes a bit.
+// across the lanes; a band of four B rows lands as four contiguous values
+// in each row of dst. Elsewhere the Go tiles take it: with fewer than
+// eight rows of A most lanes would be padding, and a shard of a few rows
+// would not repay transposing A. Either way each element is one serial dot
+// product over k ascending from zero, so the choice never changes a bit.
 func contractNTShard(dst, a, b *Dense, lo, hi int) {
 	if !haveAVX2 || a.r < 8 || hi-lo < 16 || a.c == 0 {
 		contractNTTiles(dst, a, b, lo, hi)
 		return
 	}
-	n, dd := b.r, dst.data
-	dotBands(b, lo, hi, a, func(r int, v []float64) {
-		for q, x := range v {
-			dd[q*n+r] = x
+	n, ar, dd := b.r, a.r, dst.data
+	dotBands(b, lo, hi, a, func(r, rows int, out []float64, ld int) {
+		if rows < 4 {
+			for j := range rows {
+				for q, x := range out[j*ld : j*ld+ar] {
+					dd[q*n+r+j] = x
+				}
+			}
+			return
+		}
+		o0 := out[:ar]
+		o1 := out[ld : ld+ar][:len(o0)]
+		o2 := out[2*ld : 2*ld+ar][:len(o0)]
+		o3 := out[3*ld : 3*ld+ar][:len(o0)]
+		for q, x := range o0 {
+			d := dd[q*n+r : q*n+r+4]
+			d[0], d[1], d[2], d[3] = x, o1[q], o2[q], o3[q]
 		}
 	})
 }
@@ -287,18 +303,24 @@ func contractNTShard(dst, a, b *Dense, lo, hi int) {
 // contractNTTiles computes dst[q, r] for r in [lo, hi) in Go: B-row outer,
 // A-row inner, one serial dot product per element (ascending k), written
 // column-strided into dst's row-major layout — the transposed write of the
-// mode contraction. It works in 4×2 register tiles (four rows of A against
-// two rows of B) whose eight chains are independent, so the loop is
-// throughput-bound rather than bound by the add latency of one chain, and
-// each row of B is read once per four rows of A instead of once per row.
-// Leftover A rows run in 1×2 tiles and an odd last B row in single chains;
-// the arithmetic per element is the same either way. The rows are hoisted
-// raw slices resliced to one length, so the compiler drops the inner
-// bounds checks.
+// mode contraction. It works in register tiles whose eight chains are
+// independent, so the loop is throughput-bound rather than bound by the
+// add latency of one chain. An A of fewer than eight rows — a thin factor
+// such as a 3×2 or a 1×115 — runs 1×8 tiles (one row of A against eight
+// rows of B, written as eight contiguous values of dst's row). Otherwise,
+// and for the last rows of B, it runs 4×2 tiles (four rows of A against
+// two rows of B), so each row of B is read once per four rows of A
+// instead of once per row. Leftover A rows run in 1×2 tiles and an odd
+// last B row in single chains; the arithmetic per element is the same
+// either way. The rows are hoisted raw slices resliced to one length, so
+// the compiler drops the inner bounds checks.
 func contractNTTiles(dst, a, b *Dense, lo, hi int) {
 	n, ar, kk := b.r, a.r, a.c
 	ad, bd, dd := a.data, b.data, dst.data
 	r := lo
+	if ar < 8 {
+		r = contractNTThin(dst, a, b, lo, hi)
+	}
 	for ; r+2 <= hi; r += 2 {
 		b0 := bd[r*kk : r*kk+kk]
 		b1 := bd[(r+1)*kk : (r+1)*kk+kk][:len(b0)]
@@ -346,6 +368,41 @@ func contractNTTiles(dst, a, b *Dense, lo, hi int) {
 			dd[q*n+r] = s
 		}
 	}
+}
+
+// contractNTThin runs contractNTTiles' 1×8 tiles over the whole blocks of
+// eight rows in [lo, hi) and returns the first row it left.
+func contractNTThin(dst, a, b *Dense, lo, hi int) int {
+	n, ar, kk := b.r, a.r, a.c
+	ad, bd, dd := a.data, b.data, dst.data
+	r := lo
+	for ; r+8 <= hi; r += 8 {
+		b0 := bd[r*kk : r*kk+kk]
+		b1 := bd[(r+1)*kk : (r+1)*kk+kk][:len(b0)]
+		b2 := bd[(r+2)*kk : (r+2)*kk+kk][:len(b0)]
+		b3 := bd[(r+3)*kk : (r+3)*kk+kk][:len(b0)]
+		b4 := bd[(r+4)*kk : (r+4)*kk+kk][:len(b0)]
+		b5 := bd[(r+5)*kk : (r+5)*kk+kk][:len(b0)]
+		b6 := bd[(r+6)*kk : (r+6)*kk+kk][:len(b0)]
+		b7 := bd[(r+7)*kk : (r+7)*kk+kk][:len(b0)]
+		for q := 0; q < ar; q++ {
+			arow := ad[q*kk : q*kk+kk][:len(b0)]
+			var s0, s1, s2, s3, s4, s5, s6, s7 float64
+			for k, av := range arow {
+				s0 += av * b0[k]
+				s1 += av * b1[k]
+				s2 += av * b2[k]
+				s3 += av * b3[k]
+				s4 += av * b4[k]
+				s5 += av * b5[k]
+				s6 += av * b6[k]
+				s7 += av * b7[k]
+			}
+			d := dd[q*n+r : q*n+r+8]
+			d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7] = s0, s1, s2, s3, s4, s5, s6, s7
+		}
+	}
+	return r
 }
 
 // ContractTN computes C = Aᵀ·B, the mirror of ContractNT for the adjoint

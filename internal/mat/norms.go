@@ -122,6 +122,26 @@ func axpy(alpha float64, dst, src []float64) {
 	}
 }
 
+// LogVec writes math.Log(x[i]) into dst[i] for every i, bit for bit on
+// every input; dst may alias x. Where the hardware has AVX2, groups of four
+// positive, normal, finite values run the four-lane port of math.Log's
+// amd64 sequence (logAVX2); any other group, and the tail, call math.Log.
+func LogVec(dst, x []float64) {
+	dst = dst[:len(x)]
+	i := 0
+	for haveAVX2 && len(x)-i >= 4 {
+		i += logAVX2(dst[i:], x[i:])
+		if len(x)-i >= 4 { // stopped before a group outside the domain
+			for end := i + 4; i < end; i++ {
+				dst[i] = math.Log(x[i])
+			}
+		}
+	}
+	for ; i < len(x); i++ {
+		dst[i] = math.Log(x[i])
+	}
+}
+
 // ScaleVec multiplies the vector by s in place.
 func ScaleVec(s float64, x []float64) {
 	for i := range x {

@@ -16,10 +16,16 @@ import (
 // constant), only the noise Measure draws differs.
 
 // L2Sensitivity returns the maximum column L2 norm of an operator — the L2
-// sensitivity of its query set. Exact for dense matrices and Kronecker
-// products (column norms multiply); for stacks it returns the safe upper
-// bound sqrt(Σ wᵢ²·‖Aᵢ‖₂²), which over-protects, never under-protects.
+// sensitivity of its query set. An operator with an L2Sensitivity method
+// (OPT_M's weighted marginals, the identity) reports its own closed form.
+// Otherwise it is exact for dense matrices and Kronecker products (column
+// norms multiply); for stacks it returns the safe upper bound
+// sqrt(Σ wᵢ²·‖Aᵢ‖₂²), which over-protects, never under-protects; any other
+// operator is probed one column at a time, a full application each.
 func L2Sensitivity(a kron.Linear) float64 {
+	if op, ok := a.(interface{ L2Sensitivity() float64 }); ok {
+		return op.L2Sensitivity()
+	}
 	switch op := a.(type) {
 	case kron.Dense:
 		return maxColL2(op.M)

@@ -54,15 +54,58 @@ func TestL2SensitivityStackIsUpperBound(t *testing.T) {
 	}
 }
 
+// probeOnly hides an operator's L2Sensitivity method, so L2Sensitivity
+// takes its column-probing fallback.
+type probeOnly struct{ kron.Linear }
+
 func TestL2SensitivityGenericFallback(t *testing.T) {
-	// The marginal operator exercises the basis-probing fallback.
+	// The marginal operator, its closed form hidden, exercises the
+	// basis-probing fallback.
 	s := core.NewMarginalStrategy(newTestSpace(), []float64{0.25, 0.25, 0.25, 0.25})
-	op := s.Operator()
-	got := L2Sensitivity(op)
+	got := L2Sensitivity(probeOnly{s.Operator()})
 	// Exact value: every domain column appears once per marginal with
 	// weight θ_a, so col L2 = sqrt(Σθ²) = sqrt(4·(1/16)) = 0.5.
 	if math.Abs(got-0.5) > 1e-10 {
 		t.Fatalf("marginal L2 = %v want 0.5", got)
+	}
+}
+
+// TestL2SensitivityClosedFormsMatchProbe pins the closed forms of OPT_M's
+// weighted marginals (√Σθ², summed in subset order) and of the identity
+// (1) to the column probe bit for bit, so a Gaussian σ keeps its bits.
+// The weights include zeros (inactive subsets), the total, uneven values
+// and the six equal 2-way weights of four attributes (√(1/6)).
+func TestL2SensitivityClosedFormsMatchProbe(t *testing.T) {
+	rng := rand.New(rand.NewPCG(6, 1))
+	cases := []struct {
+		sizes []int
+		theta []float64
+	}{
+		{[]int{2, 3}, []float64{0.25, 0.25, 0.25, 0.25}},
+		{[]int{2, 3}, []float64{0, 0.7, 0.3, 0}},
+		{[]int{3, 2, 4}, []float64{0.1, 0, 0.2, 0.05, 0.3, 0, 0.15, 0.2}},
+		{[]int{4, 4, 4, 4}, []float64{0, 0, 0, 1, 0, 1, 1, 0, 0, 1, 1, 0, 1, 0, 0, 0}},
+		{[]int{2, 2, 3, 2}, nil},
+	}
+	for _, c := range cases {
+		theta := c.theta
+		if theta == nil {
+			theta = make([]float64, 1<<len(c.sizes))
+			for i := range theta {
+				theta[i] = rng.Float64()
+			}
+		}
+		op := core.NewMarginalStrategy(marginals.NewSpace(c.sizes), theta).Operator()
+		got, want := L2Sensitivity(op), L2Sensitivity(probeOnly{op})
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("OPT_M %v θ=%v: closed form %v, probe %v", c.sizes, theta, got, want)
+		}
+	}
+	for _, n := range []int{1, 7, 64} {
+		op := (&core.IdentityStrategy{N: n}).Operator()
+		if got, want := L2Sensitivity(op), L2Sensitivity(probeOnly{op}); got != 1 || math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("identity n=%d: closed form %v, probe %v", n, got, want)
+		}
 	}
 }
 

@@ -167,15 +167,26 @@ func Measure(a kron.Linear, x []float64, eps, delta float64, src *rand.PCG) []fl
 // stream's state at its first sample, so the bytes do not depend on it.
 const laplaceBlock = 1 << 14
 
+// laplaceChunk is the number of samples a block draws before it takes
+// their logarithms in one mat.LogVec call.
+const laplaceChunk = 256
+
 // addLaplace adds Laplace(b) noise to y in blocks of laplaceBlock samples
 // on parallel.KernelWorkers() goroutines. Block k draws from a copy of src
 // jumped ahead k·laplaceBlock draws (pcgJump), which is where the serial
 // loop stands at its first sample as long as every earlier sample took one
-// draw, and adds y[i] += laplaceInv(u, b) as Laplace would. A block stops
-// at a zero draw (u = −½), where Laplace would draw again. addLaplace
-// returns the earliest such sample index — len(y) when there is none —
-// with src advanced to the draw that sample starts at; samples from that
-// index on are then not the serial stream's and the caller redraws them.
+// draw, and adds what Laplace would. A block stops at a zero draw
+// (u = −½), where Laplace would draw again. addLaplace returns the
+// earliest such sample index — len(y) when there is none — with src
+// advanced to the draw that sample starts at; samples from that index on
+// are then not the serial stream's and the caller redraws them.
+//
+// A block works in chunks of laplaceChunk samples. It draws u the way
+// rand.Rand.Float64 does (the low 53 bits of one Uint64, over 2⁵³, less
+// ½), keeps t = 1 − 2|u| and the signed scale −b (u ≥ 0) or b (u < 0),
+// takes every log t in one mat.LogVec call, and adds y[i] += scale·log t.
+// That is laplaceInv's value bit for bit: for u < 0, 1 − 2|u| is exactly
+// 1 + 2u, and mat.LogVec gives math.Log's bits.
 func addLaplace(y []float64, b float64, src *rand.PCG) int {
 	base := pcgStateOf(src)
 	blocks := (len(y) + laplaceBlock - 1) / laplaceBlock
@@ -184,15 +195,27 @@ func addLaplace(y []float64, b float64, src *rand.PCG) int {
 		lo := k * laplaceBlock
 		hi := min(lo+laplaceBlock, len(y))
 		st := pcgJump(base, uint64(lo))
-		rng := rand.New(rand.NewPCG(st.hi, st.lo))
+		rng := rand.NewPCG(st.hi, st.lo)
 		stops[k] = len(y)
-		for i := lo; i < hi; i++ {
-			u := rng.Float64() - 0.5
-			if u == -0.5 {
-				stops[k] = i
+		var t, scale [laplaceChunk]float64
+		for c := lo; c < hi; c += laplaceChunk {
+			n := min(laplaceChunk, hi-c)
+			for j := range n {
+				u := float64(rng.Uint64()<<11>>11)/(1<<53) - 0.5
+				if u == -0.5 {
+					n, stops[k] = j, c+j
+					break
+				}
+				t[j] = 1 - 2*math.Abs(u)
+				scale[j] = math.Copysign(b, -u) // −b for u ≥ 0, without a branch
+			}
+			mat.LogVec(t[:n], t[:n])
+			for j, l := range t[:n] {
+				y[c+j] += scale[j] * l
+			}
+			if stops[k] < len(y) {
 				return
 			}
-			y[i] += laplaceInv(u, b)
 		}
 	})
 	first := len(y)

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/registry"
@@ -372,6 +373,52 @@ func TestGaussianTenant(t *testing.T) {
 	}
 	if !strings.Contains(string(raw), "eps <= 1") {
 		t.Fatalf("rejection does not explain the ε ≤ 1 requirement: %s", raw)
+	}
+}
+
+// TestGaussianMarginalsRegistrationBounded: a Gaussian registration whose
+// selection picks OPT_M finishes in bounded time. Its σ needs the
+// strategy's L2 sensitivity twice (measurement and expected_rmse); probed
+// one column at a time, that took 42.8 s at these 16,384 cells, and hours
+// under the daemon's cell cap. The closed form takes microseconds and the
+// whole registration well under a second (0.05 s on a 2-core VM), so the
+// bound leaves room for the race detector and a loaded machine.
+func TestGaussianMarginalsRegistrationBounded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("selects a strategy over 16,384 cells")
+	}
+	srv, _ := newTestServer(t, t.TempDir())
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	sizes := []int{4, 4, 4, 4, 4, 4, 4}
+	var queries []string
+	for i := range sizes {
+		for j := i + 1; j < len(sizes); j++ {
+			spec := []string{"T", "T", "T", "T", "T", "T", "T"}
+			spec[i], spec[j] = "I", "I"
+			queries = append(queries, strings.Join(spec, ","))
+		}
+	}
+	data := make([]float64, 1<<14)
+	for i := range data {
+		data[i] = float64(i % 5)
+	}
+	body := map[string]any{
+		"domain": sizes, "queries": queries, "data": data,
+		"eps": 0.5, "delta": 1e-6, "seed": 5, "restarts": 1, "opt_seed": 3,
+	}
+	const bound = 10 * time.Second
+	start := time.Now()
+	r := register(t, ts, body)
+	if elapsed := time.Since(start); elapsed > bound {
+		t.Fatalf("Gaussian OPT_M registration took %v, bound %v", elapsed, bound)
+	}
+	if r.Operator != "OPT_M" {
+		t.Fatalf("selection picked %s; the check needs OPT_M's operator", r.Operator)
+	}
+	if math.IsNaN(r.ExpectedRMSE) || r.ExpectedRMSE <= 0 {
+		t.Fatalf("expected_rmse = %v", r.ExpectedRMSE)
 	}
 }
 
