@@ -32,7 +32,7 @@ import (
 	"repro/internal/workload"
 )
 
-// benchResult is one row of the perf-trajectory artifact (BENCH_27.json):
+// benchResult is one row of the perf-trajectory artifact (BENCH_28.json):
 // one operation at one worker count. Kernels, GOARCH, CPUs, GOMAXPROCS and
 // GoVersion identify what actually ran and where — a 2-CPU row is not
 // comparable to a 16-CPU one, and rows of older artifacts made under the
@@ -176,7 +176,11 @@ func benchCases(workers int) ([]benchCase, error) {
 	// Gram (115×115, the shape most of a CPH selection's evaluations run
 	// at), at an OPT₀ iterate whose Θ, like the line search's, is mostly
 	// exact zeros; its data volume is the Gram, read once per evaluation.
-	// cph is the whole of Algorithm 2 at 2 restarts.
+	// opt0-descent is one whole OPT₀ descent on that Gram, so it runs the
+	// line search's real mix of objective-only trials to gradients (ten
+	// to fifteen to one). optkron and optplus are the OPT⊗ and OPT⁺ candidates
+	// of select/cph's first restart, with its seeds; cph is the whole of
+	// Algorithm 2 at 2 restarts.
 	cw, err := census.CPHMarginalWorkload()
 	if err != nil {
 		return nil, err
@@ -188,6 +192,7 @@ func benchCases(workers int) ([]benchCase, error) {
 		ageGram.Add(p.Terms[age].Gram())
 	}
 	const p0 = 7
+	const selSeed = 21 * 1_000_003 // core.Select's seed for restart 0 at Seed 21
 	theta, _ := core.OPT0(ageGram, core.OPT0Options{P: p0, Restarts: 1, Seed: 21, MaxIter: 50})
 	eval := core.NewOpt0ObjectiveForTrace(ageGram, p0)
 	tx := theta.Theta.Data()
@@ -196,6 +201,19 @@ func benchCases(workers int) ([]benchCase, error) {
 		benchCase{"select/opt0-cph", int64(2 * 8 * na * na), func() {
 			eval(tx, nil)
 			eval(tx, tgrad)
+		}},
+		benchCase{"select/opt0-descent", 0, func() {
+			core.OPT0(ageGram, core.OPT0Options{P: p0, Restarts: 1, Seed: 21, MaxIter: 150, Workers: workers})
+		}},
+		benchCase{"select/optkron", 0, func() {
+			if _, _, err := core.OPTKron(cw, core.OPTKronOptions{Seed: selSeed, Workers: workers}); err != nil {
+				panic(err)
+			}
+		}},
+		benchCase{"select/optplus", 0, func() {
+			if _, _, err := core.OPTPlus(cw, core.OPTPlusOptions{Kron: core.OPTKronOptions{Seed: selSeed + 17, Workers: workers}}); err != nil {
+				panic(err)
+			}
 		}},
 		benchCase{"select/cph", 0, func() {
 			if _, err := core.Select(cw, core.HDMMOptions{Restarts: 2, Seed: 21, Workers: workers}); err != nil {
@@ -507,7 +525,7 @@ func parseWorkerSet(spec string) ([]int, error) {
 func cmdBench(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	out := fs.String("out", "BENCH_27.json", "output path for the JSON results")
+	out := fs.String("out", "BENCH_28.json", "output path for the JSON results")
 	targetMS := fs.Int("benchtime", 250, "minimum milliseconds of measurement per op")
 	workersSpec := fs.String("workers", "", "comma-separated worker counts to sweep (default 1,2,4 and GOMAXPROCS, deduplicated)")
 	baseline := fs.String("baseline", "", "baseline JSON results to compare against (from an earlier -out)")

@@ -30,7 +30,8 @@ func TestCmdBench(t *testing.T) {
 	want := map[string]bool{
 		"kron/matvec": false, "kron/mattvec": false,
 		"kron/matvec-cph": false, "kron/mattvec-cph": false,
-		"select/opt0-cph": false, "select/cph": false,
+		"select/opt0-cph": false, "select/opt0-descent": false,
+		"select/optkron": false, "select/optplus": false, "select/cph": false,
 		"reconstruct/kron": false, "reconstruct/union": false, "reconstruct/union-cph": false,
 		"measure/laplace": false, "measure/gaussian": false,
 		"serve/answer512": false, "serve/answer-cph": false,

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand/v2"
+	"strconv"
 	"testing"
 
 	"repro/internal/mat"
@@ -140,5 +141,138 @@ func TestOPT0SupportsWorkload(t *testing.T) {
 	wapa := mat.Mul(nil, mat.Mul(nil, w, ap), a)
 	if !mat.Equalish(wapa, w, 1e-8) {
 		t.Fatal("W·A⁺·A != W")
+	}
+}
+
+// sparseTheta draws a p×n Θ in OPT₀'s box whose entries are ~75% exact
+// zeros and whose nonzeros span [1e-9, 1e4], with row zr and column zc all
+// zero (when they exist).
+func sparseTheta(rng *rand.Rand, p, n, zr, zc int) []float64 {
+	x := make([]float64, p*n)
+	for i := range x {
+		if rng.IntN(4) != 0 {
+			continue
+		}
+		x[i] = rng.Float64() * math.Pow(10, float64(rng.IntN(14)-9))
+		if rng.IntN(20) == 0 {
+			x[i] = thetaCap
+		}
+	}
+	for j := 0; j < n && zr < p; j++ {
+		x[zr*n+j] = 0
+	}
+	for k := 0; k < p && zc < n; k++ {
+		x[k*n+zc] = 0
+	}
+	return x
+}
+
+// randGram returns WᵀW for a random (n+3)×n W of small integers, a
+// workload Gram with the integer-valued entries real Grams have.
+func randGram(rng *rand.Rand, n int) *mat.Dense {
+	w := mat.NewDense(n+3, n)
+	for i, d := 0, w.Data(); i < len(d); i++ {
+		d[i] = float64(rng.IntN(5) - 1)
+	}
+	return mat.Gram(nil, w)
+}
+
+// bitsEqual fails the test unless got and want agree bit for bit.
+func bitsEqual(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s[%d] = %v (%x), reference %v (%x)", what, i,
+				got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
+// TestOpt0ObjectiveMatchesReference pins the fused evaluation (three
+// passes over n², sparse M and P₂, reused factorization) to the plain
+// sequence of passes in opt0_ref_test.go, bit for bit, on sparse Θ with an
+// all-zero row and column, at kernel Workers 1 and 2. n = 256 at p = 7
+// takes Mul past the size threshold where Workers 2 shards it.
+func TestOpt0ObjectiveMatchesReference(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		prev := mat.SetWorkers(workers)
+		rng := rand.New(rand.NewPCG(28, uint64(workers)))
+		shapes := [][2]int{{7, 256}}
+		for _, p := range []int{1, 2, 7} {
+			for _, n := range []int{2, 17, 64, 115} {
+				shapes = append(shapes, [2]int{p, n})
+			}
+		}
+		for _, sh := range shapes {
+			p, n := sh[0], sh[1]
+			y := randGram(rng, n)
+			obj, ref := newOpt0Objective(y, p, n), newRefOpt0Objective(y, p, n)
+			for draw := 0; draw < 4; draw++ {
+				x := sparseTheta(rng, p, n, rng.IntN(p+1), rng.IntN(n+1))
+				what := func(s string) string {
+					return s + " at Workers " + strconv.Itoa(workers) + ", p " + strconv.Itoa(p) + ", n " + strconv.Itoa(n)
+				}
+				bitsEqual(t, what("objective"), []float64{obj.eval(x, nil)}, []float64{ref.eval(x, nil)})
+				g, rg := make([]float64, p*n), make([]float64, p*n)
+				bitsEqual(t, what("objective with gradient"), []float64{obj.eval(x, g)}, []float64{ref.eval(x, rg)})
+				bitsEqual(t, what("gradient"), g, rg)
+			}
+		}
+		mat.SetWorkers(prev)
+	}
+}
+
+// TestOpt0DescentMatchesReference runs an OPT₀ descent on the CPH age
+// Gram and checks every evaluation the optimizer asks for, the line
+// search's trial points included, against the reference.
+func TestOpt0DescentMatchesReference(t *testing.T) {
+	y := cphAgeGram(t)
+	const p = 7
+	n := y.Rows()
+	obj, ref := newOpt0Objective(y, p, n), newRefOpt0Objective(y, p, n)
+	rg := make([]float64, p*n)
+	evals := 0
+	f := func(x, grad []float64) float64 {
+		evals++
+		if grad == nil {
+			c := obj.eval(x, nil)
+			bitsEqual(t, "objective", []float64{c}, []float64{ref.eval(x, nil)})
+			return c
+		}
+		c := obj.eval(x, grad)
+		bitsEqual(t, "objective with gradient", []float64{c}, []float64{ref.eval(x, rg)})
+		bitsEqual(t, "gradient", grad, rg)
+		return c
+	}
+	rng := rand.New(rand.NewPCG(7, 115))
+	x0 := make([]float64, p*n)
+	for i := range x0 {
+		x0[i] = rng.Float64()
+	}
+	lb, ub := make([]float64, p*n), make([]float64, p*n)
+	for i := range ub {
+		ub[i] = thetaCap
+	}
+	optimize.MinimizeBox(f, x0, lb, ub, optimize.Options{MaxIter: 40, Tol: 1e-7})
+	if evals < 100 {
+		t.Fatalf("descent made only %d evaluations", evals)
+	}
+}
+
+// TestOpt0EvalAllocatesNothing pins the objective's workspace contract:
+// after the first call, an evaluation with or without the gradient
+// allocates nothing.
+func TestOpt0EvalAllocatesNothing(t *testing.T) {
+	y := cphAgeGram(t)
+	const p = 7
+	obj := newOpt0Objective(y, p, y.Rows())
+	x := opt0Point(y, p)
+	g := make([]float64, len(x))
+	obj.eval(x, g)
+	if a := testing.AllocsPerRun(20, func() { obj.eval(x, nil) }); a != 0 {
+		t.Fatalf("objective-only eval: %v allocs, want 0", a)
+	}
+	if a := testing.AllocsPerRun(20, func() { obj.eval(x, g) }); a != 0 {
+		t.Fatalf("eval with gradient: %v allocs, want 0", a)
 	}
 }

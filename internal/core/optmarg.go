@@ -186,7 +186,7 @@ func OPTMarg(w *workload.Workload, opts OPTMargOptions) (*MarginalStrategy, floa
 				x0[i] = rng.Float64()
 			}
 		}
-		return optimize.MinimizeBounded(obj, x0, lb, optimize.Options{MaxIter: opts.MaxIter})
+		return optimize.MinimizeBox(obj, x0, lb, nil, optimize.Options{MaxIter: opts.MaxIter})
 	})
 	var best []float64
 	bestErr := math.Inf(1)

@@ -359,7 +359,7 @@ func Fig5(s Scale) string {
 		x0[i] = rng.Float64()
 	}
 	maxIter := map[Scale]int{ScaleSmall: 10, ScaleDefault: 60, ScalePaper: 200}[s]
-	optimize.MinimizeBounded(wrapped, x0, make([]float64, len(x0)), optimize.Options{MaxIter: maxIter})
+	optimize.MinimizeBox(wrapped, x0, make([]float64, len(x0)), nil, optimize.Options{MaxIter: maxIter})
 
 	// OPT⊗ for the same workload: two decoupled 1-D problems.
 	dom := schema.Sizes(n, n)

@@ -280,7 +280,7 @@ func GreedyH(y *mat.Dense, n int) *Hierarchy {
 		w0[i] = 1
 		lb[i] = 1e-6
 	}
-	res := optimize.MinimizeBounded(obj, w0, lb, optimize.Options{MaxIter: 500})
+	res := optimize.MinimizeBox(obj, w0, lb, nil, optimize.Options{MaxIter: 500})
 	h.Weights = res.X
 	return h
 }

@@ -17,11 +17,27 @@ type Cholesky struct {
 
 // NewCholesky factors the symmetric positive-definite matrix m.
 func NewCholesky(m *Dense) (*Cholesky, error) {
+	c := new(Cholesky)
+	if err := c.Factor(m); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// Factor factors the symmetric positive-definite matrix m into c, reusing
+// c's storage when it last factored a matrix of m's size, so a caller that
+// refactors one size over and over allocates once. m is left intact. After
+// an error c holds no usable factorization until the next successful Factor.
+func (c *Cholesky) Factor(m *Dense) error {
 	if m.r != m.c {
 		panic("mat: Cholesky of non-square matrix")
 	}
 	n := m.r
-	l := m.Clone()
+	if c.l == nil || c.n != n {
+		c.n, c.l = n, NewDense(n, n)
+	}
+	l := c.l
+	copy(l.data, m.data)
 	for j := 0; j < n; j++ {
 		d := l.data[j*n+j]
 		for k := 0; k < j; k++ {
@@ -29,7 +45,7 @@ func NewCholesky(m *Dense) (*Cholesky, error) {
 			d -= v * v
 		}
 		if d <= 0 {
-			return nil, ErrNotPD
+			return ErrNotPD
 		}
 		d = math.Sqrt(d)
 		l.data[j*n+j] = d
@@ -49,7 +65,7 @@ func NewCholesky(m *Dense) (*Cholesky, error) {
 			l.data[i*n+j] = 0
 		}
 	}
-	return &Cholesky{n: n, l: l}, nil
+	return nil
 }
 
 // L returns the lower-triangular factor (shared, do not modify).

@@ -56,3 +56,43 @@ func TestTraceSolveLeavesYIntact(t *testing.T) {
 		t.Fatal("TraceSolve modified its y argument")
 	}
 }
+
+// TestCholeskyFactorReusesStorage pins Factor's reuse: refactoring into
+// one Cholesky, after a matrix of the same size, of another size, or one
+// that is not positive definite, gives the bits a fresh NewCholesky gives,
+// and reuses the factor's storage when the size repeats.
+func TestCholeskyFactorReusesStorage(t *testing.T) {
+	rng := rand.New(rand.NewPCG(28, 1))
+	spd := func(n int) *Dense {
+		a := NewDense(n+2, n)
+		for i := range a.data {
+			a.data[i] = rng.NormFloat64()
+		}
+		return Gram(nil, a)
+	}
+	var c Cholesky
+	for _, n := range []int{5, 5, 3, 7, 7} {
+		m := spd(n)
+		before := c.l
+		if err := c.Factor(m); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if before != nil && before.r == n && c.l != before {
+			t.Fatalf("n=%d: Factor reallocated a factor of the same size", n)
+		}
+		want, err := NewCholesky(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range want.l.data {
+			if math.Float64bits(c.l.data[i]) != math.Float64bits(v) {
+				t.Fatalf("n=%d: L[%d] = %v, fresh factor %v", n, i, c.l.data[i], v)
+			}
+		}
+		notPD := m.Clone()
+		notPD.Set(n-1, n-1, -1)
+		if err := c.Factor(notPD); err != ErrNotPD {
+			t.Fatalf("n=%d: Factor of an indefinite matrix: %v, want ErrNotPD", n, err)
+		}
+	}
+}

@@ -53,6 +53,38 @@ func MulNT(dst, a, b *Dense) *Dense {
 	return dst
 }
 
+// MulOn computes C = A·B, given in nz[i], ascending, the columns where row
+// i of A is nonzero. It gives Mul's bits, element by element, without
+// Mul's scan for the nonzeros: a caller that multiplies by the same sparse
+// A several times finds them once.
+func MulOn(dst, a *Dense, nz [][]int, b *Dense) *Dense {
+	if a.c != b.r || len(nz) != a.r {
+		panic("mat: MulOn dimension mismatch")
+	}
+	dst = prepDst(dst, a.r, b.c)
+	if w := MulWorkers(); w > 1 && a.r*a.c*b.c >= parallelFlops {
+		shardRows(w, a.r, a.c*b.c, func(lo, hi int) { axpyRowsOn(dst, a.data, a.c, 1, nz, b, lo, hi, simdCols(b.c)) })
+		return dst
+	}
+	axpyRowsOn(dst, a.data, a.c, 1, nz, b, 0, a.r, simdCols(b.c))
+	return dst
+}
+
+// MulTNOn computes C = Aᵀ·B, given in nz[i], ascending, the rows where
+// column i of A is nonzero. It gives MulTN's bits, as MulOn gives Mul's.
+func MulTNOn(dst, a *Dense, nz [][]int, b *Dense) *Dense {
+	if a.r != b.r || len(nz) != a.c {
+		panic("mat: MulTNOn dimension mismatch")
+	}
+	dst = prepDst(dst, a.c, b.c)
+	if w := MulWorkers(); w > 1 && a.r*a.c*b.c >= parallelFlops {
+		shardRows(w, a.c, a.r*b.c, func(lo, hi int) { axpyRowsOn(dst, a.data, 1, a.c, nz, b, lo, hi, simdCols(b.c)) })
+		return dst
+	}
+	axpyRowsOn(dst, a.data, 1, a.c, nz, b, 0, a.c, simdCols(b.c))
+	return dst
+}
+
 // mulShard computes rows [lo, hi) of dst += A·B.
 func mulShard(dst, a, b *Dense, lo, hi int) {
 	axpyRows(dst, a.data, a.c, 1, b, lo, hi, simdCols(b.c))
@@ -101,6 +133,30 @@ func axpyRows(dst *Dense, ad []float64, ars, aks int, b *Dense, lo, hi, n16 int)
 				axpyRowAVX2(crow, vals[:cnt], offs[:cnt], b.data, n16/16)
 			}
 			axpyRowGo(crow, vals[:cnt], offs[:cnt], b.data, n16, n)
+		}
+	}
+}
+
+// axpyRowsOn is axpyRows with each row's nonzero multipliers listed in
+// nz[i] instead of found by a scan. It takes them in runs of up to kBlock,
+// the accumulators going through dst between runs, which is exact, so each
+// element is the same chain over the nonzero k ascending.
+func axpyRowsOn(dst *Dense, ad []float64, ars, aks int, nz [][]int, b *Dense, lo, hi, n16 int) {
+	n := b.c
+	var vals [kBlock]float64
+	var offs [kBlock]int
+	for i := lo; i < hi; i++ {
+		crow := dst.data[i*n : i*n+n]
+		for idx := nz[i]; len(idx) > 0; {
+			cnt := min(len(idx), kBlock)
+			for t, k := range idx[:cnt] {
+				vals[t], offs[t] = ad[i*ars+k*aks], k*n
+			}
+			if n16 > 0 {
+				axpyRowAVX2(crow, vals[:cnt], offs[:cnt], b.data, n16/16)
+			}
+			axpyRowGo(crow, vals[:cnt], offs[:cnt], b.data, n16, n)
+			idx = idx[cnt:]
 		}
 	}
 }

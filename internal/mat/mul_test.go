@@ -222,6 +222,44 @@ func TestMulTNMatchesScalarReference(t *testing.T) {
 		func(m, k int) (int, int) { return k, m })
 }
 
+// support lists, for each row of a (or each column, when byCol is set),
+// the ascending positions of its nonzero entries.
+func support(a *Dense, byCol bool) [][]int {
+	outer, inner := a.r, a.c
+	at := func(i, k int) float64 { return a.data[i*a.c+k] }
+	if byCol {
+		outer, inner = a.c, a.r
+		at = func(i, k int) float64 { return a.data[k*a.c+i] }
+	}
+	nz := make([][]int, outer)
+	for i := range nz {
+		for k := 0; k < inner; k++ {
+			if at(i, k) != 0 {
+				nz[i] = append(nz[i], k)
+			}
+		}
+	}
+	return nz
+}
+
+// TestMulOnMatchesScalarReference pins MulOn, given the nonzeros of A's
+// rows, to the same scalar loop as Mul, on the same shapes and fills.
+func TestMulOnMatchesScalarReference(t *testing.T) {
+	checkAxpyKernel(t, "MulOn", scalarMul,
+		func(dst, a, b *Dense) *Dense { return MulOn(dst, a, support(a, false), b) },
+		func(dst, a, b *Dense) { axpyRowsOn(dst, a.data, a.c, 1, support(a, false), b, 0, a.r, 0) },
+		func(m, k int) (int, int) { return m, k })
+}
+
+// TestMulTNOnMatchesScalarReference is TestMulOnMatchesScalarReference
+// for MulTNOn, given the nonzeros of A's columns.
+func TestMulTNOnMatchesScalarReference(t *testing.T) {
+	checkAxpyKernel(t, "MulTNOn", scalarMulTN,
+		func(dst, a, b *Dense) *Dense { return MulTNOn(dst, a, support(a, true), b) },
+		func(dst, a, b *Dense) { axpyRowsOn(dst, a.data, 1, a.c, support(a, true), b, 0, a.c, 0) },
+		func(m, k int) (int, int) { return k, m })
+}
+
 // TestMulNTMatchesScalarReference pins MulNT byte-for-byte to the scalar
 // dot loop at Workers 1/4/8, and its Go tiles run alone (the AVX2 bands
 // take only shards of four rows or more). MulNT does not skip zeros, so a

@@ -13,7 +13,7 @@ import (
 var optDebug = os.Getenv("OPTDEBUG") != ""
 
 // Func evaluates the objective at x and, when grad is non-nil, writes the
-// gradient into grad. It must not retain x or grad.
+// gradient into grad. It must not retain x or grad, nor write to x.
 type Func func(x, grad []float64) float64
 
 // Options controls the optimizers. The zero value selects usable defaults.
@@ -54,18 +54,9 @@ func Minimize(f Func, x0 []float64, opts Options) Result {
 	return minimize(f, x0, nil, nil, opts)
 }
 
-// MinimizeBounded runs projected L-BFGS with element-wise lower bounds lb
-// (use math.Inf(-1) entries for unbounded coordinates). The iterates always
-// satisfy x >= lb.
-func MinimizeBounded(f Func, x0, lb []float64, opts Options) Result {
-	if len(lb) != len(x0) {
-		panic("optimize: bound length mismatch")
-	}
-	return minimize(f, x0, lb, nil, opts)
-}
-
 // MinimizeBox runs projected L-BFGS with element-wise lower and upper
-// bounds (either may be nil for unbounded).
+// bounds (either may be nil for unbounded; use ±Inf entries for unbounded
+// coordinates). The iterates always satisfy lb <= x <= ub.
 func MinimizeBox(f Func, x0, lb, ub []float64, opts Options) Result {
 	if lb != nil && len(lb) != len(x0) {
 		panic("optimize: lower bound length mismatch")
@@ -110,6 +101,27 @@ func projGradInfNorm(x, g, lb, ub []float64) float64 {
 		}
 	}
 	return mx
+}
+
+// trialPoint writes the projected trial point xNew = proj(x + step·d) and
+// returns the displacement's first-order change Σ gᵢ·(xNewᵢ − xᵢ), summed
+// in index order: one pass with the bits of the step, a project and a dot
+// over the displacement run one after another.
+func trialPoint(xNew, x, d, g, lb, ub []float64, step float64) float64 {
+	xNew, d, g = xNew[:len(x)], d[:len(x)], g[:len(x)]
+	desc := 0.0
+	for i, xi := range x {
+		v := xi + step*d[i]
+		if lb != nil && v < lb[i] {
+			v = lb[i]
+		}
+		if ub != nil && v > ub[i] {
+			v = ub[i]
+		}
+		xNew[i] = v
+		desc += g[i] * (v - xi)
+	}
+	return desc
 }
 
 func minimize(f Func, x0, lb, ub []float64, opts Options) Result {
@@ -188,19 +200,12 @@ func minimize(f Func, x0, lb, ub []float64, opts Options) Result {
 		backtracks := 0
 		for ls := 0; ls < 50; ls++ {
 			backtracks = ls
-			for i := range xNew {
-				xNew[i] = x[i] + step*d[i]
-			}
-			project(xNew, lb, ub)
-			fNew = f(xNew, nil) // gradient deferred to acceptance
-			evals++
 			// Armijo with the actual (projected) displacement; when the
 			// projection bends the step so the linear model is useless,
 			// accept any strict decrease.
-			desc := 0.0
-			for i := range xNew {
-				desc += g[i] * (xNew[i] - x[i])
-			}
+			desc := trialPoint(xNew, x, d, g, lb, ub, step)
+			fNew = f(xNew, nil) // gradient deferred to acceptance
+			evals++
 			if desc < 0 && fNew <= fx+c1*desc {
 				ok = true
 				break

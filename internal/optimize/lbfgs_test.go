@@ -69,7 +69,7 @@ func TestMinimizeBoundedActiveConstraint(t *testing.T) {
 	// Unconstrained optimum at (-1, 2); lower bound 0 makes x*=(0,2).
 	f := quadratic([]float64{-1, 2}, []float64{3, 5})
 	lb := []float64{0, 0}
-	res := MinimizeBounded(f, []float64{5, 5}, lb, Options{})
+	res := MinimizeBox(f, []float64{5, 5}, lb, nil, Options{})
 	if math.Abs(res.X[0]) > 1e-6 || math.Abs(res.X[1]-2) > 1e-5 {
 		t.Fatalf("x = %v want (0, 2)", res.X)
 	}
@@ -100,7 +100,7 @@ func TestMinimizeBoundedStaysFeasible(t *testing.T) {
 		}
 		return base(x, g)
 	}
-	res := MinimizeBounded(f, x0, lb, Options{Tol: 1e-14, GradTol: 1e-9})
+	res := MinimizeBox(f, x0, lb, nil, Options{Tol: 1e-14, GradTol: 1e-9})
 	for i := range c {
 		want := math.Max(0, c[i])
 		if math.Abs(res.X[i]-want) > 1e-4 {
@@ -132,5 +132,52 @@ func TestMinimizeHandlesFlatStart(t *testing.T) {
 	res := Minimize(f, []float64{0, 0}, Options{})
 	if !res.Converged || res.F != 0 {
 		t.Fatalf("flat start: %+v", res)
+	}
+}
+
+// TestTrialPointMatchesThreePass pins the line search's fused trial pass
+// to the three passes it replaces (the step, project, and the descent dot
+// over the projected displacement), bit for bit, with both bounds, with a
+// lower bound only and with none.
+func TestTrialPointMatchesThreePass(t *testing.T) {
+	rng := rand.New(rand.NewPCG(28, 5))
+	const n = 805
+	x, d, g := make([]float64, n), make([]float64, n), make([]float64, n)
+	lb, ub := make([]float64, n), make([]float64, n)
+	for i := range x {
+		lb[i] = float64(rng.IntN(3)) - 1
+		ub[i] = lb[i] + 2*rng.Float64()
+		x[i] = lb[i] + (ub[i]-lb[i])*rng.Float64()
+		if rng.IntN(4) == 0 {
+			x[i] = lb[i] // on the bound, as most of OPT₀'s Θ sits
+		}
+		d[i] = rng.NormFloat64() * 3
+		g[i] = rng.NormFloat64()
+	}
+	for _, bounds := range []struct {
+		name   string
+		lb, ub []float64
+	}{{"box", lb, ub}, {"lower", lb, nil}, {"none", nil, nil}} {
+		for _, step := range []float64{1, 0.5, 1.0 / 1024, 3e-9} {
+			want := make([]float64, n)
+			for i := range want {
+				want[i] = x[i] + step*d[i]
+			}
+			project(want, bounds.lb, bounds.ub)
+			wantDesc := 0.0
+			for i := range want {
+				wantDesc += g[i] * (want[i] - x[i])
+			}
+			got := make([]float64, n)
+			gotDesc := trialPoint(got, x, d, g, bounds.lb, bounds.ub, step)
+			if math.Float64bits(gotDesc) != math.Float64bits(wantDesc) {
+				t.Fatalf("%s, step %v: desc %v, three-pass %v", bounds.name, step, gotDesc, wantDesc)
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s, step %v: xNew[%d] = %v, three-pass %v", bounds.name, step, i, got[i], want[i])
+				}
+			}
+		}
 	}
 }
