@@ -211,7 +211,7 @@ func benchCases(workers int) ([]benchCase, error) {
 			}
 		}},
 		benchCase{"select/optplus", 0, func() {
-			if _, _, err := core.OPTPlus(cw, core.OPTPlusOptions{Kron: core.OPTKronOptions{Seed: selSeed + 17, Workers: workers}}); err != nil {
+			if _, _, err := core.OPTPlus(cw, core.OPTKronOptions{Seed: selSeed + 17, Workers: workers}); err != nil {
 				panic(err)
 			}
 		}},
@@ -250,7 +250,7 @@ func benchCases(workers int) ([]benchCase, error) {
 	if err != nil {
 		return nil, err
 	}
-	us, _, err := core.OPTPlus(wu, core.OPTPlusOptions{Kron: core.OPTKronOptions{Seed: 5, MaxIter: 15, Restarts: 1}})
+	us, _, err := core.OPTPlus(wu, core.OPTKronOptions{Seed: 5, MaxIter: 15, Restarts: 1})
 	if err != nil {
 		return nil, err
 	}

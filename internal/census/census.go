@@ -10,6 +10,7 @@ package census
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/mat"
 	"repro/internal/schema"
@@ -69,7 +70,7 @@ func raceAlone() workload.PredicateSet {
 		m.Set(i, 1<<uint(i), 1)
 	}
 	for code := 0; code < 64; code++ {
-		if popcount(uint(code)) >= 2 {
+		if bits.OnesCount(uint(code)) >= 2 {
 			m.Set(6, code, 1)
 		}
 	}
@@ -111,15 +112,6 @@ func rangeSet(name string, n int, ranges [][2]int) workload.PredicateSet {
 		}
 	}
 	return workload.NewExplicit(name, m)
-}
-
-func popcount(x uint) int {
-	c := 0
-	for x != 0 {
-		x &= x - 1
-		c++
-	}
-	return c
 }
 
 // TargetQueries is the national SF1 query count from Section 2.

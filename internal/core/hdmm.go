@@ -111,10 +111,10 @@ func Select(w *workload.Workload, opts HDMMOptions) (*Selected, error) {
 			}
 		}
 
-		if !opts.SkipPlus && len(w.Products) >= 2 {
-			popts := OPTPlusOptions{Kron: opts.Kron}
-			popts.Kron.Seed = seed + 17
-			popts.Kron.Workers = opts.Workers
+		if !opts.SkipPlus {
+			popts := opts.Kron
+			popts.Seed = seed + 17
+			popts.Workers = opts.Workers
 			strat, e, err := OPTPlus(w, popts)
 			if err == nil {
 				cands = append(cands, &Selected{Strategy: strat, Err: e, Operator: "OPT+"})

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/census"
 	"repro/internal/optimize"
 	"repro/internal/schema"
 	"repro/internal/workload"
@@ -66,16 +67,79 @@ func TestDefaultPConvention(t *testing.T) {
 	}
 }
 
+// TestDefaultGroups: the g function splits by the pattern of non-Total
+// attributes and merges down to two groups, and OPT⁺ declines a workload
+// whose products share one pattern instead of building a one-part union.
 func TestDefaultGroups(t *testing.T) {
-	dom := schema.Sizes(8, 8)
-	w := workload.MustNew(dom,
-		workload.NewProduct(workload.AllRange(8), workload.Total(8)),
-		workload.NewProduct(workload.Total(8), workload.AllRange(8)),
-	)
-	groups := DefaultGroups(w, 2)
-	if len(groups) != 2 || len(groups[0]) != 1 || len(groups[1]) != 1 {
-		t.Fatalf("groups = %v", groups)
+	cph := census.CPHDomain(false).AttrSizes()
+	for _, tc := range []struct {
+		name  string
+		sizes []int
+		specs []string
+		want  int
+	}{
+		{"R⊗T, T⊗R", []int{8, 8}, []string{"R,T", "T,R"}, 2},
+		{"CPH twelve products", cph, []string{
+			"T,T,T,T,T", "I,T,T,T,T", "T,I,T,T,T", "T,T,I,T,T",
+			"T,T,T,I,T", "T,T,T,T,I", "T,I,T,T,P", "I,I,T,T,T",
+			"T,T,I,I,T", "I,T,T,T,R", "T,I,T,I,T", "T,T,T,I,W5",
+		}, 2},
+		{"R⊗R, I⊗P", []int{32, 32}, []string{"R,R", "I,P"}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := specWorkload(t, tc.sizes, tc.specs...)
+			groups := DefaultGroups(w)
+			if len(groups) != tc.want {
+				t.Fatalf("groups = %v, want %d groups", groups, tc.want)
+			}
+			seen := make([]int, len(w.Products))
+			for _, g := range groups {
+				for _, j := range g {
+					seen[j]++
+				}
+			}
+			for j, n := range seen {
+				if n != 1 {
+					t.Fatalf("product %d is in %d groups: %v", j, n, groups)
+				}
+			}
+			if tc.want == 1 {
+				if s, _, err := OPTPlus(w, OPTKronOptions{Seed: 1, Restarts: 1}); err == nil {
+					t.Fatalf("OPT+ built a %d-part union on one group", len(s.Parts))
+				}
+			}
+		})
 	}
+}
+
+// TestSelectNeverOneGroupOPTPlus: on a one-group workload, where a one-part
+// "OPT+" used to win some seeds as an OPT⊗ restart under another name,
+// Select never returns an OPT⁺ strategy.
+func TestSelectNeverOneGroupOPTPlus(t *testing.T) {
+	w := specWorkload(t, []int{32, 32}, "R,R", "I,P")
+	for seed := uint64(1); seed <= 8; seed++ {
+		sel, err := Select(w, HDMMOptions{Restarts: 2, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sel.Operator == "OPT+" {
+			t.Fatalf("seed %d: Select returned an OPT+ strategy on a one-group workload", seed)
+		}
+	}
+}
+
+// specWorkload builds a workload from product specs over the given sizes.
+func specWorkload(t *testing.T, sizes []int, specs ...string) *workload.Workload {
+	t.Helper()
+	ps, err := workload.ParseProducts(specs, sizes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := workload.New(schema.Sizes(sizes...), ps...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
 }
 
 func TestOPTPlusBeatsSingleProductOnDisjointUnion(t *testing.T) {
@@ -91,7 +155,7 @@ func TestOPTPlusBeatsSingleProductOnDisjointUnion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sPlus, ePlus, err := OPTPlus(w, OPTPlusOptions{Kron: OPTKronOptions{Seed: 5, Restarts: 3}})
+	sPlus, ePlus, err := OPTPlus(w, OPTKronOptions{Seed: 5, Restarts: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

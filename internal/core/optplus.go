@@ -3,26 +3,20 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/parallel"
 	"repro/internal/workload"
 )
 
-// OPTPlusOptions controls OPT⁺ (Definition 11).
-type OPTPlusOptions struct {
-	Groups [][]int // partition of product indices; nil selects a default
-	Kron   OPTKronOptions
-}
-
 // DefaultGroups implements the paper's g function: it partitions the union
-// terms into (up to) two groups. Products are grouped by the pattern of
+// terms into at most two groups. Products are grouped by the pattern of
 // which attributes carry a non-trivial (non-Total) predicate set, so that
-// e.g. [R⊗T; T⊗R] splits into its two natural pieces; patterns beyond two
-// are merged into the nearest group by Hamming distance of the pattern.
-func DefaultGroups(w *workload.Workload, maxGroups int) [][]int {
-	if maxGroups <= 0 {
-		maxGroups = 2
-	}
+// e.g. [R⊗T; T⊗R] splits into its two natural pieces; while more than two
+// patterns remain, the two nearest by Hamming distance of the pattern
+// merge. A workload whose products all share one pattern is one group, on
+// which OPTPlus declines.
+func DefaultGroups(w *workload.Workload) [][]int {
 	type pat struct {
 		mask uint
 		idx  []int
@@ -31,7 +25,7 @@ func DefaultGroups(w *workload.Workload, maxGroups int) [][]int {
 	for j, p := range w.Products {
 		var mask uint
 		for i, t := range p.Terms {
-			if _, isTotal := interfaceIsTotal(t); !isTotal {
+			if t.Rows() != 1 || !workload.IsTotalOrIdentity(t) {
 				mask |= 1 << uint(i)
 			}
 		}
@@ -47,12 +41,12 @@ func DefaultGroups(w *workload.Workload, maxGroups int) [][]int {
 			pats = append(pats, pat{mask: mask, idx: []int{j}})
 		}
 	}
-	// Merge smallest-distance patterns until at most maxGroups remain.
-	for len(pats) > maxGroups {
+	// Merge smallest-distance patterns until at most two remain.
+	for len(pats) > 2 {
 		bi, bj, bd := 0, 1, 1<<30
 		for i := 0; i < len(pats); i++ {
 			for j := i + 1; j < len(pats); j++ {
-				if d := popcount(pats[i].mask ^ pats[j].mask); d < bd {
+				if d := bits.OnesCount(pats[i].mask ^ pats[j].mask); d < bd {
 					bi, bj, bd = i, j, d
 				}
 			}
@@ -68,37 +62,15 @@ func DefaultGroups(w *workload.Workload, maxGroups int) [][]int {
 	return groups
 }
 
-func interfaceIsTotal(ps workload.PredicateSet) (workload.PredicateSet, bool) {
-	return ps, ps.Rows() == 1 && workload.IsTotalOrIdentity(ps)
-}
-
-func popcount(x uint) int {
-	c := 0
-	for x != 0 {
-		x &= x - 1
-		c++
-	}
-	return c
-}
-
-// OPTPlus implements Definition 11: it partitions the workload's products
-// into groups, runs OPT⊗ on each group, and returns a union-of-products
-// strategy. The privacy budget is split across blocks with the error-optimal
-// shares βg ∝ Err_g^{1/3}.
-func OPTPlus(w *workload.Workload, opts OPTPlusOptions) (*UnionStrategy, float64, error) {
-	groups := opts.Groups
-	if groups == nil {
-		groups = DefaultGroups(w, 2)
-	}
-	if len(groups) == 0 {
-		return nil, 0, fmt.Errorf("core: OPT+ requires at least one group")
-	}
-	for g, idx := range groups {
-		for _, j := range idx {
-			if j < 0 || j >= len(w.Products) {
-				return nil, 0, fmt.Errorf("core: OPT+ group %d references product %d out of range", g, j)
-			}
-		}
+// OPTPlus implements Definition 11 with the two groups of DefaultGroups: it
+// runs OPT⊗ on each group and returns the two-part union strategy. The
+// privacy budget is split across the blocks with the error-optimal shares
+// βg ∝ Err_g^{1/3}. When the products form one group it declines with an
+// error: a one-part union is OPT⊗ under another name.
+func OPTPlus(w *workload.Workload, opts OPTKronOptions) (*UnionStrategy, float64, error) {
+	groups := DefaultGroups(w)
+	if len(groups) != 2 {
+		return nil, 0, fmt.Errorf("core: OPT+ declines a workload whose products form %d group(s), not 2", len(groups))
 	}
 	// Per-group OPT⊗ runs are independent candidate evaluations; run them
 	// concurrently with per-group seeds and report the first error (by group
@@ -108,13 +80,13 @@ func OPTPlus(w *workload.Workload, opts OPTPlusOptions) (*UnionStrategy, float64
 		e   float64
 		err error
 	}
-	results := parallel.Map(opts.Kron.Workers, len(groups), func(g int) groupResult {
+	results := parallel.Map(opts.Workers, len(groups), func(g int) groupResult {
 		sub := &workload.Workload{Domain: w.Domain}
 		for _, j := range groups[g] {
 			sub.Products = append(sub.Products, w.Products[j])
 		}
-		kopts := opts.Kron
-		kopts.Seed = opts.Kron.Seed*1000003 + uint64(g)
+		kopts := opts
+		kopts.Seed = opts.Seed*1000003 + uint64(g)
 		s, e, err := OPTKron(sub, kopts)
 		return groupResult{s, e, err}
 	})

@@ -25,7 +25,7 @@ func testUnionStrategy(t testing.TB) *UnionStrategy {
 		workload.NewProduct(workload.AllRange(16), workload.Total(16)),
 		workload.NewProduct(workload.Total(16), workload.AllRange(16)),
 	)
-	s, _, err := OPTPlus(w, OPTPlusOptions{Kron: OPTKronOptions{Seed: 5, MaxIter: 15, Restarts: 1}})
+	s, _, err := OPTPlus(w, OPTKronOptions{Seed: 5, MaxIter: 15, Restarts: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -180,13 +180,15 @@ func (s *KronStrategy) Reconstruct(y []float64) ([]float64, error) {
 // UnionStrategy: union of Kronecker products (OPT⁺)
 // ---------------------------------------------------------------------------
 
-// UnionStrategy is the output of OPT⁺: a stack of product strategies, block
-// g scaled by budget share βg (Σβ = 1, so total sensitivity stays 1).
-// Groups[g] lists the workload products block g was optimized for;
-// reconstruction is nevertheless joint, one least-squares solve over the
-// whole stack, so every answer draws on every block. Parts and Shares must
-// not be mutated after the first Operator call: the built stack (and with
-// it the stack's cached block offsets) is memoized.
+// UnionStrategy is the output of OPT⁺: a stack of exactly two product
+// strategies, block g scaled by budget share βg (β₁ + β₂ = 1, so total
+// sensitivity stays 1). Groups[g] lists the workload products block g was
+// optimized for; reconstruction is nevertheless joint, one least-squares
+// solve over the whole stack, so every answer draws on every block. The
+// two-part shape is the contract: OPTPlus builds no other, the registry
+// codec stores no other, and only it has the pencil preconditioner. Parts
+// and Shares must not be mutated after the first Operator call: the built
+// stack (and with it the stack's cached block offsets) is memoized.
 type UnionStrategy struct {
 	Parts  []*KronStrategy
 	Shares []float64
@@ -197,9 +199,9 @@ type UnionStrategy struct {
 
 	pcOnce    sync.Once
 	pcStack   kron.Linear           // preconditioned operator A·M, guarded by pcOnce
-	pcM       kron.WorkspaceApplier // right preconditioner M (x = M·z); nil when unavailable
-	pcDelta   float64               // upper bound on ‖I − (AM)ᵀAM‖₂; +Inf off the pencil path
-	pcNormal  kron.Linear           // (AM)ᵀAM at cell size from the factor Grams; nil off the pencil path
+	pcM       kron.WorkspaceApplier // right preconditioner M (x = M·z); nil when the pencil declined
+	pcDelta   float64               // upper bound on ‖I − (AM)ᵀAM‖₂; +Inf when the pencil declined
+	pcNormal  kron.Linear           // (AM)ᵀAM at cell size from the factor Grams; nil without a finite delta
 	pcGramErr float64               // bound on ‖pcNormal − (AM)ᵀAM‖₂ from rounding those Grams
 }
 
@@ -250,12 +252,12 @@ func (s *UnionStrategy) Error(w *workload.Workload) (float64, error) {
 // Reconstruct solves the joint least-squares problem over the full stacked
 // strategy iteratively (Section 7.2: no closed-form pseudo-inverse exists
 // for unions of Kronecker products). The solve runs right-preconditioned
-// from the per-factor eigendecompositions (see precond). A two-part union,
-// whose preconditioned operator is certified within δ < 1 of orthonormal
-// columns, takes the fixed refinement lsmr.Refine on the normal equations,
-// one step on CPH; any other union, a two-part one whose certificate is
-// not below 1, and a refinement that floating point cannot certify run
-// LSMR. Either returns a non-nil error wrapping ErrNotConverged —
+// by the pencil of the two parts' factor Grams (see precond). When the
+// preconditioned operator is certified within δ < 1 of orthonormal
+// columns, it takes the fixed refinement lsmr.Refine on the normal
+// equations, one step on CPH; a certificate not below 1, a declined
+// pencil and a refinement that floating point cannot certify run LSMR.
+// Either returns a non-nil error wrapping ErrNotConverged —
 // alongside the best iterate — when the iteration budget binds before
 // convergence.
 func (s *UnionStrategy) Reconstruct(y []float64) ([]float64, error) {
@@ -287,89 +289,34 @@ type ReconstructOptions struct {
 	Trace *obs.Trace
 }
 
-// precond builds (once) the right-preconditioned operator pair: the
-// preconditioned operator A·M whose Kronecker part folds INTO the stack
-// factors — so a preconditioned solve step costs what a plain one does
-// — and the preconditioner M itself for mapping z back to x = M·z.
-//
-// Two constructions, best first:
-//
-//   - Two-part unions (the common OPT⁺ output shape): per factor i, the
-//     pencil (G_{1,i}, G_{2,i}) of the blocks' Grams is simultaneously
-//     diagonalized — Vᵢᵀ·G_{1,i}·Vᵢ = I, Vᵢᵀ·G_{2,i}·Vᵢ = Λᵢ — which makes
-//     (⊗Vᵢ)ᵀ·AᵀA·(⊗Vᵢ) = β₁²·I + β₂²·⊗Λᵢ exactly DIAGONAL. With the
-//     residual diagonal scaled out (M = (⊗Vᵢ)·D^{-1/2}, a kron.ColScaled),
-//     the preconditioned operator has orthonormal columns in exact
-//     arithmetic; the delta returned certifies how far the built one is
-//     from that, so the solve can be a fixed refinement.
-//
-//   - General unions: M = ⊗Fᵢ with Fᵢ = Hᵢ^{-1/2}, Hᵢ = Σ_g (β_g²)^{1/d}·
-//     G_{g,i}. ⊗Hᵢ ⪰ AᵀA in the PSD order (the Kronecker product of the
-//     share-weighted Gram sums majorizes the sum of share-weighted Gram
-//     products), so the preconditioned spectrum lies in (0,1] and the
-//     iteration count drops by the cross-term looseness of the majorizer.
-//
-// Returns (nil, nil, +Inf) — plain solve — when the parts are
-// heterogeneous or a Gram is numerically rank-deficient; delta is +Inf on
-// the majorizer path too.
+// precond builds (once) the pencil preconditioner of the two-part union:
+// the preconditioned operator A·M, whose Kronecker part folds INTO the
+// stack factors — so a preconditioned solve step costs what a plain one
+// does — the preconditioner M itself for mapping z back to x = M·z, and
+// the certificate delta (see pencilPrecond). It returns (nil, nil, +Inf),
+// a plain solve, when the parts differ in factor sizes, a share's square
+// is not positive, or a factor Gram of block 1 is numerically
+// rank-deficient.
 func (s *UnionStrategy) precond() (kron.Linear, kron.WorkspaceApplier, float64) {
-	s.pcOnce.Do(func() {
-		s.pcDelta = math.Inf(1)
-		d := len(s.Parts[0].Subs)
-		for _, p := range s.Parts {
-			if len(p.Subs) != d {
-				return
-			}
-			for i, sub := range p.Subs {
-				if sub.N() != s.Parts[0].Subs[i].N() {
-					return
-				}
-			}
-		}
-		if len(s.Parts) == 2 && s.pencilPrecond(d) {
-			return
-		}
-		factors := make([]*mat.Dense, d)
-		for i := 0; i < d; i++ {
-			n := s.Parts[0].Subs[i].N()
-			h := mat.NewDense(n, n)
-			for g, p := range s.Parts {
-				gram := mat.Gram(nil, p.Subs[i].Matrix())
-				w := math.Pow(s.Shares[g]*s.Shares[g], 1/float64(d))
-				hd, gd := h.Data(), gram.Data()
-				for idx := range hd {
-					hd[idx] += w * gd[idx]
-				}
-			}
-			f, ok := invSqrtSPD(h)
-			if !ok {
-				return
-			}
-			factors[i] = f
-		}
-		blocks := make([]kron.Linear, len(s.Parts))
-		for g, p := range s.Parts {
-			bf := make([]*mat.Dense, d)
-			for i, sub := range p.Subs {
-				bf[i] = mat.Mul(nil, sub.Matrix(), factors[i])
-			}
-			blocks[g] = kron.NewProduct(bf...)
-		}
-		s.pcStack = kron.NewStack(blocks, s.Shares)
-		s.pcM = kron.NewProduct(factors...)
-	})
+	s.pcOnce.Do(s.pencilPrecond)
 	return s.pcStack, s.pcM, s.pcDelta
 }
 
-// pencilPrecond is the exact two-block preconditioner: per factor it whitens
-// block 1's Gram and eigendecomposes block 2's Gram in the whitened basis
-// (the symmetric form of the generalized eigenproblem G₂·v = λ·G₁·v), then
-// scales out the remaining diagonal D = β₁² + β₂²·⊗Λᵢ over the full domain.
-// It sets the pc* fields and reports whether the construction succeeded.
+// pencilPrecond is the exact two-block preconditioner: per factor i the
+// pencil (G_{1,i}, G_{2,i}) of the blocks' Grams is simultaneously
+// diagonalized — Vᵢᵀ·G_{1,i}·Vᵢ = I, Vᵢᵀ·G_{2,i}·Vᵢ = Λᵢ — by whitening
+// block 1's Gram and eigendecomposing block 2's Gram in the whitened basis
+// (the symmetric form of the generalized eigenproblem G₂·v = λ·G₁·v). That
+// makes (⊗Vᵢ)ᵀ·AᵀA·(⊗Vᵢ) = β₁²·I + β₂²·⊗Λᵢ exactly diagonal, and scaling
+// out that diagonal D over the full domain (M = (⊗Vᵢ)·D^{-1/2}, a
+// kron.ColScaled) leaves a preconditioned operator with orthonormal
+// columns in exact arithmetic. It sets the pc* fields when the
+// construction succeeds and leaves pcDelta at +Inf otherwise.
 //
 // It also bounds delta ≥ ‖I − N‖₂ for N = (AM)ᵀAM of the operator it
-// built. With Bᵢ the built factors of a block, P = ⊗B₁ᵢᵀB₁ᵢ ≈ I,
-// Q = ⊗B₂ᵢᵀB₂ᵢ ≈ ⊗Λᵢ and S = D^{-1/2}, N = S·(β₁²·P + β₂²·Q)·S and
+// built, so the solve can be a fixed refinement. With Bᵢ the built
+// factors of a block, P = ⊗B₁ᵢᵀB₁ᵢ ≈ I, Q = ⊗B₂ᵢᵀB₂ᵢ ≈ ⊗Λᵢ and
+// S = D^{-1/2}, N = S·(β₁²·P + β₂²·Q)·S and
 //
 //	I − N = (I − S·D·S) − β₁²·S·(P − I)·S − β₂²·S·(Q − ⊗Λᵢ)·S.
 //
@@ -386,11 +333,21 @@ func (s *UnionStrategy) precond() (kron.Linear, kron.WorkspaceApplier, float64) 
 // weights bound ‖N − (AM)ᵀAM‖₂ from the Grams' rounding: β₁²·max s_j²
 // and max β₂²·s_j²·λ_j times each block's rounding share of
 // kronDeviation.
-func (s *UnionStrategy) pencilPrecond(d int) bool {
+func (s *UnionStrategy) pencilPrecond() {
+	s.pcDelta = math.Inf(1)
+	if len(s.Parts) != 2 || len(s.Parts[0].Subs) != len(s.Parts[1].Subs) {
+		return
+	}
+	d := len(s.Parts[0].Subs)
+	for i, sub := range s.Parts[1].Subs {
+		if sub.N() != s.Parts[0].Subs[i].N() {
+			return
+		}
+	}
 	b1 := s.Shares[0] * s.Shares[0]
 	b2 := s.Shares[1] * s.Shares[1]
 	if !(b1 > 0) || !(b2 > 0) {
-		return false
+		return
 	}
 	vs := make([]*mat.Dense, d)
 	lams := make([][]float64, d)
@@ -400,13 +357,13 @@ func (s *UnionStrategy) pencilPrecond(d int) bool {
 		g2 := mat.Gram(nil, s.Parts[1].Subs[i].Matrix())
 		w1, ok := invSqrtSPD(g1)
 		if !ok {
-			return false
+			return
 		}
 		c := mat.Mul(nil, mat.Mul(nil, w1, g2), w1)
 		symmetrize(c)
 		lam, q, err := mat.SymEigen(c)
 		if err != nil {
-			return false
+			return
 		}
 		vs[i] = mat.Mul(nil, w1, q)
 		// Λᵢ is PSD up to rounding; clamp so D stays ≥ β₁² > 0.
@@ -455,7 +412,6 @@ func (s *UnionStrategy) pencilPrecond(d int) bool {
 		s.pcNormal = pencilGram{kron.NewColScaled(kron.NewSum([]kron.Linear{gp, gq}, []float64{b1, b2}), scale)}
 		s.pcGramErr = b1*maxS2*round1 + c2*round2
 	}
-	return true
 }
 
 // pencilGram applies N = S·(β₁²·P + β₂²·Q)·S, the normal matrix of the
@@ -659,8 +615,8 @@ func (s *UnionStrategy) normal() lsmr.Normal {
 
 // solveMethod picks the solve for a preconditioned operator whose normal
 // matrix is within delta of the identity: the certified refinement when
-// delta < 1 (the pencil path), LSMR otherwise (δ ≥ 1, NaN, or +Inf for the
-// majorizer path and the unpreconditioned operator).
+// delta < 1, LSMR otherwise (δ ≥ 1, NaN, or +Inf for a declined pencil and
+// the unpreconditioned operator).
 func solveMethod(delta float64) string {
 	if delta < 1 {
 		return SolveRefine

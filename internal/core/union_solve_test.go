@@ -8,28 +8,15 @@ import (
 
 	"repro/internal/lsmr"
 	"repro/internal/obs"
-	"repro/internal/workload"
 )
 
-// testUnionStrategy3 builds a three-part union (one product per group), so
-// the exact two-block pencil preconditioner does not apply and the
-// Kronecker-majorizer fallback path is exercised.
-func testUnionStrategy3(t testing.TB) *UnionStrategy {
-	w := workload.MustNew(schemaSizes(16, 16),
-		workload.NewProduct(workload.AllRange(16), workload.Total(16)),
-		workload.NewProduct(workload.Total(16), workload.AllRange(16)),
-		workload.NewProduct(workload.Identity(16), workload.Total(16)),
-	)
-	s, _, err := OPTPlus(w, OPTPlusOptions{
-		Groups: [][]int{{0}, {1}, {2}},
-		Kron:   OPTKronOptions{Seed: 5, MaxIter: 15, Restarts: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s.Parts) != 3 {
-		t.Fatalf("got %d parts, want 3", len(s.Parts))
-	}
+// testUnionStrategyLSMR is testUnionStrategy with its pencil certificate
+// forced to +Inf, the value a declined pencil leaves, so the
+// preconditioned solve takes the LSMR fallback instead of the refinement.
+func testUnionStrategyLSMR(t testing.TB) *UnionStrategy {
+	s := testUnionStrategy(t)
+	s.precond()
+	s.pcDelta = math.Inf(1)
 	return s
 }
 
@@ -78,33 +65,42 @@ func TestUnionReconstructNonConvergence(t *testing.T) {
 	})
 
 	t.Run("preconditioned", func(t *testing.T) {
-		// The majorizer-preconditioned three-part union still needs several
-		// iterations, so a budget of 1 binds on the default path too.
-		s := testUnionStrategy3(t)
+		// The pencil-preconditioned operator has orthonormal columns up to
+		// rounding, so both its solves converge in one step at the true
+		// certificate (~1e-11 here). A certificate just under 1 is loose
+		// but valid, and the refinement's atol test scales its tolerance
+		// by √(1−δ): the first step cannot certify, so a budget of 1 binds
+		// and a budget of 2 does not.
+		s := testUnionStrategy(t)
+		s.precond()
+		s.pcDelta = 1 - 0x1p-40
 		y := randMeasurement(rng, s)
 		var info SolveInfo
 		_, err := s.ReconstructOpt(y, ReconstructOptions{MaxIter: 1, Info: &info})
 		if !errors.Is(err, ErrNotConverged) {
 			t.Fatalf("err = %v, want ErrNotConverged", err)
 		}
-		if !info.Preconditioned {
-			t.Fatal("three-part union solve was not preconditioned")
+		if !info.Preconditioned || info.Method != SolveRefine {
+			t.Fatalf("info = %+v, want a preconditioned refinement", info)
+		}
+		if _, err := s.ReconstructOpt(y, ReconstructOptions{MaxIter: 2}); err != nil {
+			t.Fatalf("two-step budget: %v", err)
 		}
 	})
 }
 
 // TestUnionPreconditionedMatchesReference is the property test pinning the
 // preconditioned production solve against the retained lsmr.Solve oracle:
-// same solution to tolerance, on both the exact pencil path (2 parts) and
-// the majorizer path (3 parts).
+// same solution to tolerance, on both the certified refinement and the
+// preconditioned LSMR fallback.
 func TestUnionPreconditionedMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewPCG(43, 44))
 	for _, tc := range []struct {
 		name  string
 		build func(testing.TB) *UnionStrategy
 	}{
-		{"pencil-2part", func(tb testing.TB) *UnionStrategy { return testUnionStrategy(tb) }},
-		{"majorizer-3part", func(tb testing.TB) *UnionStrategy { return testUnionStrategy3(tb) }},
+		{"refine", func(tb testing.TB) *UnionStrategy { return testUnionStrategy(tb) }},
+		{"lsmr", func(tb testing.TB) *UnionStrategy { return testUnionStrategyLSMR(tb) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := tc.build(t)
@@ -173,8 +169,8 @@ func TestUnionReconstructDeterministicAcrossWorkers(t *testing.T) {
 // TestUnionReconstructTracesMapBack: a traced preconditioned
 // reconstruction charges the map back x = M·z to the solve stage, next to
 // the solve itself, so a registration's stage spans cover it. The
-// two-part refinement and its map back are one observation, the
-// three-part LSMR solve and its map back two, and the unpreconditioned
+// refinement and its map back are one observation, the preconditioned
+// LSMR fallback and its map back two, and the unpreconditioned
 // solve has no map back and records the solve alone.
 func TestUnionReconstructTracesMapBack(t *testing.T) {
 	rng := rand.New(rand.NewPCG(47, 48))
@@ -185,8 +181,8 @@ func TestUnionReconstructTracesMapBack(t *testing.T) {
 		method    string
 		want      int
 	}{
-		{"refine-2part", func(tb testing.TB) *UnionStrategy { return testUnionStrategy(tb) }, false, SolveRefine, 1},
-		{"lsmr-3part", func(tb testing.TB) *UnionStrategy { return testUnionStrategy3(tb) }, false, SolveLSMR, 2},
+		{"refine", func(tb testing.TB) *UnionStrategy { return testUnionStrategy(tb) }, false, SolveRefine, 1},
+		{"lsmr", func(tb testing.TB) *UnionStrategy { return testUnionStrategyLSMR(tb) }, false, SolveLSMR, 2},
 		{"plain", func(tb testing.TB) *UnionStrategy { return testUnionStrategy(tb) }, true, SolveLSMR, 1},
 	} {
 		s := tc.build(t)

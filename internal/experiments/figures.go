@@ -192,7 +192,7 @@ func Fig1d(s Scale) string {
 			workload.NewProduct(workload.AllRange(m), workload.Total(m), workload.Total(m)),
 			workload.NewProduct(workload.Total(m), workload.AllRange(m), workload.AllRange(m)),
 		)
-		us, _, err := core.OPTPlus(wu, core.OPTPlusOptions{Kron: core.OPTKronOptions{Seed: 4, MaxIter: 20}})
+		us, _, err := core.OPTPlus(wu, core.OPTKronOptions{Seed: 4, MaxIter: 20})
 		if err != nil {
 			panic(err)
 		}

@@ -153,7 +153,7 @@ func TestUnionStrategyMeasureReconstruct(t *testing.T) {
 		workload.NewProduct(workload.AllRange(8), workload.Total(8)),
 		workload.NewProduct(workload.Total(8), workload.AllRange(8)),
 	)
-	s, _, err := core.OPTPlus(w, core.OPTPlusOptions{Kron: core.OPTKronOptions{Seed: 1}})
+	s, _, err := core.OPTPlus(w, core.OPTKronOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

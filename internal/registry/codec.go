@@ -68,6 +68,9 @@ func Encode(rec *Record) ([]byte, error) {
 			return nil, err
 		}
 	case *core.UnionStrategy:
+		if len(s.Parts) != 2 || len(s.Shares) != 2 || len(s.Groups) != 2 {
+			return nil, fmt.Errorf("registry: union with %d parts, %d shares and %d groups; a union has exactly two of each", len(s.Parts), len(s.Shares), len(s.Groups))
+		}
 		w.U8(kindUnion)
 		w.U32(uint32(len(s.Parts)))
 		for _, part := range s.Parts {
@@ -197,25 +200,29 @@ func readKron(r *binfmt.Reader) (*core.KronStrategy, error) {
 	return core.NewKronStrategy(subs...), nil
 }
 
-// readUnion reads a union of Kronecker parts with their budget shares and
-// workload groups. A count is only as trustworthy as the bytes behind it,
-// so no slice is sized from one beyond readKron's cap.
-func readUnion(r *binfmt.Reader) (*core.UnionStrategy, error) {
-	numParts := r.Count(1, binfmt.MaxCount, "union part count")
-	u := &core.UnionStrategy{Parts: make([]*core.KronStrategy, 0, min(numParts, 4096))}
+// readUnion reads a two-part union of Kronecker parts with their budget
+// shares and workload groups. Any other part count is rejected, except a
+// stored one-part union, which an earlier OPT⁺ built on a one-group
+// workload: its single part at share 1 is exactly that part's Kronecker
+// strategy, so it decodes as one, and snapshots that embed such a blob
+// keep their spent budget. A count is only as trustworthy as the bytes
+// behind it, so no slice is sized from one beyond a small cap.
+func readUnion(r *binfmt.Reader) (core.Strategy, error) {
+	numParts := r.Count(1, 2, "union part count")
+	parts := make([]*core.KronStrategy, 0, 2)
 	for range numParts {
 		part, err := readKron(r)
 		if err != nil {
 			return nil, err
 		}
-		u.Parts = append(u.Parts, part)
+		parts = append(parts, part)
 	}
-	u.Shares = r.F64s(numParts)
+	shares := r.F64s(numParts)
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
 	shareSum := 0.0
-	for _, sh := range u.Shares {
+	for _, sh := range shares {
 		if math.IsNaN(sh) || sh <= 0 || sh > 1 {
 			return nil, fmt.Errorf("invalid budget share %v", sh)
 		}
@@ -226,16 +233,19 @@ func readUnion(r *binfmt.Reader) (*core.UnionStrategy, error) {
 	if math.Abs(shareSum-1) > 1e-9 {
 		return nil, fmt.Errorf("union budget shares sum to %v, want 1", shareSum)
 	}
-	u.Groups = make([][]int, 0, min(numParts, 4096))
+	groups := make([][]int, 0, 2)
 	for i := 0; i < numParts && r.Err() == nil; i++ {
 		glen := r.Count(0, binfmt.MaxCount, "union group length")
 		g := make([]int, 0, min(glen, 4096))
 		for j := 0; j < glen && r.Err() == nil; j++ {
 			g = append(g, r.Count(0, binfmt.MaxCount, "union group index"))
 		}
-		u.Groups = append(u.Groups, g)
+		groups = append(groups, g)
 	}
-	return u, nil
+	if numParts == 1 {
+		return parts[0], nil
+	}
+	return &core.UnionStrategy{Parts: parts, Shares: shares, Groups: groups}, nil
 }
 
 // readMarginal reads a marginal strategy: the attribute sizes and the 2^d

@@ -5,6 +5,7 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"repro/internal/binfmt"
 	"repro/internal/core"
 	"repro/internal/marginals"
 	"repro/internal/mat"
@@ -359,6 +360,98 @@ func TestDecodedStrategyServes(t *testing.T) {
 		}
 		if !floatsEqual(a, b) {
 			t.Fatalf("%s: decoded strategy reconstructs differently", rec.Operator)
+		}
+	}
+}
+
+// unionBlob seals a union payload laid out as Encode writes one, without
+// Encode's two-part check, so tests can craft the part counts it refuses.
+func unionBlob(t *testing.T, parts []*core.KronStrategy, shares []float64, groups [][]int) []byte {
+	t.Helper()
+	w := binfmt.NewWriter(codecMagic, codecVersion, 0)
+	w.Str("OPT+")
+	w.F64(2.5)
+	w.U8(kindUnion)
+	w.U32(uint32(len(parts)))
+	for _, part := range parts {
+		if err := writeKron(w, part); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.F64s(shares)
+	for _, g := range groups {
+		w.U32(uint32(len(g)))
+		for _, idx := range g {
+			w.U32(uint32(idx))
+		}
+	}
+	return w.Seal()
+}
+
+// TestDecodeUnionPartCount: a stored union has two parts. A one-part
+// union, which an earlier OPT⁺ built on one-group workloads, decodes as
+// its Kronecker part, so snapshots embedding one still recover; zero and
+// three parts are rejected.
+func TestDecodeUnionPartCount(t *testing.T) {
+	rng := rand.New(rand.NewPCG(11, 12))
+	part := func() *core.KronStrategy {
+		return core.NewKronStrategy(core.NewPIdentity(randTheta(rng, 1, 4)), core.NewPIdentity(randTheta(rng, 2, 3)))
+	}
+	one := part()
+	rec, err := Decode(unionBlob(t, []*core.KronStrategy{one}, []float64{1}, [][]int{{0, 1}}))
+	if err != nil {
+		t.Fatalf("one-part union: %v", err)
+	}
+	if rec.Operator != "OPT+" || rec.Err != 2.5 {
+		t.Fatalf("one-part union metadata = (%q, %v)", rec.Operator, rec.Err)
+	}
+	got, ok := rec.Strategy.(*core.KronStrategy)
+	if !ok {
+		t.Fatalf("one-part union decoded as %T, want *core.KronStrategy", rec.Strategy)
+	}
+	kronEqual(t, one, got)
+
+	for _, tc := range []struct {
+		name   string
+		parts  []*core.KronStrategy
+		shares []float64
+		groups [][]int
+	}{
+		{"zero parts", nil, nil, nil},
+		{"three parts", []*core.KronStrategy{part(), part(), part()}, []float64{0.5, 0.25, 0.25}, [][]int{{0}, {1}, {2}}},
+	} {
+		if _, err := Decode(unionBlob(t, tc.parts, tc.shares, tc.groups)); err == nil {
+			t.Errorf("%s: decoded without error", tc.name)
+		}
+	}
+}
+
+// TestEncodeRejectsUnionShapes: Encode writes only two-part unions with
+// one group per part. A union with another part count, or with a group
+// count that differs from its part count, used to encode to a blob that
+// decode misread.
+func TestEncodeRejectsUnionShapes(t *testing.T) {
+	rng := rand.New(rand.NewPCG(13, 14))
+	part := func() *core.KronStrategy { return core.NewKronStrategy(core.NewPIdentity(randTheta(rng, 1, 4))) }
+	for _, tc := range []struct {
+		name string
+		u    *core.UnionStrategy
+	}{
+		{"one part", &core.UnionStrategy{Parts: []*core.KronStrategy{part()}, Shares: []float64{1}, Groups: [][]int{{0}}}},
+		{"three parts", &core.UnionStrategy{
+			Parts:  []*core.KronStrategy{part(), part(), part()},
+			Shares: []float64{0.5, 0.25, 0.25},
+			Groups: [][]int{{0}, {1}, {2}},
+		}},
+		{"two parts, one group", &core.UnionStrategy{Parts: []*core.KronStrategy{part(), part()}, Shares: []float64{0.5, 0.5}, Groups: [][]int{{0, 1}}}},
+		{"two parts, three groups", &core.UnionStrategy{
+			Parts:  []*core.KronStrategy{part(), part()},
+			Shares: []float64{0.5, 0.5},
+			Groups: [][]int{{0}, {1}, {2}},
+		}},
+	} {
+		if _, err := Encode(&Record{Strategy: tc.u, Err: 1, Operator: "OPT+"}); err == nil {
+			t.Errorf("%s: encoded without error", tc.name)
 		}
 	}
 }

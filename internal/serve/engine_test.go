@@ -315,14 +315,14 @@ func TestEngineRejectsForeignStrategyShapes(t *testing.T) {
 	cases := map[string]core.Strategy{
 		"marginal lattice over [4,8] for a [2,16] domain": core.NewMarginalStrategy(margSpace, margTheta),
 		"union part factorized [4,8]": &core.UnionStrategy{
-			Parts:  []*core.KronStrategy{wrongKron},
-			Shares: []float64{1},
-			Groups: [][]int{{0, 1}},
+			Parts:  []*core.KronStrategy{okKron, wrongKron},
+			Shares: []float64{0.5, 0.5},
+			Groups: [][]int{{0}, {1}},
 		},
 		"union group referencing product 99": &core.UnionStrategy{
-			Parts:  []*core.KronStrategy{okKron},
-			Shares: []float64{1},
-			Groups: [][]int{{0, 99}},
+			Parts:  []*core.KronStrategy{okKron, okKron},
+			Shares: []float64{0.5, 0.5},
+			Groups: [][]int{{0}, {1, 99}},
 		},
 	}
 	for name, strat := range cases {

@@ -12,12 +12,15 @@ import (
 	"repro/internal/workload"
 )
 
-// unionTenant builds a three-part union workload and a registry pre-seeded
-// with its OPT⁺ strategy under the exact key NewEngineCtx will look up, so
-// engine construction takes the iterative union-reconstruction path. Three
-// parts deliberately: the exact two-block pencil preconditioner converges
-// even under a one-iteration cap, while the majorizer fallback needs
-// several iterations, so SolveMaxIter=1 reliably binds.
+// unionTenant builds a two-part union workload and a registry pre-seeded
+// with an OPT⁺ strategy under the exact key NewEngineCtx will look up, so
+// engine construction takes the iterative union-reconstruction path. The
+// first block's first factor is made numerically rank-deficient on
+// purpose: one extra query weighing 1e6 per cell shrinks the identity rows
+// to ~1e-6, so the factor's Gram has a condition number past 1e12, the
+// pencil preconditioner declines, and the union solves with plain LSMR.
+// That solve needs many iterations, so SolveMaxIter=1 reliably binds,
+// where the certified refinement converges even under a one-step cap.
 func unionTenant(t *testing.T) (*workload.Workload, []float64, hdmm.SelectOptions, *registry.Registry) {
 	t.Helper()
 	dom := hdmm.NewDomain(
@@ -27,20 +30,21 @@ func unionTenant(t *testing.T) (*workload.Workload, []float64, hdmm.SelectOption
 	w, err := hdmm.NewWorkload(dom,
 		hdmm.NewProduct(hdmm.AllRange(16), hdmm.Total(16)),
 		hdmm.NewProduct(hdmm.Total(16), hdmm.AllRange(16)),
-		hdmm.NewProduct(hdmm.Identity(16), hdmm.Total(16)),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, errVal, err := core.OPTPlus(w, core.OPTPlusOptions{
-		Groups: [][]int{{0}, {1}, {2}},
-		Kron:   core.OPTKronOptions{Seed: 5, MaxIter: 15, Restarts: 1},
-	})
+	s, _, err := core.OPTPlus(w, core.OPTKronOptions{Seed: 5, MaxIter: 15, Restarts: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s.Parts) != 3 {
-		t.Fatalf("got %d union parts, want 3", len(s.Parts))
+	theta := s.Parts[0].Subs[0].Theta.Data()
+	for i := range theta {
+		theta[i] = 1e6
+	}
+	errVal, err := s.Error(w)
+	if err != nil {
+		t.Fatal(err)
 	}
 	sel := hdmm.SelectOptions{Restarts: 1, Seed: 4}
 	reg, err := registry.Open(t.TempDir(), 0)
@@ -77,11 +81,11 @@ func TestEngineUnionSolveInfo(t *testing.T) {
 	if si.Iters <= 0 || si.Stopped == "" {
 		t.Fatalf("SolveInfo = %+v, want a recorded iterative solve", si)
 	}
-	if !si.Preconditioned {
-		t.Fatal("union reconstruction ran unpreconditioned")
+	if si.Preconditioned {
+		t.Fatal("union reconstruction ran preconditioned, but its pencil should decline")
 	}
 	if si.Method != core.SolveLSMR {
-		t.Fatalf("three-part union solved by %q, want %q", si.Method, core.SolveLSMR)
+		t.Fatalf("union with a declined pencil solved by %q, want %q", si.Method, core.SolveLSMR)
 	}
 
 	wk, xk := testWorkload(t)
@@ -99,7 +103,6 @@ func TestEngineUnionSolveInfo(t *testing.T) {
 // fits a one-step budget.
 func TestEngineTwoPartUnionRefines(t *testing.T) {
 	w, x, _, _ := unionTenant(t)
-	w = &workload.Workload{Domain: w.Domain, Products: w.Products[:2]}
 	reg, err := registry.Open("", 0)
 	if err != nil {
 		t.Fatal(err)

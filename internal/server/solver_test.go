@@ -12,12 +12,14 @@ import (
 	"repro/internal/server"
 )
 
-// seedUnionStrategy plants a three-part OPT⁺ strategy in reg under the
+// seedUnionStrategy plants a two-part OPT⁺ strategy in reg under the
 // exact key the server derives for unionTenantBody's registration, so the
 // daemon's engine construction takes the iterative union-reconstruction
-// path. Three parts deliberately: the majorizer-preconditioned solve needs
-// several LSMR iterations, so a SolveMaxIter=1 server reliably fails it
-// (the exact two-part pencil path would converge even under the cap).
+// path. The first block's first factor is made numerically rank-deficient
+// on purpose (one extra query weighing 1e6 per cell), so the pencil
+// preconditioner declines and the union solves with plain LSMR, which
+// needs many iterations: a SolveMaxIter=1 server reliably fails it, where
+// the certified refinement would converge even under the cap.
 func seedUnionStrategy(t *testing.T, reg *registry.Registry) {
 	t.Helper()
 	dom := hdmm.NewDomain(
@@ -27,15 +29,19 @@ func seedUnionStrategy(t *testing.T, reg *registry.Registry) {
 	w, err := hdmm.NewWorkload(dom,
 		hdmm.NewProduct(hdmm.AllRange(16), hdmm.Total(16)),
 		hdmm.NewProduct(hdmm.Total(16), hdmm.AllRange(16)),
-		hdmm.NewProduct(hdmm.Identity(16), hdmm.Total(16)),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, errVal, err := core.OPTPlus(w, core.OPTPlusOptions{
-		Groups: [][]int{{0}, {1}, {2}},
-		Kron:   core.OPTKronOptions{Seed: 5, MaxIter: 15, Restarts: 1},
-	})
+	s, _, err := core.OPTPlus(w, core.OPTKronOptions{Seed: 5, MaxIter: 15, Restarts: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	theta := s.Parts[0].Subs[0].Theta.Data()
+	for i := range theta {
+		theta[i] = 1e6
+	}
+	errVal, err := s.Error(w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +63,7 @@ func unionTenantBody() map[string]any {
 	}
 	return map[string]any{
 		"domain":   []int{16, 16},
-		"queries":  []string{"R,T", "T,R", "I,T"},
+		"queries":  []string{"R,T", "T,R"},
 		"data":     data,
 		"eps":      1.0,
 		"seed":     7,
@@ -85,11 +91,11 @@ func TestUnionSolverObservability(t *testing.T) {
 	if info.SolverIters <= 0 {
 		t.Fatalf("engine info reports %d solver iterations, want > 0", info.SolverIters)
 	}
-	if !info.SolverPreconditioned {
-		t.Fatal("engine info says the union solve ran unpreconditioned")
+	if info.SolverPreconditioned {
+		t.Fatal("engine info says the union solve ran preconditioned, but its pencil should decline")
 	}
 	if info.SolverMethod != core.SolveLSMR {
-		t.Fatalf("engine info reports solver method %q for a three-part union, want %q", info.SolverMethod, core.SolveLSMR)
+		t.Fatalf("engine info reports solver method %q for a union with a declined pencil, want %q", info.SolverMethod, core.SolveLSMR)
 	}
 
 	m := getMetricsJSON(t, ts)

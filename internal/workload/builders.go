@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math/bits"
 	"math/rand/v2"
 
 	"repro/internal/schema"
@@ -38,7 +39,7 @@ func KWayMarginals(dom *schema.Domain, k int) *Workload {
 	d := dom.NumAttrs()
 	var products []Product
 	for s := uint(0); s < 1<<uint(d); s++ {
-		if popcount(s) == k {
+		if bits.OnesCount(s) == k {
 			products = append(products, Marginal(dom, s))
 		}
 	}
@@ -50,7 +51,7 @@ func UpToKWayMarginals(dom *schema.Domain, k int) *Workload {
 	d := dom.NumAttrs()
 	var products []Product
 	for s := uint(0); s < 1<<uint(d); s++ {
-		if popcount(s) <= k {
+		if bits.OnesCount(s) <= k {
 			products = append(products, Marginal(dom, s))
 		}
 	}
@@ -94,7 +95,7 @@ func KWayRangeMarginals(dom *schema.Domain, k int, rangeAttrs map[int]bool) *Wor
 	d := dom.NumAttrs()
 	var products []Product
 	for s := uint(0); s < 1<<uint(d); s++ {
-		if popcount(s) == k {
+		if bits.OnesCount(s) == k {
 			products = append(products, RangeMarginal(dom, s, rangeAttrs))
 		}
 	}
@@ -163,13 +164,4 @@ func RandPerm(n int, seed uint64) []int {
 	}
 	rng.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
 	return p
-}
-
-func popcount(x uint) int {
-	c := 0
-	for x != 0 {
-		x &= x - 1
-		c++
-	}
-	return c
 }
