@@ -49,7 +49,8 @@ type benchResult struct {
 	Iters       int     `json:"iters"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
-	MBPerS      float64 `json:"mb_per_s"` // data volume moved per second
+	BytesPerOp  float64 `json:"bytes_per_op"` // heap bytes allocated per op (runtime.MemStats.TotalAlloc)
+	MBPerS      float64 `json:"mb_per_s"`     // data volume moved per second
 }
 
 // benchCase is one operation of the harness. bytes is the data volume one
@@ -61,8 +62,8 @@ type benchCase struct {
 }
 
 // measure times fn with a calibrating loop: it grows the iteration count
-// until the batch takes at least targetMS, then reports per-op time and
-// allocations from the final batch.
+// until the batch takes at least targetMS, then reports per-op time,
+// allocation count and allocated bytes from the final batch.
 func measure(c benchCase, targetMS int) benchResult {
 	target := time.Duration(targetMS) * time.Millisecond
 	iters := 1
@@ -79,11 +80,12 @@ func measure(c benchCase, targetMS int) benchResult {
 		if elapsed >= target || iters >= 1<<20 {
 			ns := float64(elapsed.Nanoseconds()) / float64(iters)
 			allocs := float64(after.Mallocs-before.Mallocs) / float64(iters)
+			allocBytes := float64(after.TotalAlloc-before.TotalAlloc) / float64(iters)
 			mbps := 0.0
 			if ns > 0 {
 				mbps = float64(c.bytes) / ns * 1e9 / 1e6
 			}
-			return benchResult{Op: c.op, Iters: iters, NsPerOp: ns, AllocsPerOp: allocs, MBPerS: mbps}
+			return benchResult{Op: c.op, Iters: iters, NsPerOp: ns, AllocsPerOp: allocs, BytesPerOp: allocBytes, MBPerS: mbps}
 		}
 		// Aim past the target with headroom, growing at most 64× per round.
 		grow := int64(float64(iters) * float64(target) / float64(elapsed+1) * 1.2)
@@ -143,11 +145,11 @@ func benchCases(workers int) ([]benchCase, error) {
 	dst := make([]float64, rows)
 	dstT := make([]float64, cols)
 	ws := kron.NewWorkspace()
-	p.MatVecTo(dst, x, ws) // grow the workspace buffers
-	p.MatTVecTo(dstT, y, ws)
+	p.MatVec(dst, x, ws) // grow the workspace buffers
+	p.MatTVec(dstT, y, ws)
 	cases = append(cases,
-		benchCase{"kron/matvec", int64(8 * (cols + rows)), func() { p.MatVecTo(dst, x, ws) }},
-		benchCase{"kron/mattvec", int64(8 * (rows + cols)), func() { p.MatTVecTo(dstT, y, ws) }},
+		benchCase{"kron/matvec", int64(8 * (cols + rows)), func() { p.MatVec(dst, x, ws) }},
+		benchCase{"kron/mattvec", int64(8 * (rows + cols)), func() { p.MatTVec(dstT, y, ws) }},
 	)
 
 	// --- The same kernels on the factor shapes of one strategy block of
@@ -163,11 +165,11 @@ func benchCases(workers int) ([]benchCase, error) {
 	cdst := make([]float64, crows)
 	cdstT := make([]float64, ccols)
 	cws := kron.NewWorkspace()
-	cph.MatVecTo(cdst, cx, cws)
-	cph.MatTVecTo(cdstT, cy, cws)
+	cph.MatVec(cdst, cx, cws)
+	cph.MatTVec(cdstT, cy, cws)
 	cases = append(cases,
-		benchCase{"kron/matvec-cph", int64(8 * (ccols + crows)), func() { cph.MatVecTo(cdst, cx, cws) }},
-		benchCase{"kron/mattvec-cph", int64(8 * (crows + ccols)), func() { cph.MatTVecTo(cdstT, cy, cws) }},
+		benchCase{"kron/matvec-cph", int64(8 * (ccols + crows)), func() { cph.MatVec(cdst, cx, cws) }},
+		benchCase{"kron/mattvec-cph", int64(8 * (crows + ccols)), func() { cph.MatTVec(cdstT, cy, cws) }},
 	)
 
 	// --- Selection on the CPH workload the end-to-end benchmark's tenants
@@ -235,11 +237,12 @@ func benchCases(workers int) ([]benchCase, error) {
 	}
 	krows, kcols := ks.Operator().Dims()
 	ky := randSlice(rng, krows)
-	if _, err := ks.Reconstruct(ky); err != nil { // warm pinv cache
+	kws := kron.NewWorkspace()
+	if _, err := ks.Reconstruct(ky, kws); err != nil { // warm pinv cache
 		return nil, err
 	}
 	cases = append(cases, benchCase{"reconstruct/kron", int64(8 * (krows + kcols)), func() {
-		if _, err := ks.Reconstruct(ky); err != nil {
+		if _, err := ks.Reconstruct(ky, kws); err != nil {
 			panic(err)
 		}
 	}})
@@ -256,12 +259,12 @@ func benchCases(workers int) ([]benchCase, error) {
 	}
 	urows, ucols := us.Operator().Dims()
 	uy := randSlice(rng, urows)
-	uopts := core.ReconstructOptions{Workspace: kron.NewWorkspace()}
-	if _, err := us.ReconstructOpt(uy, uopts); err != nil {
+	uws := kron.NewWorkspace()
+	if _, err := us.Reconstruct(uy, uws); err != nil {
 		return nil, err
 	}
 	cases = append(cases, benchCase{"reconstruct/union", int64(8 * (urows + ucols)), func() {
-		if _, err := us.ReconstructOpt(uy, uopts); err != nil {
+		if _, err := us.Reconstruct(uy, uws); err != nil {
 			panic(err)
 		}
 	}})
@@ -288,16 +291,16 @@ func benchCases(workers int) ([]benchCase, error) {
 		cux[int(float64(cucols)*yrng.Float64()*yrng.Float64())]++
 	}
 	cuy := make([]float64, curows)
-	cop.MatVec(cuy, cux)
+	cuws := kron.NewWorkspace()
+	cop.MatVec(cuy, cux, cuws)
 	for i := range cuy {
 		cuy[i] += yrng.ExpFloat64() - yrng.ExpFloat64()
 	}
-	cuopts := core.ReconstructOptions{Workspace: kron.NewWorkspace()}
-	if _, err := cus.ReconstructOpt(cuy, cuopts); err != nil {
+	if _, err := cus.Reconstruct(cuy, cuws); err != nil {
 		return nil, err
 	}
 	cases = append(cases, benchCase{"reconstruct/union-cph", int64(8 * (curows + cucols)), func() {
-		if _, err := cus.ReconstructOpt(cuy, cuopts); err != nil {
+		if _, err := cus.Reconstruct(cuy, cuws); err != nil {
 			panic(err)
 		}
 	}})
@@ -308,8 +311,8 @@ func benchCases(workers int) ([]benchCase, error) {
 	// Gaussian stream stays serial.
 	msrc := mech.NoiseRNG(29)
 	cases = append(cases,
-		benchCase{"measure/laplace", int64(8 * (cucols + curows)), func() { mech.Measure(cop, cux, 1, 0, msrc) }},
-		benchCase{"measure/gaussian", int64(8 * (cucols + curows)), func() { mech.Measure(cop, cux, 1, 1e-6, msrc) }},
+		benchCase{"measure/laplace", int64(8 * (cucols + curows)), func() { mech.Measure(cop, cux, 1, 0, msrc, cuws) }},
+		benchCase{"measure/gaussian", int64(8 * (cucols + curows)), func() { mech.Measure(cop, cux, 1, 1e-6, msrc, cuws) }},
 	)
 
 	// --- Serving: a 512-query batch drawn from 4 shared specs. ---
@@ -570,8 +573,8 @@ func cmdBench(args []string, stdout, stderr io.Writer) error {
 			r.GoVersion = runtime.Version()
 			results = append(results, r)
 			// Progress goes to stderr so `-out -` leaves stdout pure JSON.
-			fmt.Fprintf(stderr, "%-22s workers=%-2d %12.0f ns/op %10.1f allocs/op %10.1f MB/s\n",
-				c.op, workers, r.NsPerOp, r.AllocsPerOp, r.MBPerS)
+			fmt.Fprintf(stderr, "%-22s workers=%-2d %12.0f ns/op %10.1f allocs/op %12.0f B/op %10.1f MB/s\n",
+				c.op, workers, r.NsPerOp, r.AllocsPerOp, r.BytesPerOp, r.MBPerS)
 		}
 		hdmm.SetWorkers(prev)
 	}

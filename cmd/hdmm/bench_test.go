@@ -50,8 +50,11 @@ func TestCmdBench(t *testing.T) {
 		if r.NsPerOp <= 0 || r.Iters <= 0 || r.Workers <= 0 {
 			t.Errorf("%s (workers=%d): non-positive measurement %+v", r.Op, r.Workers, r)
 		}
-		if r.AllocsPerOp < 0 || r.MBPerS < 0 {
+		if r.AllocsPerOp < 0 || r.BytesPerOp < 0 || r.MBPerS < 0 {
 			t.Errorf("%s: negative counters %+v", r.Op, r)
+		}
+		if r.AllocsPerOp >= 1 && r.BytesPerOp <= 0 {
+			t.Errorf("%s: %v allocs/op but %v bytes/op", r.Op, r.AllocsPerOp, r.BytesPerOp)
 		}
 		if r.GOARCH != runtime.GOARCH {
 			t.Errorf("%s: GOARCH = %q, want %q", r.Op, r.GOARCH, runtime.GOARCH)
@@ -133,6 +136,11 @@ func TestAssertImproves(t *testing.T) {
 	}
 	if err := assertOpImproves(filepath.Join(t.TempDir(), "missing.json"), "reconstruct/union", results, &out); err == nil {
 		t.Fatal("unreadable baseline accepted")
+	}
+	// A committed artifact whose rows predate bytes_per_op still loads.
+	legacy := filepath.Join("..", "..", "BENCH_28.json")
+	if err := assertOpImproves(legacy, "select/cph", []benchResult{{Op: "select/cph", Workers: 1, MBPerS: 1}}, &out); err != nil {
+		t.Fatalf("baseline without bytes_per_op rejected: %v", err)
 	}
 
 	// Multi-entry spec: every entry must pass; one failing entry fails the

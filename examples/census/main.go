@@ -15,6 +15,7 @@ import (
 	"repro/internal/census"
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/kron"
 	"repro/internal/mech"
 )
 
@@ -46,8 +47,9 @@ func main() {
 	x := data.Vector()
 	src := rand.NewPCG(2, 3)
 	start = time.Now()
-	y := mech.Measure(sel.Strategy.Operator(), x, 1.0, 0, src)
-	xhat, err := sel.Strategy.Reconstruct(y)
+	ws := kron.NewWorkspace()
+	y := mech.Measure(sel.Strategy.Operator(), x, 1.0, 0, src, ws)
+	xhat, err := sel.Strategy.Reconstruct(y, ws)
 	if err != nil {
 		panic(err)
 	}

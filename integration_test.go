@@ -9,6 +9,7 @@ import (
 	"repro/internal/census"
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/kron"
 	"repro/internal/mech"
 )
 
@@ -33,8 +34,9 @@ func TestSF1EndToEnd(t *testing.T) {
 	data := dataset.CPHLike(100000, false, 3)
 	x := data.Vector()
 	src := rand.NewPCG(5, 6)
-	y := mech.Measure(sel.Strategy.Operator(), x, 1.0, 0, src)
-	xhat, err := sel.Strategy.Reconstruct(y)
+	ws := kron.NewWorkspace()
+	y := mech.Measure(sel.Strategy.Operator(), x, 1.0, 0, src, ws)
+	xhat, err := sel.Strategy.Reconstruct(y, ws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,11 +77,12 @@ func TestEpsilonScalingEmpirical(t *testing.T) {
 	}
 	meanErr := func(eps float64, seed uint64) float64 {
 		src := rand.NewPCG(seed, 1)
+		ws := kron.NewWorkspace()
 		total := 0.0
 		const trials = 300
 		for tr := 0; tr < trials; tr++ {
-			y := mech.Measure(sel.Strategy.Operator(), x, eps, 0, src)
-			xhat, err := sel.Strategy.Reconstruct(y)
+			y := mech.Measure(sel.Strategy.Operator(), x, eps, 0, src, ws)
+			xhat, err := sel.Strategy.Reconstruct(y, ws)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -50,18 +50,20 @@ func TestKronReconstructDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // checkReconstructAcrossWorkers reconstructs every measurement at Workers
-// 1, 4 and 8 (one subtest each) and requires the results of each worker
-// count to match the first bit for bit.
-func checkReconstructAcrossWorkers(t *testing.T, reconstruct func([]float64) ([]float64, error), ys [][]float64) {
+// 1, 4 and 8 (one subtest each, reusing one workspace across its
+// measurements) and requires the results of each worker count to match
+// the first bit for bit.
+func checkReconstructAcrossWorkers(t *testing.T, reconstruct func([]float64, *kron.Workspace) ([]float64, error), ys [][]float64) {
 	t.Helper()
 	var first [][]float64
 	for _, workers := range []int{1, 4, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			prev := kron.SetWorkers(workers)
 			defer kron.SetWorkers(prev)
+			ws := kron.NewWorkspace()
 			got := make([][]float64, len(ys))
 			for i, y := range ys {
-				x, err := reconstruct(y)
+				x, err := reconstruct(y, ws)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -85,10 +87,10 @@ func checkReconstructAcrossWorkers(t *testing.T, reconstruct func([]float64) ([]
 	}
 }
 
-// TestUnionReconstructWSMatchesDefault verifies the workspace-reuse hook
-// changes nothing numerically: the same solve through a caller-held
-// workspace is byte-identical to the pooled default, including when the
-// workspace is reused across consecutive reconstructions.
+// TestUnionReconstructWSMatchesDefault verifies workspace reuse changes
+// nothing numerically: a solve through one workspace reused across
+// consecutive reconstructions is byte-identical to the same solve through
+// a fresh workspace.
 func TestUnionReconstructWSMatchesDefault(t *testing.T) {
 	s := testUnionStrategy(t)
 	rows, _ := s.Operator().Dims()
@@ -99,17 +101,17 @@ func TestUnionReconstructWSMatchesDefault(t *testing.T) {
 		for j := range y {
 			y[j] = rng.NormFloat64()
 		}
-		want, err := s.Reconstruct(y)
+		want, err := s.Reconstruct(y, kron.NewWorkspace())
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := s.ReconstructOpt(y, ReconstructOptions{Workspace: ws})
+		got, err := s.ReconstructOpt(y, ws, ReconstructOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for j := range want {
 			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
-				t.Fatalf("trial %d element %d: ws %v, default %v", trial, j, got[j], want[j])
+				t.Fatalf("trial %d element %d: reused ws %v, fresh %v", trial, j, got[j], want[j])
 			}
 		}
 	}
@@ -131,13 +133,14 @@ func BenchmarkReconstruct(b *testing.B) {
 		for j := range y {
 			y[j] = rng.NormFloat64()
 		}
-		if _, err := s.Reconstruct(y); err != nil { // warm the pinv cache
+		ws := kron.NewWorkspace()
+		if _, err := s.Reconstruct(y, ws); err != nil { // warm the pinv cache
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := s.Reconstruct(y); err != nil {
+			if _, err := s.Reconstruct(y, ws); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -150,14 +153,13 @@ func BenchmarkReconstruct(b *testing.B) {
 			y[j] = rng.NormFloat64()
 		}
 		ws := kron.NewWorkspace()
-		opts := ReconstructOptions{Workspace: ws}
-		if _, err := s.ReconstructOpt(y, opts); err != nil {
+		if _, err := s.ReconstructOpt(y, ws, ReconstructOptions{}); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := s.ReconstructOpt(y, opts); err != nil {
+			if _, err := s.ReconstructOpt(y, ws, ReconstructOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}

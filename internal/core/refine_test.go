@@ -23,14 +23,15 @@ func deviationEstimate(a kron.Linear, iters int, seed uint64) float64 {
 	}
 	av := make([]float64, rows)
 	next := make([]float64, cols)
+	ws := kron.NewWorkspace()
 	est := 0.0
 	for k := 0; k < iters; k++ {
 		n := math.Sqrt(mat.SqSum(v))
 		for i := range v {
 			v[i] /= n
 		}
-		a.MatVec(av, v)
-		a.MatTVec(next, av)
+		a.MatVec(av, v, ws)
+		a.MatTVec(next, av, ws)
 		for i := range next {
 			next[i] = v[i] - next[i]
 		}
@@ -46,13 +47,14 @@ func deviationEstimate(a kron.Linear, iters int, seed uint64) float64 {
 func checkAtolDirect(t *testing.T, am kron.Linear, delta float64, y, z []float64) {
 	t.Helper()
 	rows, cols := am.Dims()
+	ws := kron.NewWorkspace()
 	r := make([]float64, rows)
-	am.MatVec(r, z)
+	am.MatVec(r, z, ws)
 	for i := range r {
 		r[i] = y[i] - r[i]
 	}
 	g := make([]float64, cols)
-	am.MatTVec(g, r)
+	am.MatTVec(g, r, ws)
 	normg, normr := math.Sqrt(mat.SqSum(g)), math.Sqrt(mat.SqSum(r))
 	if bound := 1e-8 * math.Sqrt(1-delta) * normr; normg > bound {
 		t.Errorf("‖(AM)ᵀr‖ = %g exceeds LSMR's atol bound %g (‖r‖ = %g)", normg, bound, normr)
@@ -77,13 +79,13 @@ func TestPencilCertificate(t *testing.T) {
 	for trial := 0; trial < 3; trial++ {
 		y := randMeasurement(rng, s)
 		var info SolveInfo
-		if _, err := s.ReconstructOpt(y, ReconstructOptions{Info: &info}); err != nil {
+		if _, err := s.ReconstructOpt(y, kron.NewWorkspace(), ReconstructOptions{Info: &info}); err != nil {
 			t.Fatal(err)
 		}
 		if info.Method != SolveRefine || info.Iters != 1 || info.Stopped != lsmr.StoppedAtol {
 			t.Fatalf("trial %d: %+v, want one certified refinement step", trial, info)
 		}
-		res := lsmr.Refine(s.normal(), y, lsmr.Options{})
+		res := lsmr.Refine(s.normal(), y, kron.NewWorkspace(), lsmr.Options{})
 		checkAtolDirect(t, am, delta, y, res.X)
 	}
 }
@@ -116,7 +118,7 @@ func TestSolveMethodFallback(t *testing.T) {
 	forced.precond()
 	forced.pcDelta = 1
 	var info SolveInfo
-	got, err := forced.ReconstructOpt(y, ReconstructOptions{Info: &info})
+	got, err := forced.ReconstructOpt(y, kron.NewWorkspace(), ReconstructOptions{Info: &info})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +129,7 @@ func TestSolveMethodFallback(t *testing.T) {
 
 	for _, maxIter := range []int{0, 1} {
 		var info SolveInfo
-		got, err := s.ReconstructOpt(y, ReconstructOptions{MaxIter: maxIter, Info: &info})
+		got, err := s.ReconstructOpt(y, kron.NewWorkspace(), ReconstructOptions{MaxIter: maxIter, Info: &info})
 		if err != nil {
 			t.Fatalf("MaxIter %d: %v", maxIter, err)
 		}
@@ -150,9 +152,9 @@ func TestRefineFallsBackWhenUncertified(t *testing.T) {
 		x[i] = float64(i%11) + 3
 	}
 	y := make([]float64, rows)
-	s.Operator().MatVec(y, x)
+	s.Operator().MatVec(y, x, kron.NewWorkspace())
 	var info SolveInfo
-	got, err := s.ReconstructOpt(y, ReconstructOptions{Info: &info})
+	got, err := s.ReconstructOpt(y, kron.NewWorkspace(), ReconstructOptions{Info: &info})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,15 +193,16 @@ func TestRefineAllocsNoMoreThanLSMR(t *testing.T) {
 	y := randMeasurement(rng, refine)
 	allocs := func(s *UnionStrategy, method string) float64 {
 		var info SolveInfo
-		opts := ReconstructOptions{Workspace: kron.NewWorkspace(), Info: &info}
-		if _, err := s.ReconstructOpt(y, opts); err != nil { // grow the workspace
+		ws := kron.NewWorkspace()
+		opts := ReconstructOptions{Info: &info}
+		if _, err := s.ReconstructOpt(y, ws, opts); err != nil { // grow the workspace
 			t.Fatal(err)
 		}
 		if info.Method != method {
 			t.Fatalf("ran %q, want %q", info.Method, method)
 		}
 		return testing.AllocsPerRun(10, func() {
-			if _, err := s.ReconstructOpt(y, opts); err != nil {
+			if _, err := s.ReconstructOpt(y, ws, opts); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -245,13 +248,14 @@ func TestUnionRefineCPH(t *testing.T) {
 	// y = A·x + Lap(1/ε) for a skewed synthetic population.
 	op := s.Operator()
 	rows, cols := op.Dims()
+	ws := kron.NewWorkspace()
 	rng := rand.New(rand.NewPCG(59, 60))
 	x := make([]float64, cols)
 	for range 200_000 {
 		x[int(float64(cols)*rng.Float64()*rng.Float64())]++
 	}
 	ax := make([]float64, rows)
-	op.MatVec(ax, x)
+	op.MatVec(ax, x, ws)
 	measure := func(eps float64) []float64 {
 		y := make([]float64, rows)
 		for i := range y {
@@ -263,15 +267,15 @@ func TestUnionRefineCPH(t *testing.T) {
 	for _, eps := range []float64{0.5, 2, 1} {
 		y = measure(eps)
 		var info SolveInfo
-		if got, err = s.ReconstructOpt(y, ReconstructOptions{Info: &info}); err != nil {
+		if got, err = s.ReconstructOpt(y, kron.NewWorkspace(), ReconstructOptions{Info: &info}); err != nil {
 			t.Fatal(err)
 		}
 		if info.Method != SolveRefine || info.Iters != 1 || info.Stopped != lsmr.StoppedAtol {
 			t.Fatalf("ε = %g: CPH solve %+v, want one certified refinement step", eps, info)
 		}
-		z := lsmr.Refine(s.normal(), y, lsmr.Options{}).X
+		z := lsmr.Refine(s.normal(), y, kron.NewWorkspace(), lsmr.Options{}).X
 		r := make([]float64, rows)
-		am.MatVec(r, z)
+		am.MatVec(r, z, ws)
 		for i := range r {
 			r[i] = y[i] - r[i]
 		}
@@ -285,7 +289,7 @@ func TestUnionRefineCPH(t *testing.T) {
 	}
 	for _, w := range []int{1, 4} {
 		prev := kron.SetWorkers(w)
-		again, err := s.Reconstruct(y)
+		again, err := s.Reconstruct(y, ws)
 		kron.SetWorkers(prev)
 		if err != nil {
 			t.Fatal(err)
@@ -299,7 +303,7 @@ func TestUnionRefineCPH(t *testing.T) {
 
 	s.pcDelta = 1
 	var lsmrInfo SolveInfo
-	ref, err := s.ReconstructOpt(y, ReconstructOptions{Info: &lsmrInfo})
+	ref, err := s.ReconstructOpt(y, kron.NewWorkspace(), ReconstructOptions{Info: &lsmrInfo})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,12 +313,12 @@ func TestUnionRefineCPH(t *testing.T) {
 	checkClose(t, got, ref)
 	gradNorm := func(xh []float64) float64 {
 		r := make([]float64, rows)
-		op.MatVec(r, xh)
+		op.MatVec(r, xh, ws)
 		for i := range r {
 			r[i] = y[i] - r[i]
 		}
 		g := make([]float64, cols)
-		op.MatTVec(g, r)
+		op.MatTVec(g, r, ws)
 		return math.Sqrt(mat.SqSum(g))
 	}
 	gr, gl := gradNorm(got), gradNorm(ref)

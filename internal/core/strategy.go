@@ -52,8 +52,9 @@ type Strategy interface {
 	// Error returns the expected total squared error ‖A‖₁²·‖W·A⁺‖²_F of
 	// answering w from this strategy.
 	Error(w *workload.Workload) (float64, error)
-	// Reconstruct performs the least-squares inference x̂ = A⁺·y.
-	Reconstruct(y []float64) ([]float64, error)
+	// Reconstruct performs the least-squares inference x̂ = A⁺·y, drawing
+	// the scratch of its operator applications from ws.
+	Reconstruct(y []float64, ws *kron.Workspace) ([]float64, error)
 	// Name identifies the producing operator for diagnostics.
 	Name() string
 }
@@ -165,14 +166,14 @@ func (s *KronStrategy) PinvOperator() (*kron.Product, error) {
 // Reconstruct computes x̂ = A⁺·y = (A₁⁺⊗···⊗A_d⁺)·y using the per-factor
 // pseudo-inverse identity of Section 4.4 and the GEMM-backed mode
 // contraction.
-func (s *KronStrategy) Reconstruct(y []float64) ([]float64, error) {
+func (s *KronStrategy) Reconstruct(y []float64, ws *kron.Workspace) ([]float64, error) {
 	op, err := s.PinvOperator()
 	if err != nil {
 		return nil, err
 	}
 	r, _ := op.Dims()
 	out := make([]float64, r)
-	op.MatVec(out, y)
+	op.MatVec(out, y, ws)
 	return out, nil
 }
 
@@ -198,11 +199,11 @@ type UnionStrategy struct {
 	op     *kron.Stack // cached scaled stack, guarded by opOnce
 
 	pcOnce    sync.Once
-	pcStack   kron.Linear           // preconditioned operator A·M, guarded by pcOnce
-	pcM       kron.WorkspaceApplier // right preconditioner M (x = M·z); nil when the pencil declined
-	pcDelta   float64               // upper bound on ‖I − (AM)ᵀAM‖₂; +Inf when the pencil declined
-	pcNormal  kron.Linear           // (AM)ᵀAM at cell size from the factor Grams; nil without a finite delta
-	pcGramErr float64               // bound on ‖pcNormal − (AM)ᵀAM‖₂ from rounding those Grams
+	pcStack   kron.Linear // preconditioned operator A·M, guarded by pcOnce
+	pcM       kron.Linear // right preconditioner M (x = M·z); nil when the pencil declined
+	pcDelta   float64     // upper bound on ‖I − (AM)ᵀAM‖₂; +Inf when the pencil declined
+	pcNormal  kron.Linear // (AM)ᵀAM at cell size from the factor Grams; nil without a finite delta
+	pcGramErr float64     // bound on ‖pcNormal − (AM)ᵀAM‖₂ from rounding those Grams
 }
 
 // Name implements Strategy.
@@ -260,17 +261,13 @@ func (s *UnionStrategy) Error(w *workload.Workload) (float64, error) {
 // Either returns a non-nil error wrapping ErrNotConverged —
 // alongside the best iterate — when the iteration budget binds before
 // convergence.
-func (s *UnionStrategy) Reconstruct(y []float64) ([]float64, error) {
-	return s.ReconstructOpt(y, ReconstructOptions{})
+func (s *UnionStrategy) Reconstruct(y []float64, ws *kron.Workspace) ([]float64, error) {
+	return s.ReconstructOpt(y, ws, ReconstructOptions{})
 }
 
 // ReconstructOptions tunes a union reconstruction. The zero value is the
 // default solve: preconditioned, solver-default iteration budget.
 type ReconstructOptions struct {
-	// Workspace is reused across the solve's operator applications; nil
-	// borrows a pooled one. Callers that reconstruct repeatedly pass one
-	// workspace so every solve stays O(1) in allocations.
-	Workspace *kron.Workspace
 	// MaxIter caps the LSMR iterations or refinement steps (0 = solver
 	// default, 4·cols).
 	MaxIter int
@@ -297,7 +294,7 @@ type ReconstructOptions struct {
 // a plain solve, when the parts differ in factor sizes, a share's square
 // is not positive, or a factor Gram of block 1 is numerically
 // rank-deficient.
-func (s *UnionStrategy) precond() (kron.Linear, kron.WorkspaceApplier, float64) {
+func (s *UnionStrategy) precond() (kron.Linear, kron.Linear, float64) {
 	s.pcOnce.Do(s.pencilPrecond)
 	return s.pcStack, s.pcM, s.pcDelta
 }
@@ -420,19 +417,17 @@ func (s *UnionStrategy) pencilPrecond() {
 // symmetric, so its transpose is itself.
 type pencilGram struct{ inner *kron.ColScaled }
 
-func (n pencilGram) Dims() (int, int)         { return n.inner.Dims() }
-func (n pencilGram) MatVec(dst, z []float64)  { n.MatVecTo(dst, z, nil) }
-func (n pencilGram) MatTVec(dst, z []float64) { n.MatVecTo(dst, z, nil) }
-func (n pencilGram) Sensitivity() float64     { return n.inner.Sensitivity() * maxAbs(n.inner.Scale) }
+func (n pencilGram) Dims() (int, int)     { return n.inner.Dims() }
+func (n pencilGram) Sensitivity() float64 { return n.inner.Sensitivity() * maxAbs(n.inner.Scale) }
 
-func (n pencilGram) MatVecTo(dst, z []float64, ws *kron.Workspace) {
-	n.inner.MatVecTo(dst, z, ws)
+func (n pencilGram) MatVec(dst, z []float64, ws *kron.Workspace) {
+	n.inner.MatVec(dst, z, ws)
 	for i, s := range n.inner.Scale {
 		dst[i] *= s
 	}
 }
 
-func (n pencilGram) MatTVecTo(dst, z []float64, ws *kron.Workspace) { n.MatVecTo(dst, z, ws) }
+func (n pencilGram) MatTVec(dst, z []float64, ws *kron.Workspace) { n.MatVec(dst, z, ws) }
 
 func maxAbs(v []float64) float64 {
 	m := 0.0
@@ -540,23 +535,18 @@ func (s *UnionStrategy) notConvergedErr(method string, res lsmr.Result) error {
 // it returns (x̂, nil); when the iteration budget binds it returns the best
 // iterate together with an error wrapping ErrNotConverged, so callers can
 // choose between failing hard (the serving path) and explicitly accepting a
-// degraded estimate. For a fixed configuration the result is bit-identical
-// at any worker count.
-func (s *UnionStrategy) ReconstructOpt(y []float64, opts ReconstructOptions) ([]float64, error) {
+// degraded estimate. Every operator application of the solve and the map
+// back draws its scratch from ws. For a fixed configuration the result is
+// bit-identical at any worker count.
+func (s *UnionStrategy) ReconstructOpt(y []float64, ws *kron.Workspace, opts ReconstructOptions) ([]float64, error) {
 	s.Operator()
 	op := s.op
 	rows, cols := op.Dims()
 	if len(y) != rows {
 		return nil, fmt.Errorf("core: measurement has length %d, union strategy has %d rows", len(y), rows)
 	}
-	ws := opts.Workspace
-	if ws == nil {
-		ws = kron.GetWorkspace()
-		defer kron.PutWorkspace(ws)
-	}
-
 	solveOp := kron.Linear(op)
-	var pcM kron.WorkspaceApplier
+	var pcM kron.Linear
 	delta := math.Inf(1)
 	if !opts.NoPrecond {
 		opts.Trace.Begin(obs.StagePrecondition)
@@ -567,12 +557,12 @@ func (s *UnionStrategy) ReconstructOpt(y []float64, opts ReconstructOptions) ([]
 		}
 	}
 
-	lopts := lsmr.Options{MaxIter: opts.MaxIter, Workspace: ws}
+	lopts := lsmr.Options{MaxIter: opts.MaxIter}
 	method := solveMethod(delta)
 	start := time.Now()
 	var res lsmr.Result
 	if method == SolveRefine {
-		res = lsmr.Refine(s.normal(), y, lopts)
+		res = lsmr.Refine(s.normal(), y, ws, lopts)
 		if res.Stopped == lsmr.StoppedUncertified {
 			opts.Trace.Observe(obs.StageSolve, time.Since(start))
 			method = SolveLSMR
@@ -580,7 +570,7 @@ func (s *UnionStrategy) ReconstructOpt(y []float64, opts ReconstructOptions) ([]
 	}
 	if method == SolveLSMR {
 		lopts.Trace = opts.Trace // LSMR observes its own solve
-		res = lsmr.Solve(solveOp, y, lopts)
+		res = lsmr.Solve(solveOp, y, ws, lopts)
 		start = time.Now()
 	}
 	x := res.X
@@ -589,7 +579,7 @@ func (s *UnionStrategy) ReconstructOpt(y []float64, opts ReconstructOptions) ([]
 		// and part of the reconstruction, so its time belongs to the
 		// solve stage; left out, it is registration time no stage explains.
 		x = make([]float64, cols)
-		pcM.MatVecTo(x, res.X, ws)
+		pcM.MatVec(x, res.X, ws)
 		opts.Trace.Observe(obs.StageSolve, time.Since(start))
 	}
 	if opts.Info != nil {
@@ -713,8 +703,9 @@ func (s *MarginalStrategy) Error(w *workload.Workload) (float64, error) {
 	return f, nil
 }
 
-// Reconstruct computes x̂ = M⁺·y = (MᵀM)⁺·Mᵀ·y with the lattice inverse.
-func (s *MarginalStrategy) Reconstruct(y []float64) ([]float64, error) {
+// Reconstruct computes x̂ = M⁺·y = (MᵀM)⁺·Mᵀ·y with the lattice inverse;
+// it needs no workspace.
+func (s *MarginalStrategy) Reconstruct(y []float64, _ *kron.Workspace) ([]float64, error) {
 	mty := make([]float64, s.Space.N())
 	off := 0
 	for _, a := range s.active() {
@@ -751,7 +742,7 @@ func (m *marginalOperator) Dims() (int, int) {
 	return r, m.s.Space.N()
 }
 
-func (m *marginalOperator) MatVec(dst, x []float64) {
+func (m *marginalOperator) MatVec(dst, x []float64, _ *kron.Workspace) {
 	off := 0
 	for _, a := range m.subsets {
 		part := m.s.Space.MarginalizeTo(a, x)
@@ -763,7 +754,7 @@ func (m *marginalOperator) MatVec(dst, x []float64) {
 	}
 }
 
-func (m *marginalOperator) MatTVec(dst, y []float64) {
+func (m *marginalOperator) MatTVec(dst, y []float64, _ *kron.Workspace) {
 	for i := range dst {
 		dst[i] = 0
 	}
@@ -826,7 +817,7 @@ func (s *IdentityStrategy) Error(w *workload.Workload) (float64, error) {
 }
 
 // Reconstruct is the identity map.
-func (s *IdentityStrategy) Reconstruct(y []float64) ([]float64, error) {
+func (s *IdentityStrategy) Reconstruct(y []float64, _ *kron.Workspace) ([]float64, error) {
 	out := make([]float64, len(y))
 	copy(out, y)
 	return out, nil
@@ -834,8 +825,8 @@ func (s *IdentityStrategy) Reconstruct(y []float64) ([]float64, error) {
 
 type identityOp struct{ n int }
 
-func (o identityOp) Dims() (int, int)         { return o.n, o.n }
-func (o identityOp) MatVec(dst, x []float64)  { copy(dst, x) }
-func (o identityOp) MatTVec(dst, y []float64) { copy(dst, y) }
-func (o identityOp) Sensitivity() float64     { return 1 }
-func (o identityOp) L2Sensitivity() float64   { return 1 }
+func (o identityOp) Dims() (int, int)                            { return o.n, o.n }
+func (o identityOp) MatVec(dst, x []float64, _ *kron.Workspace)  { copy(dst, x) }
+func (o identityOp) MatTVec(dst, y []float64, _ *kron.Workspace) { copy(dst, y) }
+func (o identityOp) Sensitivity() float64                        { return 1 }
+func (o identityOp) L2Sensitivity() float64                      { return 1 }

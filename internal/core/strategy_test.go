@@ -5,6 +5,7 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"repro/internal/kron"
 	"repro/internal/mat"
 	"repro/internal/schema"
 	"repro/internal/workload"
@@ -68,7 +69,7 @@ func TestKronStrategyReconstructIsLeastSquares(t *testing.T) {
 	for i := range y {
 		y[i] = rng.NormFloat64()
 	}
-	got, err := s.Reconstruct(y)
+	got, err := s.Reconstruct(y, kron.NewWorkspace())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +134,7 @@ func TestMarginalStrategyOperatorMatchesExplicit(t *testing.T) {
 		x[i] = rng.NormFloat64()
 	}
 	got := make([]float64, rows)
-	op.MatVec(got, x)
+	op.MatVec(got, x, kron.NewWorkspace())
 	want := mat.MatVec(nil, a, x)
 	for i := range want {
 		if math.Abs(got[i]-want[i]) > 1e-9 {
@@ -145,7 +146,7 @@ func TestMarginalStrategyOperatorMatchesExplicit(t *testing.T) {
 		y[i] = rng.NormFloat64()
 	}
 	gotT := make([]float64, cols)
-	op.MatTVec(gotT, y)
+	op.MatTVec(gotT, y, kron.NewWorkspace())
 	wantT := mat.MatTVec(nil, a, y)
 	for i := range wantT {
 		if math.Abs(gotT[i]-wantT[i]) > 1e-9 {
@@ -164,7 +165,7 @@ func TestMarginalStrategyReconstruct(t *testing.T) {
 	for i := range y {
 		y[i] = rng.NormFloat64()
 	}
-	got, err := s.Reconstruct(y)
+	got, err := s.Reconstruct(y, kron.NewWorkspace())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +194,7 @@ func TestIdentityStrategy(t *testing.T) {
 		t.Fatal("identity error != GramTrace")
 	}
 	x := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}
-	r, err := s.Reconstruct(x)
+	r, err := s.Reconstruct(x, kron.NewWorkspace())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"repro/internal/kron"
 	"repro/internal/lsmr"
 	"repro/internal/obs"
 )
@@ -34,7 +35,7 @@ func randMeasurement(rng *rand.Rand, s *UnionStrategy) []float64 {
 // production path so its solution error is negligible against the
 // comparison tolerance.
 func referenceSolve(t *testing.T, s *UnionStrategy, y []float64) []float64 {
-	res := lsmr.Solve(s.Operator(), y, lsmr.Options{Atol: 1e-13, Btol: 1e-13})
+	res := lsmr.Solve(s.Operator(), y, kron.NewWorkspace(), lsmr.Options{Atol: 1e-13, Btol: 1e-13})
 	if res.Stopped == lsmr.StoppedMaxIter {
 		t.Fatalf("reference solve did not converge (%d iters)", res.Iters)
 	}
@@ -52,7 +53,7 @@ func TestUnionReconstructNonConvergence(t *testing.T) {
 		s := testUnionStrategy(t)
 		y := randMeasurement(rng, s)
 		var info SolveInfo
-		x, err := s.ReconstructOpt(y, ReconstructOptions{NoPrecond: true, MaxIter: 1, Info: &info})
+		x, err := s.ReconstructOpt(y, kron.NewWorkspace(), ReconstructOptions{NoPrecond: true, MaxIter: 1, Info: &info})
 		if !errors.Is(err, ErrNotConverged) {
 			t.Fatalf("err = %v, want ErrNotConverged", err)
 		}
@@ -76,14 +77,14 @@ func TestUnionReconstructNonConvergence(t *testing.T) {
 		s.pcDelta = 1 - 0x1p-40
 		y := randMeasurement(rng, s)
 		var info SolveInfo
-		_, err := s.ReconstructOpt(y, ReconstructOptions{MaxIter: 1, Info: &info})
+		_, err := s.ReconstructOpt(y, kron.NewWorkspace(), ReconstructOptions{MaxIter: 1, Info: &info})
 		if !errors.Is(err, ErrNotConverged) {
 			t.Fatalf("err = %v, want ErrNotConverged", err)
 		}
 		if !info.Preconditioned || info.Method != SolveRefine {
 			t.Fatalf("info = %+v, want a preconditioned refinement", info)
 		}
-		if _, err := s.ReconstructOpt(y, ReconstructOptions{MaxIter: 2}); err != nil {
+		if _, err := s.ReconstructOpt(y, kron.NewWorkspace(), ReconstructOptions{MaxIter: 2}); err != nil {
 			t.Fatalf("two-step budget: %v", err)
 		}
 	})
@@ -108,7 +109,7 @@ func TestUnionPreconditionedMatchesReference(t *testing.T) {
 				y := randMeasurement(rng, s)
 				ref := referenceSolve(t, s, y)
 				var info SolveInfo
-				got, err := s.ReconstructOpt(y, ReconstructOptions{Info: &info})
+				got, err := s.ReconstructOpt(y, kron.NewWorkspace(), ReconstructOptions{Info: &info})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -140,10 +141,10 @@ func TestUnionPrecondSavesIterations(t *testing.T) {
 	s := testUnionStrategy(t)
 	y := randMeasurement(rng, s)
 	var plain, pc SolveInfo
-	if _, err := s.ReconstructOpt(y, ReconstructOptions{NoPrecond: true, Info: &plain}); err != nil {
+	if _, err := s.ReconstructOpt(y, kron.NewWorkspace(), ReconstructOptions{NoPrecond: true, Info: &plain}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.ReconstructOpt(y, ReconstructOptions{Info: &pc}); err != nil {
+	if _, err := s.ReconstructOpt(y, kron.NewWorkspace(), ReconstructOptions{Info: &pc}); err != nil {
 		t.Fatal(err)
 	}
 	if pc.Iters >= plain.Iters {
@@ -189,7 +190,7 @@ func TestUnionReconstructTracesMapBack(t *testing.T) {
 		y := randMeasurement(rng, s)
 		tr := obs.NewTrace("reconstruct")
 		var info SolveInfo
-		if _, err := s.ReconstructOpt(y, ReconstructOptions{NoPrecond: tc.noPrecond, Info: &info, Trace: tr}); err != nil {
+		if _, err := s.ReconstructOpt(y, kron.NewWorkspace(), ReconstructOptions{NoPrecond: tc.noPrecond, Info: &info, Trace: tr}); err != nil {
 			t.Fatal(err)
 		}
 		if info.Preconditioned == tc.noPrecond || info.Method != tc.method {

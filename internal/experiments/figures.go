@@ -180,8 +180,9 @@ func Fig1d(s Scale) string {
 			panic(err)
 		}
 		dKron := timed(func() {
-			y := mech.Measure(ks.Operator(), x, 1, 0, src)
-			if _, err := ks.Reconstruct(y); err != nil {
+			ws := kron.NewWorkspace()
+			y := mech.Measure(ks.Operator(), x, 1, 0, src, ws)
+			if _, err := ks.Reconstruct(y, ws); err != nil {
 				panic(err)
 			}
 		})
@@ -197,8 +198,9 @@ func Fig1d(s Scale) string {
 			panic(err)
 		}
 		dPlus := timed(func() {
-			y := mech.Measure(us.Operator(), x, 1, 0, src)
-			if _, err := us.Reconstruct(y); err != nil {
+			ws := kron.NewWorkspace()
+			y := mech.Measure(us.Operator(), x, 1, 0, src, ws)
+			if _, err := us.Reconstruct(y, ws); err != nil {
 				panic(err)
 			}
 		})
@@ -210,8 +212,9 @@ func Fig1d(s Scale) string {
 			panic(err)
 		}
 		dMarg := timed(func() {
-			y := mech.Measure(msStrat.Operator(), x, 1, 0, src)
-			if _, err := msStrat.Reconstruct(y); err != nil {
+			ws := kron.NewWorkspace()
+			y := mech.Measure(msStrat.Operator(), x, 1, 0, src, ws)
+			if _, err := msStrat.Reconstruct(y, ws); err != nil {
 				panic(err)
 			}
 		})

@@ -26,9 +26,10 @@ func BenchmarkKmatvec(b *testing.B) {
 		x[i] = rng.Float64()
 	}
 	dst := make([]float64, rows)
+	ws := NewWorkspace()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.MatVec(dst, x)
+		p.MatVec(dst, x, ws)
 	}
 }
 
@@ -50,8 +51,9 @@ func BenchmarkKmatTvec(b *testing.B) {
 		y[i] = rng.Float64()
 	}
 	dst := make([]float64, cols)
+	ws := NewWorkspace()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.MatTVec(dst, y)
+		p.MatTVec(dst, y, ws)
 	}
 }

@@ -6,7 +6,7 @@
 //
 // The application layer is GEMM-backed and allocation-free: every mode
 // contraction of Algorithm 1 is one mat.ContractNT call (out = F·Zᵀ) over
-// a reusable two-buffer Workspace, the transpose path runs the exact
+// the caller's reusable two-buffer Workspace, the transpose path runs the exact
 // adjoint of that sweep (mode 0 first, one mat.ContractTN call per mode,
 // out = Zᵀ·F on the factor as stored) so Aᵀy costs the flops Ax costs.
 // Results are bit-identical to the scalar reference algorithm at any worker
@@ -32,28 +32,20 @@ func SetWorkers(n int) int { return parallel.SetKernelWorkers(n) }
 // Workers reports the resolved worker count operator applications will use.
 func Workers() int { return parallel.KernelWorkers() }
 
-// Linear is an implicitly represented linear operator.
+// Linear is an implicitly represented linear operator. Every application
+// draws its scratch from the caller's workspace, which must be non-nil, so
+// a hot loop (LSMR iterations, a registration's measure and solve) reuses
+// one set of buffers across all of its applications; operators with no
+// scratch ignore it.
 type Linear interface {
 	// Dims returns (rows, cols).
 	Dims() (int, int)
 	// MatVec writes A·x into dst (len rows); dst may not alias x.
-	MatVec(dst, x []float64)
+	MatVec(dst, x []float64, ws *Workspace)
 	// MatTVec writes Aᵀ·y into dst (len cols); dst may not alias y.
-	MatTVec(dst, y []float64)
+	MatTVec(dst, y []float64, ws *Workspace)
 	// Sensitivity returns the L1 operator norm ‖A‖₁ (max abs column sum).
 	Sensitivity() float64
-}
-
-// WorkspaceApplier is implemented by operators whose applications can run
-// through a caller-provided Workspace, so hot loops (LSMR iterations,
-// batched answering) reuse one set of scratch buffers across thousands of
-// applications instead of allocating per call.
-type WorkspaceApplier interface {
-	Linear
-	// MatVecTo is MatVec drawing scratch from ws (nil uses a pooled one).
-	MatVecTo(dst, x []float64, ws *Workspace)
-	// MatTVecTo is MatTVec drawing scratch from ws (nil uses a pooled one).
-	MatTVecTo(dst, y []float64, ws *Workspace)
 }
 
 // ---------------------------------------------------------------------------
@@ -65,14 +57,13 @@ type WorkspaceApplier interface {
 // matrix headers for the per-step GEMM views, per-block sub-workspaces plus
 // reduction buffers for stacked operators, and a ColScaled staging buffer.
 // A Workspace may serve one application at a time; concurrent block
-// applications inside a Stack each get their own child. The zero value is
-// NOT ready for use — call NewWorkspace (or pass nil to the *To entry
-// points, which borrow one from an internal pool).
+// applications inside a Stack or Sum each get their own child. The zero
+// value is NOT ready for use — call NewWorkspace.
 type Workspace struct {
 	bufs  [2][]float64 // ping-pong mode-contraction intermediates
 	z, o  *mat.Dense   // reusable GEMM view headers (input, output)
-	kids  []*Workspace // per-block workspaces for Stack fan-out
-	reds  [][]float64  // per-block reduction buffers for Stack.MatTVecTo
+	kids  []*Workspace // per-block workspaces for Stack and Sum fan-out
+	reds  [][]float64  // per-block reduction buffers for Stack.MatTVec and Sum
 	scale []float64    // ColScaled's scaled-input staging
 }
 
@@ -89,6 +80,31 @@ func (w *Workspace) buf(i, n int) []float64 {
 		w.bufs[i] = make([]float64, n)
 	}
 	return w.bufs[i][:n]
+}
+
+// reserve grows the ping-pong buffers a sweep over factors uses to the
+// sweep's largest intermediate, so each buffer is allocated at most once
+// whichever sweep runs first. Both sweeps pass through the same
+// intermediate lengths, ∏_{j<i} cols_j · ∏_{j≥i} rows_j for 0 < i < d.
+// Growing step by step would allocate a buffer again each time its parity
+// meets a longer intermediate, and again when the adjoint sweep visits the
+// lengths in the other order.
+func (w *Workspace) reserve(factors []*mat.Dense) {
+	longest := 0
+	for i := 1; i < len(factors); i++ {
+		n := 1
+		for j, f := range factors {
+			if j < i {
+				n *= f.Cols()
+			} else {
+				n *= f.Rows()
+			}
+		}
+		longest = max(longest, n)
+	}
+	for i := 0; i < min(len(factors)-1, 2); i++ {
+		w.buf(i, longest)
+	}
 }
 
 // children returns n child workspaces, creating any missing ones. It must
@@ -117,51 +133,6 @@ func (w *Workspace) blockTmps(n, c int) [][]float64 {
 	return w.reds[:n]
 }
 
-// wsPool recycles workspaces for the workspace-less entry points (the plain
-// Linear interface methods), so even callers unaware of workspaces are
-// allocation-free at steady state.
-var wsPool = sync.Pool{New: func() any { return NewWorkspace() }}
-
-// GetWorkspace borrows a pooled workspace. Pair with PutWorkspace.
-func GetWorkspace() *Workspace { return wsPool.Get().(*Workspace) }
-
-// PutWorkspace returns a workspace to the pool. The caller must not use it
-// afterwards.
-func PutWorkspace(ws *Workspace) {
-	ws.releaseRefs()
-	wsPool.Put(ws)
-}
-
-// releaseRefs drops the view headers' references to caller-owned slices
-// (the final contraction step reshapes them over the caller's dst, and a
-// single-factor product over its x), so an idle pooled workspace pins only
-// its own buffers, not multi-MB answer vectors from past applications.
-func (w *Workspace) releaseRefs() {
-	w.z.Reshape(0, 0, nil)
-	w.o.Reshape(0, 0, nil)
-	for _, kid := range w.kids {
-		kid.releaseRefs()
-	}
-}
-
-// matVecWS applies b through the workspace when supported.
-func matVecWS(b Linear, dst, x []float64, ws *Workspace) {
-	if a, ok := b.(WorkspaceApplier); ok {
-		a.MatVecTo(dst, x, ws)
-		return
-	}
-	b.MatVec(dst, x)
-}
-
-// matTVecWS applies bᵀ through the workspace when supported.
-func matTVecWS(b Linear, dst, y []float64, ws *Workspace) {
-	if a, ok := b.(WorkspaceApplier); ok {
-		a.MatTVecTo(dst, y, ws)
-		return
-	}
-	b.MatTVec(dst, y)
-}
-
 // ---------------------------------------------------------------------------
 // Dense
 // ---------------------------------------------------------------------------
@@ -172,10 +143,10 @@ type Dense struct{ M *mat.Dense }
 // Wrap wraps an explicit matrix.
 func Wrap(m *mat.Dense) Dense { return Dense{M: m} }
 
-func (d Dense) Dims() (int, int)         { return d.M.Dims() }
-func (d Dense) MatVec(dst, x []float64)  { mat.MatVec(dst, d.M, x) }
-func (d Dense) MatTVec(dst, y []float64) { mat.MatTVec(dst, d.M, y) }
-func (d Dense) Sensitivity() float64     { return mat.L1Norm(d.M) }
+func (d Dense) Dims() (int, int)                       { return d.M.Dims() }
+func (d Dense) MatVec(dst, x []float64, _ *Workspace)  { mat.MatVec(dst, d.M, x) }
+func (d Dense) MatTVec(dst, y []float64, _ *Workspace) { mat.MatTVec(dst, d.M, y) }
+func (d Dense) Sensitivity() float64                   { return mat.L1Norm(d.M) }
 
 // ---------------------------------------------------------------------------
 // Kronecker product
@@ -214,34 +185,15 @@ func (p *Product) Sensitivity() float64 {
 	return s
 }
 
-// MatVec applies the product via Algorithm 1; see MatVecTo.
-func (p *Product) MatVec(dst, x []float64) { p.MatVecTo(dst, x, nil) }
+// MatVec writes A·x into dst (len rows) via Algorithm 1, drawing all
+// scratch from ws. dst may not alias x. The application performs zero
+// allocations once ws's buffers have grown to size.
+func (p *Product) MatVec(dst, x []float64, ws *Workspace) { applyFactors(dst, p.Factors, x, ws) }
 
-// MatTVec applies the transposed product (transpose distributes over ⊗).
-func (p *Product) MatTVec(dst, y []float64) { p.MatTVecTo(dst, y, nil) }
-
-// MatVecTo writes A·x into dst (len rows), drawing all scratch from ws
-// (nil borrows a pooled workspace). dst may not alias x. The application
-// performs zero allocations once ws's buffers have grown to size.
-func (p *Product) MatVecTo(dst, x []float64, ws *Workspace) {
-	if ws == nil {
-		ws = GetWorkspace()
-		defer PutWorkspace(ws)
-	}
-	applyFactors(dst, p.Factors, x, ws)
-}
-
-// MatTVecTo writes Aᵀ·y into dst (len cols), drawing all scratch from ws
-// (nil borrows a pooled workspace). dst may not alias y. It runs the
-// adjoint of MatVecTo's sweep, so it costs the multiply-adds MatVecTo
-// costs; see applyAdjoint.
-func (p *Product) MatTVecTo(dst, y []float64, ws *Workspace) {
-	if ws == nil {
-		ws = GetWorkspace()
-		defer PutWorkspace(ws)
-	}
-	applyAdjoint(dst, p.Factors, y, ws)
-}
+// MatTVec writes Aᵀ·y into dst (len cols), drawing all scratch from ws.
+// dst may not alias y. It runs the adjoint of MatVec's sweep, so it costs
+// the multiply-adds MatVec costs; see applyAdjoint.
+func (p *Product) MatTVec(dst, y []float64, ws *Workspace) { applyAdjoint(dst, p.Factors, y, ws) }
 
 // applyFactors runs Algorithm 1 (Appendix A.5) forward, A·x, as a sweep of
 // GEMMs. It contracts modes d-1 → 0: at each step the current vector is
@@ -268,6 +220,7 @@ func applyFactors(dst []float64, factors []*mat.Dense, x []float64, ws *Workspac
 	if len(dst) != m {
 		panic(fmt.Sprintf("kron: output length %d want %d", len(dst), m))
 	}
+	ws.reserve(factors)
 	cur := x
 	buf := 0
 	for i := len(factors) - 1; i >= 0; i-- {
@@ -325,6 +278,7 @@ func applyAdjoint(dst []float64, factors []*mat.Dense, y []float64, ws *Workspac
 	if len(dst) != n {
 		panic(fmt.Sprintf("kron: output length %d want %d", len(dst), n))
 	}
+	ws.reserve(factors)
 	cur := y
 	size := m // length of cur
 	buf := 0
@@ -458,17 +412,10 @@ func (s *Stack) offsets() []int {
 	return s.offs
 }
 
-// MatVec stacks the per-block products; see MatVecTo.
-func (s *Stack) MatVec(dst, x []float64) { s.MatVecTo(dst, x, nil) }
-
-// MatVecTo stacks the per-block products. Blocks write disjoint ranges of
+// MatVec stacks the per-block products. Blocks write disjoint ranges of
 // dst, so above the size threshold they run concurrently, each on its own
 // child workspace.
-func (s *Stack) MatVecTo(dst, x []float64, ws *Workspace) {
-	if ws == nil {
-		ws = GetWorkspace()
-		defer PutWorkspace(ws)
-	}
+func (s *Stack) MatVec(dst, x []float64, ws *Workspace) {
 	offs := s.offsets()
 	_, c := s.Dims()
 	if w := Workers(); w > 1 && len(s.Blocks) > 1 && c >= stackParallelCols {
@@ -485,7 +432,7 @@ func (s *Stack) MatVecTo(dst, x []float64, ws *Workspace) {
 // applyBlockVec runs block i of a MatVec into its disjoint range of dst.
 func (s *Stack) applyBlockVec(i int, dst, x []float64, offs []int, bws *Workspace) {
 	lo, hi := offs[i], offs[i+1]
-	matVecWS(s.Blocks[i], dst[lo:hi], x, bws)
+	s.Blocks[i].MatVec(dst[lo:hi], x, bws)
 	if w := s.weight(i); w != 1 {
 		for j := lo; j < hi; j++ {
 			dst[j] *= w
@@ -493,19 +440,12 @@ func (s *Stack) applyBlockVec(i int, dst, x []float64, offs []int, bws *Workspac
 	}
 }
 
-// MatTVec sums the per-block transposed products; see MatTVecTo.
-func (s *Stack) MatTVec(dst, y []float64) { s.MatTVecTo(dst, y, nil) }
-
-// MatTVecTo sums the per-block transposed products. Above the size
+// MatTVec sums the per-block transposed products. Above the size
 // threshold the per-block products run concurrently into per-block
-// workspace buffers; the weighted reduction then runs serially in block
-// order, so the floating-point summation order (and hence the result) is
-// identical at any worker count.
-func (s *Stack) MatTVecTo(dst, y []float64, ws *Workspace) {
-	if ws == nil {
-		ws = GetWorkspace()
-		defer PutWorkspace(ws)
-	}
+// workspace buffers, each block on its own child workspace; the weighted
+// reduction then runs serially in block order, so the floating-point
+// summation order (and hence the result) is identical at any worker count.
+func (s *Stack) MatTVec(dst, y []float64, ws *Workspace) {
 	_, c := s.Dims()
 	for i := range dst {
 		dst[i] = 0
@@ -515,7 +455,7 @@ func (s *Stack) MatTVecTo(dst, y []float64, ws *Workspace) {
 		kids := ws.children(len(s.Blocks))
 		tmps := ws.blockTmps(len(s.Blocks), c)
 		parallel.For(w, len(s.Blocks), func(i int) {
-			matTVecWS(s.Blocks[i], tmps[i], y[offs[i]:offs[i+1]], kids[i])
+			s.Blocks[i].MatTVec(tmps[i], y[offs[i]:offs[i+1]], kids[i])
 		})
 		for i, tmp := range tmps {
 			bw := s.weight(i)
@@ -528,7 +468,7 @@ func (s *Stack) MatTVecTo(dst, y []float64, ws *Workspace) {
 	kid := ws.children(1)[0]
 	tmp := ws.blockTmps(1, c)[0]
 	for i, b := range s.Blocks {
-		matTVecWS(b, tmp, y[offs[i]:offs[i+1]], kid)
+		b.MatTVec(tmp, y[offs[i]:offs[i+1]], kid)
 		bw := s.weight(i)
 		for j, v := range tmp {
 			dst[j] += bw * v
@@ -536,14 +476,10 @@ func (s *Stack) MatTVecTo(dst, y []float64, ws *Workspace) {
 	}
 }
 
-// Sensitivity of a stack: column sums add across blocks, so ‖A‖₁ is bounded
-// by Σ wi·‖Ai‖₁; for the non-negative operators used here (all strategies
-// and workloads in this codebase have non-negative entries) the bound is
-// tight only if the per-block maxima align. We return the exact value when
-// every block exposes exact column sums via ColSums; otherwise the upper
-// bound. All strategy stacks in this repository use the bound-safe route of
-// normalizing per block, so the distinction is documented rather than load-
-// bearing.
+// Sensitivity returns Σ wᵢ·‖Aᵢ‖₁, always: with non-negative weights a
+// column's L1 norm adds across blocks, so this bounds ‖A‖₁, and it is
+// exact when one column attains every block's maximum, as in an OPT⁺
+// union, whose blocks have every column's L1 norm equal to 1.
 func (s *Stack) Sensitivity() float64 {
 	total := 0.0
 	for i, b := range s.Blocks {
@@ -585,26 +521,16 @@ func NewSum(terms []Linear, weights []float64) *Sum {
 // Dims returns the terms' shared dimensions.
 func (s *Sum) Dims() (int, int) { return s.Terms[0].Dims() }
 
-// MatVec writes Σ wᵢ·Aᵢ·x into dst; see MatVecTo.
-func (s *Sum) MatVec(dst, x []float64) { s.MatVecTo(dst, x, nil) }
+// MatVec writes Σ wᵢ·Aᵢ·x into dst. Like Stack.MatTVec, the terms run
+// concurrently above the size threshold into per-term buffers, each term
+// on its own child workspace, and the weighted reduction runs serially in
+// term order, so the result is identical at any worker count.
+func (s *Sum) MatVec(dst, x []float64, ws *Workspace) { s.apply(dst, x, ws, Linear.MatVec) }
 
-// MatTVec writes Σ wᵢ·Aᵢᵀ·y into dst; see MatTVecTo.
-func (s *Sum) MatTVec(dst, y []float64) { s.MatTVecTo(dst, y, nil) }
-
-// MatVecTo writes Σ wᵢ·Aᵢ·x into dst. Like Stack.MatTVecTo, the terms run
-// concurrently above the size threshold into per-term buffers, and the
-// weighted reduction runs serially in term order, so the result is
-// identical at any worker count.
-func (s *Sum) MatVecTo(dst, x []float64, ws *Workspace) { s.apply(dst, x, ws, matVecWS) }
-
-// MatTVecTo writes Σ wᵢ·Aᵢᵀ·y into dst, as MatVecTo does.
-func (s *Sum) MatTVecTo(dst, y []float64, ws *Workspace) { s.apply(dst, y, ws, matTVecWS) }
+// MatTVec writes Σ wᵢ·Aᵢᵀ·y into dst, as MatVec does.
+func (s *Sum) MatTVec(dst, y []float64, ws *Workspace) { s.apply(dst, y, ws, Linear.MatTVec) }
 
 func (s *Sum) apply(dst, x []float64, ws *Workspace, app func(Linear, []float64, []float64, *Workspace)) {
-	if ws == nil {
-		ws = GetWorkspace()
-		defer PutWorkspace(ws)
-	}
 	n := len(dst)
 	tmps := ws.blockTmps(len(s.Terms), n)
 	if w := Workers(); w > 1 && len(s.Terms) > 1 && n >= stackParallelCols {
@@ -637,8 +563,6 @@ func (s *Sum) Sensitivity() float64 {
 	return total
 }
 
-var _ WorkspaceApplier = (*Sum)(nil)
-
 // ---------------------------------------------------------------------------
 // Diagonal right-scaling
 // ---------------------------------------------------------------------------
@@ -668,20 +592,10 @@ func NewColScaled(inner Linear, scale []float64) *ColScaled {
 // Dims returns the inner operator's dimensions.
 func (cs *ColScaled) Dims() (int, int) { return cs.Inner.Dims() }
 
-// MatVec writes Inner·diag(Scale)·x into dst.
-func (cs *ColScaled) MatVec(dst, x []float64) { cs.MatVecTo(dst, x, nil) }
-
-// MatTVec writes diag(Scale)·Innerᵀ·y into dst.
-func (cs *ColScaled) MatTVec(dst, y []float64) { cs.MatTVecTo(dst, y, nil) }
-
-// MatVecTo applies Inner·diag(Scale), staging the scaled input in the
-// workspace's dedicated ColScaled buffer so the inner application (which
-// uses the ping-pong bufs and child workspaces) cannot clobber it.
-func (cs *ColScaled) MatVecTo(dst, x []float64, ws *Workspace) {
-	if ws == nil {
-		ws = GetWorkspace()
-		defer PutWorkspace(ws)
-	}
+// MatVec writes Inner·diag(Scale)·x into dst, staging the scaled input in
+// the workspace's dedicated ColScaled buffer so the inner application
+// (which uses the ping-pong bufs and child workspaces) cannot clobber it.
+func (cs *ColScaled) MatVec(dst, x []float64, ws *Workspace) {
 	if cap(ws.scale) < len(x) {
 		ws.scale = make([]float64, len(x))
 	}
@@ -689,17 +603,13 @@ func (cs *ColScaled) MatVecTo(dst, x []float64, ws *Workspace) {
 	for i, v := range x {
 		t[i] = cs.Scale[i] * v
 	}
-	matVecWS(cs.Inner, dst, t, ws)
+	cs.Inner.MatVec(dst, t, ws)
 }
 
-// MatTVecTo applies diag(Scale)·Innerᵀ: the inner transpose lands in dst
-// and the scaling runs in place, so no staging is needed.
-func (cs *ColScaled) MatTVecTo(dst, y []float64, ws *Workspace) {
-	if ws == nil {
-		ws = GetWorkspace()
-		defer PutWorkspace(ws)
-	}
-	matTVecWS(cs.Inner, dst, y, ws)
+// MatTVec writes diag(Scale)·Innerᵀ·y into dst: the inner transpose lands
+// in dst and the scaling runs in place, so no staging is needed.
+func (cs *ColScaled) MatTVec(dst, y []float64, ws *Workspace) {
+	cs.Inner.MatTVec(dst, y, ws)
 	for i := range dst {
 		dst[i] *= cs.Scale[i]
 	}
@@ -715,5 +625,3 @@ func (cs *ColScaled) Sensitivity() float64 {
 	}
 	return m * cs.Inner.Sensitivity()
 }
-
-var _ WorkspaceApplier = (*ColScaled)(nil)

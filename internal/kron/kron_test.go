@@ -42,7 +42,7 @@ func TestKmatvecMatchesExplicit(t *testing.T) {
 		}
 		x := randVec(rng, pc)
 		got := make([]float64, pr)
-		p.MatVec(got, x)
+		p.MatVec(got, x, NewWorkspace())
 		want := mat.MatVec(nil, ex, x)
 		for i := range want {
 			if math.Abs(got[i]-want[i]) > 1e-9 {
@@ -51,7 +51,7 @@ func TestKmatvecMatchesExplicit(t *testing.T) {
 		}
 		y := randVec(rng, pr)
 		gotT := make([]float64, pc)
-		p.MatTVec(gotT, y)
+		p.MatTVec(gotT, y, NewWorkspace())
 		wantT := mat.MatTVec(nil, ex, y)
 		for i := range wantT {
 			if math.Abs(gotT[i]-wantT[i]) > 1e-9 {
@@ -114,7 +114,7 @@ func TestStack(t *testing.T) {
 	ex := mat.VStack(a.Explicit().Scale(2), b.Explicit().Scale(0.5))
 	x := randVec(rng, sc)
 	got := make([]float64, sr)
-	s.MatVec(got, x)
+	s.MatVec(got, x, NewWorkspace())
 	want := mat.MatVec(nil, ex, x)
 	for i := range want {
 		if math.Abs(got[i]-want[i]) > 1e-9 {
@@ -123,7 +123,7 @@ func TestStack(t *testing.T) {
 	}
 	y := randVec(rng, sr)
 	gotT := make([]float64, sc)
-	s.MatTVec(gotT, y)
+	s.MatTVec(gotT, y, NewWorkspace())
 	wantT := mat.MatTVec(nil, ex, y)
 	for i := range wantT {
 		if math.Abs(gotT[i]-wantT[i]) > 1e-9 {
@@ -144,7 +144,7 @@ func TestSum(t *testing.T) {
 	ex.Add(b.Explicit().Scale(-0.5))
 	x := randVec(rng, 6)
 	got := make([]float64, 12)
-	s.MatVec(got, x)
+	s.MatVec(got, x, NewWorkspace())
 	for i, w := range mat.MatVec(nil, ex, x) {
 		if math.Abs(got[i]-w) > 1e-9 {
 			t.Fatal("sum MatVec mismatch")
@@ -152,7 +152,7 @@ func TestSum(t *testing.T) {
 	}
 	y := randVec(rng, 12)
 	gotT := make([]float64, 6)
-	s.MatTVec(gotT, y)
+	s.MatTVec(gotT, y, NewWorkspace())
 	for i, w := range mat.MatTVec(nil, ex, y) {
 		if math.Abs(gotT[i]-w) > 1e-9 {
 			t.Fatal("sum MatTVec mismatch")
@@ -168,7 +168,7 @@ func TestSum(t *testing.T) {
 	for _, w := range []int{1, 2, 4} {
 		prev := SetWorkers(w)
 		out := make([]float64, 64*70)
-		big.MatVecTo(out, bx, NewWorkspace())
+		big.MatVec(out, bx, NewWorkspace())
 		SetWorkers(prev)
 		if ref == nil {
 			ref = out
@@ -192,7 +192,7 @@ func TestDenseWrapper(t *testing.T) {
 	}
 	x := randVec(rng, 5)
 	got := make([]float64, 4)
-	d.MatVec(got, x)
+	d.MatVec(got, x, NewWorkspace())
 	want := mat.MatVec(nil, m, x)
 	for i := range want {
 		if got[i] != want[i] {

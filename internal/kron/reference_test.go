@@ -85,7 +85,7 @@ func refStackMatVec(s *Stack, x []float64) []float64 {
 			part = refKmatvec(p.Factors, x, false)
 		} else {
 			part = make([]float64, br)
-			b.MatVec(part, x)
+			b.MatVec(part, x, NewWorkspace())
 		}
 		w := s.weight(i)
 		for j, v := range part {
@@ -110,7 +110,7 @@ func refStackMatTVec(s *Stack, y []float64) []float64 {
 			part = refKmatvec(p.Factors, y[off:off+br], true)
 		} else {
 			part = make([]float64, c)
-			b.MatTVec(part, y[off:off+br])
+			b.MatTVec(part, y[off:off+br], NewWorkspace())
 		}
 		w := s.weight(i)
 		for j, v := range part {
@@ -146,7 +146,7 @@ func randFactors(rng *rand.Rand, d int) []*mat.Dense {
 }
 
 // TestGEMMKernelsMatchScalarReference is the differential gate of the GEMM
-// rewrite: MatVec/MatTVec (pooled and workspace forms) must be
+// rewrite: MatVec/MatTVec must be
 // byte-identical to the retired scalar kernel at every tested worker count.
 func TestGEMMKernelsMatchScalarReference(t *testing.T) {
 	for _, workers := range []int{1, 4, 8} {
@@ -163,20 +163,14 @@ func TestGEMMKernelsMatchScalarReference(t *testing.T) {
 			x := randVec(rng, cols)
 			want := refKmatvec(p.Factors, x, false)
 			got := make([]float64, rows)
-			p.MatVec(got, x)
+			p.MatVec(got, x, ws)
 			bitsEqual(t, "MatVec", got, want)
-			clear(got)
-			p.MatVecTo(got, x, ws)
-			bitsEqual(t, "MatVecTo", got, want)
 
 			y := randVec(rng, rows)
 			wantT := refKmatvec(p.Factors, y, true)
 			gotT := make([]float64, cols)
-			p.MatTVec(gotT, y)
+			p.MatTVec(gotT, y, ws)
 			bitsEqual(t, "MatTVec", gotT, wantT)
-			clear(gotT)
-			p.MatTVecTo(gotT, y, ws)
-			bitsEqual(t, "MatTVecTo", gotT, wantT)
 		}
 	}
 }
@@ -190,6 +184,7 @@ func TestStackMatchesScalarReference(t *testing.T) {
 		t.Cleanup(func() { SetWorkers(prev) })
 
 		rng := rand.New(rand.NewPCG(29, uint64(workers)))
+		ws := NewWorkspace()
 		for trial := 0; trial < 10; trial++ {
 			// Shared column count large enough (> stackParallelCols for
 			// the last trials) to cross the concurrent-block threshold.
@@ -211,12 +206,12 @@ func TestStackMatchesScalarReference(t *testing.T) {
 
 			x := randVec(rng, cols)
 			got := make([]float64, rows)
-			s.MatVec(got, x)
+			s.MatVec(got, x, ws)
 			bitsEqual(t, "Stack.MatVec", got, refStackMatVec(s, x))
 
 			y := randVec(rng, rows)
 			gotT := make([]float64, cols)
-			s.MatTVec(gotT, y)
+			s.MatTVec(gotT, y, ws)
 			bitsEqual(t, "Stack.MatTVec", gotT, refStackMatTVec(s, y))
 		}
 	}
@@ -265,13 +260,13 @@ func TestAdjointSweepHeterogeneousShapes(t *testing.T) {
 			rows, cols := p.Dims()
 			x := randVec(rng, cols)
 			got := make([]float64, rows)
-			p.MatVecTo(got, x, ws)
-			bitsEqual(t, "MatVecTo", got, refKmatvec(p.Factors, x, false))
+			p.MatVec(got, x, ws)
+			bitsEqual(t, "MatVec", got, refKmatvec(p.Factors, x, false))
 
 			y := randVec(rng, rows)
 			gotT := make([]float64, cols)
-			p.MatTVecTo(gotT, y, ws)
-			bitsEqual(t, "MatTVecTo", gotT, refKmatvec(p.Factors, y, true))
+			p.MatTVec(gotT, y, ws)
+			bitsEqual(t, "MatTVec", gotT, refKmatvec(p.Factors, y, true))
 
 			// Two blocks sharing the column space: the product and a
 			// reshuffled one with the same column dims.
@@ -283,8 +278,8 @@ func TestAdjointSweepHeterogeneousShapes(t *testing.T) {
 			srows, _ := s.Dims()
 			sy := randVec(rng, srows)
 			sgot := make([]float64, cols)
-			s.MatTVecTo(sgot, sy, ws)
-			bitsEqual(t, "Stack.MatTVecTo", sgot, refStackMatTVec(s, sy))
+			s.MatTVec(sgot, sy, ws)
+			bitsEqual(t, "Stack.MatTVec", sgot, refStackMatTVec(s, sy))
 		}
 	}
 }
@@ -316,14 +311,15 @@ func TestAdjointSweepDeterministicAcrossWorkers(t *testing.T) {
 	for _, workers := range []int{1, 4, 8} {
 		prev := SetWorkers(workers)
 		got := make([]float64, cols)
-		p.MatTVecTo(got, y, nil)
-		bitsEqual(t, "MatTVecTo", got, want)
+		ws := NewWorkspace()
+		p.MatTVec(got, y, ws)
+		bitsEqual(t, "MatTVec", got, want)
 		sGot := make([]float64, cols)
-		s.MatTVecTo(sGot, sy, nil)
+		s.MatTVec(sGot, sy, ws)
 		if sWant == nil {
 			sWant = sGot
 		}
-		bitsEqual(t, "Stack.MatTVecTo", sGot, sWant)
+		bitsEqual(t, "Stack.MatTVec", sGot, sWant)
 		SetWorkers(prev)
 	}
 }

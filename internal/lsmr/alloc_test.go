@@ -38,7 +38,7 @@ func TestSolveAllocsIndependentOfIterations(t *testing.T) {
 	atol := 1e-300 // force the iteration budget to be the binding stop rule
 
 	solve := func(iters int) Result {
-		return Solve(s, b, Options{MaxIter: iters, Atol: atol, Btol: atol, Workspace: ws})
+		return Solve(s, b, ws, Options{MaxIter: iters, Atol: atol, Btol: atol})
 	}
 	if got := solve(200).Iters; got != 200 {
 		t.Fatalf("long solve stopped after %d iterations, want the full 200", got)
@@ -71,20 +71,20 @@ func TestTracedSolveAddsNoAllocs(t *testing.T) {
 	}
 	ws := kron.NewWorkspace()
 	tr := obs.NewTrace("alloc")
-	base := Options{MaxIter: 50, Atol: 1e-300, Btol: 1e-300, Workspace: ws}
+	base := Options{MaxIter: 50, Atol: 1e-300, Btol: 1e-300}
 	traced := base
 	traced.Trace = tr
 
-	plainRes := Solve(s, b, base)
-	tracedRes := Solve(s, b, traced)
+	plainRes := Solve(s, b, ws, base)
+	tracedRes := Solve(s, b, ws, traced)
 	for i, v := range plainRes.X {
 		if tracedRes.X[i] != v {
 			t.Fatalf("traced solve diverged at %d: %v vs %v", i, tracedRes.X[i], v)
 		}
 	}
 
-	plain := testing.AllocsPerRun(5, func() { Solve(s, b, base) })
-	withTrace := testing.AllocsPerRun(5, func() { Solve(s, b, traced) })
+	plain := testing.AllocsPerRun(5, func() { Solve(s, b, ws, base) })
+	withTrace := testing.AllocsPerRun(5, func() { Solve(s, b, ws, traced) })
 	if withTrace > plain {
 		t.Errorf("traced solve allocates %v, untraced %v — tracing must add 0", withTrace, plain)
 	}

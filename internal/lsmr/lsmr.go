@@ -33,11 +33,6 @@ type Options struct {
 	MaxIter int     // default 4·cols
 	Atol    float64 // default 1e-8
 	Btol    float64 // default 1e-8
-	// Workspace is reused for every operator application when the operator
-	// supports it (kron.WorkspaceApplier), making the whole solve O(1) in
-	// allocations regardless of iteration count. nil borrows a pooled
-	// workspace for the duration of the solve.
-	Workspace *kron.Workspace
 	// Trace, when non-nil, receives one StageSolve observation covering the
 	// whole of a Solve; Refine does not read it (its caller times it). The
 	// hook is outside the iteration loop and allocation-free, so a traced
@@ -168,35 +163,27 @@ func (r *recurrence) estimate(alpha, beta, normx float64, iter int, atol, btol f
 	return normr, ""
 }
 
-// Solve finds the minimum-norm least-squares solution of A·x ≈ b.
-func Solve(a kron.Linear, b []float64, opts Options) Result {
+// Solve finds the minimum-norm least-squares solution of A·x ≈ b. Every
+// operator application of the solve draws its scratch from ws, so the
+// whole solve is O(1) in allocations regardless of iteration count.
+func Solve(a kron.Linear, b []float64, ws *kron.Workspace, opts Options) Result {
 	if opts.Trace == nil {
-		return solve(a, b, opts)
+		return solve(a, b, ws, opts)
 	}
 	// The observation brackets the whole solve from outside the body — no
 	// defer closure, no per-iteration work, zero allocations added.
 	start := time.Now()
-	res := solve(a, b, opts)
+	res := solve(a, b, ws, opts)
 	opts.Trace.Observe(obs.StageSolve, time.Since(start))
 	return res
 }
 
-func solve(a kron.Linear, b []float64, opts Options) Result {
+func solve(a kron.Linear, b []float64, ws *kron.Workspace, opts Options) Result {
 	rows, cols := a.Dims()
 	if len(b) != rows {
 		panic("lsmr: rhs length mismatch")
 	}
 	opts = opts.withDefaults(cols)
-
-	// One workspace serves every operator application of the solve: the
-	// per-iteration matvecs draw all their mode-contraction scratch from it
-	// instead of allocating per factor per iteration.
-	ws := opts.Workspace
-	if ws == nil {
-		ws = kron.GetWorkspace()
-		defer kron.PutWorkspace(ws)
-	}
-	ap := newApplier(a, ws)
 
 	u := append([]float64(nil), b...)
 	beta := norm2(u)
@@ -206,7 +193,7 @@ func solve(a kron.Linear, b []float64, opts Options) Result {
 	v := make([]float64, cols)
 	alpha := 0.0
 	if beta > 0 {
-		ap.matTVec(v, u)
+		a.MatTVec(v, u, ws)
 		alpha = norm2(v)
 		if alpha > 0 {
 			scale(1/alpha, v)
@@ -235,12 +222,12 @@ func solve(a kron.Linear, b []float64, opts Options) Result {
 	res := Result{}
 	for iter := 1; iter <= opts.MaxIter; iter++ {
 		// Bidiagonalization step: β·u = A·v − α·u ; α·v = Aᵀ·u − β·v.
-		ap.matVec(tmpRows, v)
+		a.MatVec(tmpRows, v, ws)
 		subScale(workers, u, tmpRows, alpha)
 		beta = norm2(u)
 		if beta > 0 {
 			scale(1/beta, u)
-			ap.matTVec(tmpCols, u)
+			a.MatTVec(tmpCols, u, ws)
 			subScale(workers, v, tmpCols, beta)
 			alpha = norm2(v)
 			if alpha > 0 {
@@ -267,36 +254,6 @@ func solve(a kron.Linear, b []float64, opts Options) Result {
 	}
 	res.X = x
 	return res
-}
-
-// applier runs A· and Aᵀ· applications through ws when the operator
-// supports workspaces. It is a value, so a solve builds it without
-// allocating.
-type applier struct {
-	a    kron.Linear
-	wsOp kron.WorkspaceApplier // nil when a has no workspace entry points
-	ws   *kron.Workspace
-}
-
-func newApplier(a kron.Linear, ws *kron.Workspace) applier {
-	wsOp, _ := a.(kron.WorkspaceApplier)
-	return applier{a: a, wsOp: wsOp, ws: ws}
-}
-
-func (p applier) matVec(dst, x []float64) {
-	if p.wsOp != nil {
-		p.wsOp.MatVecTo(dst, x, p.ws)
-		return
-	}
-	p.a.MatVec(dst, x)
-}
-
-func (p applier) matTVec(dst, y []float64) {
-	if p.wsOp != nil {
-		p.wsOp.MatTVecTo(dst, y, p.ws)
-		return
-	}
-	p.a.MatTVec(dst, y)
 }
 
 // Normal is a least-squares problem min ‖b − A·x‖ in the form Refine
@@ -357,10 +314,9 @@ const StoppedUncertified = "certificate failed"
 // as √(‖r_k‖² − ‖g_k‖²) (exact to within delta·‖g_k‖²), and when
 // opts.MaxIter steps pass without a certificate the result stops at
 // StoppedMaxIter with the last iterate. It allocates O(1) vectors, runs
-// every application through opts.Workspace, keeps its reductions serial,
-// and so is bit-identical at any worker count. It panics unless
-// 0 ≤ delta < 1.
-func Refine(p Normal, b []float64, opts Options) Result {
+// every application through ws, keeps its reductions serial, and so is
+// bit-identical at any worker count. It panics unless 0 ≤ delta < 1.
+func Refine(p Normal, b []float64, ws *kron.Workspace, opts Options) Result {
 	rows, cols := p.A.Dims()
 	if len(b) != rows {
 		panic("lsmr: rhs length mismatch")
@@ -373,31 +329,25 @@ func Refine(p Normal, b []float64, opts Options) Result {
 		panic("lsmr: Refine needs 0 ≤ delta < 1")
 	}
 	opts = opts.withDefaults(cols)
-	ws := opts.Workspace
-	if ws == nil {
-		ws = kron.GetWorkspace()
-		defer kron.PutWorkspace(ws)
-	}
 
 	x := make([]float64, cols)
 	bb := mat.SqSum(b)
 	if bb == 0 {
 		return Result{X: x, Stopped: StoppedZeroRHS}
 	}
-	newApplier(p.A, ws).matTVec(x, b)
+	p.A.MatTVec(x, b, ws)
 	if norm2(x) == 0 {
 		return Result{X: x, Stopped: StoppedZeroRHS}
 	}
 	c := append([]float64(nil), x...)
 	nx := make([]float64, cols)
-	n := newApplier(p.N, ws)
 	normb := math.Sqrt(bb * (1 - gamma(rows+2))) // ≤ ‖b‖
 	normAlo, normAhi := math.Sqrt(1-delta), math.Sqrt(1+delta)
 
 	res := Result{X: x, Stopped: StoppedMaxIter}
 	prevg := math.Inf(1)
 	for k := 1; k <= opts.MaxIter; k++ {
-		n.matVec(nx, x)
+		p.N.MatVec(nx, x, ws)
 		st := step(x, c, nx)
 		r2, allow := p.identity(bb, st)
 		rlo := math.Sqrt(math.Max(0, r2-allow))
@@ -428,10 +378,11 @@ func Refine(p Normal, b []float64, opts Options) Result {
 // refinement step does.
 func Residual(p Normal, b, x []float64) (r2, allowance float64) {
 	_, cols := p.A.Dims()
+	ws := kron.NewWorkspace()
 	c := make([]float64, cols)
-	p.A.MatTVec(c, b)
+	p.A.MatTVec(c, b, ws)
 	nx := make([]float64, cols)
-	p.N.MatVec(nx, x)
+	p.N.MatVec(nx, x, ws)
 	return p.identity(mat.SqSum(b), step(append([]float64(nil), x...), c, nx))
 }
 

@@ -26,7 +26,7 @@ func TestSolveConsistentSystem(t *testing.T) {
 		xTrue[i] = rng.NormFloat64()
 	}
 	b := mat.MatVec(nil, a, xTrue)
-	res := Solve(kron.Wrap(a), b, Options{})
+	res := Solve(kron.Wrap(a), b, kron.NewWorkspace(), Options{})
 	for i := range xTrue {
 		if math.Abs(res.X[i]-xTrue[i]) > 1e-6 {
 			t.Fatalf("x[%d] = %v want %v (%s)", i, res.X[i], xTrue[i], res.Stopped)
@@ -42,7 +42,7 @@ func TestSolveLeastSquares(t *testing.T) {
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
-	res := Solve(kron.Wrap(a), b, Options{MaxIter: 500, Atol: 1e-12, Btol: 1e-12})
+	res := Solve(kron.Wrap(a), b, kron.NewWorkspace(), Options{MaxIter: 500, Atol: 1e-12, Btol: 1e-12})
 	g := mat.Gram(nil, a)
 	atb := mat.MatTVec(nil, a, b)
 	want, err := mat.SolveSPD(g, atb)
@@ -66,8 +66,8 @@ func TestSolveKroneckerOperator(t *testing.T) {
 	}
 	r, _ := p.Dims()
 	b := make([]float64, r)
-	p.MatVec(b, xTrue)
-	res := Solve(p, b, Options{})
+	p.MatVec(b, xTrue, kron.NewWorkspace())
+	res := Solve(p, b, kron.NewWorkspace(), Options{})
 	for i := range xTrue {
 		if math.Abs(res.X[i]-xTrue[i]) > 1e-5 {
 			t.Fatalf("kron solve x[%d] = %v want %v", i, res.X[i], xTrue[i])
@@ -78,7 +78,7 @@ func TestSolveKroneckerOperator(t *testing.T) {
 func TestSolveZeroRHS(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 8))
 	a := randMat(rng, 5, 3)
-	res := Solve(kron.Wrap(a), make([]float64, 5), Options{})
+	res := Solve(kron.Wrap(a), make([]float64, 5), kron.NewWorkspace(), Options{})
 	for _, v := range res.X {
 		if v != 0 {
 			t.Fatal("zero rhs should give zero solution")
@@ -95,7 +95,7 @@ func TestSolveMinimumNorm(t *testing.T) {
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
-	res := Solve(kron.Wrap(a), b, Options{MaxIter: 1000, Atol: 1e-13, Btol: 1e-13})
+	res := Solve(kron.Wrap(a), b, kron.NewWorkspace(), Options{MaxIter: 1000, Atol: 1e-13, Btol: 1e-13})
 	ap, err := mat.Pinv(a)
 	if err != nil {
 		t.Fatal(err)

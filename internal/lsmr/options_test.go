@@ -94,8 +94,8 @@ func TestToleranceSentinels(t *testing.T) {
 		b[i] = rng.NormFloat64()
 	}
 
-	implicit := Solve(a, b, Options{})
-	explicit := Solve(a, b, Options{Atol: 1e-8, Btol: 1e-8})
+	implicit := Solve(a, b, kron.NewWorkspace(), Options{})
+	explicit := Solve(a, b, kron.NewWorkspace(), Options{Atol: 1e-8, Btol: 1e-8})
 	if implicit.Iters != explicit.Iters || implicit.Stopped != explicit.Stopped {
 		t.Fatalf("zero-value defaults diverged: %d/%q vs %d/%q", implicit.Iters, implicit.Stopped, explicit.Iters, explicit.Stopped)
 	}

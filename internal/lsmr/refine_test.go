@@ -59,7 +59,7 @@ func TestRefineMatchesSolve(t *testing.T) {
 		for i := range b {
 			b[i] = rng.NormFloat64()
 		}
-		res := Refine(normalOf(a, delta), b, Options{})
+		res := Refine(normalOf(a, delta), b, kron.NewWorkspace(), Options{})
 		if res.Stopped != StoppedAtol {
 			t.Fatalf("δ=%g: stopped %q after %d steps", delta, res.Stopped, res.Iters)
 		}
@@ -70,7 +70,7 @@ func TestRefineMatchesSolve(t *testing.T) {
 			t.Errorf("δ=%g took %d steps, more than a larger δ's %d", delta, res.Iters, prevSteps)
 		}
 		prevSteps = res.Iters
-		ref := Solve(kron.Wrap(a), b, Options{Atol: 1e-13, Btol: 1e-13})
+		ref := Solve(kron.Wrap(a), b, kron.NewWorkspace(), Options{Atol: 1e-13, Btol: 1e-13})
 		for i := range ref.X {
 			if d := math.Abs(res.X[i] - ref.X[i]); d > 1e-7 {
 				t.Fatalf("δ=%g: x[%d] = %v, reference %v", delta, i, res.X[i], ref.X[i])
@@ -95,7 +95,7 @@ func TestRefineIterationBudget(t *testing.T) {
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
-	res := Refine(normalOf(a, 0.5), b, Options{MaxIter: 1})
+	res := Refine(normalOf(a, 0.5), b, kron.NewWorkspace(), Options{MaxIter: 1})
 	if res.Stopped != StoppedMaxIter || res.Iters != 1 || res.X == nil {
 		t.Fatalf("got %d steps, stopped %q, want 1 step stopped at the budget", res.Iters, res.Stopped)
 	}
@@ -104,7 +104,7 @@ func TestRefineIterationBudget(t *testing.T) {
 // TestRefineZeroRHS mirrors Solve: a zero right-hand side returns x = 0.
 func TestRefineZeroRHS(t *testing.T) {
 	a := nearOrthonormal(rand.New(rand.NewPCG(75, 76)), 10, 4, 0.1)
-	res := Refine(normalOf(a, 0.1), make([]float64, 10), Options{})
+	res := Refine(normalOf(a, 0.1), make([]float64, 10), kron.NewWorkspace(), Options{})
 	if res.Stopped != StoppedZeroRHS || res.Iters != 0 {
 		t.Fatalf("got %+v", res)
 	}
@@ -125,7 +125,7 @@ func TestRefineRejectsUncertifiedDelta(t *testing.T) {
 					t.Errorf("Refine accepted δ = %g", delta)
 				}
 			}()
-			Refine(normalOf(mat.Eye(3), delta), []float64{1, 2, 3}, Options{})
+			Refine(normalOf(mat.Eye(3), delta), []float64{1, 2, 3}, kron.NewWorkspace(), Options{})
 		}()
 	}
 }
@@ -174,7 +174,7 @@ func TestRefineUncertifiedOnConsistentSystem(t *testing.T) {
 	for i := range x {
 		x[i] = 100 + rng.NormFloat64()
 	}
-	res := Refine(normalOf(a, 0.5), mat.MatVec(nil, a, x), Options{})
+	res := Refine(normalOf(a, 0.5), mat.MatVec(nil, a, x), kron.NewWorkspace(), Options{})
 	if res.Stopped != StoppedUncertified {
 		t.Fatalf("consistent system: stopped %q after %d steps, want %q", res.Stopped, res.Iters, StoppedUncertified)
 	}

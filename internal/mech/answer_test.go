@@ -26,7 +26,7 @@ func productOracle(t testing.TB, p workload.Product, x []float64) []float64 {
 	op := kron.NewProduct(ms...)
 	rows, _ := op.Dims()
 	ans := make([]float64, rows)
-	op.MatVec(ans, x)
+	op.MatVec(ans, x, kron.NewWorkspace())
 	if p.Weight != 1 {
 		for i := range ans {
 			ans[i] *= p.Weight

@@ -21,8 +21,9 @@ import (
 // Otherwise it is exact for dense matrices and Kronecker products (column
 // norms multiply); for stacks it returns the safe upper bound
 // sqrt(Σ wᵢ²·‖Aᵢ‖₂²), which over-protects, never under-protects; any other
-// operator is probed one column at a time, a full application each.
-func L2Sensitivity(a kron.Linear) float64 {
+// operator is probed one column at a time, a full application each, with
+// its scratch drawn from ws.
+func L2Sensitivity(a kron.Linear, ws *kron.Workspace) float64 {
 	if op, ok := a.(interface{ L2Sensitivity() float64 }); ok {
 		return op.L2Sensitivity()
 	}
@@ -42,7 +43,7 @@ func L2Sensitivity(a kron.Linear) float64 {
 			if op.Weights != nil {
 				w = op.Weights[i]
 			}
-			l2 := L2Sensitivity(b)
+			l2 := L2Sensitivity(b, ws)
 			total += w * w * l2 * l2
 		}
 		return math.Sqrt(total)
@@ -54,7 +55,7 @@ func L2Sensitivity(a kron.Linear) float64 {
 		mx := 0.0
 		for j := 0; j < cols; j++ {
 			x[j] = 1
-			a.MatVec(y, x)
+			a.MatVec(y, x, ws)
 			x[j] = 0
 			s := 0.0
 			for _, v := range y {

@@ -14,7 +14,7 @@ import (
 func TestL2SensitivityDense(t *testing.T) {
 	m := mat.FromRows([][]float64{{3, 0}, {4, 1}})
 	// Column L2 norms: 5 and 1.
-	if got := L2Sensitivity(kron.Wrap(m)); math.Abs(got-5) > 1e-12 {
+	if got := L2Sensitivity(kron.Wrap(m), kron.NewWorkspace()); math.Abs(got-5) > 1e-12 {
 		t.Fatalf("L2 = %v want 5", got)
 	}
 }
@@ -31,7 +31,7 @@ func TestL2SensitivityKronMultiplies(t *testing.T) {
 	}
 	p := kron.NewProduct(a, b)
 	want := maxColL2(p.Explicit())
-	if got := L2Sensitivity(p); math.Abs(got-want) > 1e-10 {
+	if got := L2Sensitivity(p, kron.NewWorkspace()); math.Abs(got-want) > 1e-10 {
 		t.Fatalf("kron L2 = %v want %v", got, want)
 	}
 }
@@ -48,7 +48,7 @@ func TestL2SensitivityStackIsUpperBound(t *testing.T) {
 	}
 	s := kron.NewStack([]kron.Linear{kron.Wrap(a), kron.Wrap(b)}, []float64{0.5, 2})
 	exact := maxColL2(mat.VStack(a.Clone().Scale(0.5), b.Clone().Scale(2)))
-	bound := L2Sensitivity(s)
+	bound := L2Sensitivity(s, kron.NewWorkspace())
 	if bound < exact-1e-12 {
 		t.Fatalf("stack bound %v below exact %v (privacy violation)", bound, exact)
 	}
@@ -62,7 +62,7 @@ func TestL2SensitivityGenericFallback(t *testing.T) {
 	// The marginal operator, its closed form hidden, exercises the
 	// basis-probing fallback.
 	s := core.NewMarginalStrategy(newTestSpace(), []float64{0.25, 0.25, 0.25, 0.25})
-	got := L2Sensitivity(probeOnly{s.Operator()})
+	got := L2Sensitivity(probeOnly{s.Operator()}, kron.NewWorkspace())
 	// Exact value: every domain column appears once per marginal with
 	// weight θ_a, so col L2 = sqrt(Σθ²) = sqrt(4·(1/16)) = 0.5.
 	if math.Abs(got-0.5) > 1e-10 {
@@ -96,14 +96,14 @@ func TestL2SensitivityClosedFormsMatchProbe(t *testing.T) {
 			}
 		}
 		op := core.NewMarginalStrategy(marginals.NewSpace(c.sizes), theta).Operator()
-		got, want := L2Sensitivity(op), L2Sensitivity(probeOnly{op})
+		got, want := L2Sensitivity(op, kron.NewWorkspace()), L2Sensitivity(probeOnly{op}, kron.NewWorkspace())
 		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("OPT_M %v θ=%v: closed form %v, probe %v", c.sizes, theta, got, want)
 		}
 	}
 	for _, n := range []int{1, 7, 64} {
 		op := (&core.IdentityStrategy{N: n}).Operator()
-		if got, want := L2Sensitivity(op), L2Sensitivity(probeOnly{op}); got != 1 || math.Float64bits(got) != math.Float64bits(want) {
+		if got, want := L2Sensitivity(op, kron.NewWorkspace()), L2Sensitivity(probeOnly{op}, kron.NewWorkspace()); got != 1 || math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("identity n=%d: closed form %v, probe %v", n, got, want)
 		}
 	}
@@ -119,7 +119,7 @@ func TestMeasureGaussianCalibration(t *testing.T) {
 	const trials = 40000
 	var sumsq float64
 	for tr := 0; tr < trials; tr++ {
-		y := Measure(a, x, eps, delta, src)
+		y := Measure(a, x, eps, delta, src, kron.NewWorkspace())
 		for i := range y {
 			d := y[i] - 2*x[i]
 			sumsq += d * d

@@ -28,10 +28,10 @@ var testX = []float64{1234.5}
 func serialMeasure(a kron.Linear, eps, delta float64, src *rand.PCG) []float64 {
 	rows, _ := a.Dims()
 	y := make([]float64, rows)
-	a.MatVec(y, testX)
+	a.MatVec(y, testX, kron.NewWorkspace())
 	rng := rand.New(src)
 	if delta > 0 {
-		sigma := GaussianSigma(L2Sensitivity(a), eps, delta)
+		sigma := GaussianSigma(L2Sensitivity(a, kron.NewWorkspace()), eps, delta)
 		for i := range y {
 			y[i] += rng.NormFloat64() * sigma
 		}
@@ -114,7 +114,7 @@ func TestMeasureMatchesSerialLoop(t *testing.T) {
 			for _, w := range []int{1, 2, 4, 8} {
 				parallel.SetKernelWorkers(w)
 				src := rand.NewPCG(uint64(n), 99)
-				got := Measure(a, testX, 0.7, delta, src)
+				got := Measure(a, testX, 0.7, delta, src, kron.NewWorkspace())
 				if i := sameBits(got, ref); i >= 0 {
 					t.Fatalf("n=%d δ=%g workers=%d: sample %d differs from the serial loop", n, delta, w, i)
 				}
@@ -154,7 +154,7 @@ func TestMeasureZeroDraw(t *testing.T) {
 			t.Run(fmt.Sprintf("at=%d/workers=%d", at, w), func(t *testing.T) {
 				parallel.SetKernelWorkers(w)
 				src := rand.NewPCG(seed.hi, seed.lo)
-				got := Measure(a, testX, 1.3, 0, src)
+				got := Measure(a, testX, 1.3, 0, src, kron.NewWorkspace())
 				if i := sameBits(got, ref); i >= 0 {
 					t.Fatalf("sample %d = %v, serial loop %v", i, got[i], ref[i])
 				}
@@ -169,7 +169,7 @@ func TestMeasureZeroDraw(t *testing.T) {
 // TestMeasureCountsOnce: the blocked draws are one measurement.
 func TestMeasureCountsOnce(t *testing.T) {
 	before := MeasurementsTaken()
-	Measure(columnOp(2*laplaceBlock), testX, 1, 0, rand.NewPCG(1, 2))
+	Measure(columnOp(2*laplaceBlock), testX, 1, 0, rand.NewPCG(1, 2), kron.NewWorkspace())
 	if d := MeasurementsTaken() - before; d != 1 {
 		t.Fatalf("one Measure counted %d measurements", d)
 	}

@@ -123,7 +123,9 @@ func CheckBudget(eps, delta float64) error {
 // addLaplace); the bytes are the serial loop's at any worker count.
 // Gaussian noise stays serial: the ziggurat takes a variable number of
 // draws per sample, so a block's starting draw is not known in advance.
-func Measure(a kron.Linear, x []float64, eps, delta float64, src *rand.PCG) []float64 {
+// Every application of a, including the sensitivity probe and the tail
+// redo, draws its scratch from ws.
+func Measure(a kron.Linear, x []float64, eps, delta float64, src *rand.PCG, ws *kron.Workspace) []float64 {
 	rows, cols := a.Dims()
 	if len(x) != cols {
 		panic(fmt.Sprintf("mech: data vector length %d, strategy has %d columns", len(x), cols))
@@ -133,13 +135,13 @@ func Measure(a kron.Linear, x []float64, eps, delta float64, src *rand.PCG) []fl
 	}
 	var sigma, b float64
 	if delta > 0 {
-		sigma = GaussianSigma(L2Sensitivity(a), eps, delta)
+		sigma = GaussianSigma(L2Sensitivity(a, ws), eps, delta)
 	} else {
 		b = a.Sensitivity() / eps
 	}
 	measurementCounter.Add(1)
 	y := make([]float64, rows)
-	a.MatVec(y, x)
+	a.MatVec(y, x, ws)
 	if delta > 0 {
 		rng := rand.New(src)
 		for i := range y {
@@ -152,7 +154,7 @@ func Measure(a kron.Linear, x []float64, eps, delta float64, src *rand.PCG) []fl
 		// draw again, shifting every later sample by one draw. Redo the
 		// tail serially on a fresh A·x; src stands at draw first.
 		ax := make([]float64, rows)
-		a.MatVec(ax, x)
+		a.MatVec(ax, x, ws)
 		copy(y[first:], ax[first:])
 		rng := rand.New(src)
 		for i := first; i < rows; i++ {
@@ -231,10 +233,11 @@ func addLaplace(y []float64, b float64, src *rand.PCG) int {
 // workload of the given size answered from strategy a, whose expected total
 // squared error at sensitivity 1 is errF = ‖W·A⁺‖²_F, under Measure with
 // budget (eps, delta). Laplace noise of scale 1/ε has variance 2/ε²; the
-// Gaussian mechanism's per-query variance is σ².
-func ExpectedRMSE(a kron.Linear, errF float64, queries int, eps, delta float64) float64 {
+// Gaussian mechanism's per-query variance is σ², whose L2 sensitivity
+// probe (see L2Sensitivity) draws its scratch from ws.
+func ExpectedRMSE(a kron.Linear, errF float64, queries int, eps, delta float64, ws *kron.Workspace) float64 {
 	if delta > 0 {
-		return GaussianSigma(L2Sensitivity(a), eps, delta) * math.Sqrt(errF/float64(queries))
+		return GaussianSigma(L2Sensitivity(a, ws), eps, delta) * math.Sqrt(errF/float64(queries))
 	}
 	return math.Sqrt(2*errF/float64(queries)) / eps
 }
@@ -402,13 +405,15 @@ func keyable(t workload.PredicateSet) bool {
 // distinct factor sets, merged where they coincide. levels[k] holds one node
 // per distinct (parent, term) pair for mode d-1-k, the parent being a node
 // of levels[k-1] (x itself at level 0). Tries are pooled, so the node
-// tables, the key index and the intermediate arenas are reused across
-// batches; of the trie's memory, only the answers are allocated per batch.
+// tables, the key index, the intermediate arenas and the node workspaces
+// are reused across batches; of the trie's memory, only the answers are
+// allocated per batch.
 type suffixTrie struct {
 	levels  [][]trieNode
 	index   map[trieKey]int32
-	arena   [2][]float64 // intermediates of the even and the odd levels
-	answers [][]float64  // answers[g] is group g's unweighted answer
+	arena   [2][]float64      // intermediates of the even and the odd levels
+	answers [][]float64       // answers[g] is group g's unweighted answer
+	ws      []*kron.Workspace // ws[i] serves node i of the level being evaluated
 }
 
 type trieKey struct {
@@ -510,14 +515,19 @@ func (t *suffixTrie) node(k int, parent int32, term workload.PredicateSet, size 
 }
 
 // eval runs the trie level by level on x, the nodes of a level concurrently.
-// Each node checks ctx before contracting; if any saw cancellation the
-// batch stops after that level.
+// Node i of a level contracts through t.ws[i], so no two nodes in flight
+// share a workspace; the slots are grown before the level fans out. Each
+// node checks ctx before contracting; if any saw cancellation the batch
+// stops after that level.
 func (t *suffixTrie) eval(ctx context.Context, x []float64, workers int) error {
 	done := ctx.Done() // nil for Background: the select below never fires
 	for k, lv := range t.levels {
 		var prev []trieNode
 		if k > 0 {
 			prev = t.levels[k-1]
+		}
+		for len(t.ws) < len(lv) {
+			t.ws = append(t.ws, kron.NewWorkspace())
 		}
 		parallel.For(workers, len(lv), func(i int) {
 			n := &lv[i]
@@ -531,9 +541,7 @@ func (t *suffixTrie) eval(ctx context.Context, x []float64, workers int) error {
 			if prev != nil {
 				in = prev[n.parent].out
 			}
-			ws := kron.GetWorkspace()
-			kron.ModeStep(n.out, n.term.Matrix(), in, ws)
-			kron.PutWorkspace(ws)
+			kron.ModeStep(n.out, n.term.Matrix(), in, t.ws[i])
 		})
 		for _, n := range lv {
 			if n.err != nil {
@@ -547,8 +555,11 @@ func (t *suffixTrie) eval(ctx context.Context, x []float64, workers int) error {
 	return nil
 }
 
-// release clears every reference the trie holds into this batch (its
-// predicate sets and answers) and returns it to the pool.
+// release clears the trie's references to this batch's predicate sets and
+// answers and returns it to the pool. The node workspaces' view headers
+// still point at the last batch's x and outputs until the next batch
+// reuses them, so an idle pooled trie keeps those alive until the pool
+// drops it at a garbage collection.
 func (t *suffixTrie) release() {
 	for k := range t.levels {
 		clear(t.levels[k])
@@ -589,13 +600,14 @@ func WorkloadQuadraticError(w *workload.Workload, diff []float64) float64 {
 	}
 	total := 0.0
 	tmp := make([]float64, len(diff))
+	ws := kron.NewWorkspace()
 	for _, p := range w.Products {
 		grams := make([]*mat.Dense, len(p.Terms))
 		for i, t := range p.Terms {
 			grams[i] = t.Gram()
 		}
 		op := kron.NewProduct(grams...)
-		op.MatVec(tmp, diff)
+		op.MatVec(tmp, diff, ws)
 		q := 0.0
 		for i, v := range tmp {
 			q += diff[i] * v

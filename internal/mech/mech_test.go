@@ -43,7 +43,7 @@ func TestMeasureNoiseScale(t *testing.T) {
 	const trials = 50000
 	var sumsq float64
 	for tr := 0; tr < trials; tr++ {
-		y := Measure(a, x, eps, 0, src)
+		y := Measure(a, x, eps, 0, src, kron.NewWorkspace())
 		for i := range y {
 			d := y[i] - 3*x[i]
 			sumsq += d * d
@@ -120,8 +120,8 @@ func TestRunEndToEndUnbiasedAndCalibrated(t *testing.T) {
 	var totalErr float64
 	bias := make([]float64, len(truth))
 	for tr := 0; tr < trials; tr++ {
-		y := Measure(sel.Strategy.Operator(), x, eps, 0, src)
-		xhat, err := sel.Strategy.Reconstruct(y)
+		y := Measure(sel.Strategy.Operator(), x, eps, 0, src, kron.NewWorkspace())
+		xhat, err := sel.Strategy.Reconstruct(y, kron.NewWorkspace())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,8 +168,8 @@ func TestUnionStrategyMeasureReconstruct(t *testing.T) {
 	src := rand.NewPCG(6, 6)
 	// With huge ε the noise vanishes and reconstruction must recover the
 	// workload answers exactly (the strategy supports the workload).
-	y := Measure(s.Operator(), x, 1e9, 0, src)
-	xhat, err := s.Reconstruct(y)
+	y := Measure(s.Operator(), x, 1e9, 0, src, kron.NewWorkspace())
+	xhat, err := s.Reconstruct(y, kron.NewWorkspace())
 	if err != nil {
 		t.Fatal(err)
 	}

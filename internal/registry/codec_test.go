@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/binfmt"
 	"repro/internal/core"
+	"repro/internal/kron"
 	"repro/internal/marginals"
 	"repro/internal/mat"
 )
@@ -350,11 +351,12 @@ func TestDecodedStrategyServes(t *testing.T) {
 		for i := range y {
 			y[i] = rng.Float64() * 10
 		}
-		a, err := rec.Strategy.Reconstruct(y)
+		ws := kron.NewWorkspace()
+		a, err := rec.Strategy.Reconstruct(y, ws)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := got.Strategy.Reconstruct(y)
+		b, err := got.Strategy.Reconstruct(y, ws)
 		if err != nil {
 			t.Fatal(err)
 		}

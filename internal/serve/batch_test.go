@@ -78,7 +78,7 @@ func TestAnswerBatchMatchesPerProduct(t *testing.T) {
 		op := kron.NewProduct(ms...)
 		rows, _ := op.Dims()
 		want[i] = make([]float64, rows)
-		op.MatVec(want[i], eng.Xhat())
+		op.MatVec(want[i], eng.Xhat(), kron.NewWorkspace())
 		if p.Weight != 1 {
 			for j := range want[i] {
 				want[i][j] *= p.Weight

@@ -100,7 +100,7 @@ func TestCalibrationOPTPlus(t *testing.T) {
 	} {
 		var sigma float64
 		if mc.delta > 0 {
-			sigma = mech.GaussianSigma(mech.L2Sensitivity(us.Operator()), mc.eps, mc.delta)
+			sigma = mech.GaussianSigma(mech.L2Sensitivity(us.Operator(), kron.NewWorkspace()), mc.eps, mc.delta)
 		} else {
 			sigma = math.Sqrt2 * us.Operator().Sensitivity() / mc.eps
 		}

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/kron"
 	"repro/internal/mech"
 	"repro/internal/obs"
 	"repro/internal/registry"
@@ -132,13 +133,18 @@ func NewEngineCtx(ctx context.Context, w *workload.Workload, x []float64, eps fl
 		return nil, fmt.Errorf("serve: cached strategy %s does not fit the workload (stale or foreign cache entry?): %w", key, err)
 	}
 	op := rec.Strategy.Operator()
+	// One workspace serves every operator application of this
+	// registration: the measurement, the reconstruction's solve and its
+	// map back, and the expected-error probe. It is the registration's own, so concurrent registrations
+	// never share scratch.
+	ws := kron.NewWorkspace()
 	// Last cancellation point: past here the measurement spends privacy
 	// budget, after which the engine is always finished and returned.
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	tr.Begin(obs.StageMeasure)
-	y := mech.Measure(op, x, eps, opts.Delta, rng)
+	y := mech.Measure(op, x, eps, opts.Delta, rng, ws)
 	tr.End(obs.StageMeasure)
 	// Union strategies run an iterative reconstruction (the certified
 	// refinement for two parts, LSMR otherwise); route them through the
@@ -150,14 +156,14 @@ func NewEngineCtx(ctx context.Context, w *workload.Workload, x []float64, eps fl
 	var solve *core.SolveInfo
 	if us, ok := rec.Strategy.(*core.UnionStrategy); ok {
 		solve = &core.SolveInfo{}
-		xhat, err = us.ReconstructOpt(y, core.ReconstructOptions{
+		xhat, err = us.ReconstructOpt(y, ws, core.ReconstructOptions{
 			MaxIter: opts.SolveMaxIter,
 			Info:    solve,
 			Trace:   tr,
 		})
 	} else {
 		start := time.Now()
-		xhat, err = rec.Strategy.Reconstruct(y)
+		xhat, err = rec.Strategy.Reconstruct(y, ws)
 		tr.Observe(obs.StageSolve, time.Since(start))
 	}
 	if err != nil {
@@ -173,7 +179,7 @@ func NewEngineCtx(ctx context.Context, w *workload.Workload, x []float64, eps fl
 		workers:   opts.Workers,
 		fromCache: fromCache,
 		key:       key,
-		rootMSE:   mech.ExpectedRMSE(op, rec.Err, w.NumQueries(), eps, opts.Delta),
+		rootMSE:   mech.ExpectedRMSE(op, rec.Err, w.NumQueries(), eps, opts.Delta, ws),
 		eps:       eps,
 		delta:     opts.Delta,
 		seed:      opts.Seed,

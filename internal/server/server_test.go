@@ -528,6 +528,10 @@ func TestErrorPaths(t *testing.T) {
 		"shape":      {"I"},     // one spec, two attributes
 		"unknown":    {"Z,R"},   // no such predicate set
 		"width":      {"I,W99"}, // width larger than the attribute
+		"width sign": {"I,W+8"}, // W8 has one spelling
+		"width zero": {"I,W08"},
+		"width neg":  {"I,W-3"},
+		"width gap":  {"I,W 8"},
 		"empty":      {},
 		"batch size": bigBatch, // total answer values over MaxAnswerValues
 	} {

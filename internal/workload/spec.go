@@ -19,7 +19,8 @@ import (
 //	T     total (the single always-true predicate)
 //	P     prefixes (the CDF workload)
 //	R     all n(n+1)/2 ranges
-//	W<k>  all width-k ranges, e.g. W8
+//	W<k>  all width-k ranges, e.g. W8; k is written in decimal with no
+//	      sign or leading zero, so each width has exactly one spelling
 
 // ParseSpec parses one per-attribute predicate-set spec for an attribute of
 // size n.
@@ -35,7 +36,7 @@ func ParseSpec(s string, n int) (PredicateSet, error) {
 		return AllRange(n), nil
 	case strings.HasPrefix(s, "W"):
 		k, err := strconv.Atoi(s[1:])
-		if err != nil || k <= 0 || k > n {
+		if err != nil || k <= 0 || k > n || s[1:] != strconv.Itoa(k) {
 			return nil, fmt.Errorf("workload: bad width spec %q for attribute of size %d", s, n)
 		}
 		return WidthRange(n, k), nil
