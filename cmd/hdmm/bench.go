@@ -32,7 +32,7 @@ import (
 	"repro/internal/workload"
 )
 
-// benchResult is one row of the perf-trajectory artifact (BENCH_28.json):
+// benchResult is one row of the perf-trajectory artifact (BENCH_32.json):
 // one operation at one worker count. Kernels, GOARCH, CPUs, GOMAXPROCS and
 // GoVersion identify what actually ran and where — a 2-CPU row is not
 // comparable to a 16-CPU one, and rows of older artifacts made under the
@@ -361,7 +361,10 @@ func benchCases(workers int) ([]benchCase, error) {
 	// end-to-end benchmark, each three times, every one with age Total —
 	// so the first step of every spec's sweep is the same age contraction.
 	// The tenant's workload is the three marginals the specs are drawn
-	// from; only its estimate matters to the answer path.
+	// from; only its estimate matters to the answer path. The row's MB/s
+	// counts one read of the estimate per op, but the engine keeps that
+	// first age step after the warm-up batch below and no longer streams
+	// the estimate, so compare this row, and http/answer-cph, on ns/op.
 	cdom := census.CPHDomain(false)
 	cdata := make([]float64, cdom.Size())
 	for i := range cdata {
@@ -528,7 +531,7 @@ func parseWorkerSet(spec string) ([]int, error) {
 func cmdBench(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	out := fs.String("out", "BENCH_28.json", "output path for the JSON results")
+	out := fs.String("out", "BENCH_32.json", "output path for the JSON results")
 	targetMS := fs.Int("benchtime", 250, "minimum milliseconds of measurement per op")
 	workersSpec := fs.String("workers", "", "comma-separated worker counts to sweep (default 1,2,4 and GOMAXPROCS, deduplicated)")
 	baseline := fs.String("baseline", "", "baseline JSON results to compare against (from an earlier -out)")

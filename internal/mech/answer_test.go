@@ -182,7 +182,7 @@ func TestAnswerBatchTrieMatchesPerProduct(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/workers=%d/shared=%v", c.name, workers, shared), func(t *testing.T) {
 					prev := kron.SetWorkers(workers)
 					defer kron.SetWorkers(prev)
-					got, err := AnswerBatchCtx(t.Context(), c.products, x, workers, shared)
+					got, err := NewEstimate(x).AnswerCtx(t.Context(), c.products, workers, shared)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -233,7 +233,7 @@ func TestAnswerBatchCancellation(t *testing.T) {
 		t.Run(fmt.Sprintf("before/workers=%d", workers), func(t *testing.T) {
 			ctx, cancel := context.WithCancel(t.Context())
 			cancel()
-			got, err := AnswerBatchCtx(ctx, ps, x, workers, true)
+			got, err := NewEstimate(x).AnswerCtx(ctx, ps, workers, true)
 			if !errors.Is(err, context.Canceled) || got != nil {
 				t.Fatalf("got %d slots, err %v; want no result and context.Canceled", len(got), err)
 			}
@@ -249,7 +249,7 @@ func TestAnswerBatchCancellation(t *testing.T) {
 				terms[4] = opaqueSet{PredicateSet: terms[4], onMatrix: cancel}
 				mid[i] = workload.NewProduct(terms...)
 			}
-			got, err := AnswerBatchCtx(ctx, mid, x, workers, false)
+			got, err := NewEstimate(x).AnswerCtx(ctx, mid, workers, false)
 			if !errors.Is(err, context.Canceled) || got != nil {
 				t.Fatalf("got %d slots, err %v; want no result and context.Canceled", len(got), err)
 			}
@@ -275,5 +275,74 @@ func TestAnswerBatchRejectsMisshapenProducts(t *testing.T) {
 		if _, err := AnswerBatch([]workload.Product{good, c.bad}, x, 1); err == nil {
 			t.Errorf("%s: no error", c.name)
 		}
+	}
+}
+
+// TestEstimateKeepsFirstSteps: an Estimate keeps the first-step outputs of
+// built-in terms that shrink x, within len(x)/8 values, and answers bit for
+// bit like the uncached sweep before and after keeping them. An Explicit
+// term is never kept, so a change to its caller-owned matrix shows in the
+// next batch, and neither is a term whose type the workload package does
+// not define.
+func TestEstimateKeepsFirstSteps(t *testing.T) {
+	sizes := []int{2, 3, 64}
+	x := make([]float64, 2*3*64)
+	rng := rand.New(rand.NewPCG(7, 21))
+	for i := range x {
+		x[i] = rng.NormFloat64() * 100
+	}
+	bound := len(x) / 8 // 48 values
+	explicit := mat.NewDense(2, 64)
+	for i := range explicit.Data() {
+		explicit.Data()[i] = float64(i % 3)
+	}
+	i2, t3 := workload.Identity(sizes[0]), workload.Total(sizes[1])
+	ps := []workload.Product{
+		workload.NewProduct(i2, t3, workload.Total(64)),                             // 6 values: kept
+		workload.NewProduct(i2, t3, workload.NewExplicit("E", explicit)),            // Explicit: not kept
+		workload.NewProduct(i2, t3, workload.WidthRange(64, 63)),                    // 12: kept
+		workload.NewProduct(i2, t3, workload.Prefix(64)),                            // rows = cols: not kept
+		workload.NewProduct(i2, t3, workload.WidthRange(64, 60)),                    // 30: kept, 48 in all
+		workload.NewProduct(i2, t3, workload.WidthRange(64, 59)),                    // 36: past the bound
+		workload.NewProduct(i2, t3, &countingSet{PredicateSet: workload.Total(64)}), // foreign type: not kept
+	}
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			e := NewEstimate(x)
+			for pass := range 2 {
+				got, err := e.AnswerCtx(t.Context(), ps, workers, pass == 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireBitIdentical(t, ps, x, got)
+				if held := e.Kept(); held > bound {
+					t.Fatalf("pass %d: %d values kept, bound %d", pass, held, bound)
+				}
+			}
+			for key := range e.steps.steps {
+				if key[0] == 'E' || key[0] == 'P' || key[0] == 'G' {
+					t.Errorf("kept step %q", key)
+				}
+			}
+			if workers == 1 {
+				// Nodes run in batch order, so the kept set is fixed.
+				want := map[string]int{"T:64": 6, "W:63:64": 12, "W:60:64": 30}
+				if len(e.steps.steps) != len(want) || e.Kept() != bound {
+					t.Fatalf("kept %d steps, %d values; want %v", len(e.steps.steps), e.Kept(), want)
+				}
+				for key, n := range want {
+					if len(e.steps.steps[key]) != n {
+						t.Errorf("step %q keeps %d values, want %d", key, len(e.steps.steps[key]), n)
+					}
+				}
+			}
+			explicit.Data()[5]++
+			defer func() { explicit.Data()[5]-- }()
+			got, err := e.AnswerCtx(t.Context(), ps, workers, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireBitIdentical(t, ps, x, got)
+		})
 	}
 }

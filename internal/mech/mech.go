@@ -248,7 +248,7 @@ func ExpectedRMSE(a kron.Linear, errF float64, queries int, eps, delta float64, 
 // case of AnswerBatch, so a product answered alone and the same product
 // answered in any batch cannot diverge.
 func AnswerProduct(p workload.Product, x []float64) ([]float64, error) {
-	out, err := answerBatch(context.Background(), []workload.Product{p}, x, 1, false)
+	out, err := answerBatch(context.Background(), []workload.Product{p}, x, 1, false, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -274,9 +274,10 @@ func scaleAnswer(ans []float64, w float64) {
 // instance) pairs, so a trailing run of factors that several products
 // share is contracted once. On the census schema every answer spec with
 // age Total shares the first step, which shrinks the 500,480-cell x to
-// 4,352 cells and costs more than all later steps together. A serving batch
-// of 500 queries drawn from a handful of specs therefore streams x once,
-// not once per spec.
+// 4,352 cells and costs more than all later steps together. A batch of
+// 500 queries drawn from a handful of specs therefore streams x once, not
+// once per spec; an Estimate answering many batches streams it once per
+// estimate for the steps it keeps.
 //
 // Slot i depends only on products[i] and is bit-identical to
 // AnswerProduct(products[i], x) at any worker count: every trie node runs
@@ -287,17 +288,49 @@ func scaleAnswer(ans []float64, w float64) {
 // so structurally equal but distinct instances are contracted separately,
 // and a predicate set whose type is not comparable gets a node of its own.
 func AnswerBatch(products []workload.Product, x []float64, workers int) ([][]float64, error) {
-	return answerBatch(context.Background(), products, x, workers, false)
+	return answerBatch(context.Background(), products, x, workers, false, nil)
 }
 
-// AnswerBatchCtx is AnswerBatch with cancellation, tracing and a choice of
-// copy or alias semantics. The trie is evaluated level by level, the nodes
-// of a level concurrently on up to workers goroutines, and each node checks
-// ctx before contracting, so a cancelled context — a disconnected HTTP
-// client, a deadline — stops the batch after the steps in flight instead of
-// burning CPU through the rest of the sweep. On cancellation the error
-// satisfies errors.Is(err, ctx.Err()) and no partial result is returned.
-// Any obs.Trace carried by ctx receives one StageAnswer observation. For an
+// Estimate is a data-vector estimate that answers many batches: the
+// serving engine's x̂. Every batch's trie starts with mode steps that read
+// all of x, so the estimate keeps the outputs of those first steps and
+// later batches copy them instead of streaming x again. A step is kept
+// only when its term is one of the workload package's built-in predicate
+// sets, whose canonical token fixes its matrix (workload.BuiltinToken),
+// and its output fits in what is left of the estimate's budget: the kept
+// values total at most len(x)/8, so every kept step shrinks x at least
+// eightfold, and once the budget is spent further steps run every time.
+// The first batch that needs a step computes it, and later batches copy
+// exactly the values kron.ModeStep wrote, so no answer bit depends on what
+// is kept. An Estimate is safe for concurrent batches; x must not change
+// once it is wrapped.
+type Estimate struct {
+	x     []float64
+	steps stepCache
+}
+
+// NewEstimate wraps x, keeping nothing yet.
+func NewEstimate(x []float64) *Estimate { return &Estimate{x: x} }
+
+// X returns the wrapped estimate. Callers must treat it as read-only.
+func (e *Estimate) X() []float64 { return e.x }
+
+// Kept reports how many first-step values the estimate keeps.
+func (e *Estimate) Kept() int {
+	e.steps.mu.Lock()
+	defer e.steps.mu.Unlock()
+	return e.steps.held
+}
+
+// AnswerCtx is AnswerBatch on the estimate, through its kept first steps,
+// with cancellation, tracing and a choice of copy or alias semantics. The
+// trie is evaluated level by level, the nodes of a level concurrently on
+// up to workers goroutines, and each node checks ctx before contracting,
+// so a cancelled context — a disconnected HTTP client, a deadline — stops
+// the batch after the steps in flight instead of burning CPU through the
+// rest of the sweep. On cancellation the error satisfies
+// errors.Is(err, ctx.Err()) and no partial result is returned. Any
+// obs.Trace carried by ctx receives one StageAnswer observation. For an
 // uncancellable background context the per-node check is a nil-channel
 // select.
 //
@@ -307,22 +340,63 @@ func AnswerBatch(products []workload.Product, x []float64, workers int) ([][]flo
 // instead of copying it, and callers must not mutate the returned slices.
 // The serialization path of the HTTP daemon uses it — a batch of hundreds
 // of repeated specs costs one sweep and zero copies.
-func AnswerBatchCtx(ctx context.Context, products []workload.Product, x []float64, workers int, shared bool) ([][]float64, error) {
+func (e *Estimate) AnswerCtx(ctx context.Context, products []workload.Product, workers int, shared bool) ([][]float64, error) {
 	tr := obs.TraceFrom(ctx)
 	start := time.Now()
-	out, err := answerBatch(ctx, products, x, workers, shared)
+	out, err := answerBatch(ctx, products, e.x, workers, shared, &e.steps)
 	tr.Observe(obs.StageAnswer, time.Since(start))
 	return out, err
 }
 
-func answerBatch(ctx context.Context, products []workload.Product, x []float64, workers int, shared bool) ([][]float64, error) {
+// stepCache holds an Estimate's kept first steps (see Estimate).
+type stepCache struct {
+	mu    sync.Mutex
+	held  int                  // values in steps
+	steps map[string][]float64 // output by the term's canonical token
+}
+
+// modeStep runs the first mode step out = F·xᵀ of term F on x, copying a
+// kept output instead when c holds one and keeping a new output when the
+// rules allow. A nil c keeps nothing.
+func (c *stepCache) modeStep(out []float64, term workload.PredicateSet, x []float64, ws *kron.Workspace) {
+	var key string
+	keep := false
+	if c != nil && len(out) <= len(x)/8 {
+		key, keep = workload.BuiltinToken(term)
+	}
+	if keep {
+		c.mu.Lock()
+		kept, ok := c.steps[key]
+		c.mu.Unlock()
+		if ok {
+			copy(out, kept) // kept is never written after it is stored
+			return
+		}
+	}
+	kron.ModeStep(out, term.Matrix(), x, ws)
+	if !keep {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, ok := c.steps[key]; ok || c.held+len(out) > len(x)/8 {
+		return
+	}
+	if c.steps == nil {
+		c.steps = make(map[string][]float64)
+	}
+	c.steps[key] = slices.Clone(out)
+	c.held += len(out)
+}
+
+func answerBatch(ctx context.Context, products []workload.Product, x []float64, workers int, shared bool, steps *stepCache) ([][]float64, error) {
 	reps, members := groupByFactorSet(products)
 	t := triePool.Get().(*suffixTrie)
 	defer t.release()
 	if err := t.build(products, reps, len(x)); err != nil {
 		return nil, err
 	}
-	if err := t.eval(ctx, x, workers); err != nil {
+	if err := t.eval(ctx, x, workers, steps); err != nil {
 		return nil, err
 	}
 
@@ -518,8 +592,10 @@ func (t *suffixTrie) node(k int, parent int32, term workload.PredicateSet, size 
 // Node i of a level contracts through t.ws[i], so no two nodes in flight
 // share a workspace; the slots are grown before the level fans out. Each
 // node checks ctx before contracting; if any saw cancellation the batch
-// stops after that level.
-func (t *suffixTrie) eval(ctx context.Context, x []float64, workers int) error {
+// stops after that level. The level-0 nodes, which read x, go through
+// steps (nil: none kept). steps belongs to the caller's estimate, never to
+// the pooled trie, which serves every estimate in the process.
+func (t *suffixTrie) eval(ctx context.Context, x []float64, workers int, steps *stepCache) error {
 	done := ctx.Done() // nil for Background: the select below never fires
 	for k, lv := range t.levels {
 		var prev []trieNode
@@ -537,11 +613,11 @@ func (t *suffixTrie) eval(ctx context.Context, x []float64, workers int) error {
 				return
 			default:
 			}
-			in := x
-			if prev != nil {
-				in = prev[n.parent].out
+			if prev == nil {
+				steps.modeStep(n.out, n.term, x, t.ws[i])
+				return
 			}
-			kron.ModeStep(n.out, n.term.Matrix(), in, t.ws[i])
+			kron.ModeStep(n.out, n.term.Matrix(), prev[n.parent].out, t.ws[i])
 		})
 		for _, n := range lv {
 			if n.err != nil {

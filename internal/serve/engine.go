@@ -57,12 +57,20 @@ type Options struct {
 // afterwards the engine holds only the private estimate x̂ and every Answer
 // call is pure post-processing — unlimited queries at no extra privacy
 // cost.
+//
+// The engine also keeps, beside x̂, the outputs of the answer sweeps' first
+// mode steps (see mech.Estimate): the first batch that needs one streams
+// x̂, and later batches copy the step's result. They are kept only for the
+// built-in predicate sets and only when the step shrinks x̂, total at most
+// len(x̂)/8 values, and are filled lazily by the batches themselves, so an
+// engine built by Restore starts with none and its first batch per step
+// pays the full sweep.
 type Engine struct {
 	w         *workload.Workload
 	strategy  core.Strategy
 	operator  string
-	errF      float64 // ‖W·A⁺‖²_F at sensitivity 1
-	xhat      []float64
+	errF      float64        // ‖W·A⁺‖²_F at sensitivity 1
+	est       *mech.Estimate // x̂ and its kept first answer steps
 	workers   int
 	fromCache bool
 	key       string
@@ -175,7 +183,7 @@ func NewEngineCtx(ctx context.Context, w *workload.Workload, x []float64, eps fl
 		strategy:  rec.Strategy,
 		operator:  rec.Operator,
 		errF:      rec.Err,
-		xhat:      xhat,
+		est:       mech.NewEstimate(xhat),
 		workers:   opts.Workers,
 		fromCache: fromCache,
 		key:       key,
@@ -277,10 +285,10 @@ func (e *Engine) ExpectedRMSE() float64 { return e.rootMSE }
 // sensitivity 1 (the stored Selected.Err; multiply by 2/ε² for a budget).
 func (e *Engine) ExpectedErr() float64 { return e.errF }
 
-// Xhat returns the private estimate of the data vector, the one vector the
-// engine keeps. Callers must treat it as read-only; every function of it
-// is privacy-free post-processing.
-func (e *Engine) Xhat() []float64 { return e.xhat }
+// Xhat returns the private estimate of the data vector, the one vector of
+// the domain's size the engine keeps. Callers must treat it as read-only;
+// every function of it is privacy-free post-processing.
+func (e *Engine) Xhat() []float64 { return e.est.X() }
 
 // Seed returns the noise seed the measurement used (0 = fresh entropy).
 func (e *Engine) Seed() uint64 { return e.seed }
@@ -298,13 +306,16 @@ func (e *Engine) SolveInfo() *core.SolveInfo { return e.solve }
 // instances on every attribute are evaluated once, and the distinct factor
 // sets run as one suffix trie (see mech.AnswerBatch): the forward sweep
 // contracts the last attribute first, so a trailing run of factor instances
-// that several specs share is contracted against x̂ once for all of them,
-// and the nodes of each trie level run concurrently on up to Workers
-// goroutines. Every node runs the step the per-product sweep runs, on the
-// same inputs, so slot i of the result depends only on products[i] and is
-// bit-identical at any worker count and to answering the products one by
-// one. Each product must span the engine's domain and have materializable
-// per-attribute predicate sets.
+// that several specs share is contracted once for all of them, and the
+// nodes of each trie level run concurrently on up to Workers goroutines.
+// The first step of a sweep, the one that streams x̂, runs once per engine
+// when the engine keeps its output (see Engine) and once per batch
+// otherwise. Every node runs the step the per-product sweep runs, on the
+// same inputs, and a kept step is the output that step wrote, so slot i of
+// the result depends only on products[i] and is bit-identical at any worker
+// count and to answering the products one by one. Each product must span
+// the engine's domain and have materializable per-attribute predicate
+// sets.
 //
 // A cancelled ctx stops the batch between trie nodes (the error satisfies
 // errors.Is(err, ctx.Err())), and any obs.Trace carried by ctx receives a
@@ -330,7 +341,7 @@ func (e *Engine) answer(ctx context.Context, products []workload.Product, shared
 			return nil, fmt.Errorf("serve: product %d: %w", i, err)
 		}
 	}
-	out, err := mech.AnswerBatchCtx(ctx, products, e.xhat, e.workers, shared)
+	out, err := e.est.AnswerCtx(ctx, products, e.workers, shared)
 	if err != nil {
 		if ctxErr := ctx.Err(); ctxErr != nil && err == ctxErr {
 			return nil, ctxErr // cancellation, undecorated (see AnswerCtx)

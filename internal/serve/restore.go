@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 
+	"repro/internal/mech"
 	"repro/internal/registry"
 	"repro/internal/schema"
 	"repro/internal/snapshot"
@@ -27,7 +28,7 @@ func (e *Engine) Snapshot(key string, queries []string) *snapshot.Snapshot {
 		Domain:      e.w.Domain.AttrSizes(),
 		Queries:     queries,
 		Record:      &registry.Record{Strategy: e.strategy, Err: e.errF, Operator: e.operator},
-		Xhat:        e.xhat,
+		Xhat:        e.est.X(),
 	}
 }
 
@@ -66,7 +67,7 @@ func Restore(sn *snapshot.Snapshot, workers int) (*Engine, error) {
 		strategy:  sn.Record.Strategy,
 		operator:  sn.Record.Operator,
 		errF:      sn.Record.Err,
-		xhat:      sn.Xhat,
+		est:       mech.NewEstimate(sn.Xhat),
 		workers:   workers,
 		fromCache: true, // the strategy came from durable state, not a fresh optimization
 		key:       sn.StrategyKey,

@@ -131,6 +131,49 @@ func TestRecoveryByteIdentity(t *testing.T) {
 	}
 }
 
+// TestRegisterKeepsNoRequestData: the daemon serves from x̂ alone, so a
+// caller that reuses its request's data slice after RegisterCtx returns
+// changes neither the engine's answers nor its snapshot.
+func TestRegisterKeepsNoRequestData(t *testing.T) {
+	snapDir := filepath.Join(t.TempDir(), "snaps")
+	srv := newSnapshotServer(t, snapDir, 2)
+	req := &server.RegisterRequest{
+		Domain: []int{2, 16}, Queries: []string{"I,R", "T,P"}, Data: testData(32),
+		Eps: 1.0, Seed: 5, Restarts: 2, OptSeed: 9,
+	}
+	reg, err := srv.RegisterCtx(t.Context(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := &server.AnswerRequest{Queries: []string{"I,T", "T,R", "I,P"}}
+	before, err := srv.AnswerCtx(t.Context(), reg.Key, queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapPath := filepath.Join(snapDir, reg.Key+snapshot.FileExt)
+	blob, err := os.ReadFile(snapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for i := range req.Data {
+		req.Data[i] = 1e9 + float64(i)
+	}
+	after, err := srv.AnswerCtx(t.Context(), reg.Key, queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	answersEqual(t, "after the data changed", after.Answers, before.Answers)
+	recovered, err := newSnapshotServer(t, snapDir, 2).AnswerCtx(t.Context(), reg.Key, queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	answersEqual(t, "recovered", recovered.Answers, before.Answers)
+	if now, err := os.ReadFile(snapPath); err != nil || !bytes.Equal(now, blob) {
+		t.Fatalf("snapshot bytes changed after the data changed (err %v)", err)
+	}
+}
+
 func testData(n int) []float64 {
 	data := make([]float64, n)
 	for i := range data {

@@ -1066,9 +1066,7 @@ func dataVector(dom *schema.Domain, req *RegisterRequest) ([]float64, error) {
 				return nil, badRequest("data[%d] = %v, histogram cells must be finite", i, v)
 			}
 		}
-		x := make([]float64, len(req.Data)) // private copy: the engine holds it beyond the request
-		copy(x, req.Data)
-		return x, nil
+		return req.Data, nil
 	case req.Records != nil:
 		sizes := dom.AttrSizes()
 		for ri, rec := range req.Records {

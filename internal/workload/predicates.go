@@ -84,6 +84,23 @@ func CanonicalToken(t PredicateSet) string {
 	return hashToken("G", t.Rows(), t.Cols(), t.Gram().Data())
 }
 
+// BuiltinToken returns t's canonical token when t is one of this
+// package's own predicate sets whose matrix that token fixes: I, T, P, R,
+// W<k>, and a permutation of one of them. ok is false for Explicit, whose
+// matrix the caller owns and may change, and for sets defined elsewhere,
+// whose tokens this package cannot vouch for.
+func BuiltinToken(t PredicateSet) (tok string, ok bool) {
+	switch p := t.(type) {
+	case *identity, *total, *prefix, *allRange, *widthRange:
+		return t.(Canonicalizer).Canonical(), true
+	case *permuted:
+		if _, ok := BuiltinToken(p.base); ok {
+			return p.Canonical(), true
+		}
+	}
+	return "", false
+}
+
 // hashToken renders "<prefix>:<rows>:<cols>:<sha256 of the float bits>" —
 // the one canonical float-matrix encoding every digest-based token uses.
 func hashToken(prefix string, rows, cols int, data []float64) string {

@@ -228,3 +228,25 @@ func TestPermuteValidation(t *testing.T) {
 	}()
 	Permute(Identity(3), []int{0, 0, 2})
 }
+
+// TestBuiltinToken: the built-in sets and permutations of them vouch for
+// their tokens; an Explicit matrix, a permutation of one, and a set of a
+// type defined elsewhere do not.
+func TestBuiltinToken(t *testing.T) {
+	perm := RandPerm(6, 3)
+	explicit := NewExplicit("E", mat.Ones(2, 6))
+	for _, c := range []struct {
+		ps PredicateSet
+		ok bool
+	}{
+		{Identity(6), true}, {Total(6), true}, {Prefix(6), true}, {AllRange(6), true},
+		{WidthRange(6, 2), true}, {Permute(AllRange(6), perm), true},
+		{explicit, false}, {Permute(explicit, perm), false},
+		{struct{ PredicateSet }{Total(6)}, false},
+	} {
+		tok, ok := BuiltinToken(c.ps)
+		if ok != c.ok || (ok && tok != CanonicalToken(c.ps)) {
+			t.Errorf("%s: BuiltinToken = %q, %v; want ok %v and the canonical token", c.ps.Name(), tok, ok, c.ok)
+		}
+	}
+}
